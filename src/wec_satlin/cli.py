@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -31,7 +32,7 @@ from .descfcn import (
 )
 from .errors import ConfigError, WecSatlinError
 from .mismatch import matched_baseline, pareto_front, smith_grid
-from .simulate import dump_waveforms, simulate, validate_df
+from .simulate import dump_waveforms, validate_df
 from .wec import (
     alpha_from_nondim,
     matched_power,
@@ -55,11 +56,36 @@ def fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def _column_cells(column) -> tuple[str, list]:
+    """printf spec and cell values of one CSV column, chosen by its numpy dtype.
+
+    Bool and integer columns print as ``%d`` and float columns as ``%.12g``,
+    which is the text :func:`fmt` gives each cell (``inf``, ``nan`` and
+    ``-0`` included); any other column goes through :func:`fmt` cell by cell.
+    """
+    arr = np.asarray(column)
+    if arr.dtype.kind in "biu":
+        return "%d", arr.tolist()
+    if arr.dtype.kind == "f":
+        return "%.12g", arr.tolist()
+    return "%s", [fmt(v) for v in column]
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header``, formatted column-wise.
+
+    One row template built from the column dtypes is applied to all cells in
+    a single ``%``, so the bytes match a per-cell :func:`fmt` join.
+    """
+    specs, cells = zip(*map(_column_cells, columns))
+    n_rows = len(cells[0])
+    if any(len(c) != n_rows for c in cells):
+        raise ValueError("CSV columns differ in length")
+    row = ",".join(specs) + "\n"
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(row * n_rows % flat)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -101,7 +127,7 @@ def cmd_matched(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
         p_nd = matched_power(groups, waves.j_density, waves.k_wavenumber, waves.g0)
         rows.append(("p_matched_nondim", p_nd))
         rows.append(("p_absorbed_limit", waves.g0 * waves.j_density / waves.k_wavenumber))
-    write_csv(_out_path(out_dir, "matched.csv"), ["name", "value"], rows)
+    write_csv(_out_path(out_dir, "matched.csv"), ["name", "value"], list(zip(*rows)))
     for name, value in rows:
         print(f"{name} = {fmt(value)}")
     return 0
@@ -124,22 +150,11 @@ def cmd_smith(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     total = 0
     for alpha in cfg.alphas:
         grid = smith_grid(alpha, cfg.smith_resolution, cfg.smith_angular)
-        rows = [
-            (
-                alpha,
-                rec["gamma"].real,
-                rec["gamma"].imag,
-                rec["power_ratio"],
-                rec["v_ratio"],
-                rec["i_ratio"],
-                rec["v_exceeds_one"],
-                rec["i_exceeds_one"],
-            )
-            for rec in grid
-        ]
-        total += len(rows)
+        columns = [np.full(len(grid), alpha), grid["gamma"].real, grid["gamma"].imag]
+        columns += [grid[name] for name in header[3:]]
+        total += len(grid)
         tag = _alpha_tag(alpha)
-        write_csv(_out_path(out_dir, f"smith_alpha_{tag}.csv"), header, rows)
+        write_csv(_out_path(out_dir, f"smith_alpha_{tag}.csv"), header, columns)
         if use_svg:
             svgmod.smith_svg(
                 _out_path(out_dir, f"smith_alpha_{tag}.svg"),
@@ -155,17 +170,14 @@ def cmd_smith(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
 def cmd_pareto(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     """Nondominated (power, voltage, current) fronts per alpha."""
     header = ["alpha", "power_ratio", "v_ratio", "i_ratio"]
-    rows = []
-    fronts = {}
-    for alpha in cfg.alphas:
-        front = pareto_front(alpha, cfg.pareto_points)
-        fronts[alpha] = front
-        for rec in front:
-            rows.append((alpha, rec["power_ratio"], rec["v_ratio"], rec["i_ratio"]))
-    write_csv(_out_path(out_dir, "pareto.csv"), header, rows)
+    fronts = [(alpha, pareto_front(alpha, cfg.pareto_points)) for alpha in cfg.alphas]
+    table = np.concatenate([front for _, front in fronts])
+    columns = [np.concatenate([np.full(len(front), alpha) for alpha, front in fronts])]
+    columns += [table[name] for name in header[1:]]
+    write_csv(_out_path(out_dir, "pareto.csv"), header, columns)
     if use_svg:
-        svgmod.pareto_svg(_out_path(out_dir, "pareto.svg"), fronts)
-    print(f"pareto front: {len(rows)} nondominated points")
+        svgmod.pareto_svg(_out_path(out_dir, "pareto.svg"), dict(fronts))
+    print(f"pareto front: {len(table)} nondominated points")
     return 0
 
 
@@ -174,17 +186,14 @@ def cmd_fsat(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     i_inv = np.linspace(0.0, cfg.fsat_i_inv_max, cfg.fsat_points)
     header = ["i_inv"] + [f"f_sat_{n}" for n in FSAT_HARMONICS]
     curves = {n: np.empty(len(i_inv)) for n in FSAT_HARMONICS}
-    rows = []
     for k, inv in enumerate(i_inv):
         i_script = math.inf if inv == 0.0 else 1.0 / inv
-        vals = [saturation_factor(n, i_script) for n in FSAT_HARMONICS]
-        for n, v in zip(FSAT_HARMONICS, vals):
-            curves[n][k] = v
-        rows.append((inv, *vals))
-    write_csv(_out_path(out_dir, "fsat.csv"), header, rows)
+        for n in FSAT_HARMONICS:
+            curves[n][k] = saturation_factor(n, i_script)
+    write_csv(_out_path(out_dir, "fsat.csv"), header, [i_inv, *curves.values()])
     if use_svg:
         svgmod.fsat_svg(_out_path(out_dir, "fsat.svg"), i_inv, curves)
-    print(f"saturation factors: {len(rows)} points, harmonics {FSAT_HARMONICS}")
+    print(f"saturation factors: {len(i_inv)} points, harmonics {FSAT_HARMONICS}")
     return 0
 
 
@@ -230,7 +239,7 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
                 sol.p_total / p_lin if p_lin != 0.0 else math.inf,
             )
         )
-    write_csv(_out_path(out_dir, "saturate.csv"), header, rows)
+    write_csv(_out_path(out_dir, "saturate.csv"), header, list(zip(*rows)))
     for row in rows:
         print(
             f"fraction {fmt(row[0])}: f_sat_1 = {fmt(row[4])}, "
@@ -277,10 +286,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
             f"merit {rep.low_pass_merit:.2f} -> {status}"
         )
         if cfg.dump_waveforms:
-            res = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg.sim)
             tag = fmt(frac).replace(".", "p")
-            dump_waveforms(res, _out_path(out_dir, f"waveforms_{tag}.csv"))
-    write_csv(_out_path(out_dir, "verify.csv"), header, rows)
+            dump_waveforms(rep.sim, _out_path(out_dir, f"waveforms_{tag}.csv"))
+    write_csv(_out_path(out_dir, "verify.csv"), header, list(zip(*rows)))
     return 0 if all_ok else 3
 
 

@@ -17,6 +17,7 @@ All angles are reported wrapped to (-pi, pi].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -350,27 +351,50 @@ def _nondominated(triples: np.ndarray) -> np.ndarray:
 
     A row dominates another when it has power_ratio at least as high and
     both amplitude ratios at least as low, with at least one strict.
+
+    Maxima filter of Kung, Luccio & Preparata (J. ACM 1975): rows are swept
+    by descending power.  A staircase of the (v, i) minima among rows of
+    strictly higher power, ascending in v and strictly descending in i,
+    answers each dominance query with one bisection; rows of equal power
+    are compared among themselves.  A row with a NaN compares false against
+    every other, so it is kept and dominates nothing.
     """
-    p = triples["power_ratio"]
-    v = triples["v_ratio"]
-    i = triples["i_ratio"]
-    keep = np.ones(len(triples), dtype=bool)
-    for k in range(len(triples)):
-        better_eq = (p >= p[k]) & (v <= v[k]) & (i <= i[k])
-        strictly = (p > p[k]) | (v < v[k]) | (i < i[k])
-        if np.any(better_eq & strictly):
-            keep[k] = False
-    return keep
+    p, v, i = (triples[name] for name in PARETO_DTYPE.names)
+    has_nan = (np.isnan(p) | np.isnan(v) | np.isnan(i)).tolist()
+    order = np.argsort(-p, kind="stable").tolist()
+    p, v, i = p.tolist(), v.tolist(), i.tolist()
+    keep = [True] * len(order)
+    stair_v: list[float] = []
+    stair_i: list[float] = []
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and p[order[end]] == p[order[start]]:
+            end += 1
+        group = [k for k in order[start:end] if not has_nan[k]]
+        start = end
+        for k in group:
+            pos = bisect.bisect_right(stair_v, v[k])
+            keep[k] = not (
+                (pos and stair_i[pos - 1] <= i[k])
+                or any(
+                    v[q] <= v[k] and i[q] <= i[k] and (v[q] < v[k] or i[q] < i[k])
+                    for q in group
+                )
+            )
+        for k in group:
+            if keep[k]:
+                pos = bisect.bisect_left(stair_v, v[k])
+                stop = pos
+                while stop < len(stair_i) and stair_i[stop] >= i[k]:
+                    stop += 1
+                stair_v[pos:stop] = [v[k]]
+                stair_i[pos:stop] = [i[k]]
+    return np.array(keep, dtype=bool)
 
 
-def pareto_front(alpha: float, n_points: int) -> np.ndarray:
-    """Nondominated (power, voltage, current) ratio triples on the optimal contours.
-
-    Sweeps |gamma| over [0, 1] with ``n_points`` samples, evaluates both the
-    minimum-voltage and minimum-current contours, and returns the
-    nondominated triples as a structured array sorted by descending power
-    ratio.  The matched point (1, 1, 1) is always first.
-    """
+def _pareto_candidates(alpha: float, n_points: int) -> np.ndarray:
+    """Distinct ratio triples on both optimal contours, |gamma| over [0, 1]."""
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     gs = np.linspace(0.0, 1.0, n_points)
@@ -386,7 +410,18 @@ def pareto_front(alpha: float, n_points: int) -> np.ndarray:
         p = 1.0 - gs**2
         rows.append(np.rec.fromarrays([p, v, i], dtype=PARETO_DTYPE))
     table = np.concatenate(rows).view(np.recarray)
-    table = np.unique(table)  # drops the duplicated matched endpoint
+    return np.unique(table)  # drops the duplicated matched endpoint
+
+
+def pareto_front(alpha: float, n_points: int) -> np.ndarray:
+    """Nondominated (power, voltage, current) ratio triples on the optimal contours.
+
+    Sweeps |gamma| over [0, 1] with ``n_points`` samples, evaluates both the
+    minimum-voltage and minimum-current contours, and returns the
+    nondominated triples as a structured array sorted by descending power
+    ratio.  The matched point (1, 1, 1) is always first.
+    """
+    table = _pareto_candidates(alpha, n_points)
     table = table[_nondominated(table)]
     order = np.lexsort((table["i_ratio"], table["v_ratio"], -table["power_ratio"]))
     return np.asarray(table[order])

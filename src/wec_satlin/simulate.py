@@ -95,7 +95,10 @@ class SimResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Field-by-field comparison of the quasi-linear solve against simulation."""
+    """Field-by-field comparison of the quasi-linear solve against simulation.
+
+    ``sim`` is the simulation run the comparison was made on.
+    """
 
     i_max: float
     i_max_fraction: float
@@ -115,6 +118,7 @@ class ValidationReport:
     power_tol: float
     fundamental_tol: float
     passed: bool
+    sim: SimResult | None = field(default=None, repr=False, compare=False)
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -376,10 +380,8 @@ def simulate(
     tw = t_arr[window]
     iw = i_arr[window]
     xw = x_arr[window]
-    phase = np.exp(-1j * plant.omega * tw)
-    harmonics = [
-        complex(2.0 / steps * np.sum(iw * phase**n)) for n in range(1, n_harmonics + 1)
-    ]
+    dc_current, harmonics = _phasors(tw, iw, plant.omega, n_harmonics)
+    x_fundamental = _phasors(tw, xw, plant.omega, 1)[1][0]
     waveforms = np.empty(
         steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS]
     )
@@ -394,8 +396,8 @@ def simulate(
         waveforms=waveforms,
         p_avg=float(np.mean(p_arr[window])),
         harmonic_currents=harmonics,
-        dc_current=float(np.mean(iw)),
-        x_amp=float(abs(2.0 / steps * np.sum(xw * phase))),
+        dc_current=dc_current,
+        x_amp=abs(x_fundamental),
         peak_current=float(np.max(np.abs(iw))),
         converged=converged,
         omega=plant.omega,
@@ -421,10 +423,18 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
         raise DomainError(
             f"window spans {cycles:.6g} periods; need an integer count"
         )
-    phase = np.exp(-1j * result.omega * t)
-    dc = float(np.mean(i))
-    phasors = [complex(2.0 / len(i) * np.sum(i * phase**n)) for n in range(1, n_max + 1)]
-    return dc, phasors
+    return _phasors(t, i, result.omega, n_max)
+
+
+def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
+    """``(mean, [Y_1, ..., Y_n_max])`` of samples ``y(t)`` by a direct DFT.
+
+    Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor; the
+    samples must span an integer number of periods.
+    """
+    phase = np.exp(-1j * omega * t)
+    dc = float(np.mean(y))
+    return dc, [complex(2.0 / len(y) * np.sum(y * phase**n)) for n in range(1, n_max + 1)]
 
 
 def low_pass_merit(plant: WecPlant) -> float:
@@ -504,12 +514,15 @@ def validate_df(
         power_tol=power_tol,
         fundamental_tol=fund_tol,
         passed=passed,
+        sim=sim,
     )
 
 
 def dump_waveforms(result: SimResult, path) -> None:
     """Write the stored final period as CSV: t,x,v,i,v_load,p_inst."""
+    waves = result.waveforms
+    row = ",".join(["%.12g"] * len(WAVEFORM_FIELDS)) + "\n"
+    cells = np.column_stack([waves[name] for name in WAVEFORM_FIELDS]).ravel().tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(WAVEFORM_FIELDS) + "\n")
-        for row in result.waveforms:
-            fh.write(",".join(f"{row[name]:.12g}" for name in WAVEFORM_FIELDS) + "\n")
+        fh.write(row * len(waves) % tuple(cells))

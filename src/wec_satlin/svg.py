@@ -48,21 +48,23 @@ def _document(width: int, height: int, body: str) -> str:
 
 
 def _level_crossings(grid: np.ndarray, field: str, resolution: int, n_angular: int):
-    """(theta, radius) points where ``field`` crosses 1 along each ray."""
-    values = grid[field].reshape(resolution, n_angular)
+    """(theta, radius) points where ``field`` crosses 1 along each ray.
+
+    Each pair of radial neighbours with finite values contributes one point,
+    linearly interpolated, when the first value is exactly 1 or the pair
+    straddles 1.  Points come ray by ray, outward along each ray.
+    """
+    values = grid[field].reshape(resolution, n_angular).T - 1.0
     radii = np.abs(grid["gamma"]).reshape(resolution, n_angular)[:, 0]
     theta = np.angle(grid["gamma"].reshape(resolution, n_angular)[-1, :])
-    points = []
-    for j in range(n_angular):
-        col = values[:, j] - 1.0
-        for k in range(resolution - 1):
-            a, b = col[k], col[k + 1]
-            if not (np.isfinite(a) and np.isfinite(b)):
-                continue
-            if a == 0.0 or a * b < 0.0:
-                frac = 0.0 if a == 0.0 else a / (a - b)
-                points.append((theta[j], radii[k] + frac * (radii[k + 1] - radii[k])))
-    return points
+    a, b = values[:, :-1], values[:, 1:]
+    on_level = a == 0.0
+    hit = np.isfinite(a) & np.isfinite(b) & (on_level | (a * b < 0.0))
+    j, k = np.nonzero(hit)
+    a, b, on_level = a[j, k], b[j, k], on_level[j, k]
+    frac = np.where(on_level, 0.0, a / np.where(on_level, 1.0, a - b))
+    radius = radii[k] + frac * (radii[k + 1] - radii[k])
+    return list(zip(theta[j].tolist(), radius.tolist()))
 
 
 def smith_svg(

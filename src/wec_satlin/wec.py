@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError, SingularityError
 from .mismatch import TheveninSource, matched_baseline
@@ -37,6 +37,14 @@ __all__ = [
     "rescale_to_haskind",
     "matched_power_from_plant",
 ]
+
+
+def _require_finite(record) -> None:
+    """Reject a NaN or infinite value in any field of a parameter dataclass."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not cmath.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,7 @@ class WecPlant:
     g0: int = 1
 
     def __post_init__(self):
+        _require_finite(self)
         if self.m + self.a_added <= 0.0:
             raise DomainError("total inertia m + a_added must be positive")
         if self.b_h <= 0.0:
@@ -169,6 +178,7 @@ class NondimGroups:
     l_cal: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.r_cal < 0.0:
             raise DomainError("normalized resistance must be non-negative")
         if not (0.0 < self.d_cal <= 1.0):

@@ -1,7 +1,9 @@
 """Independent reference computations the library is checked against.
 
 Everything here deliberately avoids the code paths under test: direct phasor
-circuit solutions, quadrature of clipped waveforms, and brute-force sweeps.
+circuit solutions, quadrature of clipped waveforms, brute-force sweeps, and
+cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
+filter.
 """
 
 import numpy as np
@@ -64,3 +66,63 @@ def ratios_on_grid(gamma, alpha: float):
         v = np.sqrt((g2 + 2.0 * gamma.real + 1.0) / den)
         i = np.sqrt((g2 - 2.0 * gamma.real + 1.0) / den)
     return 1.0 - g2, v, i
+
+
+def fmt_cell(value) -> str:
+    """One CSV cell as the emitters printed it cell by cell: floats at 12 digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+def write_csv_rowwise(path, header, rows) -> None:
+    """CSV by a per-cell :func:`fmt_cell` join, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt_cell(v) for v in row) + "\n")
+
+
+def dump_waveforms_rowwise(result, path) -> None:
+    """Waveform CSV by a per-cell f-string, one stored step at a time."""
+    names = result.waveforms.dtype.names
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in result.waveforms:
+            fh.write(",".join(f"{row[name]:.12g}" for name in names) + "\n")
+
+
+def level_crossings_loop(grid, field, resolution, n_angular):
+    """(theta, radius) points where ``field`` crosses 1, ray by ray in a loop."""
+    values = grid[field].reshape(resolution, n_angular)
+    radii = np.abs(grid["gamma"]).reshape(resolution, n_angular)[:, 0]
+    theta = np.angle(grid["gamma"].reshape(resolution, n_angular)[-1, :])
+    points = []
+    for j in range(n_angular):
+        col = values[:, j] - 1.0
+        for k in range(resolution - 1):
+            a, b = col[k], col[k + 1]
+            if not (np.isfinite(a) and np.isfinite(b)):
+                continue
+            if a == 0.0 or a * b < 0.0:
+                frac = 0.0 if a == 0.0 else a / (a - b)
+                points.append((theta[j], radii[k] + frac * (radii[k + 1] - radii[k])))
+    return points
+
+
+def nondominated_quadratic(triples):
+    """Nondominated mask by comparing every row with all others, O(N^2)."""
+    p = triples["power_ratio"]
+    v = triples["v_ratio"]
+    i = triples["i_ratio"]
+    keep = np.ones(len(triples), dtype=bool)
+    for k in range(len(triples)):
+        better_eq = (p >= p[k]) & (v <= v[k]) & (i <= i[k])
+        strictly = (p > p[k]) | (v < v[k]) | (i < i[k])
+        if np.any(better_eq & strictly):
+            keep[k] = False
+    return keep

@@ -1,14 +1,21 @@
 """Tests for configuration parsing, command dispatch, and emitted artifacts."""
 
+import importlib
 import math
 import os
 
+import numpy as np
 import pytest
 
-from wec_satlin import amplitude_ratio, power_ratio, saturation_factor
+from oracles import level_crossings_loop, write_csv_rowwise
+from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_grid
+from wec_satlin import cli, svg
 from wec_satlin.cli import main
 from wec_satlin.config import parse_config
 from wec_satlin.errors import ConfigError
+
+# the package namespace binds the function ``simulate`` over the submodule
+simulate_mod = importlib.import_module("wec_satlin.simulate")
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -132,6 +139,24 @@ class TestExitCodes:
             + "\n[sim]\nsteps_per_period = 400\nn_periods = 24\ntransient_periods = 14\n"
         )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["m", "a_added", "b_h", "k_h", "k_t", "r_w", "l_w", "g_ratio",
+                "omega", "j_density", "k_wavenumber"],
+    )
+    def test_non_finite_plant_value_is_config_error(self, tmp_path, capsys, key, value):
+        kept = [ln for ln in MINIMAL_PLANT.splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
+        assert main(["matched", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT.replace("m = 6.0e4", "m = nan"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "m must be finite" in capsys.readouterr().err
 
 
 class TestEmittedArtifacts:
@@ -349,6 +374,109 @@ GOLDEN_OUTPUTS = [
     ("pareto", "pareto.csv"),
     ("fsat", "fsat.csv"),
 ]
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+                  -2.5, 1.0 / 3.0, 123456789012.5]
+
+EMISSION_CASES = {
+    "special_floats": [SPECIAL_FLOATS, np.array(SPECIAL_FLOATS),
+                       [np.float64(x) for x in SPECIAL_FLOATS]],
+    "bools": [[True, False, True], np.array([False, True, True]),
+              [np.bool_(True), np.bool_(False), np.bool_(False)]],
+    "ints": [[0, -7, 2**40], np.array([1, -2, 3], dtype=np.int64),
+             [np.int64(-5), np.int64(0), np.int64(9)]],
+    "text": [["a", "b_c", "x-y"], [1.5, 2.0, -0.0]],
+    "matched_value": [("omega", "alpha", "haskind_consistent", "r_cal", "l_cal"),
+                      (1.0, np.float64(-0.25), True, 5e-324, False)],
+    "no_rows": [[], np.array([], dtype=bool)],
+}
+
+
+class TestEmissionContract:
+    """Column-wise CSV and vectorized contours against their per-cell oracles."""
+
+    @pytest.mark.parametrize("case", sorted(EMISSION_CASES))
+    def test_write_csv_matches_per_cell_join(self, tmp_path, case):
+        columns = EMISSION_CASES[case]
+        header = [f"c{k}" for k in range(len(columns))]
+        cli.write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_rowwise(tmp_path / "oracle.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            cli.write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    def test_every_command_matches_per_cell_join(self, tmp_path, monkeypatch):
+        real = cli.write_csv
+        written = []
+
+        def checked(path, header, columns):
+            real(path, header, columns)
+            oracle = f"{path}.oracle"
+            write_csv_rowwise(oracle, header, zip(*columns))
+            with open(path, "rb") as fa, open(oracle, "rb") as fb:
+                assert fa.read() == fb.read(), path
+            written.append(os.path.basename(path))
+
+        monkeypatch.setattr(cli, "write_csv", checked)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            MINIMAL_PLANT
+            + "\n[sweep]\nalphas = -1.5, 0, 1, 2\nsmith_resolution = 21\n"
+            + "smith_angular = 72\npareto_points = 51\nfsat_points = 31\n"
+            + "i_max_fractions = 0.5, 1.0\n"
+            + "\n[sim]\nsteps_per_period = 200\nn_periods = 22\ntransient_periods = 20\n"
+        )
+        out = str(tmp_path / "out")
+        for command in ("matched", "smith", "pareto", "fsat", "saturate", "verify"):
+            assert main([command, "--config", str(cfg), "--out", out]) in (0, 3)
+        assert len(written) == 9
+
+    @pytest.mark.parametrize("size", [(21, 72), (101, 360)])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 5.0])
+    def test_level_crossings_match_loop(self, alpha, size):
+        resolution, n_angular = size
+        grid = smith_grid(alpha, resolution, n_angular)
+        if alpha in (1.0, 2.0) and size == (21, 72):
+            # the grid holds the divergent cell at gamma = -i/alpha
+            assert np.isinf(grid["v_ratio"]).any() and np.isinf(grid["i_ratio"]).any()
+        for field in ("v_ratio", "i_ratio"):
+            want = level_crossings_loop(grid, field, resolution, n_angular)
+            assert want
+            assert svg._level_crossings(grid, field, resolution, n_angular) == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 5.0])
+    def test_smith_svg_matches_oracle_render(self, tmp_path, monkeypatch, alpha):
+        grid = smith_grid(alpha, 21, 72)
+        svg.smith_svg(tmp_path / "new.svg", alpha, grid, 21, 72)
+        monkeypatch.setattr(svg, "_level_crossings", level_crossings_loop)
+        svg.smith_svg(tmp_path / "oracle.svg", alpha, grid, 21, 72)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+    def test_verify_simulates_once_per_row(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulate_mod.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # also bound on the CLI, should it ever call the referee itself
+        monkeypatch.setattr(simulate_mod, "simulate", counting)
+        monkeypatch.setattr(cli, "simulate", counting, raising=False)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            MINIMAL_PLANT
+            + "\n[sweep]\ni_max_fractions = 0.6, 1.0\n"
+            + "\n[sim]\nsteps_per_period = 200\nn_periods = 22\ntransient_periods = 20\n"
+            + "\n[output]\ndump_waveforms = true\n"
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 3)
+        assert len(calls) == 2
+        assert (tmp_path / "waveforms_0p6.csv").exists()
+        assert (tmp_path / "waveforms_1.csv").exists()
 
 
 class TestGoldenFiles:

@@ -10,6 +10,7 @@ from oracles import (
     circuit_power_quadrature,
     circuit_solution,
     gamma_disk_grid,
+    nondominated_quadratic,
     ratios_on_grid,
 )
 from wec_satlin import (
@@ -27,6 +28,7 @@ from wec_satlin import (
     smith_grid,
     z_from_gamma,
 )
+from wec_satlin.mismatch import PARETO_DTYPE, _nondominated, _pareto_candidates
 
 
 class TestTheveninSource:
@@ -288,6 +290,24 @@ class TestParetoFront:
                 & (i <= rec["i_ratio"] - tol)
             )
             assert not np.any(dominating)
+
+    @pytest.mark.parametrize("n_points", [2, 3, 201, 2001])
+    @pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 5.0])
+    def test_sweep_filter_matches_quadratic_oracle(self, alpha, n_points):
+        table = _pareto_candidates(alpha, n_points)
+        np.testing.assert_array_equal(_nondominated(table), nondominated_quadratic(table))
+
+    def test_sweep_filter_with_ties_inf_and_nan(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            vals = rng.integers(0, 4, size=(3, 50)).astype(float)
+            vals[rng.random(vals.shape) < 0.05] = np.inf
+            vals[rng.random(vals.shape) < 0.03] = -np.inf
+            vals[rng.random(vals.shape) < 0.03] = np.nan
+            table = np.rec.fromarrays(vals, dtype=PARETO_DTYPE)
+            np.testing.assert_array_equal(
+                _nondominated(table), nondominated_quadratic(table)
+            )
 
     def test_sorted_descending_power(self):
         front = pareto_front(5.0, 101)

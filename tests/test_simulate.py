@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_plant, random_load
-from oracles import circuit_solution
+from oracles import circuit_solution, dump_waveforms_rowwise
 from wec_satlin import (
     DomainError,
     SimConfig,
@@ -262,6 +262,16 @@ class TestValidateDf:
         assert rep.assumption_violated
         assert not rep.enforced
 
+    def test_report_carries_its_simulation(self, lowpass_plant):
+        cfg = SimConfig(steps_per_period=250, n_periods=22, transient_periods=12)
+        base = matched_baseline(thevenin_from_plant(lowpass_plant))
+        rep = validate_df(lowpass_plant, 0.5 * base.i_peak_matched, cfg=cfg)
+        assert rep.sim.p_avg == rep.p_simulated
+        assert abs(rep.sim.harmonic_currents[0]) == rep.i1_simulated
+        assert rep.sim.x_amp == rep.x_simulated
+        assert "sim=" not in repr(rep)
+        assert dataclasses.replace(rep, sim=None) == rep
+
 
 class TestWaveformDump:
     def test_csv_contract(self, lowpass_plant, tmp_path):
@@ -275,3 +285,13 @@ class TestWaveformDump:
         assert len(lines) == 1 + cfg.steps_per_period
         values = [float(tok) for tok in lines[1].split(",")]
         assert len(values) == 6
+
+    @pytest.mark.parametrize("fraction", [0.3, math.inf])
+    def test_bytes_match_per_cell_format(self, lowpass_plant, tmp_path, fraction):
+        cfg = SimConfig(steps_per_period=250, n_periods=22, transient_periods=12)
+        src = thevenin_from_plant(lowpass_plant)
+        i_max = fraction * matched_baseline(src).i_peak_matched
+        res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
+        dump_waveforms(res, tmp_path / "new.csv")
+        dump_waveforms_rowwise(res, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -1,5 +1,6 @@
 """Tests for the converter model and its Thevenin reduction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,18 @@ class TestWecPlant:
             basic_plant(omega=0.0)
         with pytest.raises(DomainError):
             basic_plant(g0=3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(WecPlant)]
+    )
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            basic_plant(**{name: value})
+
+    def test_non_finite_force_phase_rejected(self):
+        with pytest.raises(DomainError, match="f_e must be finite"):
+            basic_plant(f_e=complex(2.0e5, math.nan))
 
     def test_haskind_builder_consistency(self):
         plant = haskind_plant(
@@ -155,6 +168,14 @@ class TestNondimGroups:
             NondimGroups(r_cal=-0.1, d_cal=1.0, alpha_m=0.0, l_cal=0.0)
         with pytest.raises(DomainError):
             NondimGroups(r_cal=0.1, d_cal=1.2, alpha_m=0.0, l_cal=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r_cal", "d_cal", "alpha_m", "l_cal"])
+    def test_non_finite_group_rejected(self, name, value):
+        groups = dict(r_cal=0.1, d_cal=1.0, alpha_m=0.0, l_cal=0.0)
+        groups[name] = value
+        with pytest.raises(DomainError, match="finite"):
+            NondimGroups(**groups)
 
 
 class TestMatchedPower:
