@@ -3,7 +3,8 @@
 Layered as: generic impedance-mismatch algebra on the reflection-coefficient
 disk (:mod:`.mismatch`), the physical converter and its Thevenin reduction
 (:mod:`.wec`), quasi-linear treatment of the current clip (:mod:`.descfcn`),
-a nonlinear time-domain reference simulation (:mod:`.simulate`), and a CLI
+a nonlinear time-domain reference simulation (:mod:`.simulate`, on the
+exact switched-affine propagator in :mod:`.propagate`), and a CLI
 that sweeps and emits CSV/SVG artifacts (:mod:`.cli`).
 """
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -108,15 +109,23 @@ _SECTIONS = {
 }
 
 
+def _finite(sec, key, value: float) -> float:
+    """No key gives NaN or infinity a meaning, so both are rejected here."""
+    if not math.isfinite(value):
+        raise ConfigError(f"[{sec.name}] {key} must be finite, got {sec[key]!r}")
+    return value
+
+
 def _get_float(sec, key, default=None):
     if key not in sec:
         if default is None:
             raise ConfigError(f"missing required key '{key}' in [{sec.name}]")
         return default
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except ValueError as exc:
         raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a number") from exc
+    return _finite(sec, key, value)
 
 
 def _get_int(sec, key, default=None):
@@ -146,7 +155,7 @@ def _get_float_list(sec, key, default):
         raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a number list") from exc
     if not values:
         raise ConfigError(f"[{sec.name}] {key} must list at least one value")
-    return values
+    return tuple(_finite(sec, key, v) for v in values)
 
 
 def _build_plant(sec) -> WecPlant:

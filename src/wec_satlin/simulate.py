@@ -1,31 +1,24 @@
 """Nonlinear time-domain simulation of the current-limited converter.
 
-This is the brute-force reference the quasi-linear predictions are judged
-against: the body equation of motion driven by a regular wave, the
-drivetrain and generator chain, and the controller with its hard current
-clip, integrated with a fixed-step classical fourth-order scheme until the
-cycle-averaged electrical power settles.
-
-The controller impedance ``Z_c = B_c + K_c/s`` is improper as an admittance,
-so the command current is realized as a proper first-order filter of the
-terminal voltage plus feedthrough:
+This is the reference the quasi-linear predictions are judged against: the
+body driven by a regular wave, the drivetrain and generator chain, and the
+controller with its hard current clip.  The controller impedance
+``Z_c = B_c + K_c/s`` is improper as an admittance, so the command current
+is realized as a proper first-order filter of the terminal voltage plus
+feedthrough:
 
     i_cmd = (v_load - (K_c/B_c) xi) / B_c,   xi' = -(K_c/B_c) xi + v_load
 
-For an inductive controller value (positive imaginary part at the wave
-frequency) the series-stiffness form above would put the filter pole in the
-right half plane, so the equivalent series-inductance realization
-``Z_c = B_c + L_c s`` is used instead; both reproduce the same impedance at
-the wave frequency, which is all the steady state sees.
+For an inductive controller value the filter pole of that form would lie in
+the right half plane, so the series-inductance form ``Z_c = B_c + L_c s`` is
+used instead; both give the same impedance at the wave frequency, which is
+all the steady state sees.
 
-With zero winding inductance the clip closes an algebraic loop between the
-terminal voltage and the applied current; the loop is piecewise linear and
-is resolved exactly each evaluation by checking the clipped and unclipped
-branches for self-consistency.  With winding inductance the current becomes
-a state and the loop disappears.
-
-Every run with identical inputs is bit-identical: fixed step, fixed
-iteration order, no randomness.
+Between clip switches each realization is linear in a state augmented with
+a wave oscillator, so each branch advances exactly by its matrix exponential
+(Van Loan 1978; Higham 2005), and each switch is located on its guard
+function (Shampine & Thompson 2000), also when the clip is entered and
+released within one step.  Identical inputs give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -38,6 +31,7 @@ import numpy as np
 from .descfcn import equivalent_z, solve_operating_point
 from .errors import DomainError, SimulationError
 from .mismatch import matched_baseline
+from .propagate import Branch
 from .wec import WecPlant, constraint_amplitudes, thevenin_from_plant
 
 WAVEFORM_FIELDS = ("t", "x", "v", "i", "v_load", "p_inst")
@@ -55,7 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and steady-state detection settings."""
+    """Sampling, horizon and steady-state detection settings.
+
+    Propagation is exact whatever the step, so ``steps_per_period`` sets the
+    sampling and DFT resolution, not stability; ``algebraic_loop_tol`` is
+    the clip switch-time tolerance relative to the step.
+    """
 
     steps_per_period: int = 2000
     n_periods: int = 40
@@ -74,7 +73,7 @@ class SimConfig:
 class SimResult:
     """Steady-state extraction from one run.
 
-    ``waveforms`` holds the final period, one record per accepted step with
+    ``waveforms`` holds the final period, one record per sample with
     fields t, x, v, i, v_load, p_inst.  ``harmonic_currents[k]`` is the
     current phasor at harmonic k+1 (cosine convention); ``dc_current`` the
     window mean.  ``x_amp`` is the fundamental position amplitude from the
@@ -121,16 +120,27 @@ class ValidationReport:
     sim: SimResult | None = field(default=None, repr=False, compare=False)
 
 
+_MAX_EVENTS = 8  # clip switches allowed within one step
+
+
 def _rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
 
 
 class _Loop:
-    """Branch-resolving dynamics for one plant/controller/limit combination."""
+    """The loop of one plant, controller and limit as a free and a rail branch.
 
-    def __init__(self, plant: WecPlant, z_c: complex, i_max: float,
-                 loop_tol: float = 1e-12):
+    The state is (x, v[, xi][, i], p, q[, sigma]): body position and velocity,
+    controller filter state, the current (winding inductance) or command
+    current (inductive controller), the wave oscillator p + iq =
+    exp(i(w t + arg F_e)), and the rail value sigma = +-i_max where the rail
+    holds no current state.  The free branch is left when |i| exceeds i_max,
+    the rail when the command current falls back inside.
+    """
+
+    def __init__(self, plant: WecPlant, z_c: complex, i_max: float, dt: float,
+                 steps: int):
         z_c = complex(z_c)
         if not (z_c.real > 0.0):
             raise DomainError(
@@ -138,167 +148,126 @@ class _Loop:
             )
         if not (i_max > 0.0):
             raise DomainError(f"current limit must be positive, got {i_max}")
-        self.plant = plant
         self.i_max = float(i_max)
-        # slack applied to the rail-release comparison; both branches agree
-        # exactly at the boundary, so the slack only suppresses chatter
-        self.rail_slack = loop_tol * (i_max if math.isfinite(i_max) else 1.0)
+        c, r, l, w = plant.coupling, plant.r_w, plant.l_w, plant.omega
+        b_c, x_c = z_c.real, z_c.imag
+        inductive = x_c > 0.0
+        a = -w * x_c / b_c if x_c < 0.0 else 0.0  # filter rate K_c / B_c
+        names = ["x", "v"] + ["xi"] * (a > 0.0) + ["i"] * (inductive or l > 0.0)
+        names += ["p", "q"] + ["sigma"] * (inductive or l == 0.0)
+        idx = {name: k for k, name in enumerate(names)}
+        n = len(names)
+
+        def row(**coeffs):
+            out = np.zeros(n)
+            for name, value in coeffs.items():
+                if value:
+                    out[idx[name]] += value
+            return out
+
         g2 = plant.g_ratio**2
-        self.inertia = plant.m + plant.a_added
-        self.damping = plant.b_h + g2 * plant.b_d
-        self.stiffness = plant.k_h + g2 * plant.k_d
-        self.c = plant.coupling  # k_t * g_ratio
-        self.r = plant.r_w
-        self.l = plant.l_w
-        self.b_c = z_c.real
-        x_c = z_c.imag
-        self.f_amp = abs(plant.f_e)
-        self.f_phase = math.atan2(plant.f_e.imag, plant.f_e.real)
-        self.omega = plant.omega
+        force = row(x=-(plant.k_h + g2 * plant.k_d), v=-(plant.b_h + g2 * plant.b_d),
+                    p=abs(plant.f_e))
 
-        # realization: series stiffness for capacitive z_c, series
-        # inductance for inductive z_c, pure feedthrough when real
-        rates = [math.sqrt(self.stiffness / self.inertia), self.damping / self.inertia]
-        if x_c < 0.0:
-            self.mode = "pi"
-            self.k_c = -plant.omega * x_c
-            self.a = self.k_c / self.b_c
-            self.n_states = 4 if self.l > 0.0 else 3
-            rates.append(self.a)
-            if self.l > 0.0:
-                rates.append((self.r + self.b_c) / self.l)
-        elif x_c > 0.0:
-            self.mode = "ind"
-            self.l_c = x_c / plant.omega
-            self.n_states = 3
-            rates.append((self.r + self.b_c) / (self.l_c + self.l))
-            if math.isfinite(i_max):
-                rates.append(self.b_c / self.l_c)  # railed-branch filter pole
+        def branch(i_row, v_row, di_row=None):
+            gen = np.zeros((n, n))
+            gen[idx["x"]] = row(v=1.0)
+            gen[idx["v"]] = (force - c * i_row) / (plant.m + plant.a_added)
+            gen[idx["p"]] = row(q=-w)
+            gen[idx["q"]] = row(p=w)
+            if "xi" in idx:  # xi' = -a xi + v_load
+                gen[idx["xi"]] = row(xi=-a) + v_row
+            if di_row is not None:
+                gen[idx["i"]] = di_row
+            return Branch.build(gen, i_row, v_row, dt, steps)
+
+        emf = row(v=c)
+        if inductive:  # series inductance l_c; the state is the command current
+            l_c = x_c / w
+            di = (emf - row(i=r + b_c)) / (l_c + l)
+            free = (row(i=1.0), row(i=b_c) + l_c * di, di)
+            v_rail = emf - row(sigma=r)
+            rail = (row(sigma=1.0), v_rail, (v_rail - row(i=b_c)) / l_c)
+            self.release = row(i=1.0, sigma=-1.0)
+        elif l > 0.0:
+            free = (row(i=1.0), row(i=b_c, xi=a), (emf - row(i=r + b_c, xi=a)) / l)
+            v_rail = emf - row(i=r)
+            rail = (row(i=1.0), v_rail)
+            self.release = (v_rail - row(xi=a)) / b_c - row(i=1.0)
+        else:  # algebraic loop: the unclipped current is a state functional
+            i_free = (emf - row(xi=a)) / (r + b_c)
+            free = (i_free, emf - r * i_free)
+            rail = (row(sigma=1.0), emf - row(sigma=r))
+            self.release = i_free - row(sigma=1.0)
+        self.n = n
+        self.sigma = idx.get("sigma", idx.get("i"))
+        phase = math.atan2(plant.f_e.imag, plant.f_e.real)
+        self.y0 = row(p=math.cos(phase), q=math.sin(phase))
+        self.free = branch(*free)
+        self.rail = branch(*rail) if math.isfinite(i_max) else None
+
+    def branch(self, rail: bool) -> Branch:
+        return self.rail if rail else self.free
+
+    def first_candidate(self, rail: bool, ys, cur) -> int:
+        """First step between samples ``ys`` (currents ``cur``) of one branch
+        that may hold a switch: it ends outside the branch, or its guard's
+        slope changes sign.  The number of steps if none does."""
+        if self.rail is None:
+            return len(ys) - 1
+        if rail:
+            row = self.release
+            out = np.sign(ys[1:, self.sigma]) * (ys[1:] @ row) < 0.0
         else:
-            self.mode = "res"
-            self.a = 0.0
-            self.n_states = 3 if self.l > 0.0 else 2
-            if self.l > 0.0:
-                rates.append((self.r + self.b_c) / self.l)
-        self.max_rate = max(rates)
+            row = self.free.i_row
+            out = np.abs(cur[1:]) > self.i_max
+        slope = np.sign(ys @ (row @ self.branch(rail).a))
+        hits = np.flatnonzero(out | (slope[1:] != slope[:-1]))
+        return int(hits[0]) if hits.size else len(ys) - 1
 
-    def initial_state(self) -> tuple:
-        return (0.0,) * self.n_states
+    def switch(self, rail: bool, y, h: float, tol: float):
+        """End state of a sub-step ``h`` from ``y``, and its first switch
+        ``(tau, y_tau, sign)`` or None.
 
-    def excitation(self, t: float) -> float:
-        return self.f_amp * math.cos(self.omega * t + self.f_phase)
-
-    def _closure(self, v: float, y: tuple):
-        """Resolve (i, v_load, i_temp, di_extra) from velocity and extra states.
-
-        ``di_extra`` is the current-state derivative for realizations where
-        the current (or command) is a state; None otherwise.
+        A guard positive at the end brackets a switch; one whose slope turns
+        from rising to falling is checked at its located peak.
         """
-        emf = self.c * v
-        i_max = self.i_max
-        if self.mode == "pi":
-            xi = y[2]
-            if self.l == 0.0:
-                drive = emf - self.a * xi
-                i_unsat = drive / (self.r + self.b_c)
-                if abs(i_unsat) <= i_max:
-                    i = i_unsat
-                    v_load = emf - self.r * i
-                    return i, v_load, i, None
-                i = math.copysign(i_max, drive)
-                v_load = emf - self.r * i
-                return i, v_load, (v_load - self.a * xi) / self.b_c, None
-            i = y[3]
-            if abs(i) >= i_max:
-                s = math.copysign(1.0, i)
-                v_rail = emf - self.r * s * i_max
-                i_temp = (v_rail - self.a * xi) / self.b_c
-                if s * i_temp >= i_max - self.rail_slack:
-                    return s * i_max, v_rail, i_temp, 0.0
-            di = (emf - (self.r + self.b_c) * i - self.a * xi) / self.l
-            v_load = self.b_c * i + self.a * xi
-            return i, v_load, i, di
+        br = self.branch(rail)
+        y_end = br.path(y, h)(h)
+        if rail:  # positive once the command current is back inside
+            guards = [(self.release, -np.sign(y[self.sigma]), 0.0)]
+        else:
+            guards = [(br.i_row, 1.0, self.i_max), (br.i_row, -1.0, self.i_max)]
+        first = None
+        for row, sign, level in guards:
+            guard = sign * row
+            hi, y_hi = h, y_end
+            if not sign * (row @ y_end) - level > 0.0:
+                slope = guard @ br.a
+                if not slope @ y > 0.0 > slope @ y_end:
+                    continue
+                hi, y_hi = br.locate(y, y_end, h, -slope, 0.0, tol)
+                if not sign * (row @ y_hi) - level > 0.0:
+                    continue
+            tau, y_tau = br.locate(y, y_hi, hi, guard, level, tol)
+            if first is None or tau < first[0]:
+                first = (tau, y_tau, sign)
+        return y_end, first
 
-        if self.mode == "ind":
-            i_temp = y[2]
-            if abs(i_temp) < i_max:
-                di_temp = (emf - (self.r + self.b_c) * i_temp) / (self.l_c + self.l)
-                v_load = self.b_c * i_temp + self.l_c * di_temp
-                return i_temp, v_load, i_temp, di_temp
-            s = math.copysign(1.0, i_temp)
-            v_load = emf - self.r * s * i_max
-            di_temp = (v_load - self.b_c * i_temp) / self.l_c
-            return s * i_max, v_load, i_temp, di_temp
-
-        # mode "res": purely resistive controller, i_temp = v_load / b_c
-        if self.l == 0.0:
-            i_unsat = emf / (self.r + self.b_c)
-            if abs(i_unsat) <= i_max:
-                return i_unsat, self.b_c * i_unsat, i_unsat, None
-            i = math.copysign(i_max, emf)
-            v_load = emf - self.r * i
-            return i, v_load, v_load / self.b_c, None
-        i = y[2]
-        if abs(i) >= i_max:
-            s = math.copysign(1.0, i)
-            v_rail = emf - self.r * s * i_max
-            i_temp = v_rail / self.b_c
-            if s * i_temp >= i_max - self.rail_slack:
-                return s * i_max, v_rail, i_temp, 0.0
-        di = (emf - (self.r + self.b_c) * i) / self.l
-        return i, self.b_c * i, i, di
-
-    def rhs(self, t: float, y: tuple) -> tuple:
-        x, v = y[0], y[1]
-        i, v_load, _, di = self._closure(v, y)
-        dv = (
-            self.excitation(t) - self.damping * v - self.stiffness * x - self.c * i
-        ) / self.inertia
-        if self.mode == "pi":
-            dxi = -self.a * y[2] + v_load
-            if self.l == 0.0:
-                return (v, dv, dxi)
-            return (v, dv, dxi, di)
-        if self.mode == "ind":
-            return (v, dv, di)
-        if self.l == 0.0:
-            return (v, dv)
-        return (v, dv, di)
-
-    def outputs(self, t: float, y: tuple):
-        """(i, v_load, p_inst) at a sample point, branch-consistent."""
-        i, v_load, _, _ = self._closure(y[1], y)
-        return i, v_load, v_load * i
-
-    def clamp(self, y: tuple) -> tuple:
-        """Pointwise current clamp for realizations holding the applied
-        current as a state, so |i| never exceeds the limit at an accepted
-        step."""
-        if self.mode == "pi" and self.l > 0.0:
-            i = y[3]
-            if abs(i) > self.i_max:
-                return y[:3] + (math.copysign(self.i_max, i),)
-        elif self.mode == "res" and self.l > 0.0:
-            i = y[2]
-            if abs(i) > self.i_max:
-                return y[:2] + (math.copysign(self.i_max, i),)
-        return y
-
-
-def _rk4_step(rhs, t: float, y: tuple, dt: float) -> tuple:
-    k1 = rhs(t, y)
-    half = 0.5 * dt
-    y2 = tuple(yi + half * ki for yi, ki in zip(y, k1))
-    k2 = rhs(t + half, y2)
-    y3 = tuple(yi + half * ki for yi, ki in zip(y, k2))
-    k3 = rhs(t + half, y3)
-    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-    k4 = rhs(t + dt, y4)
-    sixth = dt / 6.0
-    return tuple(
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+    def cross(self, y, rail: bool, dt: float, tol: float):
+        """State, branch and current one step on from ``y``, through every
+        switch on the way."""
+        t = 0.0
+        for _ in range(_MAX_EVENTS + 1):
+            y_end, event = self.switch(rail, y, dt - t, tol)
+            if event is None:
+                return y_end, rail, y_end @ self.branch(rail).i_row
+            tau, y, sign = event
+            if not rail:
+                y[self.sigma] = sign * self.i_max
+            t += tau
+            rail = not rail
+        raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
 
 
 def simulate(
@@ -308,65 +277,58 @@ def simulate(
     cfg: SimConfig | None = None,
     n_harmonics: int = 9,
 ) -> SimResult:
-    """Integrate the nonlinear loop to steady state and extract one period.
+    """Propagate the nonlinear loop to steady state and extract one period.
 
     ``z_c`` is the controller impedance value at the wave frequency (ohms,
     not normalized); ``i_max`` the hard current clip (infinity disables it).
     The excitation is |F_e| cos(w t + arg F_e).
 
-    The run is declared converged once both the fixed transient skip has
-    elapsed and the cycle-averaged electrical power changes by less than
-    ``cfg.convergence_tol`` between successive periods; extraction always
-    uses the final period.  A non-finite state aborts with
+    Samples are exact up to the switch-time tolerance
+    ``cfg.algebraic_loop_tol * dt``.  The run is converged once the transient
+    skip has elapsed and the cycle-averaged power changes by less than
+    ``cfg.convergence_tol`` between successive periods; extraction uses the
+    final period.  A non-finite state, checked once per period, aborts with
     :class:`SimulationError` carrying the step index.
     """
     cfg = cfg or SimConfig()
-    loop = _Loop(plant, z_c, i_max, cfg.algebraic_loop_tol)
     period = 2.0 * math.pi / plant.omega
     steps = cfg.steps_per_period
     dt = period / steps
-    n_total = cfg.n_periods * steps
+    tol = cfg.algebraic_loop_tol * dt
+    loop = _Loop(plant, z_c, i_max, dt, steps)
 
-    # explicit fixed-step scheme: the fastest pole of the piecewise-linear
-    # dynamics must sit inside the stability interval (|lambda| dt < 2.78)
-    if loop.max_rate * dt > 2.5:
-        needed = math.ceil(period * loop.max_rate / 2.5)
-        raise DomainError(
-            f"dynamics too stiff for dt = T/{steps}: fastest rate "
-            f"{loop.max_rate:.4g} 1/s needs steps_per_period >= {needed}"
-        )
-
-    t_arr = np.empty(n_total)
-    x_arr = np.empty(n_total)
-    v_arr = np.empty(n_total)
-    i_arr = np.empty(n_total)
-    vl_arr = np.empty(n_total)
-    p_arr = np.empty(n_total)
-
-    y = loop.initial_state()
-    rhs = loop.rhs
-    t = 0.0
-    for j in range(n_total):
-        i_out, v_load, p_inst = loop.outputs(t, y)
-        t_arr[j] = t
-        x_arr[j] = y[0]
-        v_arr[j] = y[1]
-        i_arr[j] = i_out
-        vl_arr[j] = v_load
-        p_arr[j] = p_inst
-        y = loop.clamp(_rk4_step(rhs, t, y, dt))
-        t = (j + 1) * dt
-        if not all(math.isfinite(c) for c in y):
+    # samples 0..steps of one period: state, applied current, load voltage
+    ys, cur, vl = np.empty((steps + 1, loop.n)), np.empty(steps + 1), np.empty(steps + 1)
+    ys[steps] = loop.y0
+    cur[steps] = ys[steps] @ loop.free.i_row
+    vl[steps] = ys[steps] @ loop.free.v_row
+    rail = False
+    period_powers = []
+    for p in range(cfg.n_periods):
+        ys[0], cur[0], vl[0] = ys[steps], cur[steps], vl[steps]
+        k = 0
+        while k < steps:
+            br = loop.branch(rail)
+            flat = br.powers[: steps - k].reshape(-1, loop.n) @ ys[k]  # one GEMV
+            ys[k + 1 :] = flat.reshape(-1, loop.n)
+            cur[k + 1 :] = ys[k + 1 :] @ br.i_row
+            m = loop.first_candidate(rail, ys[k:], cur[k:])
+            vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
+            k += m
+            if k < steps:
+                ys[k + 1], rail, cur[k + 1] = loop.cross(ys[k], rail, dt, tol)
+                vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
+                k += 1
+        bad = np.flatnonzero(~np.isfinite(ys[1:]).all(axis=1))
+        if bad.size:
+            j = p * steps + int(bad[0])
             raise SimulationError(
-                f"state diverged at step {j} (t = {t:.6g} s)",
+                f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
                 step=j,
-                trace=y,
+                trace=tuple(ys[1 + bad[0]]),
             )
+        period_powers.append(float(np.mean(vl[:steps] * cur[:steps])))
 
-    period_powers = [
-        float(np.mean(p_arr[p * steps : (p + 1) * steps]))
-        for p in range(cfg.n_periods)
-    ]
     converged = False
     floor = 1e-12 * max(1.0, abs(period_powers[-1]))
     for p in range(max(1, cfg.transient_periods), cfg.n_periods):
@@ -376,29 +338,21 @@ def simulate(
             converged = True
             break
 
-    window = slice(n_total - steps, n_total)
-    tw = t_arr[window]
-    iw = i_arr[window]
-    xw = x_arr[window]
-    dc_current, harmonics = _phasors(tw, iw, plant.omega, n_harmonics)
-    x_fundamental = _phasors(tw, xw, plant.omega, 1)[1][0]
-    waveforms = np.empty(
-        steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS]
-    )
-    waveforms["t"] = tw
-    waveforms["x"] = xw
-    waveforms["v"] = v_arr[window]
-    waveforms["i"] = iw
-    waveforms["v_load"] = vl_arr[window]
-    waveforms["p_inst"] = p_arr[window]
-
+    n_total = cfg.n_periods * steps
+    columns = (np.arange(n_total - steps, n_total) * dt, ys[:steps, 0], ys[:steps, 1],
+               cur[:steps], vl[:steps], vl[:steps] * cur[:steps])
+    waveforms = np.empty(steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS])
+    for name, column in zip(WAVEFORM_FIELDS, columns):
+        waveforms[name] = column
+    dc_current, harmonics = _phasors(columns[0], cur[:steps], plant.omega, n_harmonics)
+    x_fundamental = _phasors(columns[0], ys[:steps, 0], plant.omega, 1)[1][0]
     return SimResult(
         waveforms=waveforms,
-        p_avg=float(np.mean(p_arr[window])),
+        p_avg=period_powers[-1],
         harmonic_currents=harmonics,
         dc_current=dc_current,
         x_amp=abs(x_fundamental),
-        peak_current=float(np.max(np.abs(iw))),
+        peak_current=float(np.max(np.abs(cur[:steps]))),
         converged=converged,
         omega=plant.omega,
         dt=dt,

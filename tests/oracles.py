@@ -3,11 +3,17 @@
 Everything here deliberately avoids the code paths under test: direct phasor
 circuit solutions, quadrature of clipped waveforms, brute-force sweeps, and
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
-filter.
+filter, and the fixed-step RK4 integrator the exact referee replaced.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from wec_satlin.errors import DomainError, SimulationError
+from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
+from wec_satlin.wec import WecPlant
 
 
 def circuit_solution(v_th: complex, z_th: complex, z_load: complex):
@@ -126,3 +132,290 @@ def nondominated_quadratic(triples):
         if np.any(better_eq & strictly):
             keep[k] = False
     return keep
+
+
+# --- fixed-step RK4 referee -------------------------------------------------
+# The time-domain referee as it was before exact branch propagation: per-step
+# branch resolution of the clip, classical fourth-order Runge-Kutta, a
+# pointwise current clamp, and an up-front stiffness guard.  Kept verbatim as
+# the reference the exact propagator must reproduce.
+
+
+class _Loop:
+    """Branch-resolving dynamics for one plant/controller/limit combination."""
+
+    def __init__(self, plant: WecPlant, z_c: complex, i_max: float,
+                 loop_tol: float = 1e-12):
+        z_c = complex(z_c)
+        if not (z_c.real > 0.0):
+            raise DomainError(
+                f"controller must be dissipative to realize: Re(z_c) = {z_c.real}"
+            )
+        if not (i_max > 0.0):
+            raise DomainError(f"current limit must be positive, got {i_max}")
+        self.plant = plant
+        self.i_max = float(i_max)
+        # slack applied to the rail-release comparison; both branches agree
+        # exactly at the boundary, so the slack only suppresses chatter
+        self.rail_slack = loop_tol * (i_max if math.isfinite(i_max) else 1.0)
+        g2 = plant.g_ratio**2
+        self.inertia = plant.m + plant.a_added
+        self.damping = plant.b_h + g2 * plant.b_d
+        self.stiffness = plant.k_h + g2 * plant.k_d
+        self.c = plant.coupling  # k_t * g_ratio
+        self.r = plant.r_w
+        self.l = plant.l_w
+        self.b_c = z_c.real
+        x_c = z_c.imag
+        self.f_amp = abs(plant.f_e)
+        self.f_phase = math.atan2(plant.f_e.imag, plant.f_e.real)
+        self.omega = plant.omega
+
+        # realization: series stiffness for capacitive z_c, series
+        # inductance for inductive z_c, pure feedthrough when real
+        rates = [math.sqrt(self.stiffness / self.inertia), self.damping / self.inertia]
+        if x_c < 0.0:
+            self.mode = "pi"
+            self.k_c = -plant.omega * x_c
+            self.a = self.k_c / self.b_c
+            self.n_states = 4 if self.l > 0.0 else 3
+            rates.append(self.a)
+            if self.l > 0.0:
+                rates.append((self.r + self.b_c) / self.l)
+        elif x_c > 0.0:
+            self.mode = "ind"
+            self.l_c = x_c / plant.omega
+            self.n_states = 3
+            rates.append((self.r + self.b_c) / (self.l_c + self.l))
+            if math.isfinite(i_max):
+                rates.append(self.b_c / self.l_c)  # railed-branch filter pole
+        else:
+            self.mode = "res"
+            self.a = 0.0
+            self.n_states = 3 if self.l > 0.0 else 2
+            if self.l > 0.0:
+                rates.append((self.r + self.b_c) / self.l)
+        self.max_rate = max(rates)
+
+    def initial_state(self) -> tuple:
+        return (0.0,) * self.n_states
+
+    def excitation(self, t: float) -> float:
+        return self.f_amp * math.cos(self.omega * t + self.f_phase)
+
+    def _closure(self, v: float, y: tuple):
+        """Resolve (i, v_load, i_temp, di_extra) from velocity and extra states.
+
+        ``di_extra`` is the current-state derivative for realizations where
+        the current (or command) is a state; None otherwise.
+        """
+        emf = self.c * v
+        i_max = self.i_max
+        if self.mode == "pi":
+            xi = y[2]
+            if self.l == 0.0:
+                drive = emf - self.a * xi
+                i_unsat = drive / (self.r + self.b_c)
+                if abs(i_unsat) <= i_max:
+                    i = i_unsat
+                    v_load = emf - self.r * i
+                    return i, v_load, i, None
+                i = math.copysign(i_max, drive)
+                v_load = emf - self.r * i
+                return i, v_load, (v_load - self.a * xi) / self.b_c, None
+            i = y[3]
+            if abs(i) >= i_max:
+                s = math.copysign(1.0, i)
+                v_rail = emf - self.r * s * i_max
+                i_temp = (v_rail - self.a * xi) / self.b_c
+                if s * i_temp >= i_max - self.rail_slack:
+                    return s * i_max, v_rail, i_temp, 0.0
+            di = (emf - (self.r + self.b_c) * i - self.a * xi) / self.l
+            v_load = self.b_c * i + self.a * xi
+            return i, v_load, i, di
+
+        if self.mode == "ind":
+            i_temp = y[2]
+            if abs(i_temp) < i_max:
+                di_temp = (emf - (self.r + self.b_c) * i_temp) / (self.l_c + self.l)
+                v_load = self.b_c * i_temp + self.l_c * di_temp
+                return i_temp, v_load, i_temp, di_temp
+            s = math.copysign(1.0, i_temp)
+            v_load = emf - self.r * s * i_max
+            di_temp = (v_load - self.b_c * i_temp) / self.l_c
+            return s * i_max, v_load, i_temp, di_temp
+
+        # mode "res": purely resistive controller, i_temp = v_load / b_c
+        if self.l == 0.0:
+            i_unsat = emf / (self.r + self.b_c)
+            if abs(i_unsat) <= i_max:
+                return i_unsat, self.b_c * i_unsat, i_unsat, None
+            i = math.copysign(i_max, emf)
+            v_load = emf - self.r * i
+            return i, v_load, v_load / self.b_c, None
+        i = y[2]
+        if abs(i) >= i_max:
+            s = math.copysign(1.0, i)
+            v_rail = emf - self.r * s * i_max
+            i_temp = v_rail / self.b_c
+            if s * i_temp >= i_max - self.rail_slack:
+                return s * i_max, v_rail, i_temp, 0.0
+        di = (emf - (self.r + self.b_c) * i) / self.l
+        return i, self.b_c * i, i, di
+
+    def rhs(self, t: float, y: tuple) -> tuple:
+        x, v = y[0], y[1]
+        i, v_load, _, di = self._closure(v, y)
+        dv = (
+            self.excitation(t) - self.damping * v - self.stiffness * x - self.c * i
+        ) / self.inertia
+        if self.mode == "pi":
+            dxi = -self.a * y[2] + v_load
+            if self.l == 0.0:
+                return (v, dv, dxi)
+            return (v, dv, dxi, di)
+        if self.mode == "ind":
+            return (v, dv, di)
+        if self.l == 0.0:
+            return (v, dv)
+        return (v, dv, di)
+
+    def outputs(self, t: float, y: tuple):
+        """(i, v_load, p_inst) at a sample point, branch-consistent."""
+        i, v_load, _, _ = self._closure(y[1], y)
+        return i, v_load, v_load * i
+
+    def clamp(self, y: tuple) -> tuple:
+        """Pointwise current clamp for realizations holding the applied
+        current as a state, so |i| never exceeds the limit at an accepted
+        step."""
+        if self.mode == "pi" and self.l > 0.0:
+            i = y[3]
+            if abs(i) > self.i_max:
+                return y[:3] + (math.copysign(self.i_max, i),)
+        elif self.mode == "res" and self.l > 0.0:
+            i = y[2]
+            if abs(i) > self.i_max:
+                return y[:2] + (math.copysign(self.i_max, i),)
+        return y
+
+
+def _rk4_step(rhs, t: float, y: tuple, dt: float) -> tuple:
+    k1 = rhs(t, y)
+    half = 0.5 * dt
+    y2 = tuple(yi + half * ki for yi, ki in zip(y, k1))
+    k2 = rhs(t + half, y2)
+    y3 = tuple(yi + half * ki for yi, ki in zip(y, k2))
+    k3 = rhs(t + half, y3)
+    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
+    k4 = rhs(t + dt, y4)
+    sixth = dt / 6.0
+    return tuple(
+        yi + sixth * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+
+
+def simulate_rk4(
+    plant: WecPlant,
+    z_c: complex,
+    i_max: float = math.inf,
+    cfg: SimConfig | None = None,
+    n_harmonics: int = 9,
+) -> SimResult:
+    """Integrate the nonlinear loop to steady state and extract one period.
+
+    ``z_c`` is the controller impedance value at the wave frequency (ohms,
+    not normalized); ``i_max`` the hard current clip (infinity disables it).
+    The excitation is |F_e| cos(w t + arg F_e).
+
+    The run is declared converged once both the fixed transient skip has
+    elapsed and the cycle-averaged electrical power changes by less than
+    ``cfg.convergence_tol`` between successive periods; extraction always
+    uses the final period.  A non-finite state aborts with
+    :class:`SimulationError` carrying the step index.
+    """
+    cfg = cfg or SimConfig()
+    loop = _Loop(plant, z_c, i_max, cfg.algebraic_loop_tol)
+    period = 2.0 * math.pi / plant.omega
+    steps = cfg.steps_per_period
+    dt = period / steps
+    n_total = cfg.n_periods * steps
+
+    # explicit fixed-step scheme: the fastest pole of the piecewise-linear
+    # dynamics must sit inside the stability interval (|lambda| dt < 2.78)
+    if loop.max_rate * dt > 2.5:
+        needed = math.ceil(period * loop.max_rate / 2.5)
+        raise DomainError(
+            f"dynamics too stiff for dt = T/{steps}: fastest rate "
+            f"{loop.max_rate:.4g} 1/s needs steps_per_period >= {needed}"
+        )
+
+    t_arr = np.empty(n_total)
+    x_arr = np.empty(n_total)
+    v_arr = np.empty(n_total)
+    i_arr = np.empty(n_total)
+    vl_arr = np.empty(n_total)
+    p_arr = np.empty(n_total)
+
+    y = loop.initial_state()
+    rhs = loop.rhs
+    t = 0.0
+    for j in range(n_total):
+        i_out, v_load, p_inst = loop.outputs(t, y)
+        t_arr[j] = t
+        x_arr[j] = y[0]
+        v_arr[j] = y[1]
+        i_arr[j] = i_out
+        vl_arr[j] = v_load
+        p_arr[j] = p_inst
+        y = loop.clamp(_rk4_step(rhs, t, y, dt))
+        t = (j + 1) * dt
+        if not all(math.isfinite(c) for c in y):
+            raise SimulationError(
+                f"state diverged at step {j} (t = {t:.6g} s)",
+                step=j,
+                trace=y,
+            )
+
+    period_powers = [
+        float(np.mean(p_arr[p * steps : (p + 1) * steps]))
+        for p in range(cfg.n_periods)
+    ]
+    converged = False
+    floor = 1e-12 * max(1.0, abs(period_powers[-1]))
+    for p in range(max(1, cfg.transient_periods), cfg.n_periods):
+        change = abs(period_powers[p] - period_powers[p - 1])
+        scale = max(abs(period_powers[p]), abs(period_powers[p - 1]), floor)
+        if change <= cfg.convergence_tol * scale:
+            converged = True
+            break
+
+    window = slice(n_total - steps, n_total)
+    tw = t_arr[window]
+    iw = i_arr[window]
+    xw = x_arr[window]
+    dc_current, harmonics = _phasors(tw, iw, plant.omega, n_harmonics)
+    x_fundamental = _phasors(tw, xw, plant.omega, 1)[1][0]
+    waveforms = np.empty(
+        steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS]
+    )
+    waveforms["t"] = tw
+    waveforms["x"] = xw
+    waveforms["v"] = v_arr[window]
+    waveforms["i"] = iw
+    waveforms["v_load"] = vl_arr[window]
+    waveforms["p_inst"] = p_arr[window]
+
+    return SimResult(
+        waveforms=waveforms,
+        p_avg=float(np.mean(p_arr[window])),
+        harmonic_currents=harmonics,
+        dc_current=dc_current,
+        x_amp=abs(x_fundamental),
+        peak_current=float(np.max(np.abs(iw))),
+        converged=converged,
+        omega=plant.omega,
+        dt=dt,
+        period_powers=period_powers,
+    )

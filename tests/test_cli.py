@@ -12,7 +12,7 @@ from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_gr
 from wec_satlin import cli, svg
 from wec_satlin.cli import main
 from wec_satlin.config import parse_config
-from wec_satlin.errors import ConfigError
+from wec_satlin.errors import ConfigError, SimulationError
 
 # the package namespace binds the function ``simulate`` over the submodule
 simulate_mod = importlib.import_module("wec_satlin.simulate")
@@ -113,12 +113,22 @@ class TestExitCodes:
     def test_usage_error_is_config_error(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1
 
-    def test_numerical_error_exit(self, tmp_path, capsys):
-        # winding inductance far too small for the default step count trips
-        # the stiffness guard, a numerical error (exit 2)
+    def test_stiff_winding_verify_exits_zero(self, tmp_path, capsys):
+        # a 1 uH winding, far faster than the default step, is propagated
+        # exactly rather than rejected
         cfg = tmp_path / "stiff.ini"
         cfg.write_text(MINIMAL_PLANT + "l_w = 1.0e-6\n[sweep]\ni_max_fractions = 0.5\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_simulation_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise SimulationError("state diverged at step 7 (t = 0.02 s)", step=7)
+
+        monkeypatch.setattr(simulate_mod, "simulate", failing)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 0.5\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "diverged at step 7" in capsys.readouterr().err
 
     def test_verification_failure_exit(self, tmp_path, monkeypatch, capsys):
         import wec_satlin.cli as cli_mod
@@ -151,6 +161,31 @@ class TestExitCodes:
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
         assert main(["matched", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sim", "steps_per_period", "inf"),
+            ("sim", "n_periods", "inf"),
+            ("sim", "transient_periods", "-inf"),
+            ("sim", "convergence_tol", "nan"),
+            ("sweep", "alphas", "0, nan"),
+            ("sweep", "smith_resolution", "nan"),
+            ("sweep", "smith_angular", "inf"),
+            ("sweep", "pareto_points", "inf"),
+            ("sweep", "fsat_points", "nan"),
+            ("sweep", "fsat_i_inv_max", "inf"),
+            ("sweep", "i_max_fractions", "nan"),
+            ("sweep", "n_harmonics", "inf"),
+        ],
+    )
+    def test_non_finite_run_setting_is_config_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + f"\n[{section}]\n{key} = {value}\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

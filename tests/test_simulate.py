@@ -1,16 +1,19 @@
 """Tests for the nonlinear time-domain reference simulation."""
 
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from conftest import random_plant, random_load
-from oracles import circuit_solution, dump_waveforms_rowwise
+from oracles import circuit_solution, dump_waveforms_rowwise, simulate_rk4
 from wec_satlin import (
     DomainError,
     SimConfig,
+    SimulationError,
     dump_waveforms,
     harmonic_decompose,
     haskind_plant,
@@ -23,6 +26,8 @@ from wec_satlin import (
     validate_df,
     z_from_gamma,
 )
+from wec_satlin.propagate import Branch, expm, flow
+from wec_satlin.simulate import _Loop
 from wec_satlin.wec import WecPlant
 
 
@@ -167,11 +172,39 @@ class TestNumericalQuality:
         assert a.p_avg == b.p_avg
         assert a.harmonic_currents == b.harmonic_currents
 
-    def test_stiffness_guard(self, lowpass_plant):
+    def test_stiff_winding_matches_phasor_oracle(self, lowpass_plant):
+        # a 1 uH winding puts the electrical pole near 2e5 rad/s, about 660
+        # times the default step rate; exact propagation needs no finer step
         plant = dataclasses.replace(lowpass_plant, l_w=1e-6)
         src = thevenin_from_plant(plant)
-        with pytest.raises(DomainError, match="steps_per_period"):
-            simulate(plant, src.z_th.conjugate())
+        z_c = src.z_th.conjugate()
+        i_fd, v_fd = circuit_solution(src.v_th, src.z_th, z_c)
+        res = simulate(plant, z_c)
+        assert res.converged
+        assert res.p_avg == pytest.approx(0.5 * (v_fd * np.conj(i_fd)).real, rel=5e-3)
+        assert abs(res.harmonic_currents[0]) == pytest.approx(abs(i_fd), rel=5e-3)
+        i_max = 0.5 * matched_baseline(src).i_peak_matched
+        clipped = simulate(plant, z_c, i_max=i_max)
+        assert clipped.converged
+        assert clipped.peak_current <= i_max
+
+    def test_non_finite_state_names_its_step(self, lowpass_plant, monkeypatch):
+        # poison the one-step powers from E^41 on: sample 41 of the first
+        # period, produced by step 40, is the first non-finite state
+        build = Branch.build.__func__
+
+        def poisoned(cls, *args):
+            branch = build(cls, *args)
+            powers = branch.powers.copy()
+            powers[40:] = np.nan
+            return dataclasses.replace(branch, powers=powers)
+
+        monkeypatch.setattr(Branch, "build", classmethod(poisoned))
+        cfg = SimConfig(steps_per_period=100, n_periods=3, transient_periods=1)
+        with pytest.raises(SimulationError, match="diverged at step 40") as info:
+            simulate(lowpass_plant, lowpass_plant.z_thevenin().conjugate(), cfg=cfg)
+        assert info.value.step == 40
+        assert not all(math.isfinite(c) for c in info.value.trace)
 
     def test_controller_must_dissipate(self, lowpass_plant):
         with pytest.raises(DomainError):
@@ -295,3 +328,141 @@ class TestWaveformDump:
         dump_waveforms(res, tmp_path / "new.csv")
         dump_waveforms_rowwise(res, tmp_path / "oracle.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestExpm:
+    def test_zero_matrix_is_identity(self):
+        assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_oscillator_block_over_one_period(self):
+        # the wave oscillator block advanced by w T = 2 pi returns to identity
+        w_t = 2.0 * math.pi
+        block = np.array([[0.0, -w_t], [w_t, 0.0]])
+        np.testing.assert_allclose(expm(block), scipy_expm(block), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(expm(block), np.eye(2), rtol=0, atol=1e-14)
+
+    def test_defective_jordan_block(self):
+        jordan = 2.0 * (-0.3 * np.eye(3) + np.eye(3, k=1))
+        np.testing.assert_allclose(expm(jordan), scipy_expm(jordan), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("rate", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_stiff_blocks(self, rate):
+        # a fast decaying mode coupled to a slow oscillator, and a fast
+        # transfer term, with ||A dt|| from 1e2 to 1e6
+        coupled = np.array([[0.0, 1.0, 0.0], [-1.0, -0.5, -1e-3], [0.0, 1e2, -rate]])
+        transfer = np.array([[-1.0, rate], [0.0, -2.0]])
+        for block in (coupled, transfer):
+            assert np.linalg.norm(block, 1) >= rate
+            ref = scipy_expm(block)
+            err = np.max(np.abs(expm(block) - ref)) / np.max(np.abs(ref))
+            assert err < 1e-10
+
+    def test_held_states_keep_exact_identity_rows(self):
+        # the Pade solve and squarings leave rounding in this matrix's zero
+        # row; flow restores it, so a held rail value stays exactly +-i_max
+        gen = np.array([[0.0, 0.0, 0.0], [4.9, -25.04, 16.91], [60.97, 44.28, -32.9]])
+        assert np.array_equal(flow(gen, 1.0)[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(flow(gen, 1.0), scipy_expm(gen), rtol=1e-12, atol=1e-14)
+
+
+class TestSubStepFlow:
+    def test_taylor_path_matches_matrix_exponential(self, lowpass_plant):
+        loop = _Loop(lowpass_plant, 0.21 - 0.1j, 1e3, 2 * math.pi / 600, 600)
+        y0 = loop.y0 + np.arange(loop.n)
+        h = 2 * math.pi / 600
+        for tau in (0.0, 0.3 * h, h):
+            exact = flow(loop.free.a, tau) @ y0
+            np.testing.assert_allclose(loop.free.path(y0, h)(tau), exact, rtol=1e-13, atol=1e-13)
+
+    def test_stiff_sub_step_falls_back_to_matrix_exponential(self, lowpass_plant):
+        plant = dataclasses.replace(lowpass_plant, l_w=1e-6)
+        h = 2 * math.pi / 2000
+        loop = _Loop(plant, plant.z_thevenin().conjugate(), 1e3, h, 2000)
+        y0 = loop.y0 + np.arange(loop.n)
+        tau = 0.6 * h
+        assert np.array_equal(loop.free.path(y0, h)(tau), flow(loop.free.a, tau) @ y0)
+
+
+REACTIVE_PLANT = dict(
+    m=6.0e4, a_added=4.0e4, b_h=5.0e4, k_h=1.5e5, k_t=100.0, r_w=0.01, l_w=0.005,
+    omega=1.0, j_density=1.0e4, k_wavenumber=0.102, g0=1,
+)
+
+
+def _waveform_gap(coarse, fine, stride):
+    """Largest relative gap of x, v, i, v_load between the coarse samples and
+    the fine run's samples at the same instants."""
+    return max(
+        np.max(np.abs(coarse.waveforms[k] - fine.waveforms[k][::stride]))
+        / np.max(np.abs(fine.waveforms[k]))
+        for k in ("x", "v", "i", "v_load")
+    )
+
+
+class TestClipEvents:
+    @pytest.mark.parametrize("l_w", [0.0, 0.004])
+    def test_enter_and_release_inside_one_step(self, lowpass_plant, l_w):
+        # half a step of phase puts each current peak midway between
+        # samples; a clip 1e-4 below it lasts under half a step
+        steps = 100
+        plant = dataclasses.replace(
+            lowpass_plant, l_w=l_w, f_e=lowpass_plant.f_e * cmath.exp(1j * math.pi / steps)
+        )
+        z_c = plant.z_thevenin().conjugate()
+        coarse_cfg = SimConfig(steps_per_period=steps, n_periods=30, transient_periods=20)
+        fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=4 * steps)
+        free = simulate(plant, z_c, cfg=coarse_cfg)
+        i_max = 0.9999 * abs(free.harmonic_currents[0])
+        coarse = simulate(plant, z_c, i_max=i_max, cfg=coarse_cfg)
+        fine = simulate(plant, z_c, i_max=i_max, cfg=fine_cfg)
+        assert coarse.peak_current < i_max  # no coarse sample on the rail
+        assert fine.peak_current == i_max  # the fine run samples the rail
+        assert _waveform_gap(coarse, free, 1) > 1e-8  # so the clip was seen
+        assert _waveform_gap(coarse, fine, 4) < 1e-10
+
+    @pytest.mark.parametrize("l_w", [0.0, 0.005])
+    def test_grazing_full_fraction_row(self, l_w):
+        # i_max equal to the matched peak: the steady current touches the
+        # limit tangentially every half period
+        plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=l_w))
+        src = thevenin_from_plant(plant)
+        i_max = matched_baseline(src).i_peak_matched
+        coarse_cfg = SimConfig(steps_per_period=400, n_periods=30, transient_periods=20)
+        fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=1600)
+        coarse = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=coarse_cfg)
+        fine = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=fine_cfg)
+        assert coarse.peak_current <= i_max and fine.peak_current <= i_max
+        assert coarse.converged and fine.converged
+        assert coarse.p_avg == pytest.approx(fine.p_avg, rel=1e-8)
+        assert _waveform_gap(coarse, fine, 4) < 1e-9
+
+
+class TestRk4Oracle:
+    """The exact referee against the fixed-step RK4 integrator it replaced."""
+
+    @pytest.mark.parametrize("fraction", [math.inf, 0.4, 0.8])
+    @pytest.mark.parametrize(
+        "l_w, reactance",
+        [
+            pytest.param(0.0, -0.5, id="pi"),
+            pytest.param(0.004, -0.5, id="pi-winding"),
+            pytest.param(0.0, 0.5, id="ind"),
+            pytest.param(0.0, 0.0, id="res"),
+            pytest.param(0.004, 0.0, id="res-winding"),
+        ],
+    )
+    def test_agrees_with_rk4(self, lowpass_plant, l_w, reactance, fraction):
+        plant = dataclasses.replace(lowpass_plant, l_w=l_w)
+        src = thevenin_from_plant(plant)
+        z_c = complex(src.z_th.real, reactance * src.z_th.real)
+        i_max = fraction * matched_baseline(src).i_peak_matched
+        cfg = SimConfig(steps_per_period=600, n_periods=12, transient_periods=6)
+        new = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+        ref = simulate_rk4(plant, z_c, i_max=i_max, cfg=cfg)
+        assert new.p_avg == pytest.approx(ref.p_avg, rel=1e-4)
+        assert abs(new.harmonic_currents[0]) == pytest.approx(
+            abs(ref.harmonic_currents[0]), rel=1e-4
+        )
+        assert new.x_amp == pytest.approx(ref.x_amp, rel=1e-4)
+        if math.isfinite(i_max):
+            assert new.peak_current == i_max  # the clip engages, exactly
