@@ -271,6 +271,19 @@ def parse_config(text: str) -> RunConfig:
     for frac in cfg.i_max_fractions:
         if frac <= 0.0:
             raise ConfigError(f"i_max fractions must be positive, got {frac}")
+    # sample counts below two leave a grid, front or curve without extent
+    for key in ("smith_resolution", "smith_angular", "pareto_points", "fsat_points"):
+        value = getattr(cfg, key)
+        if value < 2:
+            raise ConfigError(f"[sweep] {key} must be at least 2, got {value}")
+    if cfg.fsat_i_inv_max <= 0.0:
+        raise ConfigError(
+            f"[sweep] fsat_i_inv_max must be positive, got {cfg.fsat_i_inv_max}"
+        )
+    if cfg.n_harmonics < 1 or cfg.n_harmonics % 2 == 0:
+        raise ConfigError(
+            f"[sweep] n_harmonics must be odd and positive, got {cfg.n_harmonics}"
+        )
     return cfg
 
 

@@ -7,8 +7,7 @@ saturation factor ``f_sat(n, I)`` with clipping depth ``I = i_max / |command|``.
 Treating the clipper as the gain ``f_sat,1`` at the fundamental (and
 ``f_sat,n`` at harmonic n) turns the nonlinear loop back into circuit
 algebra, at the price of a scalar transcendental equation for the operating
-point, solved here by damped fixed-point iteration with a bisection
-fallback.
+point, solved here by Illinois regula falsi on its bracket (0, 1].
 
 The payoff: a clipped waveform packs up to 4/pi more fundamental current
 than any sinusoid of the same peak, so nonlinear clipping beats the best
@@ -24,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .mismatch import (
     OperatingPoint,
     TheveninSource,
+    _bracketed_root,
     gamma_for_amplitude_target,
     matched_baseline,
     operating_point,
@@ -95,17 +95,24 @@ class SaturationSolution:
 def saturation_factor(n: int, i_script: float) -> float:
     """Harmonic-n amplitude of a clipped unit sine, relative to the command.
 
-    For clipping depth I = i_max/|command| and theta = n asin(I):
+    For clipping depth I = i_max/|command| = cos(phi) and s = sin(n pi/2):
 
         n = 1, I >= 1:   1
-        n = 1, I < 1:    (2/pi) (I sqrt(1 - I^2) + theta)
-        n odd >= 3, I<1: (4/pi) (n sqrt(1 - I^2) sin(theta) - I cos(theta))
+        n = 1, I < 1:    (2/pi) (I sqrt(1 - I^2) + asin(I))
+        n odd >= 3, I<1: (4/pi) s (n sin(phi) cos(n phi) - cos(phi) sin(n phi))
                                / (n (n^2 - 1))
         even n, or n != 1 with I >= 1:  0
 
-    The fundamental is continuous and rises from (4/pi) I (square-wave
-    limit) to 1 at clipping onset; higher harmonics are signed and decay at
-    least as 1/n^2.
+    phi = 2 asin(sqrt((1 - I)/2)) is exact to rounding because 1 - I is.
+    Near clipping onset the bracket above cancels to order phi^3, so for
+    (n + 1) phi < 1/4 it is summed as its Taylor series instead, whose
+    phi^1 terms cancel analytically:
+
+        (2/pi) (s/n) sum_{k>=1} (-1)^k ((n+1)^2k - (n-1)^2k) phi^(2k+1) / (2k+1)!
+
+    Six terms reach rounding there.  The fundamental is continuous and rises
+    from (4/pi) I (square-wave limit) to 1 at clipping onset; higher
+    harmonics are signed and decay at least as 1/n^2.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"harmonic index must be a positive integer, got {n}")
@@ -116,13 +123,22 @@ def saturation_factor(n: int, i_script: float) -> float:
         return 0.0
     if i_script >= 1.0:
         return 1.0 if n == 1 else 0.0
-    root = math.sqrt(1.0 - i_script**2)
-    theta = n * math.asin(i_script)
     if n == 1:
-        return (2.0 / math.pi) * (i_script * root + theta)
+        root = math.sqrt(1.0 - i_script**2)
+        return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
+    phi = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - i_script)))
+    s = -1.0 if n % 4 == 3 else 1.0
+    if (n + 1) * phi < 0.25:
+        series = sum(
+            (-1) ** k * ((n + 1) ** (2 * k) - (n - 1) ** (2 * k))
+            * phi ** (2 * k + 1) / math.factorial(2 * k + 1)
+            for k in range(1, 7)
+        )
+        return (2.0 / math.pi) * s * series / n
     return (
         (4.0 / math.pi)
-        * (n * root * math.sin(theta) - i_script * math.cos(theta))
+        * s
+        * (n * math.sin(phi) * math.cos(n * phi) - math.cos(phi) * math.sin(n * phi))
         / (n * (n**2 - 1))
     )
 
@@ -150,12 +166,6 @@ def equivalent_z(n: int, z_c: complex, f_sat_n: float, z_th: complex) -> complex
     return complex(z_c) / (f_sat_n * complex(z_th).conjugate())
 
 
-def _fundamental_gain(f: float, src: TheveninSource, z_c: complex, i_max: float) -> float:
-    """f_sat,1 evaluated at the command amplitude implied by loop gain ``f``."""
-    i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
-    return saturation_factor(1, i_max / i_temp_mag)
-
-
 def solve_operating_point(
     src: TheveninSource,
     i_max: float,
@@ -170,11 +180,12 @@ def solve_operating_point(
 
         i_temp = v_th / (f z_th + z_c),   f = f_sat,1(i_max / |i_temp|)
 
-    for the fundamental gain f in (0, 1].  Damped fixed-point iteration
-    (damping 0.5) handles the typical monotone case; if the residual stops
-    shrinking, the solver falls back to bisection, which is safe because the
-    residual f - f_sat,1(f) is continuous, negative as f -> 0+ and
-    non-negative at f = 1.
+    for the fundamental gain f in (0, 1].  The residual f - f_sat,1(f) is
+    continuous, negative as f -> 0+ and positive at f = 1 when the limit
+    binds.  Unless it is already below ``tol`` at f = 1, [1e-15, 1] brackets
+    a root, which one Illinois regula falsi solve finds to
+    |residual| < ``tol``; ``iterations`` counts its evaluations inside the
+    bracket.
 
     The default controller is the conjugate-matched one, z_c = z_th*: for a
     hard current limit, clipping the unconstrained-optimal command is the
@@ -197,51 +208,18 @@ def solve_operating_point(
         z_c = src.z_th.conjugate()
     z_c = complex(z_c)
 
+    def residual(f):
+        i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
+        return f - saturation_factor(1, i_max / i_temp_mag)
+
+    lo, hi = 1e-15, 1.0
+    f = hi
+    r_hi = residual(hi)  # zero when the limit does not bind
     residuals: list[float] = []
-    i_unsat = src.v_th / (src.z_th + z_c)
-    if i_max >= abs(i_unsat):
-        f = 1.0
-        iterations = 0
-    else:
-        f = _fundamental_gain(1.0, src, z_c, i_max)
-        prev_residual = math.inf
-        rising = 0
-        iterations = 0
-        converged = False
-        while iterations < max_iter:
-            iterations += 1
-            g = _fundamental_gain(f, src, z_c, i_max)
-            residual = abs(g - f)
-            residuals.append(residual)
-            if residual < tol:
-                converged = True
-                break
-            rising = rising + 1 if residual >= prev_residual else 0
-            prev_residual = residual
-            if rising >= 2:
-                break  # oscillating; hand over to bisection
-            f = f + 0.5 * (g - f)
-        if not converged:
-            lo, hi = 1e-15, 1.0
-            while iterations < max_iter:
-                iterations += 1
-                f = 0.5 * (lo + hi)
-                g = _fundamental_gain(f, src, z_c, i_max)
-                residual = abs(g - f)
-                residuals.append(residual)
-                if residual < tol:
-                    converged = True
-                    break
-                if f - g < 0.0:
-                    lo = f
-                else:
-                    hi = f
-            if not converged:
-                raise ConvergenceError(
-                    f"operating point did not converge in {max_iter} iterations "
-                    f"(last residual {residuals[-1]:.3e})",
-                    residuals=residuals,
-                )
+    if r_hi > 0.0 and r_hi >= tol:
+        f, residuals = _bracketed_root(
+            residual, lo, hi, residual(lo), r_hi, tol, max_iter
+        )
 
     i_temp = src.v_th / (f * src.z_th + z_c)
     psi = cmath.phase(i_temp)
@@ -268,8 +246,8 @@ def solve_operating_point(
         harmonics=harmonics,
         p_total=p_total,
         converged=True,
-        iterations=iterations,
-        residual=residuals[-1] if residuals else 0.0,
+        iterations=len(residuals),
+        residual=residuals[-1] if residuals else r_hi,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, SingularityError
+from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
 
 __all__ = [
     "TheveninSource",
@@ -290,6 +290,48 @@ def _contour_ratio(g, alpha: float, epsilon: int):
     return np.sqrt(num / den)
 
 
+def _bracketed_root(func, lo, hi, f_lo, f_hi, tol, max_iter, xtol=math.inf):
+    """Root of a continuous ``func`` whose values ``f_lo`` at ``lo`` and
+    ``f_hi`` at ``hi`` have opposite signs.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): each point is where
+    the chord between the bracket ends crosses zero, and an end that is kept
+    two steps running has its value halved, so both ends close in.  A point
+    that rounding puts on or outside an end is replaced by the midpoint.
+
+    Stops at the first point where ``func`` is exactly zero, or where
+    |func| < ``tol`` with the bracket no wider than ``xtol``.  Returns that
+    point and |func| at every point evaluated here; raises
+    :class:`ConvergenceError` with that trace after ``max_iter`` points.
+    """
+    residuals: list[float] = []
+    side = 0  # which end the last point replaced: -1 lo, +1 hi
+    while len(residuals) < max_iter:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = func(x)
+        residuals.append(abs(fx))
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = +1
+        if fx == 0.0 or (abs(fx) < tol and hi - lo <= xtol):
+            return x, residuals
+    last = residuals[-1] if residuals else math.nan
+    raise ConvergenceError(
+        f"bracketed root search did not converge in {max_iter} iterations "
+        f"(last residual {last:.3e})",
+        residuals=residuals,
+    )
+
+
 def gamma_for_amplitude_target(
     target_ratio: float, alpha: float, epsilon: int, tol: float = 1e-10
 ) -> complex:
@@ -298,9 +340,10 @@ def gamma_for_amplitude_target(
     Searches |gamma| in [0, 1] along the epsilon-optimal contour for the
     point whose voltage (eps = +1) or current (eps = -1) ratio equals
     ``target_ratio``.  The ratio along the contour is not assumed monotone:
-    a 64-sample bracketing scan finds every sign change and each bracket is
-    bisected to ``tol``; among the roots, the one with the largest power
-    ratio (smallest |gamma|) is returned.
+    a 64-sample scan, in ascending |gamma|, stops at the first sample that
+    meets the target or the first sign change, whose root is then found to
+    |residual| < ``tol`` within a bracket of 1e-13.  That root has the
+    smallest |gamma|, i.e. the largest power ratio, of all roots.
 
     Raises :class:`InfeasibleError` when no |gamma| in [0, 1] meets the
     target.
@@ -311,38 +354,23 @@ def gamma_for_amplitude_target(
         return 0.0 + 0.0j
 
     n_scan = 64
-    gs = np.linspace(0.0, 1.0, n_scan + 1)
-    resid = _contour_ratio(gs, alpha, epsilon) - target_ratio
-
-    roots: list[float] = []
-    for k in range(n_scan):
-        r_lo, r_hi = resid[k], resid[k + 1]
+    gs = np.linspace(0.0, 1.0, n_scan + 1).tolist()
+    resid = (_contour_ratio(np.array(gs), alpha, epsilon) - target_ratio).tolist()
+    for k, r_lo in enumerate(resid):
         if r_lo == 0.0:
-            roots.append(float(gs[k]))
-            continue
-        if r_lo * r_hi > 0.0:
-            continue
-        lo, hi = float(gs[k]), float(gs[k + 1])
-        f_lo = r_lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = float(_contour_ratio(mid, alpha, epsilon)) - target_ratio
-            if abs(f_mid) < tol and (hi - lo) < 1e-13:
-                break
-            if f_lo * f_mid <= 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        roots.append(0.5 * (lo + hi))
-    if resid[-1] == 0.0:
-        roots.append(1.0)
-
-    if not roots:
+            g_best = gs[k]
+            break
+        if k < n_scan and r_lo * resid[k + 1] < 0.0:
+            g_best, _ = _bracketed_root(
+                lambda g: float(_contour_ratio(g, alpha, epsilon)) - target_ratio,
+                gs[k], gs[k + 1], r_lo, resid[k + 1], tol, 200, xtol=1e-13,
+            )
+            break
+    else:
         raise InfeasibleError(
             f"no |gamma| in [0, 1] meets ratio {target_ratio} "
             f"(alpha = {alpha}, epsilon = {epsilon:+d})"
         )
-    g_best = min(roots)  # smallest |gamma| has the largest power ratio
     return g_best * np.exp(1j * optimal_angle(g_best, alpha, epsilon))
 
 

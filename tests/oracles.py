@@ -1,17 +1,20 @@
 """Independent reference computations the library is checked against.
 
 Everything here deliberately avoids the code paths under test: direct phasor
-circuit solutions, quadrature of clipped waveforms, brute-force sweeps, and
+circuit solutions, quadrature of clipped waveforms, brute-force sweeps,
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
-filter, and the fixed-step RK4 integrator the exact referee replaced.
+filter, the root-finders the bracketed Illinois solve replaced, and the
+fixed-step RK4 integrator the exact referee replaced.
 """
 
+import cmath
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from wec_satlin.errors import DomainError, SimulationError
+from wec_satlin.descfcn import saturation_factor
+from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
 from wec_satlin.wec import WecPlant
 
@@ -132,6 +135,120 @@ def nondominated_quadratic(triples):
         if np.any(better_eq & strictly):
             keep[k] = False
     return keep
+
+
+def clipped_cap_fourier(n: int, i_script: float) -> float:
+    """Quadrature Fourier coefficient of harmonic n >= 3 (odd) of a unit sine
+    clipped at +/- i_script, from the clipped-off cap alone.
+
+    With u0 = acos(i_script) and s = sin(n pi/2), the coefficient is
+    -(4/pi) s times the integral over [0, u0] of (cos u - cos u0) cos(n u).
+    The cap height is written 2 sin((u0 + u)/2) sin((u0 - u)/2), which does
+    not cancel however small u0 is.
+    """
+    u0 = math.acos(i_script)
+    s = -1.0 if n % 4 == 3 else 1.0
+
+    def cap(u):
+        return 2.0 * math.sin(0.5 * (u0 + u)) * math.sin(0.5 * (u0 - u)) * math.cos(n * u)
+
+    value, _ = quad(cap, 0.0, u0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return -(4.0 / math.pi) * s * value
+
+
+# --- root-finders the bracketed Illinois solve replaced ----------------------
+
+
+def solve_gain_three_stage(src, i_max: float, z_c: complex, tol=1e-12, max_iter=200):
+    """Fundamental gain f of the clipped loop by damped fixed-point iteration,
+    a rising-residual detector and a bisection fallback on [1e-15, 1].
+
+    Returns ``(f, iterations, residuals)`` or raises :class:`ConvergenceError`.
+    Assumes the limit binds.
+    """
+
+    def gain(f):
+        return saturation_factor(1, i_max / (abs(src.v_th) / abs(f * src.z_th + z_c)))
+
+    residuals = []
+    f = gain(1.0)
+    prev_residual = math.inf
+    rising = 0
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        g = gain(f)
+        residual = abs(g - f)
+        residuals.append(residual)
+        if residual < tol:
+            return f, iterations, residuals
+        rising = rising + 1 if residual >= prev_residual else 0
+        prev_residual = residual
+        if rising >= 2:
+            break  # oscillating; hand over to bisection
+        f = f + 0.5 * (g - f)
+    lo, hi = 1e-15, 1.0
+    while iterations < max_iter:
+        iterations += 1
+        f = 0.5 * (lo + hi)
+        g = gain(f)
+        residual = abs(g - f)
+        residuals.append(residual)
+        if residual < tol:
+            return f, iterations, residuals
+        if f - g < 0.0:
+            lo = f
+        else:
+            hi = f
+    raise ConvergenceError("three-stage solve did not converge", residuals=residuals)
+
+
+def contour_ratio_scalar(g: float, alpha: float, epsilon: int) -> float:
+    """Amplitude ratio on the epsilon-optimal contour at |gamma| = g, in
+    scalar ``math`` arithmetic."""
+    a2g2 = alpha**2 * g**2
+    sigma = math.sqrt((a2g2 + 1.0) ** 2 + alpha**2 * (g**2 + 1.0) ** 2)
+    cosarg = min(max(-2.0 * alpha * g / sigma, -1.0), 1.0)
+    phi = 2.0 * math.atan((a2g2 + 1.0) / (sigma + epsilon * alpha * (1.0 + g**2)))
+    gamma = g * cmath.exp(1j * (phi + epsilon * math.acos(cosarg)))
+    num = g**2 + 2.0 * epsilon * gamma.real + 1.0
+    den = alpha**2 * g**2 + 2.0 * alpha * gamma.imag + 1.0
+    return math.sqrt(num / den)
+
+
+def gamma_magnitude_scan_bisect(target_ratio: float, alpha: float, epsilon: int, tol=1e-10):
+    """Smallest |gamma| on the optimal contour meeting ``target_ratio``: a
+    64-sample sign scan, every bracket bisected to ``tol`` and a width of
+    1e-13, then the least root.  Raises :class:`InfeasibleError` without one.
+    """
+    n_scan = 64
+    gs = np.linspace(0.0, 1.0, n_scan + 1)
+    resid = [contour_ratio_scalar(float(g), alpha, epsilon) - target_ratio for g in gs]
+    roots = []
+    for k in range(n_scan):
+        r_lo, r_hi = resid[k], resid[k + 1]
+        if r_lo == 0.0:
+            roots.append(float(gs[k]))
+            continue
+        if r_lo * r_hi > 0.0:
+            continue
+        lo, hi = float(gs[k]), float(gs[k + 1])
+        f_lo = r_lo
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            f_mid = contour_ratio_scalar(mid, alpha, epsilon) - target_ratio
+            if abs(f_mid) < tol and (hi - lo) < 1e-13:
+                break
+            if f_lo * f_mid <= 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        roots.append(0.5 * (lo + hi))
+    if resid[-1] == 0.0:
+        roots.append(1.0)
+    if not roots:
+        raise InfeasibleError(f"no |gamma| in [0, 1] meets ratio {target_ratio}")
+    return min(roots)
 
 
 # --- fixed-step RK4 referee -------------------------------------------------

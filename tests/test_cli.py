@@ -9,6 +9,7 @@ import pytest
 
 from oracles import level_crossings_loop, write_csv_rowwise
 from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_grid
+from wec_satlin import solve_operating_point
 from wec_satlin import cli, svg
 from wec_satlin.cli import main
 from wec_satlin.config import parse_config
@@ -121,14 +122,22 @@ class TestExitCodes:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_simulation_error_exits_two(self, tmp_path, monkeypatch, capsys):
-        def failing(*args, **kwargs):
+        def diverging(*args, **kwargs):
             raise SimulationError("state diverged at step 7 (t = 0.02 s)", step=7)
 
-        monkeypatch.setattr(simulate_mod, "simulate", failing)
+        def two_iterations(*args, **kwargs):
+            return solve_operating_point(*args, **kwargs, max_iter=2)
+
         cfg = tmp_path / "run.ini"
         cfg.write_text(MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 0.5\n")
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "diverged at step 7" in capsys.readouterr().err
+        for attr, replacement, message in (
+            ("simulate", diverging, "diverged at step 7"),
+            ("solve_operating_point", two_iterations, "did not converge in 2 iterations"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate_mod, attr, replacement)
+                assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_verification_failure_exit(self, tmp_path, monkeypatch, capsys):
         import wec_satlin.cli as cli_mod
@@ -186,6 +195,29 @@ class TestExitCodes:
         cfg.write_text(MINIMAL_PLANT + f"\n[{section}]\n{key} = {value}\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("fsat", "fsat_points", "-1"),
+            ("fsat", "fsat_points", "1"),
+            ("fsat", "fsat_i_inv_max", "-1"),
+            ("fsat", "fsat_i_inv_max", "0"),
+            ("saturate", "n_harmonics", "4"),
+            ("saturate", "n_harmonics", "-1"),
+            ("smith", "smith_resolution", "1"),
+            ("smith", "smith_angular", "-5"),
+            ("pareto", "pareto_points", "1"),
+        ],
+    )
+    def test_out_of_range_sweep_setting_is_config_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + f"\n[sweep]\n{key} = {value}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -10,11 +10,13 @@ from oracles import (
     circuit_power_quadrature,
     circuit_solution,
     gamma_disk_grid,
+    gamma_magnitude_scan_bisect,
     nondominated_quadratic,
     ratios_on_grid,
 )
 from wec_satlin import (
     DomainError,
+    InfeasibleError,
     SingularityError,
     TheveninSource,
     amplitude_ratio,
@@ -258,6 +260,23 @@ class TestAmplitudeTarget:
         # even extreme targets resolve rather than raising InfeasibleError
         gamma = gamma_for_amplitude_target(1e-6, 0.0, -1)
         assert amplitude_ratio(gamma, 0.0, -1) == pytest.approx(1e-6, abs=1e-8)
+
+    def test_matches_scan_and_bisect_oracle(self):
+        # every target in (0, 1) is met on both contours (the ratio runs from
+        # 1 at gamma = 0 to 0 at |gamma| = 1), so both infeasible sets are empty
+        for alpha in np.linspace(-20.0, 20.0, 81):
+            for eps in (+1, -1):
+                for target in np.linspace(0.05, 0.99, 40):
+                    args = (float(target), float(alpha), eps)
+                    try:
+                        expected = gamma_magnitude_scan_bisect(*args)
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            gamma_for_amplitude_target(*args)
+                        continue
+                    gamma = gamma_for_amplitude_target(*args)
+                    phi = optimal_angle(expected, args[1], eps)
+                    assert abs(gamma - expected * np.exp(1j * phi)) <= 1e-12
 
 
 class TestParetoFront:
