@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .mismatch import (
     OperatingPoint,
     TheveninSource,
-    _bracketed_root,
     gamma_for_amplitude_target,
     matched_baseline,
     operating_point,
@@ -164,6 +163,47 @@ def equivalent_z(n: int, z_c: complex, f_sat_n: float, z_th: complex) -> complex
     if f_sat_n == 0.0:
         return complex(math.inf, 0.0)
     return complex(z_c) / (f_sat_n * complex(z_th).conjugate())
+
+
+def _bracketed_root(func, lo, hi, f_lo, f_hi, tol, max_iter):
+    """Root of a continuous ``func`` whose values ``f_lo`` at ``lo`` and
+    ``f_hi`` at ``hi`` have opposite signs.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): each point is where
+    the chord between the bracket ends crosses zero, and an end that is kept
+    two steps running has its value halved, so both ends close in.  A point
+    that rounding puts on or outside an end is replaced by the midpoint.
+
+    Stops at the first point where |func| < ``tol`` (or is exactly zero).
+    Returns that point and |func| at every point evaluated here; raises
+    :class:`ConvergenceError` with that trace after ``max_iter`` points.
+    """
+    residuals: list[float] = []
+    side = 0  # which end the last point replaced: -1 lo, +1 hi
+    while len(residuals) < max_iter:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = func(x)
+        residuals.append(abs(fx))
+        if fx == 0.0 or abs(fx) < tol:
+            return x, residuals
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = +1
+    last = residuals[-1] if residuals else math.nan
+    raise ConvergenceError(
+        f"bracketed root search did not converge in {max_iter} iterations "
+        f"(last residual {last:.3e})",
+        residuals=residuals,
+    )
 
 
 def solve_operating_point(

@@ -19,7 +19,11 @@ class SingularityError(WecSatlinError, ZeroDivisionError):
 
 
 class InfeasibleError(WecSatlinError, ValueError):
-    """A requested target cannot be met anywhere in the searched region."""
+    """A requested target cannot be met anywhere in the searched region.
+
+    Kept as public API; nothing in the package raises it, since every
+    amplitude target in (0, 1] is met on the optimal contour.
+    """
 
 
 class ConvergenceError(WecSatlinError, RuntimeError):

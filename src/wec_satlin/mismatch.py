@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
+from .errors import DomainError, SingularityError
 
 __all__ = [
     "TheveninSource",
@@ -282,96 +282,42 @@ def operating_point(
     )
 
 
-def _contour_ratio(g, alpha: float, epsilon: int):
-    """Amplitude ratio along the epsilon-optimal contour at magnitude(s) g."""
-    phi = optimal_angle(g, alpha, epsilon)
-    gamma = np.asarray(g) * np.exp(1j * np.asarray(phi))
-    num, den = _ratio_num_den(gamma, alpha, epsilon)
-    return np.sqrt(num / den)
-
-
-def _bracketed_root(func, lo, hi, f_lo, f_hi, tol, max_iter, xtol=math.inf):
-    """Root of a continuous ``func`` whose values ``f_lo`` at ``lo`` and
-    ``f_hi`` at ``hi`` have opposite signs.
-
-    Illinois regula falsi (Dowell & Jarratt, BIT 1971): each point is where
-    the chord between the bracket ends crosses zero, and an end that is kept
-    two steps running has its value halved, so both ends close in.  A point
-    that rounding puts on or outside an end is replaced by the midpoint.
-
-    Stops at the first point where ``func`` is exactly zero, or where
-    |func| < ``tol`` with the bracket no wider than ``xtol``.  Returns that
-    point and |func| at every point evaluated here; raises
-    :class:`ConvergenceError` with that trace after ``max_iter`` points.
-    """
-    residuals: list[float] = []
-    side = 0  # which end the last point replaced: -1 lo, +1 hi
-    while len(residuals) < max_iter:
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = func(x)
-        residuals.append(abs(fx))
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, fx
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side > 0:
-                f_lo *= 0.5
-            side = +1
-        if fx == 0.0 or (abs(fx) < tol and hi - lo <= xtol):
-            return x, residuals
-    last = residuals[-1] if residuals else math.nan
-    raise ConvergenceError(
-        f"bracketed root search did not converge in {max_iter} iterations "
-        f"(last residual {last:.3e})",
-        residuals=residuals,
-    )
-
-
 def gamma_for_amplitude_target(
     target_ratio: float, alpha: float, epsilon: int, tol: float = 1e-10
 ) -> complex:
     """Reflection coefficient on the optimal contour meeting an amplitude target.
 
-    Searches |gamma| in [0, 1] along the epsilon-optimal contour for the
-    point whose voltage (eps = +1) or current (eps = -1) ratio equals
-    ``target_ratio``.  The ratio along the contour is not assumed monotone:
-    a 64-sample scan, in ascending |gamma|, stops at the first sample that
-    meets the target or the first sign change, whose root is then found to
-    |residual| < ``tol`` within a bracket of 1e-13.  That root has the
-    smallest |gamma|, i.e. the largest power ratio, of all roots.
+    Returns the point of smallest |gamma|, i.e. the largest power ratio, on
+    the epsilon-optimal contour whose voltage (eps = +1) or current
+    (eps = -1) ratio equals ``target_ratio`` = r.  With gamma = g e^(i phi)
+    the ratio is sqrt(num/den), num = g^2 + 2 eps g cos(phi) + 1 and
+    den = a^2 g^2 + 2 a g sin(phi) + 1, and on the contour it is the minimum
+    over phi.  So the contour meets r at g exactly where
 
-    Raises :class:`InfeasibleError` when no |gamma| in [0, 1] meets the
-    target.
+        min_phi (num - r^2 den) = (1 - r^2 a^2) g^2 - 2 sqrt(1 + r^4 a^2) g
+                                  + (1 - r^2)
+
+    vanishes.  That quadratic does not involve eps, and its discriminant is
+    r^2 (1 + a^2), so its smallest root in [0, 1] is
+
+        g* = (1 - r^2) / (sqrt(1 + r^4 a^2) + r sqrt(1 + a^2)),
+
+    with 1 - r^2 formed as (1 - r)(1 + r).  Every term is positive, so
+    nothing cancels: g* is exact to rounding up to the open circuit, and
+    r = 1 gives g* = 0.  The returned point is
+    g* exp(i optimal_angle(g*, alpha, epsilon)).
+
+    Every r in (0, 1] is met, so :class:`InfeasibleError` is never raised.
+    ``tol`` is accepted for compatibility and ignored: the result is exact
+    to rounding.
     """
     if not (0.0 < target_ratio <= 1.0):
         raise DomainError(f"target ratio must lie in (0, 1], got {target_ratio}")
-    if target_ratio == 1.0:
-        return 0.0 + 0.0j
-
-    n_scan = 64
-    gs = np.linspace(0.0, 1.0, n_scan + 1).tolist()
-    resid = (_contour_ratio(np.array(gs), alpha, epsilon) - target_ratio).tolist()
-    for k, r_lo in enumerate(resid):
-        if r_lo == 0.0:
-            g_best = gs[k]
-            break
-        if k < n_scan and r_lo * resid[k + 1] < 0.0:
-            g_best, _ = _bracketed_root(
-                lambda g: float(_contour_ratio(g, alpha, epsilon)) - target_ratio,
-                gs[k], gs[k + 1], r_lo, resid[k + 1], tol, 200, xtol=1e-13,
-            )
-            break
-    else:
-        raise InfeasibleError(
-            f"no |gamma| in [0, 1] meets ratio {target_ratio} "
-            f"(alpha = {alpha}, epsilon = {epsilon:+d})"
-        )
-    return g_best * np.exp(1j * optimal_angle(g_best, alpha, epsilon))
+    r = float(target_ratio)
+    g = (1.0 - r) * (1.0 + r) / (
+        math.hypot(1.0, r * r * alpha) + r * math.hypot(1.0, alpha)
+    )
+    return g * np.exp(1j * optimal_angle(g, alpha, epsilon))
 
 
 def _nondominated(triples: np.ndarray) -> np.ndarray:

@@ -53,7 +53,8 @@ class SimConfig:
 
     Propagation is exact whatever the step, so ``steps_per_period`` sets the
     sampling and DFT resolution, not stability; ``algebraic_loop_tol`` is
-    the clip switch-time tolerance relative to the step.
+    the clip switch-time tolerance relative to the step.  Both tolerances
+    must be positive.
     """
 
     steps_per_period: int = 2000
@@ -67,6 +68,10 @@ class SimConfig:
             raise DomainError("need at least 100 steps per period")
         if self.n_periods <= self.transient_periods:
             raise DomainError("n_periods must exceed transient_periods")
+        for key in ("convergence_tol", "algebraic_loop_tol"):
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise DomainError(f"{key} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

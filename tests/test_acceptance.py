@@ -312,7 +312,8 @@ def test_criterion_10_determinism_and_golden_files(tmp_path):
         for name in names:
             b1 = (out1 / name).read_bytes()
             b2 = (out2 / name).read_bytes()
-            golden = open(os.path.join(GOLDEN, name), "rb").read()
+            with open(os.path.join(GOLDEN, name), "rb") as fh:
+                golden = fh.read()
             identical &= b1 == b2
             matches_golden &= b1 == golden
     elapsed = time.perf_counter() - t0

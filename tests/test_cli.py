@@ -219,6 +219,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize("value", ["0", "-1.0"])
+    def test_non_positive_convergence_tol_is_config_error(self, tmp_path, capsys, value):
+        # a tolerance no run can meet would otherwise fail every verify row
+        with open(GOLDEN_INI) as fh:
+            text = fh.read()
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.replace("convergence_tol = 1.0e-5", f"convergence_tol = {value}"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "convergence_tol must be positive" in err
+
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(MINIMAL_PLANT.replace("m = 6.0e4", "m = nan"))
@@ -555,6 +566,7 @@ class TestGoldenFiles:
         assert main([command, "--config", GOLDEN_INI, "--out", str(out2)]) == 0
         fresh1 = (out1 / name).read_bytes()
         fresh2 = (out2 / name).read_bytes()
-        golden = open(os.path.join(GOLDEN, name), "rb").read()
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            golden = fh.read()
         assert fresh1 == fresh2, "same config must give byte-identical output"
         assert fresh1 == golden, f"{name} drifted from the checked-in golden file"

@@ -1,6 +1,7 @@
 """Tests for the generic impedance-mismatch algebra."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -277,6 +278,26 @@ class TestAmplitudeTarget:
                     gamma = gamma_for_amplitude_target(*args)
                     phi = optimal_angle(expected, args[1], eps)
                     assert abs(gamma - expected * np.exp(1j * phi)) <= 1e-12
+
+    def test_against_fifty_digit_arithmetic(self):
+        # the exact smallest |gamma| meeting target r on either contour is
+        # (1 - r^2) / (sqrt(1 + r^4 a^2) + r sqrt(1 + a^2)), evaluated here in
+        # 50-digit decimal on the same float inputs
+        side = np.geomspace(1e-2, 1e3, 11)
+        alphas = np.concatenate([-side[::-1], [0.0], side])
+        targets = np.geomspace(1e-6, 1.0 - 1e-9, 40)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for alpha in alphas.tolist():
+                a = Decimal(alpha)
+                for target in targets.tolist():
+                    r = Decimal(target)
+                    g = (1 - r * r) / ((1 + r**4 * a * a).sqrt() + r * (1 + a * a).sqrt())
+                    p_exact = float(1 - g * g)
+                    for eps in (+1, -1):
+                        gamma = gamma_for_amplitude_target(target, alpha, eps)
+                        assert abs(abs(gamma) - float(g)) <= 1e-15
+                        assert abs(power_ratio(gamma) - p_exact) <= 1e-9 * p_exact
 
 
 class TestParetoFront:

@@ -37,6 +37,10 @@ class TestSimConfig:
             SimConfig(steps_per_period=50)
         with pytest.raises(DomainError):
             SimConfig(n_periods=10, transient_periods=10)
+        for key in ("convergence_tol", "algebraic_loop_tol"):
+            for value in (0.0, -1.0, math.nan):
+                with pytest.raises(DomainError, match=f"{key} must be positive"):
+                    SimConfig(**{key: value})
 
 
 class TestLinearClosure:
