@@ -410,9 +410,14 @@ def smith_grid(alpha: float, resolution: int = 101, n_angular: int = 360) -> np.
     exceeds one (the region that is worse than matched on both counts).
 
     At gamma = -i/alpha (reachable on the grid for |alpha| >= 1) the
-    amplitude ratios diverge; those cells carry ``inf`` and both their flags
-    follow the comparison with one as usual.  Rows are ordered
-    radius-major, angle-minor, deterministically.
+    amplitude ratios diverge.  A cell within rounding of that point carries
+    ``inf`` or, where cancellation leaves the denominator a little above
+    zero, a large finite value: the alpha = 5 golden grid holds 68437881.4142
+    at the rounded gamma = -0.2i.  Both flags follow the comparison with one
+    as usual.  At gamma = -epsilon the voltage (epsilon = +1) or current
+    (epsilon = -1) ratio vanishes, and a cell within rounding of it carries 0
+    or a small value.  Rows are ordered radius-major, angle-minor,
+    deterministically.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution}")

@@ -5,7 +5,8 @@ matrix exponential (Van Loan, IEEE TAC 1978), computed by Pade-13 scaling
 and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005).  Samples on a
 fixed grid are one matrix-vector product against a stack of powers of the
 one-step flow; a switch between samples is located on its guard function
-(Shampine & Thompson, Appl. Numer. Math. 2000) along the sub-step flow.
+(Shampine & Thompson, Appl. Numer. Math. 2000) along the sub-step flow,
+whose transition matrix is the Taylor sum or the matrix exponential.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ class Branch:
         if np.abs(terms[-1]).max() <= 1e-16 * np.abs(terms[0]).max():
             return lambda tau: (tau / h) ** _ORDERS @ terms
         return lambda tau: flow(self.a, tau) @ y0
+
+    def transition(self, h: float) -> np.ndarray:
+        """expm(a h) as a matrix: the Taylor sum where its last term is
+        below rounding, else the matrix exponential (stiff)."""
+        terms = self.taylor * (h ** _ORDERS)[:, None, None]
+        if np.abs(terms[-1]).max() <= 1e-16:
+            return terms.sum(axis=0)
+        return flow(self.a, h)
 
     def locate(self, y0, y_hi, h, guard, level, tol):
         """Time in (0, h] where ``guard @ y - level`` turns positive, and the

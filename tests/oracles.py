@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: direct phasor
 circuit solutions, quadrature of clipped waveforms, brute-force sweeps,
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
-filter, the root-finders the bracketed Illinois solve replaced, and the
-fixed-step RK4 integrator the exact referee replaced.
+filter, the root-finders the bracketed Illinois solve replaced, the
+fixed-step RK4 integrator the exact referee replaced, and the fixed-horizon
+run that shooting to the periodic orbit replaced.
 """
 
 import cmath
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 from wec_satlin.descfcn import saturation_factor
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
+from wec_satlin.simulate import _Loop as ExactLoop
 from wec_satlin.wec import WecPlant
 
 
@@ -531,6 +533,92 @@ def simulate_rk4(
         dc_current=dc_current,
         x_amp=abs(x_fundamental),
         peak_current=float(np.max(np.abs(iw))),
+        converged=converged,
+        omega=plant.omega,
+        dt=dt,
+        period_powers=period_powers,
+    )
+
+
+# The exact referee as it was before shooting to the periodic orbit: the
+# branch propagation of ``wec_satlin.simulate`` run from rest over a fixed
+# horizon of ``n_periods`` periods, with the any-pair power criterion for
+# convergence.  Kept as the reference the shooting result must reproduce.
+
+
+def simulate_horizon(
+    plant: WecPlant,
+    z_c: complex,
+    i_max: float = math.inf,
+    cfg: SimConfig | None = None,
+    n_harmonics: int = 9,
+) -> SimResult:
+    """Propagate the loop from rest for ``cfg.n_periods`` periods and
+    extract the final one; converged once the transient skip has elapsed
+    and the cycle-averaged power changes by less than ``cfg.convergence_tol``
+    between successive periods."""
+    cfg = cfg or SimConfig()
+    period = 2.0 * math.pi / plant.omega
+    steps = cfg.steps_per_period
+    dt = period / steps
+    tol = cfg.algebraic_loop_tol * dt
+    loop = ExactLoop(plant, z_c, i_max, dt, steps)
+
+    ys, cur, vl = np.empty((steps + 1, loop.n)), np.empty(steps + 1), np.empty(steps + 1)
+    ys[steps] = loop.y0
+    cur[steps] = ys[steps] @ loop.free.i_row
+    vl[steps] = ys[steps] @ loop.free.v_row
+    rail = False
+    period_powers = []
+    for p in range(cfg.n_periods):
+        ys[0], cur[0], vl[0] = ys[steps], cur[steps], vl[steps]
+        k = 0
+        while k < steps:
+            br = loop.branch(rail)
+            flat = br.powers[: steps - k].reshape(-1, loop.n) @ ys[k]
+            ys[k + 1 :] = flat.reshape(-1, loop.n)
+            cur[k + 1 :] = ys[k + 1 :] @ br.i_row
+            m = loop.first_candidate(rail, ys[k:], cur[k:])
+            vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
+            k += m
+            if k < steps:
+                ys[k + 1], rail, cur[k + 1], *_ = loop.cross(ys[k], rail, dt, tol)
+                vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
+                k += 1
+        bad = np.flatnonzero(~np.isfinite(ys[1:]).all(axis=1))
+        if bad.size:
+            j = p * steps + int(bad[0])
+            raise SimulationError(
+                f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
+                step=j,
+                trace=tuple(ys[1 + bad[0]]),
+            )
+        period_powers.append(float(np.mean(vl[:steps] * cur[:steps])))
+
+    converged = False
+    floor = 1e-12 * max(1.0, abs(period_powers[-1]))
+    for p in range(max(1, cfg.transient_periods), cfg.n_periods):
+        change = abs(period_powers[p] - period_powers[p - 1])
+        scale = max(abs(period_powers[p]), abs(period_powers[p - 1]), floor)
+        if change <= cfg.convergence_tol * scale:
+            converged = True
+            break
+
+    n_total = cfg.n_periods * steps
+    columns = (np.arange(n_total - steps, n_total) * dt, ys[:steps, 0], ys[:steps, 1],
+               cur[:steps], vl[:steps], vl[:steps] * cur[:steps])
+    waveforms = np.empty(steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS])
+    for name, column in zip(WAVEFORM_FIELDS, columns):
+        waveforms[name] = column
+    dc_current, harmonics = _phasors(columns[0], cur[:steps], plant.omega, n_harmonics)
+    x_fundamental = _phasors(columns[0], ys[:steps, 0], plant.omega, 1)[1][0]
+    return SimResult(
+        waveforms=waveforms,
+        p_avg=period_powers[-1],
+        harmonic_currents=harmonics,
+        dc_current=dc_current,
+        x_amp=abs(x_fundamental),
+        peak_current=float(np.max(np.abs(cur[:steps]))),
         converged=converged,
         omega=plant.omega,
         dt=dt,

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from wec_satlin import (
     z_from_gamma,
 )
 from wec_satlin.mismatch import PARETO_DTYPE, _nondominated, _pareto_candidates
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestTheveninSource:
@@ -408,6 +411,18 @@ class TestSmithGrid:
                     assert radii[k] <= root <= radii[k + 1]
                     checked += 1
         assert checked > 0
+
+    def test_rounded_singular_cell_is_large_and_finite(self):
+        # the golden alpha = 5 grid's gamma = -i/alpha cell rounds to
+        # 1.2e-17 - 0.2i, where cancellation leaves a finite ratio, not inf
+        grid = smith_grid(5.0, resolution=21, n_angular=72)
+        cell = grid[4 * 72 + 18]
+        assert abs(cell["gamma"] + 0.2j) < 1e-16
+        for key in ("v_ratio", "i_ratio"):
+            assert math.isfinite(cell[key]) and f"{cell[key]:.12g}" == "68437881.4142"
+        with open(GOLDEN / "smith_alpha_5.csv", encoding="utf-8") as fh:
+            line = fh.read().splitlines()[307]
+        assert line.split(",")[4:6] == ["68437881.4142", "68437881.4142"]
 
     def test_deterministic(self):
         a = smith_grid(2.0, resolution=21, n_angular=36)

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from conftest import random_plant, random_load
-from oracles import circuit_solution, dump_waveforms_rowwise, simulate_rk4
+from oracles import circuit_solution, dump_waveforms_rowwise, simulate_horizon, simulate_rk4
 from wec_satlin import (
     DomainError,
     SimConfig,
@@ -470,3 +470,164 @@ class TestRk4Oracle:
         assert new.x_amp == pytest.approx(ref.x_amp, rel=1e-4)
         if math.isfinite(i_max):
             assert new.peak_current == i_max  # the clip engages, exactly
+
+
+def _closure_cases(lowpass_plant, fast_sim):
+    """(plant, z_c, i_max, cfg) of every closure check in this suite and the
+    acceptance criteria, in the order those tests run them."""
+    conj = lowpass_plant.z_thevenin().conjugate()
+    peak = matched_baseline(thevenin_from_plant(lowpass_plant)).i_peak_matched
+    cases = [(lowpass_plant, conj, frac * peak, fast_sim)
+             for frac in (math.inf, 2.0, 0.8, 0.6, 0.5, 0.4, 0.02)]
+    cases += [(lowpass_plant, z_from_gamma(g) * conj, math.inf, fast_sim)
+              for g in (0.3, -0.4, 0.2 + 0.3j)]
+    rng = np.random.default_rng(77)
+    for k in range(4):
+        plant = random_plant(rng, with_inductance=(k % 2 == 0))
+        cases.append((plant, random_load(rng, plant, fast_sim.steps_per_period)[1],
+                      math.inf, fast_sim))
+    for wn_ratio in (0.85, 1.2):
+        plant = haskind_plant(
+            m=0.7e5, a_added=0.3e5, b_h=4.0e4, k_h=1.0e5 * wn_ratio**2, k_t=120.0,
+            r_w=0.02, omega=1.0, j_density=1.0e4, k_wavenumber=1.0 / 9.81, g0=1,
+        )
+        src = thevenin_from_plant(plant)
+        cases.append((plant, src.z_th.conjugate(),
+                      0.5 * matched_baseline(src).i_peak_matched, fast_sim))
+    plant = dataclasses.replace(lowpass_plant, l_w=0.004, b_d=2.0e3)
+    src = thevenin_from_plant(plant)
+    cases.append((plant, src.z_th.conjugate(),
+                  0.7 * matched_baseline(src).i_peak_matched, fast_sim))
+    criterion_05 = SimConfig(steps_per_period=1200, n_periods=36, transient_periods=24,
+                             convergence_tol=1e-6)
+    rng = np.random.default_rng(55)
+    for k in range(10):
+        plant = random_plant(rng, with_inductance=(k % 2 == 0))
+        for _ in range(3):
+            cases.append((plant, random_load(rng, plant, 1200)[1], math.inf, criterion_05))
+    criterion_06 = SimConfig(steps_per_period=1200, n_periods=32, transient_periods=20,
+                             convergence_tol=1e-5)
+    cases += [(lowpass_plant, conj, frac * peak, criterion_06) for frac in (0.4, 0.6, 0.8)]
+    return cases
+
+
+def _scaled(jac, scale):
+    """The Jacobian in units of each state's amplitude."""
+    return jac * scale[None, :] / scale[:, None]
+
+
+class TestShooting:
+    """Newton shooting on the period map against the horizon run it replaced."""
+
+    def test_matches_horizon_oracle_on_closure_cases(self, lowpass_plant, fast_sim):
+        # the horizon runs 60 periods: at 36, the slowest case (the energy
+        # bookkeeping plant) still moves its power by 5e-10 per period
+        for plant, z_c, i_max, cfg in _closure_cases(lowpass_plant, fast_sim):
+            new = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+            ref = simulate_horizon(plant, z_c, i_max=i_max,
+                                   cfg=dataclasses.replace(cfg, n_periods=60))
+            assert new.converged and ref.converged
+            assert new.p_avg == pytest.approx(ref.p_avg, rel=1e-9)
+            assert abs(new.harmonic_currents[0]) == pytest.approx(
+                abs(ref.harmonic_currents[0]), rel=1e-9
+            )
+            assert new.x_amp == pytest.approx(ref.x_amp, rel=1e-9)
+
+    @pytest.mark.parametrize("fraction", [math.inf, 0.4, 0.8])
+    @pytest.mark.parametrize(
+        "l_w, reactance",
+        [
+            pytest.param(0.0, -0.5, id="pi"),
+            pytest.param(0.004, -0.5, id="pi-winding"),
+            pytest.param(0.0, 0.5, id="ind"),
+            pytest.param(0.0, 0.0, id="res"),
+            pytest.param(0.004, 0.0, id="res-winding"),
+        ],
+    )
+    def test_monodromy_matches_central_differences(self, lowpass_plant, l_w, reactance,
+                                                   fraction):
+        plant = dataclasses.replace(lowpass_plant, l_w=l_w)
+        src = thevenin_from_plant(plant)
+        z_c = complex(src.z_th.real, reactance * src.z_th.real)
+        i_max = fraction * matched_baseline(src).i_peak_matched
+        steps = 600
+        dt = 2.0 * math.pi / plant.omega / steps
+        tol = 1e-12 * dt
+        loop = _Loop(plant, z_c, i_max, dt, steps)
+        y, rail = loop.free_orbit()
+        for _ in range(3):  # near the orbit, where Newton uses the Jacobian
+            run = loop.period(y, rail, tol)
+            y, rail = run.ys[-1], run.rail
+        run = loop.period(y, rail, tol)
+        assert any(on_rail for on_rail, _, _ in run.segments) == math.isfinite(i_max)
+        u = np.flatnonzero(loop.unknowns(rail))
+        scale = np.abs(run.ys).max(axis=0)
+        diff = np.empty((len(u), len(u)))
+        for col, j in enumerate(u):
+            h = 1e-6 * scale[j]
+            up, down = y.copy(), y.copy()
+            up[j] += h
+            down[j] -= h
+            ends = [loop.period(s, rail, tol).ys[-1, u] for s in (up, down)]
+            diff[:, col] = (ends[0] - ends[1]) / (2.0 * h)
+        gap = _scaled(run.jac[np.ix_(u, u)] - diff, scale[u])
+        assert np.max(np.abs(gap)) < 1e-6
+
+    @pytest.mark.parametrize("fraction", [0.4, 1.0])
+    def test_cap_does_not_move_the_result(self, fraction):
+        # the oscillator restarts at its exact phase every period, so the
+        # wave amplitude cannot drift and a longer cap changes nothing
+        plant = haskind_plant(**REACTIVE_PLANT)
+        src = thevenin_from_plant(plant)
+        i_max = fraction * matched_baseline(src).i_peak_matched
+        runs = [simulate(plant, src.z_th.conjugate(), i_max=i_max,
+                         cfg=SimConfig(n_periods=n)) for n in (40, 80)]
+        assert runs[0].p_avg == runs[1].p_avg
+        assert np.array_equal(runs[0].waveforms, runs[1].waveforms)
+        assert runs[0].periods_run == runs[1].periods_run <= 5
+
+    def test_stalled_newton_falls_back_to_period_iteration(self, lowpass_plant, fast_sim,
+                                                           monkeypatch):
+        src = thevenin_from_plant(lowpass_plant)
+        i_max = 0.4 * matched_baseline(src).i_peak_matched
+        good = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
+        period = _Loop.period
+
+        def backwards(self, *args):  # a Jacobian of 2I steps away from the orbit
+            return period(self, *args)._replace(jac=2.0 * np.eye(self.n))
+
+        monkeypatch.setattr(_Loop, "period", backwards)
+        res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
+        assert res.newton_steps == 2 and res.periods_run > 4
+        assert res.converged and res.periodicity_residual <= 1e-12
+        assert res.p_avg == pytest.approx(good.p_avg, rel=1e-9)
+
+    def test_unclipped_row_needs_at_most_one_newton_step(self, lowpass_plant, fast_sim):
+        src = thevenin_from_plant(lowpass_plant)
+        for frac in (math.inf, 2.0):
+            i_max = frac * matched_baseline(src).i_peak_matched
+            res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
+            assert res.clip_fraction == 0.0
+            assert res.newton_steps <= 1
+            assert res.periods_run == res.newton_steps + 1
+            assert len(res.period_powers) == res.periods_run
+
+    def test_clip_fraction_grows_with_clipping_depth(self, lowpass_plant, fast_sim):
+        src = thevenin_from_plant(lowpass_plant)
+        peak = matched_baseline(src).i_peak_matched
+        fractions = [
+            simulate(lowpass_plant, src.z_th.conjugate(), i_max=frac * peak,
+                     cfg=fast_sim).clip_fraction
+            for frac in (0.9, 0.6, 0.3, 0.05)
+        ]
+        assert 0.0 < fractions[0] < fractions[1] < fractions[2] < fractions[3] < 1.0
+
+    @pytest.mark.parametrize("n_periods, tol", [(2, 1e-3), (3, 1e-3), (40, 1e-3), (40, 1e-14)])
+    def test_converged_is_the_residual_test(self, lowpass_plant, n_periods, tol):
+        src = thevenin_from_plant(lowpass_plant)
+        i_max = 0.4 * matched_baseline(src).i_peak_matched
+        cfg = SimConfig(steps_per_period=400, n_periods=n_periods, transient_periods=1,
+                        convergence_tol=tol)
+        res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
+        assert res.periods_run <= n_periods
+        assert res.converged == (res.periodicity_residual <= tol)
