@@ -473,8 +473,8 @@ class TestRk4Oracle:
 
 
 def _closure_cases(lowpass_plant, fast_sim):
-    """(plant, z_c, i_max, cfg) of every closure check in this suite and the
-    acceptance criteria, in the order those tests run them."""
+    """(plant, z_c, i_max, cfg) of every closure check in this suite and in
+    acceptance criteria 05 and 06."""
     conj = lowpass_plant.z_thevenin().conjugate()
     peak = matched_baseline(thevenin_from_plant(lowpass_plant)).i_peak_matched
     cases = [(lowpass_plant, conj, frac * peak, fast_sim)
@@ -509,11 +509,6 @@ def _closure_cases(lowpass_plant, fast_sim):
                              convergence_tol=1e-5)
     cases += [(lowpass_plant, conj, frac * peak, criterion_06) for frac in (0.4, 0.6, 0.8)]
     return cases
-
-
-def _scaled(jac, scale):
-    """The Jacobian in units of each state's amplitude."""
-    return jac * scale[None, :] / scale[:, None]
 
 
 class TestShooting:
@@ -570,7 +565,8 @@ class TestShooting:
             down[j] -= h
             ends = [loop.period(s, rail, tol).ys[-1, u] for s in (up, down)]
             diff[:, col] = (ends[0] - ends[1]) / (2.0 * h)
-        gap = _scaled(run.jac[np.ix_(u, u)] - diff, scale[u])
+        # compare in units of each state's amplitude over the period
+        gap = (run.jac[np.ix_(u, u)] - diff) * scale[u][None, :] / scale[u][:, None]
         assert np.max(np.abs(gap)) < 1e-6
 
     @pytest.mark.parametrize("fraction", [0.4, 1.0])
