@@ -115,7 +115,7 @@ def saturation_factor(n: int, i_script: float) -> float:
     """
     if n < 1 or n != int(n):
         raise DomainError(f"harmonic index must be a positive integer, got {n}")
-    if i_script <= 0.0:
+    if not i_script > 0.0:
         raise DomainError(f"clipping depth must be positive, got {i_script}")
     n = int(n)
     if n % 2 == 0:
@@ -240,13 +240,15 @@ def solve_operating_point(
     Raises :class:`ConvergenceError` (with residual trace) if the loop does
     not close within ``max_iter`` evaluations.
     """
-    if i_max <= 0.0:
+    if not i_max > 0.0:
         raise DomainError(f"current limit must be positive, got {i_max}")
     if n_harmonics < 1 or n_harmonics % 2 == 0:
         raise DomainError(f"n_harmonics must be odd and positive, got {n_harmonics}")
     if z_c is None:
         z_c = src.z_th.conjugate()
     z_c = complex(z_c)
+    if not cmath.isfinite(z_c):
+        raise DomainError(f"controller impedance must be finite, got {z_c}")
 
     def residual(f):
         i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)

@@ -13,13 +13,19 @@ carries a factor 1/2 (``P = 0.5 Re(V I*)``) and the matched power is
 mistake with these formulas; every function in this package assumes peak.
 
 All angles are reported wrapped to (-pi, pi].
+
+A scalar input (Python or numpy scalar, or 0-d array) is evaluated with
+``math``, returns a Python number equal to the array result up to rounding,
+and raises :class:`DomainError` on NaN; NaN array entries give NaN.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import Callable
 
 import numpy as np
@@ -63,12 +69,15 @@ PARETO_DTYPE = np.dtype(
 )
 
 
+def _is_scalar(x) -> bool:
+    return isinstance(x, Number) or np.ndim(x) == 0
+
+
 def wrap_angle(angle):
-    """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
-    wrapped = -np.mod(-np.asarray(angle) + np.pi, 2.0 * np.pi) + np.pi
-    if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+    """Wrap an angle (scalar or array, see the module notes) to (-pi, pi]."""
+    if _is_scalar(angle):
+        return -((-float(angle) + math.pi) % (2.0 * math.pi)) + math.pi
+    return -np.mod(-np.asarray(angle) + np.pi, 2.0 * np.pi) + np.pi
 
 
 @dataclass(frozen=True)
@@ -184,25 +193,26 @@ def z_from_gamma(gamma: complex) -> complex:
 def power_ratio(gamma) -> float:
     """Average load power as a fraction of the matched power: 1 - |gamma|^2.
 
-    Accepts a complex scalar or array.  Magnitudes above one (an active
-    load, which would return power to the source) are rejected; a 1e-9
-    tolerance admits unit-magnitude values that round-tripped through the
-    12-significant-digit CSV emission, clamping their power at zero.
+    Accepts a complex scalar (see the module notes) or array.  Magnitudes above
+    one (an active load, which would return power to the source) are rejected;
+    a 1e-9 tolerance admits unit-magnitude values that round-tripped through
+    the 12-significant-digit CSV emission, clamping their power at zero.
     """
+    if _is_scalar(gamma):
+        g2 = abs(complex(gamma)) ** 2
+        if not g2 <= 1.0 + 1e-9:
+            raise DomainError(f"|gamma| must not exceed 1, got {gamma}")
+        return max(1.0 - g2, 0.0)
     g2 = np.abs(np.asarray(gamma)) ** 2
     if np.any(g2 > 1.0 + 1e-9):
         raise DomainError(
             f"|gamma| must not exceed 1 (max found {float(np.max(np.sqrt(g2)))})"
         )
-    out = np.maximum(1.0 - g2, 0.0)
-    if np.ndim(gamma) == 0:
-        return float(out)
-    return out
+    return np.maximum(1.0 - g2, 0.0)
 
 
 def _ratio_num_den(gamma, alpha: float, epsilon: int):
-    gamma = np.asarray(gamma)
-    g2 = np.abs(gamma) ** 2
+    g2 = abs(gamma) ** 2
     num = g2 + 2.0 * epsilon * gamma.real + 1.0
     den = alpha**2 * g2 + 2.0 * alpha * gamma.imag + 1.0
     return num, den
@@ -218,19 +228,24 @@ def amplitude_ratio(gamma, alpha: float, epsilon: int) -> float:
 
     The denominator vanishes at gamma = -i/alpha (series resonance of the
     source reactance against the load), where the ratio diverges; evaluating
-    exactly there raises :class:`SingularityError`.
+    exactly there raises :class:`SingularityError`.  Scalar ``gamma``: see the
+    module notes.
     """
     if epsilon not in (+1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
-    num, den = _ratio_num_den(gamma, alpha, epsilon)
-    if np.any(den <= 0.0):
+    if scalar := _is_scalar(gamma):
+        num, den = _ratio_num_den(complex(gamma), alpha, epsilon)
+        if math.isnan(num + den):
+            raise DomainError(f"NaN in gamma = {gamma} or alpha = {alpha}")
+        singular = den <= 0.0
+    else:
+        num, den = _ratio_num_den(np.asarray(gamma), alpha, epsilon)
+        singular = np.any(den <= 0.0)
+    if singular:
         raise SingularityError(
             f"amplitude ratio denominator vanished at gamma = {gamma}, alpha = {alpha}"
         )
-    out = np.sqrt(num / den)
-    if np.ndim(gamma) == 0:
-        return float(out)
-    return out
+    return math.sqrt(num / den) if scalar else np.sqrt(num / den)
 
 
 def optimal_angle(gamma_mag, alpha: float, epsilon: int):
@@ -250,10 +265,21 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
     (-pi, pi].  At g = 0 the ratio is angle-independent and the formula's
     limit (pi for eps = +1, 0 for eps = -1 when alpha = 0) is returned.
 
-    Accepts scalar or array ``gamma_mag``.
+    Accepts scalar or array ``gamma_mag`` (see the module notes on scalars).
     """
     if epsilon not in (+1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
+    if _is_scalar(gamma_mag):
+        g = float(gamma_mag)
+        if not 0.0 <= g <= 1.0 + 1e-9 or math.isnan(alpha):
+            raise DomainError(f"need |gamma| in [0, 1] and alpha not NaN: {g}, {alpha}")
+        g = min(g, 1.0)
+        # x * x as numpy squares; sigma + eps a q cancels, to 0 at g = 0 when |a| > 1e8
+        p, q = alpha**2 * (g * g) + 1.0, g * g + 1.0  # a^2 g^2 + 1, g^2 + 1
+        sigma = math.sqrt(p * p + alpha**2 * (q * q))
+        half = 2.0 * math.atan2(p, sigma + epsilon * alpha * q)
+        cosarg = min(max(-2.0 * alpha * g / sigma, -1.0), 1.0)
+        return wrap_angle(half + epsilon * math.acos(cosarg))
     g = np.minimum(np.asarray(gamma_mag, dtype=float), 1.0)
     if np.any(g < 0.0) or np.any(np.asarray(gamma_mag) > 1.0 + 1e-9):
         raise DomainError(f"gamma magnitude must lie in [0, 1], got {gamma_mag}")
@@ -261,10 +287,7 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
     sigma = np.sqrt((a2g2 + 1.0) ** 2 + alpha**2 * (g**2 + 1.0) ** 2)
     half = 2.0 * np.arctan((a2g2 + 1.0) / (sigma + epsilon * alpha * (1.0 + g**2)))
     cosarg = np.clip(-2.0 * alpha * g / sigma, -1.0, 1.0)
-    angle = wrap_angle(half + epsilon * np.arccos(cosarg))
-    if np.ndim(gamma_mag) == 0:
-        return float(angle)
-    return angle
+    return wrap_angle(half + epsilon * np.arccos(cosarg))
 
 
 def operating_point(
@@ -317,7 +340,7 @@ def gamma_for_amplitude_target(
     g = (1.0 - r) * (1.0 + r) / (
         math.hypot(1.0, r * r * alpha) + r * math.hypot(1.0, alpha)
     )
-    return g * np.exp(1j * optimal_angle(g, alpha, epsilon))
+    return g * cmath.exp(1j * optimal_angle(g, alpha, epsilon))
 
 
 def _nondominated(triples: np.ndarray) -> np.ndarray:

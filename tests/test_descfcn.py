@@ -101,6 +101,10 @@ class TestSaturationFactor:
         with pytest.raises(DomainError):
             saturation_factor(1, -0.2)
 
+    def test_rejects_nan_depth(self):
+        with pytest.raises(DomainError):
+            saturation_factor(1, math.nan)
+
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_clipping_onset_against_cap_quadrature(self, n):
         # the closed form cancels to order (1 - I)^(3/2) here; both the onset
@@ -221,6 +225,23 @@ class TestOperatingPointSolve:
             solve_operating_point(src, 0.0)
         with pytest.raises(DomainError):
             solve_operating_point(src, 1.0, n_harmonics=4)
+
+    def test_rejects_nan_limit_and_nonfinite_controller(self):
+        src = make_source()
+        with pytest.raises(DomainError):
+            solve_operating_point(src, math.nan)
+        for z_c in (complex(math.nan, 0.0), complex(0.0, math.nan),
+                    complex(math.inf, 0.0), complex(1.0, math.inf)):
+            with pytest.raises(DomainError):
+                solve_operating_point(src, 1.0, z_c=z_c)
+
+    def test_infinite_limit_never_clips(self):
+        src = make_source(alpha=0.7)
+        base = matched_baseline(src)
+        sol = solve_operating_point(src, math.inf)
+        assert sol.converged and sol.iterations == 0
+        assert sol.factors.factors[1] == 1.0
+        assert sol.p_total == pytest.approx(base.p_matched, rel=1e-12)
 
     def test_custom_controller(self):
         src = make_source(alpha=0.5)

@@ -32,7 +32,13 @@ from wec_satlin import (
     smith_grid,
     z_from_gamma,
 )
-from wec_satlin.mismatch import PARETO_DTYPE, _nondominated, _pareto_candidates
+from wec_satlin.descfcn import linear_saturation_equivalent
+from wec_satlin.mismatch import (
+    PARETO_DTYPE,
+    _nondominated,
+    _pareto_candidates,
+    wrap_angle,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -440,3 +446,166 @@ class TestOperatingPoint:
         assert pt.power_ratio == pytest.approx(1.0 - abs(pt.gamma) ** 2)
         assert abs(gamma_from_z(pt.z) - pt.gamma) < 1e-14
         assert pt.epsilon == -1
+
+
+# Unit roundoff of binary64.
+U = 2.0**-53
+
+
+def scalar_grid():
+    """Seeded (alpha, gamma) grid for comparing the scalar and array paths.
+
+    alpha covers [-1000, 1000] with 0 and +-1; |gamma| includes 0, 1,
+    1 + 4e-10 and 1 + 5e-10.  The 1e-9 tolerance admits both and clamps them
+    to 1 in ``optimal_angle``; ``power_ratio`` applies it to |gamma|^2, which
+    admits 1 + 4e-10 (power 0) and puts 1 + 5e-10 on the bound to rounding.
+    """
+    rng = np.random.default_rng(7)
+    alphas = np.concatenate([[0.0, 1.0, -1.0, 1000.0, -1000.0],
+                             rng.uniform(-1000.0, 1000.0, 10),
+                             rng.uniform(-3.0, 3.0, 10)])
+    mags = np.concatenate([[0.0, 1.0, 1.0 + 4e-10, 1.0 + 5e-10],
+                           rng.uniform(0.0, 1.0, 26)])
+    gammas = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, mags.size))
+    return alphas, mags, gammas
+
+
+class TestScalarPath:
+    """Scalars go through ``math``; arrays keep the numpy evaluation."""
+
+    def test_power_ratio_agrees_with_array(self):
+        _, mags, gammas = scalar_grid()
+        gammas = gammas[mags != 1.0 + 5e-10]
+        arr = power_ratio(gammas)
+        for g, p in zip(gammas.tolist(), arr.tolist()):
+            # only |gamma|^2 differs (abs and the square may round
+            # differently): allow a few ulp of 1 + |gamma|^2
+            assert abs(power_ratio(g) - p) <= 4.0 * U * (1.0 + abs(g) ** 2)
+
+    def test_amplitude_ratio_agrees_with_array(self):
+        alphas, _, gammas = scalar_grid()
+        re, im, g2 = np.abs(gammas.real), np.abs(gammas.imag), np.abs(gammas) ** 2
+        for alpha in alphas.tolist():
+            for eps in (+1, -1):
+                arr = amplitude_ratio(gammas, alpha, eps)
+                num = g2 + 2.0 * eps * gammas.real + 1.0
+                den = alpha**2 * g2 + 2.0 * alpha * gammas.imag + 1.0
+                # |gamma|^2 may differ as above; allow a few ulp of the sum of
+                # the term magnitudes, where num and den may cancel
+                e_num = 4.0 * U * (1.0 + g2 + 2.0 * re)
+                e_den = 4.0 * U * (1.0 + alpha**2 * g2 + 2.0 * abs(alpha) * im)
+                lo = np.sqrt(np.maximum(num - e_num, 0.0) / (den + e_den))
+                hi = np.sqrt((num + e_num) / (den - e_den))
+                for k, g in enumerate(gammas.tolist()):
+                    r = amplitude_ratio(g, alpha, eps)
+                    # plus the division and square root on each side
+                    assert lo[k] * (1.0 - 4.0 * U) <= r <= hi[k] * (1.0 + 4.0 * U)
+                    assert lo[k] * (1.0 - 4.0 * U) <= arr[k] <= hi[k] * (1.0 + 4.0 * U)
+
+    def test_optimal_angle_agrees_with_array(self):
+        # Both paths form the atan and acos arguments with the same correctly
+        # rounded operations (squares as products), so only the libraries'
+        # atan and acos differ: allow 4 ulp of each result, plus one for the
+        # rounded quotient that the scalar path's atan2 does not take.  The
+        # atan result is doubled; then the sum and the two wrap additions
+        # round once each on each side, by at most half an ulp of 2 pi.
+        alphas, mags, _ = scalar_grid()
+        tol = (2.0 * 5.0 * math.ulp(math.pi / 2.0) + 4.0 * math.ulp(math.pi)
+               + 2.0 * 3.0 * 0.5 * math.ulp(2.0 * math.pi))
+        for alpha in alphas.tolist():
+            for eps in (+1, -1):
+                arr = optimal_angle(mags, alpha, eps)
+                for g, phi in zip(mags.tolist(), arr.tolist()):
+                    diff = optimal_angle(g, alpha, eps) - phi
+                    assert abs(math.remainder(diff, 2.0 * math.pi)) <= tol
+
+    def test_wrap_angle_matches_array_bit_for_bit(self):
+        # Python's float % and numpy's mod share the floor-mod rule
+        rng = np.random.default_rng(11)
+        special = [0.0, math.pi, -math.pi, 2.0 * math.pi, -3.0 * math.pi]
+        angles = np.concatenate([special, rng.uniform(-50.0, 50.0, 200)])
+        arr = wrap_angle(angles)
+        for a, w in zip(angles.tolist(), arr.tolist()):
+            assert wrap_angle(a) == w
+            assert -math.pi < w <= math.pi
+
+    @pytest.mark.parametrize("wrap", [lambda x: x, np.array], ids=["scalar", "array"])
+    def test_same_exceptions_as_array(self, wrap):
+        with pytest.raises(DomainError):
+            power_ratio(wrap(1.0 + 2e-9))
+        with pytest.raises(DomainError):
+            optimal_angle(wrap(1.0 + 2e-9), 1.0, +1)
+        with pytest.raises(DomainError):
+            optimal_angle(wrap(-0.1), 1.0, -1)
+        for eps in (+1, -1):
+            with pytest.raises(SingularityError):
+                amplitude_ratio(wrap(-0.5j), 2.0, eps)  # gamma = -i/alpha
+        with pytest.raises(DomainError):
+            amplitude_ratio(wrap(0.1), 1.0, 0)
+        with pytest.raises(DomainError):
+            optimal_angle(wrap(0.1), 1.0, 0)
+
+    @pytest.mark.parametrize("value", [0, 0.5, np.float64(0.5), np.array(0.5)],
+                             ids=["int", "float", "float64", "0-d"])
+    def test_scalar_types_return_python_float(self, value):
+        assert type(power_ratio(value)) is float
+        assert type(amplitude_ratio(value, 2.0, -1)) is float
+        assert type(optimal_angle(value, 2.0, +1)) is float
+        assert type(wrap_angle(value)) is float
+
+    def test_complex_scalars(self):
+        for g in (0.3 + 0.4j, np.complex128(0.3 + 0.4j), np.array(0.3 + 0.4j)):
+            assert type(power_ratio(g)) is float
+            assert type(amplitude_ratio(g, 2.0, -1)) is float
+        assert type(gamma_for_amplitude_target(0.4, 2.0, -1)) is complex
+
+    def test_nan_scalar_is_rejected(self):
+        nan = math.nan
+        for g in (nan, complex(nan, 0.0), complex(0.0, nan), np.array(nan)):
+            with pytest.raises(DomainError):
+                power_ratio(g)
+            with pytest.raises(DomainError):
+                amplitude_ratio(g, 1.0, +1)
+        with pytest.raises(DomainError):
+            amplitude_ratio(0.1, nan, -1)
+        with pytest.raises(DomainError):
+            optimal_angle(nan, 1.0, +1)
+        with pytest.raises(DomainError):
+            optimal_angle(0.5, nan, -1)
+
+    def test_cancelled_atan_denominator(self):
+        # at g = 0, sigma + eps alpha (1 + g^2) = sqrt(1 + a^2) - |a| rounds
+        # to 0 once |alpha| > 2^26.5; the angle is then the limit +-pi/2
+        for alpha in (1e8, -1e9):
+            eps = -1 if alpha > 0 else +1
+            expected = math.copysign(math.pi / 2.0, alpha)
+            assert optimal_angle(0.0, alpha, eps) == pytest.approx(expected)
+            assert gamma_for_amplitude_target(1.0, alpha, eps) == 0.0
+
+    def test_nan_array_entries_give_nan(self):
+        g = np.array([math.nan, 0.5])
+        assert np.isnan(power_ratio(g)[0]) and power_ratio(g)[1] == 0.75
+        assert np.isnan(amplitude_ratio(g, 1.0, +1)[0])
+        assert np.isnan(optimal_angle(g, 1.0, +1)[0])
+
+    def test_scalar_path_does_not_touch_numpy(self, monkeypatch):
+        # a timing-free guard: routing a scalar back through numpy fails here
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"scalar path used numpy.{name}")
+
+        import wec_satlin.descfcn
+        import wec_satlin.mismatch
+
+        src = TheveninSource(v_th=2.0 + 0.5j, z_th=1.0 + 2.0j)
+        i_max = 0.4 * matched_baseline(src).i_peak_matched
+        monkeypatch.setattr(wec_satlin.mismatch, "np", NoNumpy())
+        monkeypatch.setattr(wec_satlin.descfcn, "np", NoNumpy())
+        assert power_ratio(0.3 + 0.4j) == pytest.approx(0.75)
+        assert amplitude_ratio(0.3 + 0.2j, 2.0, -1) == pytest.approx(0.4779626302)
+        assert -math.pi < optimal_angle(0.4, 2.0, -1) <= math.pi
+        assert wrap_angle(4.0) == pytest.approx(4.0 - 2.0 * math.pi)
+        gamma = gamma_for_amplitude_target(0.4, 2.0, -1)
+        assert amplitude_ratio(gamma, 2.0, -1) == pytest.approx(0.4)
+        pt = linear_saturation_equivalent(src, i_max)
+        assert pt.i_ratio == pytest.approx(0.4)
