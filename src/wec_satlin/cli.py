@@ -56,14 +56,20 @@ def fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _column_cells(column) -> tuple[str, list]:
-    """printf spec and cell values of one CSV column, chosen by its numpy dtype.
+def _column_cells(column) -> tuple[str, list | None]:
+    """printf spec and cell values of one CSV column.
 
-    Bool and integer columns print as ``%d`` and float columns as ``%.12g``,
-    which is the text :func:`fmt` gives each cell (``inf``, ``nan`` and
-    ``-0`` included); any other column goes through :func:`fmt` cell by cell.
+    A list of ``str`` prints as ``%s``; a scalar, the same on every row, has
+    its :func:`fmt` text in the spec and no cells.  Otherwise bool and integer
+    dtypes print as ``%d`` and floats as ``%.12g``, the text :func:`fmt` gives
+    each cell (``inf``, ``nan`` and ``-0`` included); any other column goes
+    through :func:`fmt` cell by cell.
     """
+    if isinstance(column, list) and set(map(type, column)) <= {str}:
+        return "%s", column
     arr = np.asarray(column)
+    if arr.ndim == 0:
+        return fmt(column).replace("%", "%%"), None
     if arr.dtype.kind in "biu":
         return "%d", arr.tolist()
     if arr.dtype.kind == "f":
@@ -71,21 +77,25 @@ def _column_cells(column) -> tuple[str, list]:
     return "%s", [fmt(v) for v in column]
 
 
-def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length ``columns`` under ``header``, formatted column-wise.
+def _format_rows(columns) -> str:
+    """Text of ``columns``, one line per row, formatted column-wise.
 
-    One row template built from the column dtypes is applied to all cells in
+    One row template built from the column kinds is applied to all cells in
     a single ``%``, so the bytes match a per-cell :func:`fmt` join.
     """
     specs, cells = zip(*map(_column_cells, columns))
-    n_rows = len(cells[0])
-    if any(len(c) != n_rows for c in cells):
-        raise ValueError("CSV columns differ in length")
+    cells = [c for c in cells if c is not None]
+    if len({len(c) for c in cells}) != 1:
+        raise ValueError("CSV columns differ in length, or none holds cells")
     row = ",".join(specs) + "\n"
-    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    return row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells)))
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write ``columns`` under ``header``; see :func:`_column_cells` for the kinds."""
+    text = ",".join(header) + "\n" + _format_rows(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row * n_rows % flat)
+        fh.write(text)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -148,10 +158,13 @@ def cmd_smith(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
         "v_exceeds_one", "i_exceeds_one",
     ]
     total = 0
+    shared = None  # gamma and power_ratio text, the same for every alpha
     for alpha in cfg.alphas:
         grid = smith_grid(alpha, cfg.smith_resolution, cfg.smith_angular)
-        columns = [np.full(len(grid), alpha), grid["gamma"].real, grid["gamma"].imag]
-        columns += [grid[name] for name in header[3:]]
+        if shared is None:
+            cols = [grid["gamma"].real, grid["gamma"].imag, grid["power_ratio"]]
+            shared = _format_rows(cols).splitlines()
+        columns = [alpha, shared] + [grid[name] for name in header[4:]]
         total += len(grid)
         tag = _alpha_tag(alpha)
         write_csv(_out_path(out_dir, f"smith_alpha_{tag}.csv"), header, columns)

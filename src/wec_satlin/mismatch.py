@@ -195,20 +195,21 @@ def power_ratio(gamma) -> float:
 
     Accepts a complex scalar (see the module notes) or array.  Magnitudes above
     one (an active load, which would return power to the source) are rejected;
-    a 1e-9 tolerance admits unit-magnitude values that round-tripped through
-    the 12-significant-digit CSV emission, clamping their power at zero.
+    a 1e-9 tolerance on re^2 + im^2, shared with :func:`optimal_angle`, admits
+    unit-magnitude values that round-tripped through the 12-significant-digit
+    CSV emission, clamping their power at zero.
     """
     if _is_scalar(gamma):
-        g2 = abs(complex(gamma)) ** 2
-        if not g2 <= 1.0 + 1e-9:
+        z = complex(gamma)
+        if not z.real * z.real + z.imag * z.imag <= 1.0 + 1e-9:
             raise DomainError(f"|gamma| must not exceed 1, got {gamma}")
-        return max(1.0 - g2, 0.0)
-    g2 = np.abs(np.asarray(gamma)) ** 2
+        return max(1.0 - abs(z) ** 2, 0.0)
+    g2 = np.real(gamma) ** 2 + np.imag(gamma) ** 2  # numpy squares as x * x
     if np.any(g2 > 1.0 + 1e-9):
         raise DomainError(
-            f"|gamma| must not exceed 1 (max found {float(np.max(np.sqrt(g2)))})"
+            f"|gamma| must not exceed 1 (max found {float(np.sqrt(np.max(g2)))})"
         )
-    return np.maximum(1.0 - g2, 0.0)
+    return np.maximum(1.0 - np.abs(gamma) ** 2, 0.0)
 
 
 def _ratio_num_den(gamma, alpha: float, epsilon: int):
@@ -264,6 +265,8 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
     using principal branches throughout.  The result is wrapped to
     (-pi, pi].  At g = 0 the ratio is angle-independent and the formula's
     limit (pi for eps = +1, 0 for eps = -1 when alpha = 0) is returned.
+    ``gamma_mag`` may exceed one by the tolerance of :func:`power_ratio`, which
+    applies to g^2, and is then clamped to one.
 
     Accepts scalar or array ``gamma_mag`` (see the module notes on scalars).
     """
@@ -271,7 +274,7 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
     if _is_scalar(gamma_mag):
         g = float(gamma_mag)
-        if not 0.0 <= g <= 1.0 + 1e-9 or math.isnan(alpha):
+        if not (0.0 <= g and g * g <= 1.0 + 1e-9) or math.isnan(alpha):
             raise DomainError(f"need |gamma| in [0, 1] and alpha not NaN: {g}, {alpha}")
         g = min(g, 1.0)
         # x * x as numpy squares; sigma + eps a q cancels, to 0 at g = 0 when |a| > 1e8
@@ -280,12 +283,13 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
         half = 2.0 * math.atan2(p, sigma + epsilon * alpha * q)
         cosarg = min(max(-2.0 * alpha * g / sigma, -1.0), 1.0)
         return wrap_angle(half + epsilon * math.acos(cosarg))
-    g = np.minimum(np.asarray(gamma_mag, dtype=float), 1.0)
-    if np.any(g < 0.0) or np.any(np.asarray(gamma_mag) > 1.0 + 1e-9):
+    g = np.asarray(gamma_mag, dtype=float)
+    if np.any(g < 0.0) or np.any(g * g > 1.0 + 1e-9):
         raise DomainError(f"gamma magnitude must lie in [0, 1], got {gamma_mag}")
+    g = np.minimum(g, 1.0)
     a2g2 = alpha**2 * g**2
     sigma = np.sqrt((a2g2 + 1.0) ** 2 + alpha**2 * (g**2 + 1.0) ** 2)
-    half = 2.0 * np.arctan((a2g2 + 1.0) / (sigma + epsilon * alpha * (1.0 + g**2)))
+    half = 2.0 * np.arctan2(a2g2 + 1.0, sigma + epsilon * alpha * (1.0 + g**2))
     cosarg = np.clip(-2.0 * alpha * g / sigma, -1.0, 1.0)
     return wrap_angle(half + epsilon * np.arccos(cosarg))
 
@@ -440,7 +444,9 @@ def smith_grid(alpha: float, resolution: int = 101, n_angular: int = 360) -> np.
     as usual.  At gamma = -epsilon the voltage (epsilon = +1) or current
     (epsilon = -1) ratio vanishes, and a cell within rounding of it carries 0
     or a small value.  Rows are ordered radius-major, angle-minor,
-    deterministically.
+    deterministically.  ``gamma`` and ``power_ratio`` do not depend on
+    ``alpha``: they are the same bit for bit, signed zeros included, for
+    every alpha at a given resolution.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution}")

@@ -9,6 +9,7 @@ run that shooting to the periodic orbit replaced.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +89,11 @@ def fmt_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
+
+
+def csv_rows(columns):
+    """Rows of ``write_csv`` columns, a scalar column repeated on every row."""
+    return zip(*(itertools.repeat(c) if np.ndim(c) == 0 else c for c in columns))
 
 
 def write_csv_rowwise(path, header, rows) -> None:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import level_crossings_loop, write_csv_rowwise
+from oracles import csv_rows, level_crossings_loop, write_csv_rowwise
 from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_grid
 from wec_satlin import solve_operating_point
 from wec_satlin import cli, svg
@@ -468,6 +468,8 @@ EMISSION_CASES = {
     "matched_value": [("omega", "alpha", "haskind_consistent", "r_cal", "l_cal"),
                       (1.0, np.float64(-0.25), True, 5e-324, False)],
     "no_rows": [[], np.array([], dtype=bool)],
+    "scalars_and_rendered_text": [-1.5, ["1,2", "%s", "-0"], np.array([0.5, 1e-7, -0.0]),
+                                  "50%", np.float64(1e-7), True, ["x", 1.0 / 3.0, False]],
 }
 
 
@@ -479,7 +481,7 @@ class TestEmissionContract:
         columns = EMISSION_CASES[case]
         header = [f"c{k}" for k in range(len(columns))]
         cli.write_csv(tmp_path / "new.csv", header, columns)
-        write_csv_rowwise(tmp_path / "oracle.csv", header, zip(*columns))
+        write_csv_rowwise(tmp_path / "oracle.csv", header, csv_rows(columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_write_csv_rejects_ragged_columns(self, tmp_path):
@@ -493,7 +495,7 @@ class TestEmissionContract:
         def checked(path, header, columns):
             real(path, header, columns)
             oracle = f"{path}.oracle"
-            write_csv_rowwise(oracle, header, zip(*columns))
+            write_csv_rowwise(oracle, header, csv_rows(columns))
             with open(path, "rb") as fa, open(oracle, "rb") as fb:
                 assert fa.read() == fb.read(), path
             written.append(os.path.basename(path))
@@ -511,6 +513,40 @@ class TestEmissionContract:
         for command in ("matched", "smith", "pareto", "fsat", "saturate", "verify"):
             assert main([command, "--config", str(cfg), "--out", out]) in (0, 3)
         assert len(written) == 9
+
+    def test_smith_default_size_matches_per_cell_join(self, tmp_path, monkeypatch):
+        # the gamma and power_ratio text is rendered once and shared by all
+        # alphas; each file must still equal a per-cell rendering of its grid
+        real = cli.write_csv
+        calls = []
+
+        def counting(path, header, columns):
+            calls.append(os.path.basename(path))
+            real(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", counting)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            MINIMAL_PLANT + "\n[sweep]\nalphas = -1.5, 0, 1e-07, 5\n"
+            + "smith_resolution = 101\nsmith_angular = 360\n"
+        )
+        assert main(["smith", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        tags = {-1.5: "m1p5", 0.0: "0", 1e-7: "1em07", 5.0: "5"}
+        assert calls == [f"smith_alpha_{tag}.csv" for tag in tags.values()]
+        for alpha, tag in tags.items():
+            grid = smith_grid(alpha, 101, 360)
+            gamma = grid["gamma"]
+            columns = [gamma.real, gamma.imag, grid["power_ratio"], grid["v_ratio"],
+                       grid["i_ratio"], grid["v_exceeds_one"], grid["i_exceeds_one"]]
+            rows = ((alpha, *row) for row in zip(*(c.tolist() for c in columns)))
+            header = ["alpha", "gamma_re", "gamma_im", "power_ratio", "v_ratio",
+                      "i_ratio", "v_exceeds_one", "i_exceeds_one"]
+            write_csv_rowwise(tmp_path / "oracle.csv", header, rows)
+            emitted = (tmp_path / f"smith_alpha_{tag}.csv").read_bytes()
+            assert emitted == (tmp_path / "oracle.csv").read_bytes(), tag
+        # the alpha = 5 grid holds the singular cell at gamma = -0.2i
+        line = emitted.decode().splitlines()[1 + 20 * 360 + 90].split(",")
+        assert line[2] == "-0.2" and float(line[4]) > 1e6
 
     @pytest.mark.parametrize("size", [(21, 72), (101, 360)])
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 5.0])

@@ -430,6 +430,16 @@ class TestSmithGrid:
             line = fh.read().splitlines()[307]
         assert line.split(",")[4:6] == ["68437881.4142", "68437881.4142"]
 
+    def test_gamma_and_power_ratio_do_not_depend_on_alpha(self):
+        # the CLI renders these columns once for all alphas of a smith run
+        base = smith_grid(0.0, resolution=21, n_angular=72)
+        for alpha in (1.0, 2.0, 5.0, -3.3, 1e-7, -1.5, 1e8):
+            grid = smith_grid(alpha, resolution=21, n_angular=72)
+            for key in ("gamma", "power_ratio"):
+                # bytes, so that -0.0 and 0.0 count as different
+                assert grid[key].tobytes() == base[key].tobytes()
+        assert np.signbit(base["gamma"].imag).any() and (base["gamma"].imag == 0.0).any()
+
     def test_deterministic(self):
         a = smith_grid(2.0, resolution=21, n_angular=36)
         b = smith_grid(2.0, resolution=21, n_angular=36)
@@ -456,9 +466,10 @@ def scalar_grid():
     """Seeded (alpha, gamma) grid for comparing the scalar and array paths.
 
     alpha covers [-1000, 1000] with 0 and +-1; |gamma| includes 0, 1,
-    1 + 4e-10 and 1 + 5e-10.  The 1e-9 tolerance admits both and clamps them
-    to 1 in ``optimal_angle``; ``power_ratio`` applies it to |gamma|^2, which
-    admits 1 + 4e-10 (power 0) and puts 1 + 5e-10 on the bound to rounding.
+    1 + 4e-10 and 1 + 5e-10.  Both functions apply the 1e-9 tolerance to
+    |gamma|^2, which admits 1 + 4e-10 (power 0, angle clamped to |gamma| = 1)
+    and puts 1 + 5e-10 on the bound: exactly for ``optimal_angle``, to the
+    rounding of re^2 + im^2 for ``power_ratio``.
     """
     rng = np.random.default_rng(7)
     alphas = np.concatenate([[0.0, 1.0, -1.0, 1000.0, -1000.0],
@@ -481,6 +492,23 @@ class TestScalarPath:
             # only |gamma|^2 differs (abs and the square may round
             # differently): allow a few ulp of 1 + |gamma|^2
             assert abs(power_ratio(g) - p) <= 4.0 * U * (1.0 + abs(g) ** 2)
+
+    def test_power_ratio_bound_agrees_with_array(self):
+        # |gamma| = 1 + 5e-10 puts |gamma|^2 on the 1e-9 bound to rounding:
+        # both paths must reject exactly the same angles
+        theta = np.random.default_rng(5).uniform(-np.pi, np.pi, 4000)
+        raised = set()
+        for g in ((1.0 + 5e-10) * np.exp(1j * theta)).tolist():
+            outcome = []
+            for value in (g, np.array([g])):
+                try:
+                    power_ratio(value)
+                    outcome.append(False)
+                except DomainError:
+                    outcome.append(True)
+            assert outcome[0] == outcome[1], g
+            raised.add(outcome[0])
+        assert raised == {False, True}
 
     def test_amplitude_ratio_agrees_with_array(self):
         alphas, _, gammas = scalar_grid()
@@ -581,6 +609,14 @@ class TestScalarPath:
             expected = math.copysign(math.pi / 2.0, alpha)
             assert optimal_angle(0.0, alpha, eps) == pytest.approx(expected)
             assert gamma_for_amplitude_target(1.0, alpha, eps) == 0.0
+
+    def test_cancelled_atan_denominator_on_arrays(self):
+        # the array path takes the same limit, without dividing by zero
+        for alpha, eps in ((1e8, -1), (-1e9, +1)):
+            phi = optimal_angle(np.array([0.0, 0.5]), alpha, eps)
+            assert phi[0] == pytest.approx(math.copysign(math.pi / 2.0, alpha))
+            assert phi[1] == pytest.approx(optimal_angle(0.5, alpha, eps), abs=1e-15)
+        assert pareto_front(1e8, 11)[0].tolist() == (1.0, 1.0, 1.0)
 
     def test_nan_array_entries_give_nan(self):
         g = np.array([math.nan, 0.5])
