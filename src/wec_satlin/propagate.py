@@ -64,8 +64,8 @@ class Branch:
     """One branch y' = a y with two output rows, such as a current and a
     voltage, read off the state as ``i_row @ y`` and ``v_row @ y``.
 
-    ``powers`` stacks E, E^2, ..., E^steps for E = expm(a dt), so the next
-    ``m`` samples from y are ``powers[:m] @ y``; ``taylor`` stacks a^k / k!.
+    ``powers`` stacks E, E^2, ..., E^steps for E = expm(a dt), so samples
+    j + 1 .. m from y are ``powers[j:m] @ y``; ``taylor`` stacks a^k / k!.
     """
 
     a: np.ndarray
@@ -76,9 +76,15 @@ class Branch:
 
     @classmethod
     def build(cls, a, i_row, v_row, dt: float, steps: int) -> "Branch":
-        powers = flow(a, dt)[None]
-        while len(powers) < steps:  # doubling: E^(j+m) = E^j E^m
-            powers = np.concatenate([powers, powers[: steps - len(powers)] @ powers[-1]])
+        """The branch of generator ``a`` sampled every ``dt``, with ``steps``
+        powers of its one-step flow, filled in place by doubling."""
+        powers = np.empty((steps, len(a), len(a)))
+        powers[0] = flow(a, dt)
+        done = 1
+        while done < steps:  # doubling: E^(j+L) = E^j E^L
+            m = min(done, steps - done)
+            np.matmul(powers[:m], powers[done - 1], out=powers[done : done + m])
+            done += m
         taylor = [np.eye(len(a))]
         for k in _ORDERS[1:]:
             taylor.append(taylor[-1] @ a / k)
@@ -100,14 +106,15 @@ class Branch:
             return terms.sum(axis=0)
         return flow(self.a, h)
 
-    def locate(self, y0, y_hi, h, guard, level, tol):
+    def locate(self, at, y0, y_hi, h, guard, level, tol):
         """Time in (0, h] where ``guard @ y - level`` turns positive, and the
-        state there; it is not positive at ``y0`` and positive at ``y_hi``.
+        state there, along ``at = path(y0, h)``; the guard is not positive
+        at ``y0`` and positive at ``y_hi``.  The caller passes the path, so
+        one built for a whole sub-step serves every search over it.
 
         Newton's method from the secant guess, kept inside the bracket,
         until the bracket is ``tol`` wide; its positive end is returned.
         """
-        at = self.path(y0, h)
         slope = guard @ self.a
         lo, hi = 0.0, h
         g_lo, g_hi = guard @ y0 - level, guard @ y_hi - level

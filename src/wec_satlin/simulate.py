@@ -56,11 +56,12 @@ class SimConfig:
     """Sampling, period cap and steady-state settings.
 
     Propagation is exact whatever the step, so ``steps_per_period`` sets the
-    sampling and DFT resolution, not stability.  ``n_periods`` caps the
-    periods the shooting may run.  ``transient_periods`` is no longer used;
-    it is kept, and must stay below ``n_periods``, so that existing configs
-    still load.  ``convergence_tol`` bounds the periodicity residual of a
-    converged run; shooting itself goes on to 1e-12 where it can.
+    sampling and DFT resolution, not stability.  ``n_periods``, at least 1,
+    caps the periods the shooting may run.  ``transient_periods`` is no
+    longer used; it is kept, and must stay below ``n_periods``, so that
+    existing configs still load.  ``convergence_tol`` bounds the periodicity
+    residual of a converged run; shooting itself goes on to 1e-12 where it
+    can.
     ``algebraic_loop_tol`` is the clip switch-time tolerance relative to the
     step.  Both tolerances must be positive.
     """
@@ -74,6 +75,8 @@ class SimConfig:
     def __post_init__(self):
         if self.steps_per_period < 100:
             raise DomainError("need at least 100 steps per period")
+        if self.n_periods < 1:
+            raise DomainError(f"n_periods must be at least 1, got {self.n_periods}")
         if self.n_periods <= self.transient_periods:
             raise DomainError("n_periods must exceed transient_periods")
         for key in ("convergence_tol", "algebraic_loop_tol"):
@@ -145,6 +148,7 @@ class ValidationReport:
 
 
 _MAX_EVENTS = 8  # clip switches allowed within one step
+_WINDOW = 256  # steps sampled at a time while scanning for the next switch
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
 
@@ -276,15 +280,17 @@ class _Loop:
         y[self.sigma] = math.copysign(self.i_max, current)
         return y, True
 
-    def first_candidate(self, rail: bool, ys, cur) -> int:
+    def first_candidate(self, rail: bool, ys, cur, lead: int = 0) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
         that may hold a switch: it ends outside the branch, or its guard's
-        slope changes sign.  The number of steps if none does."""
+        slope changes sign.  The number of steps if none does.  With
+        ``lead`` 1 the guard products also take ``ys[0]``, so that one step
+        rounds as a longer run does (see :meth:`period`)."""
         if self.rail is None:
             return len(ys) - 1
         if rail:
             row = self.release
-            out = np.sign(ys[1:, self.sigma]) * (ys[1:] @ row) < 0.0
+            out = np.sign(ys[1:, self.sigma]) * (ys[1 - lead :] @ row)[lead:] < 0.0
         else:
             row = self.free.i_row
             out = np.abs(cur[1:]) > self.i_max
@@ -300,7 +306,8 @@ class _Loop:
         from rising to falling is checked at its located peak.
         """
         br = self.branch(rail)
-        y_end = br.path(y, h)(h)
+        at = br.path(y, h)
+        y_end = at(h)
         if rail:  # positive once the command current is back inside
             guards = [(self.release, -np.sign(y[self.sigma]), 0.0)]
         else:
@@ -313,10 +320,12 @@ class _Loop:
                 slope = guard @ br.a
                 if not slope @ y > 0.0 > slope @ y_end:
                     continue
-                hi, y_hi = br.locate(y, y_end, h, -slope, 0.0, tol)
+                hi, y_hi = br.locate(at, y, y_end, h, -slope, 0.0, tol)
                 if not sign * (row @ y_hi) - level > 0.0:
                     continue
-            tau, y_tau = br.locate(y, y_hi, hi, guard, level, tol)
+            # a path over a shorter bracket rounds differently: build it anew
+            path = at if hi == h else br.path(y, hi)
+            tau, y_tau = br.locate(path, y, y_hi, hi, guard, level, tol)
             if first is None or tau < first[0]:
                 first = (tau, y_tau, sign)
         return y_end, first
@@ -363,7 +372,18 @@ class _Loop:
 
         Whole-step runs advance by powers of the one-step flow, steps that
         may hold a switch by :meth:`cross`; the monodromy matrix is the
-        product of their flows and saltation matrices.
+        product of their flows and saltation matrices.  A run is scanned
+        forward from its start ``ys[k]`` in windows of ``_WINDOW`` steps,
+        each the next rows of the powers stack times ``ys[k]``, and the scan
+        stops at the first window that holds a candidate.  Each window after
+        the first starts at the last sample of the one before, so every pair
+        of neighbouring samples is checked.
+
+        numpy rounds a one-row product as a dot product, and a longer one
+        row by row as a matrix-vector product.  The row products of a window
+        therefore also take the sample before it, so every sample rounds as
+        in one product over the whole rest of the period, which has one row
+        only when one step is left.
         """
         steps, n, dt = len(self.free.powers), self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
@@ -383,10 +403,19 @@ class _Loop:
         k = 0
         while k < steps:
             br = self.branch(rail)
-            flat = br.powers[: steps - k].reshape(-1, n) @ ys[k]  # one GEMV
-            ys[k + 1 :] = flat.reshape(-1, n)
-            cur[k + 1 :] = ys[k + 1 :] @ br.i_row
-            m = self.first_candidate(rail, ys[k:], cur[k:])
+            rest = steps - k
+            lead = int(rest > 1)  # row products take the sample before a window
+            m = 0  # whole steps from ys[k] before the first candidate
+            while m < rest:
+                lo, m = m, min(m + _WINDOW, rest)
+                flat = br.powers[lo:m].reshape(-1, n) @ ys[k]  # one GEMV
+                ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
+                cur[k + 1 + lo : k + 1 + m] = (ys[k + 1 + lo - lead : k + 1 + m] @ br.i_row)[lead:]
+                seen = slice(k + lo, k + 1 + m)
+                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], lead)
+                if hit < m:
+                    m = hit
+                    break
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             if m:
                 jac = br.powers[m - 1] @ jac

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: direct phasor
 circuit solutions, quadrature of clipped waveforms, brute-force sweeps,
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
 filter, the root-finders the bracketed Illinois solve replaced, the
-fixed-step RK4 integrator the exact referee replaced, and the fixed-horizon
-run that shooting to the periodic orbit replaced.
+fixed-step RK4 integrator the exact referee replaced, the fixed-horizon
+run that shooting to the periodic orbit replaced, and the concatenating
+doubling the in-place power stack replaced.
 """
 
 import cmath
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wec_satlin.descfcn import saturation_factor
+from wec_satlin.propagate import flow
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
@@ -630,3 +632,12 @@ def simulate_horizon(
         dt=dt,
         period_powers=period_powers,
     )
+
+
+def powers_by_concatenation(a, dt: float, steps: int) -> np.ndarray:
+    """E, E^2, ..., E^steps for E = flow(a, dt), grown by doubling
+    E^(j+L) = E^j E^L with one new array per doubling."""
+    powers = flow(a, dt)[None]
+    while len(powers) < steps:
+        powers = np.concatenate([powers, powers[: steps - len(powers)] @ powers[-1]])
+    return powers

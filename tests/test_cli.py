@@ -230,6 +230,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "convergence_tol must be positive" in err
 
+    def test_no_period_to_run_is_config_error(self, tmp_path, capsys):
+        # a cap of 0 periods left simulate with no period to extract
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sim]\nn_periods = 0\ntransient_periods = -1\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_periods must be at least 1" in err
+
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(MINIMAL_PLANT.replace("m = 6.0e4", "m = nan"))

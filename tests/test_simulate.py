@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from conftest import random_plant, random_load
-from oracles import circuit_solution, dump_waveforms_rowwise, simulate_horizon, simulate_rk4
+from oracles import (
+    circuit_solution,
+    dump_waveforms_rowwise,
+    powers_by_concatenation,
+    simulate_horizon,
+    simulate_rk4,
+)
 from wec_satlin import (
     DomainError,
     SimConfig,
@@ -30,11 +37,27 @@ from wec_satlin.propagate import Branch, expm, flow
 from wec_satlin.simulate import _Loop
 from wec_satlin.wec import WecPlant
 
+simulate_mod = importlib.import_module("wec_satlin.simulate")
+
+# (l_w, controller reactance / resistance) of the five realizations of the
+# loop on the low-pass plant: series stiffness with and without a winding,
+# series inductance, and a resistive controller with and without a winding
+REALIZATIONS = [
+    pytest.param(0.0, -0.5, id="pi"),
+    pytest.param(0.004, -0.5, id="pi-winding"),
+    pytest.param(0.0, 0.5, id="ind"),
+    pytest.param(0.0, 0.0, id="res"),
+    pytest.param(0.004, 0.0, id="res-winding"),
+]
+
 
 class TestSimConfig:
     def test_guards(self):
         with pytest.raises(DomainError):
             SimConfig(steps_per_period=50)
+        for n_periods in (0, -3):  # no period to extract the result from
+            with pytest.raises(DomainError, match="n_periods must be at least 1"):
+                SimConfig(n_periods=n_periods, transient_periods=n_periods - 1)
         with pytest.raises(DomainError):
             SimConfig(n_periods=10, transient_periods=10)
         for key in ("convergence_tol", "algebraic_loop_tol"):
@@ -403,20 +426,35 @@ def _waveform_gap(coarse, fine, stride):
     )
 
 
+def _enter_and_release_row(lowpass_plant, l_w):
+    """(plant, z_c, i_max, cfg, unclipped run) at 100 steps per period whose
+    clip is entered and released inside one step, twice a period: half a
+    step of phase puts each current peak midway between samples, and the
+    clip lies 1e-4 below the peak."""
+    steps = 100
+    plant = dataclasses.replace(
+        lowpass_plant, l_w=l_w, f_e=lowpass_plant.f_e * cmath.exp(1j * math.pi / steps)
+    )
+    z_c = plant.z_thevenin().conjugate()
+    cfg = SimConfig(steps_per_period=steps, n_periods=30, transient_periods=20)
+    free = simulate(plant, z_c, cfg=cfg)
+    return plant, z_c, 0.9999 * abs(free.harmonic_currents[0]), cfg, free
+
+
+def _grazing_row(l_w):
+    """(plant, z_c, i_max) of the reactive plant with i_max equal to the
+    matched peak: the steady current touches the limit tangentially every
+    half period."""
+    plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=l_w))
+    src = thevenin_from_plant(plant)
+    return plant, src.z_th.conjugate(), matched_baseline(src).i_peak_matched
+
+
 class TestClipEvents:
     @pytest.mark.parametrize("l_w", [0.0, 0.004])
     def test_enter_and_release_inside_one_step(self, lowpass_plant, l_w):
-        # half a step of phase puts each current peak midway between
-        # samples; a clip 1e-4 below it lasts under half a step
-        steps = 100
-        plant = dataclasses.replace(
-            lowpass_plant, l_w=l_w, f_e=lowpass_plant.f_e * cmath.exp(1j * math.pi / steps)
-        )
-        z_c = plant.z_thevenin().conjugate()
-        coarse_cfg = SimConfig(steps_per_period=steps, n_periods=30, transient_periods=20)
-        fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=4 * steps)
-        free = simulate(plant, z_c, cfg=coarse_cfg)
-        i_max = 0.9999 * abs(free.harmonic_currents[0])
+        plant, z_c, i_max, coarse_cfg, free = _enter_and_release_row(lowpass_plant, l_w)
+        fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=400)
         coarse = simulate(plant, z_c, i_max=i_max, cfg=coarse_cfg)
         fine = simulate(plant, z_c, i_max=i_max, cfg=fine_cfg)
         assert coarse.peak_current < i_max  # no coarse sample on the rail
@@ -424,37 +462,131 @@ class TestClipEvents:
         assert _waveform_gap(coarse, free, 1) > 1e-8  # so the clip was seen
         assert _waveform_gap(coarse, fine, 4) < 1e-10
 
+    @pytest.mark.parametrize("l_w", [0.0, 0.004])
+    def test_reused_sub_step_path_moves_no_bit(self, lowpass_plant, monkeypatch, l_w):
+        # the peak search and the switch search share the sub-step's path;
+        # a search over a bracket the peak shortened needs its own
+        plant, z_c, i_max, cfg, _ = _enter_and_release_row(lowpass_plant, l_w)
+        shared = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+        locate = Branch.locate
+
+        def own_path(self, at, y0, y_hi, h, *args):
+            return locate(self, self.path(y0, h), y0, y_hi, h, *args)
+
+        monkeypatch.setattr(Branch, "locate", own_path)
+        fresh = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+        assert _result_bits(shared) == _result_bits(fresh)
+
     @pytest.mark.parametrize("l_w", [0.0, 0.005])
     def test_grazing_full_fraction_row(self, l_w):
-        # i_max equal to the matched peak: the steady current touches the
-        # limit tangentially every half period
-        plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=l_w))
-        src = thevenin_from_plant(plant)
-        i_max = matched_baseline(src).i_peak_matched
+        plant, z_c, i_max = _grazing_row(l_w)
         coarse_cfg = SimConfig(steps_per_period=400, n_periods=30, transient_periods=20)
         fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=1600)
-        coarse = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=coarse_cfg)
-        fine = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=fine_cfg)
+        coarse = simulate(plant, z_c, i_max=i_max, cfg=coarse_cfg)
+        fine = simulate(plant, z_c, i_max=i_max, cfg=fine_cfg)
         assert coarse.peak_current <= i_max and fine.peak_current <= i_max
         assert coarse.converged and fine.converged
         assert coarse.p_avg == pytest.approx(fine.p_avg, rel=1e-8)
         assert _waveform_gap(coarse, fine, 4) < 1e-9
 
 
+class TestPowerStack:
+    @pytest.mark.parametrize("steps", [100, 600, 2000, 2001])
+    @pytest.mark.parametrize(
+        "l_w, reactance", REALIZATIONS + [pytest.param(1e-6, -0.5, id="stiff-winding")]
+    )
+    def test_matches_concatenating_doubling(self, lowpass_plant, l_w, reactance, steps):
+        plant = dataclasses.replace(lowpass_plant, l_w=l_w)
+        z_th = plant.z_thevenin()
+        dt = 2.0 * math.pi / plant.omega / steps
+        loop = _Loop(plant, complex(z_th.real, reactance * z_th.real), 1e3, dt, steps)
+        for br in (loop.free, loop.rail):
+            assert br.powers.shape == (steps, loop.n, loop.n)
+            assert np.array_equal(br.powers, powers_by_concatenation(br.a, dt, steps))
+
+
+def _result_bits(res):
+    """Every field a windowed scan could move, in a form == compares bit
+    for bit (the residual and powers are finite here)."""
+    return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents, res.period_powers,
+            res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
+
+
+class TestWindowedScan:
+    """The period scan in windows of ``_WINDOW`` steps against one window
+    over the whole rest of the period."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [pytest.param(("grazing", l_w), id=f"grazing-{l_w}") for l_w in (0.0, 0.005)]
+        + [pytest.param(("enter-release", l_w), id=f"enter-release-{l_w}")
+           for l_w in (0.0, 0.004)]
+        + [pytest.param(("clipped",) + tuple(p.values), id=p.id) for p in REALIZATIONS],
+    )
+    def test_window_does_not_move_a_bit(self, lowpass_plant, monkeypatch, row):
+        kind, *args = row
+        if kind == "grazing":
+            plant, z_c, i_max = _grazing_row(*args)
+            cfg = SimConfig(steps_per_period=400)
+        elif kind == "enter-release":
+            plant, z_c, i_max, cfg, _ = _enter_and_release_row(lowpass_plant, *args)
+        else:
+            l_w, reactance = args
+            plant = dataclasses.replace(lowpass_plant, l_w=l_w)
+            src = thevenin_from_plant(plant)
+            z_c = complex(src.z_th.real, reactance * src.z_th.real)
+            i_max = 0.4 * matched_baseline(src).i_peak_matched
+            cfg = SimConfig(steps_per_period=600)
+        steps = cfg.steps_per_period
+        runs = {}
+        for window in (1, 2, 7, 256, steps):
+            monkeypatch.setattr(simulate_mod, "_WINDOW", window)
+            runs[window] = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+        if kind != "grazing":
+            assert runs[steps].clip_fraction > 0.0
+        for window, res in runs.items():
+            assert _result_bits(res) == _result_bits(runs[steps]), window
+
+    def test_clipped_period_scans_about_one_period(self, monkeypatch):
+        # the verify_reactive rows: conjugate control on the reactive plant
+        # at the default step count; each candidate may overrun by at most
+        # one window, where one scan over the rest of the period overran by
+        # the rest of the period (3.8 periods scanned per period)
+        plant = haskind_plant(**REACTIVE_PLANT)
+        src = thevenin_from_plant(plant)
+        peak = matched_baseline(src).i_peak_matched
+        counts = []  # [samples scanned, candidates crossed] per period
+        period, first_candidate, cross = _Loop.period, _Loop.first_candidate, _Loop.cross
+
+        def counted_period(self, *args):
+            counts.append([0, 0])
+            return period(self, *args)
+
+        def counted_first_candidate(self, rail, ys, *args):
+            counts[-1][0] += len(ys)
+            return first_candidate(self, rail, ys, *args)
+
+        def counted_cross(self, *args):
+            counts[-1][1] += 1
+            return cross(self, *args)
+
+        monkeypatch.setattr(_Loop, "period", counted_period)
+        monkeypatch.setattr(_Loop, "first_candidate", counted_first_candidate)
+        monkeypatch.setattr(_Loop, "cross", counted_cross)
+        runs = [simulate(plant, src.z_th.conjugate(), i_max=frac * peak)
+                for frac in (0.4, 0.6, 0.8, 1.0)]
+        assert [res.periods_run for res in runs] == [5, 4, 4, 1]
+        assert len(counts) == 14
+        steps = SimConfig().steps_per_period
+        for samples, candidates in counts:
+            assert samples < steps + (candidates + 1) * simulate_mod._WINDOW
+
+
 class TestRk4Oracle:
     """The exact referee against the fixed-step RK4 integrator it replaced."""
 
     @pytest.mark.parametrize("fraction", [math.inf, 0.4, 0.8])
-    @pytest.mark.parametrize(
-        "l_w, reactance",
-        [
-            pytest.param(0.0, -0.5, id="pi"),
-            pytest.param(0.004, -0.5, id="pi-winding"),
-            pytest.param(0.0, 0.5, id="ind"),
-            pytest.param(0.0, 0.0, id="res"),
-            pytest.param(0.004, 0.0, id="res-winding"),
-        ],
-    )
+    @pytest.mark.parametrize("l_w, reactance", REALIZATIONS)
     def test_agrees_with_rk4(self, lowpass_plant, l_w, reactance, fraction):
         plant = dataclasses.replace(lowpass_plant, l_w=l_w)
         src = thevenin_from_plant(plant)
@@ -529,16 +661,7 @@ class TestShooting:
             assert new.x_amp == pytest.approx(ref.x_amp, rel=1e-9)
 
     @pytest.mark.parametrize("fraction", [math.inf, 0.4, 0.8])
-    @pytest.mark.parametrize(
-        "l_w, reactance",
-        [
-            pytest.param(0.0, -0.5, id="pi"),
-            pytest.param(0.004, -0.5, id="pi-winding"),
-            pytest.param(0.0, 0.5, id="ind"),
-            pytest.param(0.0, 0.0, id="res"),
-            pytest.param(0.004, 0.0, id="res-winding"),
-        ],
-    )
+    @pytest.mark.parametrize("l_w, reactance", REALIZATIONS)
     def test_monodromy_matches_central_differences(self, lowpass_plant, l_w, reactance,
                                                    fraction):
         plant = dataclasses.replace(lowpass_plant, l_w=l_w)
