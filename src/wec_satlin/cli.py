@@ -43,6 +43,13 @@ from .wec import (
 __all__ = ["main", "run"]
 
 FSAT_HARMONICS = (1, 3, 5, 7)
+# the ValidationReport fields verify.csv holds after its i_max_fraction column
+VERIFY_FIELDS = (
+    "i_max", "saturated", "low_pass_merit", "assumption_violated", "enforced",
+    "p_predicted", "p_simulated", "i1_predicted", "i1_simulated", "x_predicted",
+    "x_simulated", "rel_err_power", "rel_err_fundamental", "rel_err_position",
+    "power_tol", "fundamental_tol", "passed",
+)
 
 
 def fmt(value) -> str:
@@ -215,19 +222,12 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     plant = cfg.require_plant("saturate")
     src = thevenin_from_plant(plant)
     base = matched_baseline(src)
-    header = [
-        "i_max_fraction", "i_max", "converged", "iterations", "f_sat_1",
-        "i_script", "i_temp_mag", "i1_mag", "fundamental_gain", "p_total",
-        "p_fundamental", "p_matched", "p_linear_baseline",
-        "nonlinear_over_linear",
-    ]
     rows = []
     for frac in cfg.i_max_fractions:
         i_max = frac * base.i_peak_matched
         sol = solve_operating_point(src, i_max, n_harmonics=cfg.n_harmonics)
         f1 = sol.factors.factors[1]
         i_script = sol.factors.i_script
-        gain = f1 / i_script if i_script < 1.0 else 1.0
         if frac >= 1.0:
             p_lin = base.p_matched
         else:
@@ -235,28 +235,30 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
                 linear_saturation_equivalent(src, i_max).power_ratio * base.p_matched
             )
         rows.append(
-            (
-                frac,
-                i_max,
-                sol.converged,
-                sol.iterations,
-                f1,
-                i_script,
-                abs(sol.i_temp),
-                abs(sol.fundamental.current),
-                gain,
-                sol.p_total,
-                classic_sidf_power(sol),
-                base.p_matched,
-                p_lin,
-                sol.p_total / p_lin if p_lin != 0.0 else math.inf,
-            )
+            {
+                "i_max_fraction": frac,
+                "i_max": i_max,
+                "converged": sol.converged,
+                "iterations": sol.iterations,
+                "f_sat_1": f1,
+                "i_script": i_script,
+                "i_temp_mag": abs(sol.i_temp),
+                "i1_mag": abs(sol.fundamental.current),
+                "fundamental_gain": f1 / i_script if i_script < 1.0 else 1.0,
+                "p_total": sol.p_total,
+                "p_fundamental": classic_sidf_power(sol),
+                "p_matched": base.p_matched,
+                "p_linear_baseline": p_lin,
+                "nonlinear_over_linear": sol.p_total / p_lin if p_lin != 0.0 else math.inf,
+            }
         )
-    write_csv(_out_path(out_dir, "saturate.csv"), header, list(zip(*rows)))
+    columns = list(zip(*(row.values() for row in rows)))
+    write_csv(_out_path(out_dir, "saturate.csv"), list(rows[0]), columns)
     for row in rows:
         print(
-            f"fraction {fmt(row[0])}: f_sat_1 = {fmt(row[4])}, "
-            f"p_total = {fmt(row[9])} W, nonlinear/linear = {fmt(row[13])}"
+            f"fraction {fmt(row['i_max_fraction'])}: f_sat_1 = {fmt(row['f_sat_1'])}, "
+            f"p_total = {fmt(row['p_total'])} W, "
+            f"nonlinear/linear = {fmt(row['nonlinear_over_linear'])}"
         )
     return 0
 
@@ -266,28 +268,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     plant = cfg.require_plant("verify")
     src = thevenin_from_plant(plant)
     base = matched_baseline(src)
-    header = [
-        "i_max_fraction", "i_max", "saturated", "low_pass_merit",
-        "assumption_violated", "enforced", "p_predicted", "p_simulated",
-        "i1_predicted", "i1_simulated", "x_predicted", "x_simulated",
-        "rel_err_power", "rel_err_fundamental", "rel_err_position",
-        "power_tol", "fundamental_tol", "passed",
-    ]
     rows = []
     all_ok = True
     for frac in cfg.i_max_fractions:
         i_max = frac * base.i_peak_matched
         rep = validate_df(plant, i_max, cfg=cfg.sim, n_harmonics=cfg.n_harmonics)
-        rows.append(
-            (
-                frac, rep.i_max, rep.saturated, rep.low_pass_merit,
-                rep.assumption_violated, rep.enforced, rep.p_predicted,
-                rep.p_simulated, rep.i1_predicted, rep.i1_simulated,
-                rep.x_predicted, rep.x_simulated, rep.rel_err_power,
-                rep.rel_err_fundamental, rep.rel_err_position,
-                rep.power_tol, rep.fundamental_tol, rep.passed,
-            )
-        )
+        rows.append((frac, *(getattr(rep, name) for name in VERIFY_FIELDS)))
         status = "PASS" if rep.passed else "FAIL"
         if not rep.enforced:
             status = "FLAGGED (low-pass assumption not met)"
@@ -301,6 +287,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
         if cfg.dump_waveforms:
             tag = fmt(frac).replace(".", "p")
             dump_waveforms(rep.sim, _out_path(out_dir, f"waveforms_{tag}.csv"))
+    header = ["i_max_fraction", *VERIFY_FIELDS]
     write_csv(_out_path(out_dir, "verify.csv"), header, list(zip(*rows)))
     return 0 if all_ok else 3
 
@@ -335,6 +322,8 @@ def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     cfg = load_config(args.config)
     out_dir = args.out if args.out is not None else cfg.out_dir
+    if not out_dir:
+        raise ConfigError("the output directory ([output] dir or --out) is empty")
     use_svg = args.svg or cfg.svg
     return _COMMANDS[args.command](cfg, out_dir, use_svg)
 

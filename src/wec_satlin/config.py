@@ -93,21 +93,6 @@ _PLANT_KEYS = {
 }
 _NONDIM_KEYS = {"r_cal", "d_cal", "alpha_m", "l_cal"}
 _WAVES_KEYS = {"j_density", "k_wavenumber", "g0"}
-_SWEEP_KEYS = {
-    "alphas", "smith_resolution", "smith_angular", "pareto_points",
-    "fsat_points", "fsat_i_inv_max", "i_max_fractions", "n_harmonics",
-}
-_SIM_KEYS = {"steps_per_period", "n_periods", "transient_periods", "convergence_tol"}
-_OUTPUT_KEYS = {"dir", "svg", "dump_waveforms"}
-_SECTIONS = {
-    "plant": _PLANT_KEYS,
-    "nondim": _NONDIM_KEYS,
-    "waves": _WAVES_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "sim": _SIM_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
 
 def _finite(sec, key, value: float) -> float:
     """No key gives NaN or infinity a meaning, so both are rejected here."""
@@ -146,9 +131,7 @@ def _get_bool(sec, key, default=False):
     raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a boolean")
 
 
-def _get_float_list(sec, key, default):
-    if key not in sec:
-        return default
+def _get_float_list(sec, key):
     try:
         values = tuple(float(tok) for tok in sec[key].split(",") if tok.strip())
     except ValueError as exc:
@@ -156,6 +139,40 @@ def _get_float_list(sec, key, default):
     if not values:
         raise ConfigError(f"[{sec.name}] {key} must list at least one value")
     return tuple(_finite(sec, key, v) for v in values)
+
+
+# Each [sweep] and [sim] key with its reader, in reading order.  A key the
+# config leaves out keeps the default of its RunConfig or SimConfig field.
+_SWEEP_READERS = {
+    "alphas": _get_float_list,
+    "smith_resolution": _get_int,
+    "smith_angular": _get_int,
+    "pareto_points": _get_int,
+    "fsat_points": _get_int,
+    "fsat_i_inv_max": _get_float,
+    "i_max_fractions": _get_float_list,
+    "n_harmonics": _get_int,
+}
+_SIM_READERS = {
+    "steps_per_period": _get_int,
+    "n_periods": _get_int,
+    # shooting needs no transient skip: read so that older configs load, then dropped
+    "transient_periods": _get_int,
+    "convergence_tol": _get_float,
+}
+_SECTIONS = {
+    "plant": _PLANT_KEYS,
+    "nondim": _NONDIM_KEYS,
+    "waves": _WAVES_KEYS,
+    "sweep": _SWEEP_READERS.keys(),
+    "sim": _SIM_READERS.keys(),
+    "output": {"dir", "svg", "dump_waveforms"},
+}
+
+
+def _read_section(sec, readers) -> dict:
+    """The keys of ``readers`` that ``sec`` gives, each checked by its reader."""
+    return {key: read(sec, key) for key, read in readers.items() if key in sec}
 
 
 def _build_plant(sec) -> WecPlant:
@@ -236,31 +253,18 @@ def parse_config(text: str) -> RunConfig:
         for optional in ("sweep", "sim", "output"):
             if not cp.has_section(optional):
                 cp.add_section(optional)
-        sweep, sim_sec, out_sec = cp["sweep"], cp["sim"], cp["output"]
-
-        defaults = RunConfig()
-        sim = SimConfig(
-            steps_per_period=_get_int(sim_sec, "steps_per_period", 2000),
-            n_periods=_get_int(sim_sec, "n_periods", 40),
-            transient_periods=_get_int(sim_sec, "transient_periods", 20),
-            convergence_tol=_get_float(sim_sec, "convergence_tol", 1e-3),
-        )
+        sim = _read_section(cp["sim"], _SIM_READERS)
+        sim.pop("transient_periods", None)
+        out, defaults = cp["output"], RunConfig()
         cfg = RunConfig(
             plant=plant,
             groups=groups,
             waves=waves,
-            alphas=_get_float_list(sweep, "alphas", defaults.alphas),
-            smith_resolution=_get_int(sweep, "smith_resolution", defaults.smith_resolution),
-            smith_angular=_get_int(sweep, "smith_angular", defaults.smith_angular),
-            pareto_points=_get_int(sweep, "pareto_points", defaults.pareto_points),
-            fsat_points=_get_int(sweep, "fsat_points", defaults.fsat_points),
-            fsat_i_inv_max=_get_float(sweep, "fsat_i_inv_max", defaults.fsat_i_inv_max),
-            i_max_fractions=_get_float_list(sweep, "i_max_fractions", defaults.i_max_fractions),
-            n_harmonics=_get_int(sweep, "n_harmonics", defaults.n_harmonics),
-            sim=sim,
-            out_dir=out_sec.get("dir", defaults.out_dir),
-            svg=_get_bool(out_sec, "svg", False),
-            dump_waveforms=_get_bool(out_sec, "dump_waveforms", False),
+            sim=SimConfig(**sim),
+            **_read_section(cp["sweep"], _SWEEP_READERS),
+            out_dir=out.get("dir", defaults.out_dir),
+            svg=_get_bool(out, "svg", defaults.svg),
+            dump_waveforms=_get_bool(out, "dump_waveforms", defaults.dump_waveforms),
         )
     except ConfigError:
         raise

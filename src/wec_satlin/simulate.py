@@ -57,18 +57,17 @@ class SimConfig:
 
     Propagation is exact whatever the step, so ``steps_per_period`` sets the
     sampling and DFT resolution, not stability.  ``n_periods``, at least 1,
-    caps the periods the shooting may run.  ``transient_periods`` is no
-    longer used; it is kept, and must stay below ``n_periods``, so that
-    existing configs still load.  ``convergence_tol`` bounds the periodicity
-    residual of a converged run; shooting itself goes on to 1e-12 where it
-    can.
+    caps the periods the shooting may run; shooting needs no transient skip,
+    so there is no such field, and the config reader checks the
+    ``[sim] transient_periods`` key of older configs as an integer and
+    ignores it.  ``convergence_tol`` bounds the periodicity residual of a
+    converged run; shooting itself goes on to 1e-12 where it can.
     ``algebraic_loop_tol`` is the clip switch-time tolerance relative to the
     step.  Both tolerances must be positive.
     """
 
     steps_per_period: int = 2000
     n_periods: int = 40
-    transient_periods: int = 20
     convergence_tol: float = 1e-3  # relative periodicity residual ||Phi(y) - y|| / ||y||
     algebraic_loop_tol: float = 1e-12
 
@@ -77,8 +76,6 @@ class SimConfig:
             raise DomainError("need at least 100 steps per period")
         if self.n_periods < 1:
             raise DomainError(f"n_periods must be at least 1, got {self.n_periods}")
-        if self.n_periods <= self.transient_periods:
-            raise DomainError("n_periods must exceed transient_periods")
         for key in ("convergence_tol", "algebraic_loop_tol"):
             value = getattr(self, key)
             if not value > 0.0:

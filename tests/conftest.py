@@ -31,7 +31,6 @@ def fast_sim():
     return SimConfig(
         steps_per_period=1200,
         n_periods=36,
-        transient_periods=24,
         convergence_tol=1e-6,
     )
 

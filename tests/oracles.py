@@ -449,6 +449,7 @@ def simulate_rk4(
     i_max: float = math.inf,
     cfg: SimConfig | None = None,
     n_harmonics: int = 9,
+    transient_periods: int = 20,
 ) -> SimResult:
     """Integrate the nonlinear loop to steady state and extract one period.
 
@@ -456,10 +457,10 @@ def simulate_rk4(
     not normalized); ``i_max`` the hard current clip (infinity disables it).
     The excitation is |F_e| cos(w t + arg F_e).
 
-    The run is declared converged once both the fixed transient skip has
-    elapsed and the cycle-averaged electrical power changes by less than
-    ``cfg.convergence_tol`` between successive periods; extraction always
-    uses the final period.  A non-finite state aborts with
+    The run is declared converged once both the skip of
+    ``transient_periods`` has elapsed and the cycle-averaged electrical power
+    changes by less than ``cfg.convergence_tol`` between successive periods;
+    extraction always uses the final period.  A non-finite state aborts with
     :class:`SimulationError` carrying the step index.
     """
     cfg = cfg or SimConfig()
@@ -511,7 +512,7 @@ def simulate_rk4(
     ]
     converged = False
     floor = 1e-12 * max(1.0, abs(period_powers[-1]))
-    for p in range(max(1, cfg.transient_periods), cfg.n_periods):
+    for p in range(max(1, transient_periods), cfg.n_periods):
         change = abs(period_powers[p] - period_powers[p - 1])
         scale = max(abs(period_powers[p]), abs(period_powers[p - 1]), floor)
         if change <= cfg.convergence_tol * scale:
@@ -560,11 +561,12 @@ def simulate_horizon(
     i_max: float = math.inf,
     cfg: SimConfig | None = None,
     n_harmonics: int = 9,
+    transient_periods: int = 20,
 ) -> SimResult:
     """Propagate the loop from rest for ``cfg.n_periods`` periods and
-    extract the final one; converged once the transient skip has elapsed
-    and the cycle-averaged power changes by less than ``cfg.convergence_tol``
-    between successive periods."""
+    extract the final one; converged once the skip of ``transient_periods``
+    has elapsed and the cycle-averaged power changes by less than
+    ``cfg.convergence_tol`` between successive periods."""
     cfg = cfg or SimConfig()
     period = 2.0 * math.pi / plant.omega
     steps = cfg.steps_per_period
@@ -605,7 +607,7 @@ def simulate_horizon(
 
     converged = False
     floor = 1e-12 * max(1.0, abs(period_powers[-1]))
-    for p in range(max(1, cfg.transient_periods), cfg.n_periods):
+    for p in range(max(1, transient_periods), cfg.n_periods):
         change = abs(period_powers[p] - period_powers[p - 1])
         scale = max(abs(period_powers[p]), abs(period_powers[p - 1]), floor)
         if change <= cfg.convergence_tol * scale:

@@ -158,7 +158,6 @@ def test_criterion_05_linear_oracle_closure():
     cfg = SimConfig(
         steps_per_period=1200,
         n_periods=36,
-        transient_periods=24,
         convergence_tol=1e-6,
     )
     rng = np.random.default_rng(55)
@@ -194,7 +193,6 @@ def test_criterion_06_nonlinear_oracle_closure(lowpass_plant):
     cfg = SimConfig(
         steps_per_period=1200,
         n_periods=32,
-        transient_periods=20,
         convergence_tol=1e-5,
     )
     worst_p = 0.0

@@ -12,8 +12,9 @@ from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_gr
 from wec_satlin import solve_operating_point
 from wec_satlin import cli, svg
 from wec_satlin.cli import main
-from wec_satlin.config import parse_config
+from wec_satlin.config import RunConfig, parse_config
 from wec_satlin.errors import ConfigError, SimulationError
+from wec_satlin.simulate import SimConfig
 
 # the package namespace binds the function ``simulate`` over the submodule
 simulate_mod = importlib.import_module("wec_satlin.simulate")
@@ -50,6 +51,21 @@ class TestConfigParsing:
         assert cfg.plant is not None
         assert cfg.plant.haskind_consistent
         assert cfg.alphas == (0.0, 1.0, 2.0, 5.0)
+        # absent [sweep] and [sim] keys take the dataclass defaults
+        defaults = RunConfig()
+        for key in ("alphas", "smith_resolution", "smith_angular", "pareto_points",
+                    "fsat_points", "fsat_i_inv_max", "i_max_fractions", "n_harmonics"):
+            assert getattr(cfg, key) == getattr(defaults, key), key
+        assert cfg.sim == SimConfig()
+
+    def test_transient_periods_is_read_and_dropped(self):
+        sim = "\n[sim]\nsteps_per_period = 400\nn_periods = 24\n"
+        assert parse_config(MINIMAL_PLANT + sim + "transient_periods = 7\n") == parse_config(
+            MINIMAL_PLANT + sim
+        )
+        for value in ("2.5", "many"):  # still read as an integer
+            with pytest.raises(ConfigError, match="transient_periods"):
+                parse_config(MINIMAL_PLANT + sim + f"transient_periods = {value}\n")
 
     def test_nondim_route(self):
         cfg = parse_config(
@@ -238,6 +254,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "n_periods must be at least 1" in err
 
+    def test_cap_alone_runs_without_transient_periods(self, tmp_path, capsys):
+        # n_periods no longer has to exceed an unused transient skip of 20
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sim]\nn_periods = 10\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_empty_output_dir_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[output]\ndir =\n")
+        assert main(["fsat", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output directory" in err
+
+    def test_empty_out_flag_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT)
+        assert main(["fsat", "--config", str(cfg), "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output directory" in err
+
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(MINIMAL_PLANT.replace("m = 6.0e4", "m = nan"))
@@ -336,6 +372,12 @@ class TestEmittedArtifacts:
         cfg.write_text(MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 0.001, 0.3, 1.0\n")
         assert main(["saturate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "saturate.csv")
+        # the column order is part of the CLI contract
+        assert ",".join(header) == (
+            "i_max_fraction,i_max,converged,iterations,f_sat_1,i_script,i_temp_mag,"
+            "i1_mag,fundamental_gain,p_total,p_fundamental,p_matched,"
+            "p_linear_baseline,nonlinear_over_linear"
+        )
         deep = dict(zip(header, rows[0]))
         # vanishing limit: clipped command tends to a square wave
         assert float(deep["fundamental_gain"]) == pytest.approx(
@@ -419,6 +461,13 @@ class TestEmittedArtifacts:
         )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "verify.csv")
+        # the column order is part of the CLI contract
+        assert ",".join(header) == (
+            "i_max_fraction,i_max,saturated,low_pass_merit,assumption_violated,"
+            "enforced,p_predicted,p_simulated,i1_predicted,i1_simulated,x_predicted,"
+            "x_simulated,rel_err_power,rel_err_fundamental,rel_err_position,"
+            "power_tol,fundamental_tol,passed"
+        )
         for row in rows:
             rec = dict(zip(header, row))
             assert rec["passed"] == "1"

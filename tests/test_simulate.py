@@ -57,13 +57,16 @@ class TestSimConfig:
             SimConfig(steps_per_period=50)
         for n_periods in (0, -3):  # no period to extract the result from
             with pytest.raises(DomainError, match="n_periods must be at least 1"):
-                SimConfig(n_periods=n_periods, transient_periods=n_periods - 1)
-        with pytest.raises(DomainError):
-            SimConfig(n_periods=10, transient_periods=10)
+                SimConfig(n_periods=n_periods)
         for key in ("convergence_tol", "algebraic_loop_tol"):
             for value in (0.0, -1.0, math.nan):
                 with pytest.raises(DomainError, match=f"{key} must be positive"):
                     SimConfig(**{key: value})
+
+    def test_no_transient_skip(self):
+        # shooting needs no transient periods, so a short cap is valid alone
+        assert SimConfig(n_periods=3).n_periods == 3
+        assert "transient_periods" not in {f.name for f in dataclasses.fields(SimConfig)}
 
 
 class TestLinearClosure:
@@ -181,14 +184,14 @@ class TestNumericalQuality:
         src = thevenin_from_plant(lowpass_plant)
         base = matched_baseline(src)
         i_max = 0.6 * base.i_peak_matched
-        cfg1 = SimConfig(steps_per_period=2000, n_periods=30, transient_periods=20)
-        cfg2 = SimConfig(steps_per_period=4000, n_periods=30, transient_periods=20)
+        cfg1 = SimConfig(steps_per_period=2000, n_periods=30)
+        cfg2 = SimConfig(steps_per_period=4000, n_periods=30)
         p1 = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg1).p_avg
         p2 = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg2).p_avg
         assert abs(p1 - p2) / abs(p2) < 5e-4
 
     def test_bit_identical_reruns(self, lowpass_plant):
-        cfg = SimConfig(steps_per_period=400, n_periods=25, transient_periods=15)
+        cfg = SimConfig(steps_per_period=400, n_periods=25)
         src = thevenin_from_plant(lowpass_plant)
         base = matched_baseline(src)
         a = simulate(lowpass_plant, src.z_th.conjugate(),
@@ -227,7 +230,7 @@ class TestNumericalQuality:
             return dataclasses.replace(branch, powers=powers)
 
         monkeypatch.setattr(Branch, "build", classmethod(poisoned))
-        cfg = SimConfig(steps_per_period=100, n_periods=3, transient_periods=1)
+        cfg = SimConfig(steps_per_period=100, n_periods=3)
         with pytest.raises(SimulationError, match="diverged at step 40") as info:
             simulate(lowpass_plant, lowpass_plant.z_thevenin().conjugate(), cfg=cfg)
         assert info.value.step == 40
@@ -323,7 +326,7 @@ class TestValidateDf:
         assert not rep.enforced
 
     def test_report_carries_its_simulation(self, lowpass_plant):
-        cfg = SimConfig(steps_per_period=250, n_periods=22, transient_periods=12)
+        cfg = SimConfig(steps_per_period=250, n_periods=22)
         base = matched_baseline(thevenin_from_plant(lowpass_plant))
         rep = validate_df(lowpass_plant, 0.5 * base.i_peak_matched, cfg=cfg)
         assert rep.sim.p_avg == rep.p_simulated
@@ -335,7 +338,7 @@ class TestValidateDf:
 
 class TestWaveformDump:
     def test_csv_contract(self, lowpass_plant, tmp_path):
-        cfg = SimConfig(steps_per_period=250, n_periods=22, transient_periods=12)
+        cfg = SimConfig(steps_per_period=250, n_periods=22)
         src = thevenin_from_plant(lowpass_plant)
         res = simulate(lowpass_plant, src.z_th.conjugate(), cfg=cfg)
         path = tmp_path / "wave.csv"
@@ -348,7 +351,7 @@ class TestWaveformDump:
 
     @pytest.mark.parametrize("fraction", [0.3, math.inf])
     def test_bytes_match_per_cell_format(self, lowpass_plant, tmp_path, fraction):
-        cfg = SimConfig(steps_per_period=250, n_periods=22, transient_periods=12)
+        cfg = SimConfig(steps_per_period=250, n_periods=22)
         src = thevenin_from_plant(lowpass_plant)
         i_max = fraction * matched_baseline(src).i_peak_matched
         res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
@@ -436,7 +439,7 @@ def _enter_and_release_row(lowpass_plant, l_w):
         lowpass_plant, l_w=l_w, f_e=lowpass_plant.f_e * cmath.exp(1j * math.pi / steps)
     )
     z_c = plant.z_thevenin().conjugate()
-    cfg = SimConfig(steps_per_period=steps, n_periods=30, transient_periods=20)
+    cfg = SimConfig(steps_per_period=steps, n_periods=30)
     free = simulate(plant, z_c, cfg=cfg)
     return plant, z_c, 0.9999 * abs(free.harmonic_currents[0]), cfg, free
 
@@ -480,7 +483,7 @@ class TestClipEvents:
     @pytest.mark.parametrize("l_w", [0.0, 0.005])
     def test_grazing_full_fraction_row(self, l_w):
         plant, z_c, i_max = _grazing_row(l_w)
-        coarse_cfg = SimConfig(steps_per_period=400, n_periods=30, transient_periods=20)
+        coarse_cfg = SimConfig(steps_per_period=400, n_periods=30)
         fine_cfg = dataclasses.replace(coarse_cfg, steps_per_period=1600)
         coarse = simulate(plant, z_c, i_max=i_max, cfg=coarse_cfg)
         fine = simulate(plant, z_c, i_max=i_max, cfg=fine_cfg)
@@ -592,7 +595,7 @@ class TestRk4Oracle:
         src = thevenin_from_plant(plant)
         z_c = complex(src.z_th.real, reactance * src.z_th.real)
         i_max = fraction * matched_baseline(src).i_peak_matched
-        cfg = SimConfig(steps_per_period=600, n_periods=12, transient_periods=6)
+        cfg = SimConfig(steps_per_period=600, n_periods=12)
         new = simulate(plant, z_c, i_max=i_max, cfg=cfg)
         ref = simulate_rk4(plant, z_c, i_max=i_max, cfg=cfg)
         assert new.p_avg == pytest.approx(ref.p_avg, rel=1e-4)
@@ -630,15 +633,13 @@ def _closure_cases(lowpass_plant, fast_sim):
     src = thevenin_from_plant(plant)
     cases.append((plant, src.z_th.conjugate(),
                   0.7 * matched_baseline(src).i_peak_matched, fast_sim))
-    criterion_05 = SimConfig(steps_per_period=1200, n_periods=36, transient_periods=24,
-                             convergence_tol=1e-6)
+    criterion_05 = SimConfig(steps_per_period=1200, n_periods=36, convergence_tol=1e-6)
     rng = np.random.default_rng(55)
     for k in range(10):
         plant = random_plant(rng, with_inductance=(k % 2 == 0))
         for _ in range(3):
             cases.append((plant, random_load(rng, plant, 1200)[1], math.inf, criterion_05))
-    criterion_06 = SimConfig(steps_per_period=1200, n_periods=32, transient_periods=20,
-                             convergence_tol=1e-5)
+    criterion_06 = SimConfig(steps_per_period=1200, n_periods=32, convergence_tol=1e-5)
     cases += [(lowpass_plant, conj, frac * peak, criterion_06) for frac in (0.4, 0.6, 0.8)]
     return cases
 
@@ -745,8 +746,7 @@ class TestShooting:
     def test_converged_is_the_residual_test(self, lowpass_plant, n_periods, tol):
         src = thevenin_from_plant(lowpass_plant)
         i_max = 0.4 * matched_baseline(src).i_peak_matched
-        cfg = SimConfig(steps_per_period=400, n_periods=n_periods, transient_periods=1,
-                        convergence_tol=tol)
+        cfg = SimConfig(steps_per_period=400, n_periods=n_periods, convergence_tol=tol)
         res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
         assert res.periods_run <= n_periods
         assert res.converged == (res.periodicity_residual <= tol)
