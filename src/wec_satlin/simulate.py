@@ -26,6 +26,9 @@ each switch.  Identical inputs give bit-identical runs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -148,6 +151,8 @@ _MAX_EVENTS = 8  # clip switches allowed within one step
 _WINDOW = 256  # steps sampled at a time while scanning for the next switch
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
+# (plant, z_c, steps) -> _Loop while a _shared_loops block is open, else None
+_LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", default=None)
 
 
 class _Period(NamedTuple):
@@ -168,8 +173,21 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def _bend(a: np.ndarray, row: np.ndarray, dt: float) -> float:
+    """How far g = row @ expm(a tau) y_0 may rise within one step ``dt``
+    above the larger of its end samples, per unit ||y_0||_inf: M dt^2 / 8
+    for |g''| <= M = ||row a^2||_1 exp(max(mu, 0) dt) ||y_0||_inf, with mu
+    the inf-norm logarithmic norm of ``a`` (Dahlquist 1958; Lozinskii
+    1958).  Infinite where that exponential overflows."""
+    off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+    growth = max(float(np.max(np.diag(a) + off)), 0.0) * dt
+    if growth > 700.0:
+        return math.inf
+    return float(np.abs(row @ a @ a).sum()) * math.exp(growth) * dt * dt / 8.0
+
+
 class _Loop:
-    """The loop of one plant, controller and limit as a free and a rail branch.
+    """The loop of one plant and controller as a free and a rail branch.
 
     The state is (x, v[, xi][, i], p, q[, sigma]): body position and velocity,
     controller filter state, the current (winding inductance) or command
@@ -177,18 +195,18 @@ class _Loop:
     exp(i(w t + arg F_e)), and the rail value sigma = +-i_max where the rail
     holds no current state.  The free branch is left when |i| exceeds i_max,
     the rail when the command current falls back inside.
+
+    Neither branch depends on the limit, which the methods take as
+    ``i_max``, so one loop serves every limit of its plant, controller and
+    step.  The rail branch is built the first time it is used.
     """
 
-    def __init__(self, plant: WecPlant, z_c: complex, i_max: float, dt: float,
-                 steps: int):
+    def __init__(self, plant: WecPlant, z_c: complex, dt: float, steps: int):
         z_c = complex(z_c)
         if not (z_c.real > 0.0):
             raise DomainError(
                 f"controller must be dissipative to realize: Re(z_c) = {z_c.real}"
             )
-        if not (i_max > 0.0):
-            raise DomainError(f"current limit must be positive, got {i_max}")
-        self.i_max = float(i_max)
         c, r, l, w = plant.coupling, plant.r_w, plant.l_w, plant.omega
         b_c, x_c = z_c.real, z_c.imag
         inductive = x_c > 0.0
@@ -209,7 +227,7 @@ class _Loop:
         force = row(x=-(plant.k_h + g2 * plant.k_d), v=-(plant.b_h + g2 * plant.b_d),
                     p=abs(plant.f_e))
 
-        def branch(i_row, v_row, di_row=None):
+        def generator(i_row, v_row, di_row=None):
             gen = np.zeros((n, n))
             gen[idx["x"]] = row(v=1.0)
             gen[idx["v"]] = (force - c * i_row) / (plant.m + plant.a_added)
@@ -219,7 +237,7 @@ class _Loop:
                 gen[idx["xi"]] = row(xi=-a) + v_row
             if di_row is not None:
                 gen[idx["i"]] = di_row
-            return Branch.build(gen, i_row, v_row, dt, steps)
+            return gen, i_row, v_row
 
         emf = row(v=c)
         if inductive:  # series inductance l_c; the state is the command current
@@ -241,13 +259,21 @@ class _Loop:
             self.release = i_free - row(sigma=1.0)
         self.n = n
         self.dt = dt
+        self.steps = steps
         self.sigma = idx.get("sigma", idx.get("i"))
         self.osc = [idx["p"], idx["q"]]
         self.plant_states = np.array([name not in ("p", "q", "sigma") for name in names])
         phase = math.atan2(plant.f_e.imag, plant.f_e.real)
         self.y0 = row(p=math.cos(phase), q=math.sin(phase))
-        self.free = branch(*free)
-        self.rail = branch(*rail) if math.isfinite(i_max) else None
+        self.free = Branch.build(*generator(*free), dt, steps)
+        self._rail = generator(*rail)
+        # peak bounds of the free branch's current and the rail's release guard
+        self.bend = (_bend(self.free.a, self.free.i_row, dt),
+                     _bend(self._rail[0], self.release, dt))
+
+    @functools.cached_property
+    def rail(self) -> Branch:
+        return Branch.build(*self._rail, self.dt, self.steps)
 
     def branch(self, rail: bool) -> Branch:
         return self.rail if rail else self.free
@@ -260,11 +286,12 @@ class _Loop:
             mask[self.sigma] = False
         return mask
 
-    def free_orbit(self) -> tuple[np.ndarray, bool]:
+    def free_orbit(self, i_max: float) -> tuple[np.ndarray, bool]:
         """Start state and branch of the free branch's periodic orbit, the
         fixed point of E^steps with the oscillator at its phase; at rest
         where that solve has no finite answer.  The start is on the rail,
-        holding the limit, where the orbit's current there exceeds it."""
+        holding the limit ``i_max``, where the orbit's current there
+        exceeds it."""
         u = self.unknowns(False)
         e = self.free.powers[-1]
         y = self.y0.copy()
@@ -272,32 +299,50 @@ class _Loop:
         if not np.isfinite(y).all():
             return self.y0.copy(), False
         current = y @ self.free.i_row
-        if not abs(current) > self.i_max:
+        if not abs(current) > i_max:
             return y, False
-        y[self.sigma] = math.copysign(self.i_max, current)
+        y[self.sigma] = math.copysign(i_max, current)
         return y, True
 
-    def first_candidate(self, rail: bool, ys, cur, lead: int = 0) -> int:
+    def first_candidate(self, rail: bool, ys, cur, i_max: float, lead: int = 0) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
-        that may hold a switch: it ends outside the branch, or its guard's
-        slope changes sign.  The number of steps if none does.  With
-        ``lead`` 1 the guard products also take ``ys[0]``, so that one step
-        rounds as a longer run does (see :meth:`period`)."""
-        if self.rail is None:
+        that may hold a switch under the limit ``i_max``: it ends outside the
+        branch, or its guard's slope changes sign and the guard may peak
+        past its level.  The number of steps if none does.  With ``lead`` 1
+        the guard products also take ``ys[0]``, so that one step rounds as a
+        longer run does (see :meth:`period`).
+
+        Within step j a guard peaks at most ``bend * ||ys[j]||_inf`` above
+        the larger of its end samples (see :func:`_bend`).  A slope change
+        whose bound stays below the level is a whole step; one whose bound
+        is infinite or reaches the level stays a candidate, as does every
+        step that ends outside the branch.  The free branch of a loop with
+        winding inductance has a fast pole that makes its bound useless.
+        """
+        if not math.isfinite(i_max):
             return len(ys) - 1
         if rail:
             row = self.release
             out = np.sign(ys[1:, self.sigma]) * (ys[1 - lead :] @ row)[lead:] < 0.0
         else:
             row = self.free.i_row
-            out = np.abs(cur[1:]) > self.i_max
+            out = np.abs(cur[1:]) > i_max
         slope = np.sign(ys @ (row @ self.branch(rail).a))
-        hits = np.flatnonzero(out | (slope[1:] != slope[:-1]))
-        return int(hits[0]) if hits.size else len(ys) - 1
+        for j in np.flatnonzero(out | (slope[1:] != slope[:-1])):
+            if out[j]:
+                return int(j)
+            if rail:  # the guard is -sign(sigma) release @ y, level 0
+                top = np.max(-np.sign(ys[j, self.sigma]) * (ys[j : j + 2] @ row))
+                level = 0.0
+            else:
+                top, level = max(abs(cur[j]), abs(cur[j + 1])), i_max
+            if not top + self.bend[rail] * np.max(np.abs(ys[j])) < level:
+                return int(j)
+        return len(ys) - 1
 
-    def switch(self, rail: bool, y, h: float, tol: float):
+    def switch(self, rail: bool, y, h: float, i_max: float, tol: float):
         """End state of a sub-step ``h`` from ``y``, and its first switch
-        ``(tau, y_tau, sign)`` or None.
+        ``(tau, y_tau, sign)`` under the limit ``i_max``, or None.
 
         A guard positive at the end brackets a switch; one whose slope turns
         from rising to falling is checked at its located peak.
@@ -308,7 +353,7 @@ class _Loop:
         if rail:  # positive once the command current is back inside
             guards = [(self.release, -np.sign(y[self.sigma]), 0.0)]
         else:
-            guards = [(br.i_row, 1.0, self.i_max), (br.i_row, -1.0, self.i_max)]
+            guards = [(br.i_row, 1.0, i_max), (br.i_row, -1.0, i_max)]
         first = None
         for row, sign, level in guards:
             guard = sign * row
@@ -327,7 +372,7 @@ class _Loop:
                 first = (tau, y_tau, sign)
         return y_end, first
 
-    def cross(self, y, rail: bool, dt: float, tol: float):
+    def cross(self, y, rail: bool, i_max: float, dt: float, tol: float):
         """State, branch and current one step on from ``y``, through every
         switch on the way; with the step's Jacobian and its ``(rail,
         duration)`` pieces.
@@ -343,7 +388,7 @@ class _Loop:
         pieces = []
         for _ in range(_MAX_EVENTS + 1):
             br = self.branch(rail)
-            y_end, event = self.switch(rail, y, dt - t, tol)
+            y_end, event = self.switch(rail, y, dt - t, i_max, tol)
             if event is None:
                 pieces.append((rail, dt - t))
                 return y_end, rail, y_end @ br.i_row, br.transition(dt - t) @ jac, pieces
@@ -355,7 +400,7 @@ class _Loop:
                 grad = self.release
             else:
                 grad = br.i_row
-                y[self.sigma] = sign * self.i_max
+                y[self.sigma] = sign * i_max
                 reset[self.sigma, self.sigma] = 0.0
             t += tau
             rail = not rail
@@ -363,9 +408,9 @@ class _Loop:
             jac = (reset + jump) @ br.transition(tau) @ jac
         raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
 
-    def period(self, y, rail: bool, tol: float) -> _Period:
-        """The period map: one period from ``y`` on branch ``rail``, with the
-        oscillator restarted at its phase.
+    def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
+        """The period map under the limit ``i_max``: one period from ``y``
+        on branch ``rail``, with the oscillator restarted at its phase.
 
         Whole-step runs advance by powers of the one-step flow, steps that
         may hold a switch by :meth:`cross`; the monodromy matrix is the
@@ -382,7 +427,7 @@ class _Loop:
         in one product over the whole rest of the period, which has one row
         only when one step is left.
         """
-        steps, n, dt = len(self.free.powers), self.n, self.dt
+        steps, n, dt = self.steps, self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
         ys[0] = y
         ys[0, self.osc] = self.y0[self.osc]
@@ -409,7 +454,7 @@ class _Loop:
                 ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
                 cur[k + 1 + lo : k + 1 + m] = (ys[k + 1 + lo - lead : k + 1 + m] @ br.i_row)[lead:]
                 seen = slice(k + lo, k + 1 + m)
-                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], lead)
+                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], i_max, lead)
                 if hit < m:
                     m = hit
                     break
@@ -419,7 +464,8 @@ class _Loop:
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
-                ys[k + 1], rail, cur[k + 1], step_jac, pieces = self.cross(ys[k], rail, dt, tol)
+                ys[k + 1], rail, cur[k + 1], step_jac, pieces = self.cross(
+                    ys[k], rail, i_max, dt, tol)
                 vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
                 jac = step_jac @ jac
                 start = k * dt
@@ -457,21 +503,35 @@ def simulate(
     samples are exact up to the switch-time tolerance
     ``cfg.algebraic_loop_tol * dt``.  A non-finite state, checked once per
     period, aborts with :class:`SimulationError` carrying the step index.
+
+    The loop does not depend on the limit: inside a :func:`_shared_loops`
+    block, calls with the same plant, controller and step count share one;
+    outside one, each call builds its own.  ``n_harmonics`` past the
+    Nyquist bin raises :class:`DomainError`.
     """
+    if not (i_max > 0.0):
+        raise DomainError(f"current limit must be positive, got {i_max}")
+    i_max = float(i_max)
     cfg = cfg or SimConfig()
     period = 2.0 * math.pi / plant.omega
     steps = cfg.steps_per_period
     dt = period / steps
     tol = cfg.algebraic_loop_tol * dt
     target = min(cfg.convergence_tol, _SHOOTING_TOL)
-    loop = _Loop(plant, z_c, i_max, dt, steps)
+    loops = _LOOPS.get()
+    if loops is None:  # outside a _shared_loops block the loop is this call's own
+        loops = {}
+    key = (plant, complex(z_c), steps)
+    if key not in loops:
+        loops[key] = _Loop(plant, z_c, dt, steps)
+    loop = loops[key]
 
-    y, rail = loop.free_orbit()
+    y, rail = loop.free_orbit(i_max)
     period_powers = []
     best = None  # (residual, end state, end branch) of the best Newton period
     newton, newton_steps, misses = True, 0, 0
     for p in range(cfg.n_periods):
-        run = loop.period(y, rail, tol)
+        run = loop.period(y, rail, i_max, tol)
         bad = np.flatnonzero(~np.isfinite(run.ys[1:]).all(axis=1))
         if bad.size:
             j = p * steps + int(bad[0])
@@ -532,6 +592,18 @@ def simulate(
     )
 
 
+@contextlib.contextmanager
+def _shared_loops():
+    """Within the block, :func:`simulate` builds one loop per plant,
+    controller and step count and reuses it for every limit; the loops are
+    dropped when the block ends, also on an exception."""
+    token = _LOOPS.set({})
+    try:
+        yield
+    finally:
+        _LOOPS.reset(token)
+
+
 def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[complex]]:
     """Fourier phasors of the steady-state current over the stored window.
 
@@ -539,7 +611,9 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
     I_n = (2/T) integral of i(t) exp(-i n w t) over the window (cosine
     convention).  The DC term is reported separately and should be near zero
     for the odd-symmetric waveforms produced here.  The stored window must
-    span an integer number of periods, otherwise the projection would leak.
+    span an integer number of periods, otherwise the projection would leak,
+    and ``n_max`` times that number must not exceed half the samples, else
+    the harmonics would alias: both raise :class:`DomainError`.
     """
     t = result.waveforms["t"]
     i = result.waveforms["i"]
@@ -553,14 +627,23 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
 
 
 def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
-    """``(mean, [Y_1, ..., Y_n_max])`` of samples ``y(t)`` by a direct DFT.
+    """``(mean, [Y_1, ..., Y_n_max])`` of samples ``y(t)`` on a uniform grid
+    spanning a whole number c of periods.
 
-    Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor; the
-    samples must span an integer number of periods.
+    Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor, is bin
+    n c of the real FFT of ``y``, turned back by the window's start phase
+    n w t_0.  A harmonic past the Nyquist bin, n_max c > N / 2, would alias
+    and raises :class:`DomainError`.
     """
-    phase = np.exp(-1j * omega * t)
-    dc = float(np.mean(y))
-    return dc, [complex(2.0 / len(y) * np.sum(y * phase**n)) for n in range(1, n_max + 1)]
+    n = len(y)
+    cycles = round((t[-1] - t[0]) * n / (n - 1) * omega / (2.0 * math.pi))
+    if 2 * n_max * cycles > n:
+        raise DomainError(
+            f"harmonic {n_max} of {n} samples over {cycles} periods is past the Nyquist bin"
+        )
+    orders = np.arange(1, n_max + 1)
+    bins = np.fft.rfft(y)[orders * cycles] * np.exp(-1j * orders * omega * t[0])
+    return float(np.mean(y)), [complex(b) for b in 2.0 / n * bins]
 
 
 def low_pass_merit(plant: WecPlant) -> float:

@@ -572,7 +572,7 @@ def simulate_horizon(
     steps = cfg.steps_per_period
     dt = period / steps
     tol = cfg.algebraic_loop_tol * dt
-    loop = ExactLoop(plant, z_c, i_max, dt, steps)
+    loop = ExactLoop(plant, z_c, dt, steps)
 
     ys, cur, vl = np.empty((steps + 1, loop.n)), np.empty(steps + 1), np.empty(steps + 1)
     ys[steps] = loop.y0
@@ -588,11 +588,11 @@ def simulate_horizon(
             flat = br.powers[: steps - k].reshape(-1, loop.n) @ ys[k]
             ys[k + 1 :] = flat.reshape(-1, loop.n)
             cur[k + 1 :] = ys[k + 1 :] @ br.i_row
-            m = loop.first_candidate(rail, ys[k:], cur[k:])
+            m = loop.first_candidate(rail, ys[k:], cur[k:], i_max)
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             k += m
             if k < steps:
-                ys[k + 1], rail, cur[k + 1], *_ = loop.cross(ys[k], rail, dt, tol)
+                ys[k + 1], rail, cur[k + 1], *_ = loop.cross(ys[k], rail, i_max, dt, tol)
                 vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
                 k += 1
         bad = np.flatnonzero(~np.isfinite(ys[1:]).all(axis=1))

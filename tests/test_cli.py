@@ -1,5 +1,6 @@
 """Tests for configuration parsing, command dispatch, and emitted artifacts."""
 
+import dataclasses
 import importlib
 import math
 import os
@@ -14,7 +15,8 @@ from wec_satlin import cli, svg
 from wec_satlin.cli import main
 from wec_satlin.config import RunConfig, parse_config
 from wec_satlin.errors import ConfigError, SimulationError
-from wec_satlin.simulate import SimConfig
+from wec_satlin.propagate import Branch
+from wec_satlin.simulate import SimConfig, validate_df
 
 # the package namespace binds the function ``simulate`` over the submodule
 simulate_mod = importlib.import_module("wec_satlin.simulate")
@@ -648,6 +650,70 @@ class TestEmissionContract:
         assert len(calls) == 2
         assert (tmp_path / "waveforms_0p6.csv").exists()
         assert (tmp_path / "waveforms_1.csv").exists()
+
+
+class TestSharedLoops:
+    """One ``verify`` call shares one referee loop between its rows."""
+
+    FOUR_ROWS = (MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 0.4, 0.6, 0.8, 1.0\n"
+                 + "\n[sim]\nsteps_per_period = 400\n")
+
+    def test_four_rows_build_one_branch_pair_per_call(self, tmp_path, monkeypatch):
+        build = Branch.build.__func__
+        calls = []
+
+        def counted(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Branch, "build", classmethod(counted))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.FOUR_ROWS)
+        for _ in range(2):  # nothing carries over from one call to the next
+            calls.clear()
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            assert len(calls) == 2  # the free and the rail branch
+            assert simulate_mod._LOOPS.get() is None
+
+    def test_loops_are_dropped_after_a_simulation_error(self, tmp_path, monkeypatch, capsys):
+        held = []
+
+        def diverging(self, *args):
+            held.append(len(simulate_mod._LOOPS.get()))
+            raise SimulationError("state diverged at step 3 (t = 0.01 s)", step=3)
+
+        monkeypatch.setattr(simulate_mod._Loop, "period", diverging)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.FOUR_ROWS)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "diverged at step 3" in capsys.readouterr().err
+        assert held == [1]
+        assert simulate_mod._LOOPS.get() is None
+
+    def test_rows_match_validate_df_outside_the_scope(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.validate_df
+
+        def recorded(plant, i_max, cfg=None, n_harmonics=9):
+            rep = real(plant, i_max, cfg=cfg, n_harmonics=n_harmonics)
+            calls.append(((plant, i_max, cfg, n_harmonics), rep))
+            return rep
+
+        monkeypatch.setattr(cli, "validate_df", recorded)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.FOUR_ROWS)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4
+        for (plant, i_max, sim_cfg, n_harmonics), shared in calls:
+            alone = validate_df(plant, i_max, cfg=sim_cfg, n_harmonics=n_harmonics)
+            for field in dataclasses.fields(alone):
+                if field.name != "sim":
+                    assert getattr(shared, field.name) == getattr(alone, field.name), field.name
+            assert shared.sim.waveforms.tobytes() == alone.sim.waveforms.tobytes()
+            assert shared.sim.harmonic_currents == alone.sim.harmonic_currents
+            assert shared.sim.period_powers == alone.sim.period_powers
+            assert shared.sim.periodicity_residual == alone.sim.periodicity_residual
+            assert shared.sim.clip_fraction == alone.sim.clip_fraction
 
 
 class TestGoldenFiles:

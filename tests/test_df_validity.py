@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wec_satlin import haskind_plant, matched_baseline, thevenin_from_plant, validate_df
+from wec_satlin.simulate import _shared_loops
 
 N_DESIGNS = 60
 FRACTIONS = (0.2, 0.5, 0.8)
@@ -47,15 +48,17 @@ def draw_design(rng) -> dict:
 
 @pytest.fixture(scope="module")
 def rows():
-    """(design index, fraction) -> (alpha, report) over the whole domain."""
+    """(design index, fraction) -> (alpha, report) over the whole domain;
+    the rows of one design share one referee loop, as in ``verify``."""
     rng = np.random.default_rng(1)
     out = {}
-    for k in range(N_DESIGNS):
-        plant = haskind_plant(**draw_design(rng))
-        src = thevenin_from_plant(plant)
-        i_peak = matched_baseline(src).i_peak_matched
-        for fraction in FRACTIONS:
-            out[k, fraction] = (src.alpha, validate_df(plant, fraction * i_peak))
+    with _shared_loops():
+        for k in range(N_DESIGNS):
+            plant = haskind_plant(**draw_design(rng))
+            src = thevenin_from_plant(plant)
+            i_peak = matched_baseline(src).i_peak_matched
+            for fraction in FRACTIONS:
+                out[k, fraction] = (src.alpha, validate_df(plant, fraction * i_peak))
     return out
 
 

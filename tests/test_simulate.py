@@ -17,6 +17,7 @@ from oracles import (
     simulate_horizon,
     simulate_rk4,
 )
+from test_df_validity import draw_design
 from wec_satlin import (
     DomainError,
     SimConfig,
@@ -34,7 +35,7 @@ from wec_satlin import (
     z_from_gamma,
 )
 from wec_satlin.propagate import Branch, expm, flow
-from wec_satlin.simulate import _Loop
+from wec_satlin.simulate import _Loop, _shared_loops
 from wec_satlin.wec import WecPlant
 
 simulate_mod = importlib.import_module("wec_satlin.simulate")
@@ -259,6 +260,34 @@ class TestHarmonicDecompose:
         _, phasors = harmonic_decompose(res, 9)
         assert phasors == res.harmonic_currents
 
+    @pytest.mark.parametrize("cycles, t0", [(1, 0.0), (1, 4.1), (3, 7.3)])
+    def test_fft_matches_direct_sum(self, cycles, t0):
+        # the direct DFT the FFT replaced is the reference, on a sine clipped
+        # unevenly, so that odd and even harmonics are both present
+        omega, n = 1.3, 1200
+        t = t0 + np.arange(n) * (cycles * 2.0 * math.pi / omega / n)
+        y = np.clip(3.0 * np.cos(omega * t + 0.4), -1.7, 2.2)
+        phase = np.exp(-1j * omega * t)
+        direct = [complex(2.0 / n * np.sum(y * phase**k)) for k in range(1, 10)]
+        dc, phasors = simulate_mod._phasors(t, y, omega, 9)
+        assert dc == float(np.mean(y))
+        assert min(abs(p) for p in direct[:3]) > 1e-2 * abs(direct[0])
+        for new, ref in zip(phasors, direct):
+            assert abs(new - ref) <= 1e-12 * abs(direct[0])
+
+    def test_harmonics_past_nyquist_raise(self, lowpass_plant):
+        cfg = SimConfig(steps_per_period=100)
+        z_c = lowpass_plant.z_thevenin().conjugate()
+        res = simulate(lowpass_plant, z_c, cfg=cfg, n_harmonics=50)
+        assert len(harmonic_decompose(res, 50)[1]) == 50
+        with pytest.raises(DomainError, match="Nyquist"):
+            harmonic_decompose(res, 51)
+        with pytest.raises(DomainError, match="Nyquist"):
+            simulate(lowpass_plant, z_c, cfg=cfg, n_harmonics=51)
+        t = np.arange(100) * (3 * 2.0 * math.pi / 100)  # three periods at omega 1
+        with pytest.raises(DomainError, match="Nyquist"):
+            simulate_mod._phasors(t, np.cos(t), 1.0, 17)
+
     def test_window_validation(self, lowpass_plant, fast_sim):
         src = thevenin_from_plant(lowpass_plant)
         res = simulate(lowpass_plant, src.z_th.conjugate(), cfg=fast_sim)
@@ -397,7 +426,7 @@ class TestExpm:
 
 class TestSubStepFlow:
     def test_taylor_path_matches_matrix_exponential(self, lowpass_plant):
-        loop = _Loop(lowpass_plant, 0.21 - 0.1j, 1e3, 2 * math.pi / 600, 600)
+        loop = _Loop(lowpass_plant, 0.21 - 0.1j, 2 * math.pi / 600, 600)
         y0 = loop.y0 + np.arange(loop.n)
         h = 2 * math.pi / 600
         for tau in (0.0, 0.3 * h, h):
@@ -407,7 +436,7 @@ class TestSubStepFlow:
     def test_stiff_sub_step_falls_back_to_matrix_exponential(self, lowpass_plant):
         plant = dataclasses.replace(lowpass_plant, l_w=1e-6)
         h = 2 * math.pi / 2000
-        loop = _Loop(plant, plant.z_thevenin().conjugate(), 1e3, h, 2000)
+        loop = _Loop(plant, plant.z_thevenin().conjugate(), h, 2000)
         y0 = loop.y0 + np.arange(loop.n)
         tau = 0.6 * h
         assert np.array_equal(loop.free.path(y0, h)(tau), flow(loop.free.a, tau) @ y0)
@@ -492,6 +521,92 @@ class TestClipEvents:
         assert coarse.p_avg == pytest.approx(fine.p_avg, rel=1e-8)
         assert _waveform_gap(coarse, fine, 4) < 1e-9
 
+    @pytest.mark.parametrize("l_w", [0.005, 0.0])
+    def test_limits_just_below_the_peak_converge(self, l_w):
+        # i_max = (1 - 10^-k) of the unclipped sampled peak, k = 2..14: the
+        # clip holds for a share of the period that shrinks with k
+        plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=l_w))
+        z_c = thevenin_from_plant(plant).z_th.conjugate()
+        peak = simulate(plant, z_c).peak_current
+        clip = []
+        with _shared_loops():
+            for k in range(2, 15):
+                res = simulate(plant, z_c, i_max=(1.0 - 10.0**-k) * peak)
+                assert res.converged and res.periods_run <= 3
+                assert res.periodicity_residual <= 1e-12
+                clip.append(res.clip_fraction)
+        assert all(a > b for a, b in zip(clip, clip[1:]))
+        assert clip[-1] > 0.0
+
+
+class TestPeakBound:
+    """Steps whose guard changes slope but provably stays inside its branch
+    are whole steps, not candidates for :meth:`_Loop.cross`."""
+
+    def test_skipped_steps_hold_no_switch(self, lowpass_plant, monkeypatch):
+        # the reference makes the bound infinite, so that every slope change
+        # is crossed as before the bound; the seeded designs are joined by
+        # rows whose clip is entered and released inside one step, and by
+        # grazing rows
+        rng = np.random.default_rng(1)
+        cfg = SimConfig()
+        cases = []
+        for _ in range(25):
+            plant = haskind_plant(**draw_design(rng))
+            src = thevenin_from_plant(plant)
+            r = src.z_th.real
+            for z_c in (src.z_th.conjugate(), complex(r, 0.5 * r), complex(r, -0.5 * r)):
+                peak = abs(src.v_th / (src.z_th + z_c))  # the unclipped current
+                cases += [(plant, z_c, frac * peak, cfg) for frac in (0.2, 0.5, 0.8)]
+        for l_w in (0.0, 0.004):
+            cases.append(_enter_and_release_row(lowpass_plant, l_w)[:4])
+        for l_w in (0.0, 0.005):
+            cases.append((*_grazing_row(l_w), cfg))
+        period, cross = _Loop.period, _Loop.cross
+        segments, crossed = [], []
+
+        def recorded_period(self, *args):
+            run = period(self, *args)
+            segments[-1].append(run.segments)
+            return run
+
+        def counted_cross(self, *args):
+            crossed[-1] += 1
+            return cross(self, *args)
+
+        monkeypatch.setattr(_Loop, "period", recorded_period)
+        monkeypatch.setattr(_Loop, "cross", counted_cross)
+
+        def run_all():
+            crossed.append(0)
+            out = []
+            with _shared_loops():  # loops made under one bound stay in its run
+                for plant, z_c, i_max, sim_cfg in cases:
+                    segments.append([])
+                    out.append((simulate(plant, z_c, i_max=i_max, cfg=sim_cfg), segments[-1]))
+            return out
+
+        skipped = run_all()
+        monkeypatch.setattr(simulate_mod, "_bend", lambda *args: math.inf)
+        reference = run_all()
+        assert crossed[0] < crossed[1]
+        for (res, segs), (ref, ref_segs) in zip(skipped, reference):
+            # a whole step rounds otherwise than a crossed one, and a switch
+            # moves by that rounding over the guard's slope: up to 20 times
+            # the switch tolerance 1e-12 dt, so switch times are held to the
+            # outputs' 1e-12 relative, of the period
+            tol = 1e-12 * 2.0 * math.pi / ref.omega
+            assert res.periods_run == ref.periods_run
+            for ours, theirs in zip(segs, ref_segs):
+                assert [rail for rail, _, _ in ours] == [rail for rail, _, _ in theirs]
+                for (_, start, _), (_, ref_start, _) in zip(ours, theirs):
+                    assert abs(start - ref_start) <= tol
+            for name in ("p_avg", "x_amp", "peak_current", "clip_fraction"):
+                assert getattr(res, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+            i1 = abs(ref.harmonic_currents[0])
+            for new, old in zip(res.harmonic_currents, ref.harmonic_currents):
+                assert abs(new - old) <= 1e-12 * i1
+
 
 class TestPowerStack:
     @pytest.mark.parametrize("steps", [100, 600, 2000, 2001])
@@ -502,7 +617,7 @@ class TestPowerStack:
         plant = dataclasses.replace(lowpass_plant, l_w=l_w)
         z_th = plant.z_thevenin()
         dt = 2.0 * math.pi / plant.omega / steps
-        loop = _Loop(plant, complex(z_th.real, reactance * z_th.real), 1e3, dt, steps)
+        loop = _Loop(plant, complex(z_th.real, reactance * z_th.real), dt, steps)
         for br in (loop.free, loop.rail):
             assert br.powers.shape == (steps, loop.n, loop.n)
             assert np.array_equal(br.powers, powers_by_concatenation(br.a, dt, steps))
@@ -580,6 +695,8 @@ class TestWindowedScan:
                 for frac in (0.4, 0.6, 0.8, 1.0)]
         assert [res.periods_run for res in runs] == [5, 4, 4, 1]
         assert len(counts) == 14
+        # the peak bound leaves 55 steps to cross, of 81 without it
+        assert sum(candidates for _, candidates in counts) == 55
         steps = SimConfig().steps_per_period
         for samples, candidates in counts:
             assert samples < steps + (candidates + 1) * simulate_mod._WINDOW
@@ -672,12 +789,12 @@ class TestShooting:
         steps = 600
         dt = 2.0 * math.pi / plant.omega / steps
         tol = 1e-12 * dt
-        loop = _Loop(plant, z_c, i_max, dt, steps)
-        y, rail = loop.free_orbit()
+        loop = _Loop(plant, z_c, dt, steps)
+        y, rail = loop.free_orbit(i_max)
         for _ in range(3):  # near the orbit, where Newton uses the Jacobian
-            run = loop.period(y, rail, tol)
+            run = loop.period(y, rail, i_max, tol)
             y, rail = run.ys[-1], run.rail
-        run = loop.period(y, rail, tol)
+        run = loop.period(y, rail, i_max, tol)
         assert any(on_rail for on_rail, _, _ in run.segments) == math.isfinite(i_max)
         u = np.flatnonzero(loop.unknowns(rail))
         scale = np.abs(run.ys).max(axis=0)
@@ -687,7 +804,7 @@ class TestShooting:
             up, down = y.copy(), y.copy()
             up[j] += h
             down[j] -= h
-            ends = [loop.period(s, rail, tol).ys[-1, u] for s in (up, down)]
+            ends = [loop.period(s, rail, i_max, tol).ys[-1, u] for s in (up, down)]
             diff[:, col] = (ends[0] - ends[1]) / (2.0 * h)
         # compare in units of each state's amplitude over the period
         gap = (run.jac[np.ix_(u, u)] - diff) * scale[u][None, :] / scale[u][:, None]
