@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -113,7 +114,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def cmd_matched(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     """Matched baselines and dimensionless groups, both routes when possible."""
     rows: list[tuple[str, object]] = []
-    waves = cfg.wave_data()
+    waves = cfg.wave_data("matched")
     if cfg.plant is not None:
         plant = cfg.plant
         src = thevenin_from_plant(plant)
@@ -308,6 +309,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built once per process; each call parses afresh
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wec-satlin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,7 +4,13 @@ Exactly one of the ``[plant]`` (dimensional) or ``[nondim]`` (dimensionless
 groups) sections must be present.  Unknown sections or keys are errors so a
 typo in a physics parameter cannot silently fall back to a default.  The
 ``[waves]`` section supplies the incident-wave data when running from
-dimensionless groups; a dimensional plant carries its own.
+dimensionless groups; a dimensional plant carries its own, and ``matched``
+on ``[nondim]`` needs it.
+
+Each key is defined once, with the reader that checks its form, in
+``_SECTION_KEYS``.  A key left out takes its dataclass field's default; a
+field without one is a required key.  Each range is checked by the
+dataclass that holds it, :class:`RunConfig` included.
 
 Example::
 
@@ -30,9 +36,10 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import getitem
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .simulate import SimConfig
 from .wec import NondimGroups, WecPlant, haskind_plant
 
@@ -46,6 +53,10 @@ class WaveData:
     j_density: float
     k_wavenumber: float
     g0: int = 1
+
+    def __post_init__(self):
+        if self.g0 not in (1, 2):
+            raise DomainError(f"mode gain g0 must be 1 or 2, got {self.g0}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,24 @@ class RunConfig:
     svg: bool = False
     dump_waveforms: bool = False
 
+    def __post_init__(self):
+        for frac in self.i_max_fractions:
+            if frac <= 0.0:
+                raise ConfigError(f"i_max fractions must be positive, got {frac}")
+        # sample counts below two leave a grid, front or curve without extent
+        for key in ("smith_resolution", "smith_angular", "pareto_points", "fsat_points"):
+            value = getattr(self, key)
+            if value < 2:
+                raise ConfigError(f"[sweep] {key} must be at least 2, got {value}")
+        if self.fsat_i_inv_max <= 0.0:
+            raise ConfigError(
+                f"[sweep] fsat_i_inv_max must be positive, got {self.fsat_i_inv_max}"
+            )
+        if self.n_harmonics < 1 or self.n_harmonics % 2 == 0:
+            raise ConfigError(
+                f"[sweep] n_harmonics must be odd and positive, got {self.n_harmonics}"
+            )
+
     def require_plant(self, command: str) -> WecPlant:
         if self.plant is None:
             raise ConfigError(
@@ -75,24 +104,13 @@ class RunConfig:
             )
         return self.plant
 
-    def wave_data(self) -> WaveData:
+    def wave_data(self, command: str = "matched") -> WaveData:
         if self.plant is not None:
-            return WaveData(
-                j_density=self.plant.j_density,
-                k_wavenumber=self.plant.k_wavenumber,
-                g0=self.plant.g0,
-            )
-        assert self.waves is not None
+            return WaveData(self.plant.j_density, self.plant.k_wavenumber, self.plant.g0)
+        if self.waves is None:
+            raise ConfigError(f"command '{command}' needs a [waves] section with [nondim]")
         return self.waves
 
-
-_PLANT_KEYS = {
-    "m", "a_added", "b_h", "k_h", "g_ratio", "b_d", "k_d", "k_t",
-    "r_w", "l_w", "p_poles", "omega", "g0", "j_density", "k_wavenumber",
-    "haskind", "f_e_amplitude", "f_e_phase",
-}
-_NONDIM_KEYS = {"r_cal", "d_cal", "alpha_m", "l_cal"}
-_WAVES_KEYS = {"j_density", "k_wavenumber", "g0"}
 
 def _finite(sec, key, value: float) -> float:
     """No key gives NaN or infinity a meaning, so both are rejected here."""
@@ -101,11 +119,7 @@ def _finite(sec, key, value: float) -> float:
     return value
 
 
-def _get_float(sec, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in [{sec.name}]")
-        return default
+def _get_float(sec, key):
     try:
         value = float(sec[key])
     except ValueError as exc:
@@ -113,16 +127,14 @@ def _get_float(sec, key, default=None):
     return _finite(sec, key, value)
 
 
-def _get_int(sec, key, default=None):
-    value = _get_float(sec, key, default)
+def _get_int(sec, key):
+    value = _get_float(sec, key)
     if value != int(value):
         raise ConfigError(f"[{sec.name}] {key} must be an integer, got {value}")
     return int(value)
 
 
-def _get_bool(sec, key, default=False):
-    if key not in sec:
-        return default
+def _get_bool(sec, key):
     raw = sec[key].strip().lower()
     if raw in ("1", "true", "yes", "on"):
         return True
@@ -141,67 +153,76 @@ def _get_float_list(sec, key):
     return tuple(_finite(sec, key, v) for v in values)
 
 
-# Each [sweep] and [sim] key with its reader, in reading order.  A key the
-# config leaves out keeps the default of its RunConfig or SimConfig field.
-_SWEEP_READERS = {
-    "alphas": _get_float_list,
-    "smith_resolution": _get_int,
-    "smith_angular": _get_int,
-    "pareto_points": _get_int,
-    "fsat_points": _get_int,
-    "fsat_i_inv_max": _get_float,
-    "i_max_fractions": _get_float_list,
-    "n_harmonics": _get_int,
+def _get_haskind(sec, key):
+    """haskind derives the excitation force, so f_e_amplitude may not be given."""
+    haskind = _get_bool(sec, key)
+    if haskind and "f_e_amplitude" in sec:
+        raise ConfigError("[plant] gives both haskind = true and f_e_amplitude; pick one")
+    return haskind
+
+
+# Each section's dataclass and its keys with their readers, in reading order.
+# Every key names a field of that dataclass except five: haskind, f_e_phase
+# and f_e_amplitude make WecPlant.f_e, transient_periods is read and dropped,
+# and dir sets RunConfig.out_dir.
+_SECTION_KEYS = {
+    "plant": (WecPlant, {
+        "m": _get_float, "a_added": _get_float, "b_h": _get_float, "k_h": _get_float,
+        "k_t": _get_float, "omega": _get_float, "g_ratio": _get_float, "b_d": _get_float,
+        "k_d": _get_float, "r_w": _get_float, "l_w": _get_float, "p_poles": _get_int,
+        "j_density": _get_float, "k_wavenumber": _get_float, "g0": _get_int,
+        "f_e_phase": _get_float, "haskind": _get_haskind, "f_e_amplitude": _get_float,
+    }),
+    "nondim": (NondimGroups, dict.fromkeys(("r_cal", "d_cal", "alpha_m", "l_cal"), _get_float)),
+    "waves": (WaveData, {"j_density": _get_float, "k_wavenumber": _get_float, "g0": _get_int}),
+    "sweep": (RunConfig, {
+        "alphas": _get_float_list, "smith_resolution": _get_int, "smith_angular": _get_int,
+        "pareto_points": _get_int, "fsat_points": _get_int, "fsat_i_inv_max": _get_float,
+        "i_max_fractions": _get_float_list, "n_harmonics": _get_int,
+    }),
+    "sim": (SimConfig, {
+        "steps_per_period": _get_int, "n_periods": _get_int,
+        # shooting needs no transient skip: read so that older configs load, then dropped
+        "transient_periods": _get_int, "convergence_tol": _get_float,
+    }),
+    "output": (RunConfig, {"dir": getitem, "svg": _get_bool, "dump_waveforms": _get_bool}),
 }
-_SIM_READERS = {
-    "steps_per_period": _get_int,
-    "n_periods": _get_int,
-    # shooting needs no transient skip: read so that older configs load, then dropped
-    "transient_periods": _get_int,
-    "convergence_tol": _get_float,
-}
-_SECTIONS = {
-    "plant": _PLANT_KEYS,
-    "nondim": _NONDIM_KEYS,
-    "waves": _WAVES_KEYS,
-    "sweep": _SWEEP_READERS.keys(),
-    "sim": _SIM_READERS.keys(),
-    "output": {"dir", "svg", "dump_waveforms"},
-}
+# Keys a config may leave out although their field has no default.
+_CONFIG_DEFAULTS = {"a_added": 0.0, "l_cal": 0.0}
 
 
-def _read_section(sec, readers) -> dict:
-    """The keys of ``readers`` that ``sec`` gives, each checked by its reader."""
-    return {key: read(sec, key) for key, read in readers.items() if key in sec}
+def _missing(key, name) -> ConfigError:
+    return ConfigError(f"missing required key '{key}' in [{name}]")
 
 
-def _build_plant(sec) -> WecPlant:
-    kwargs = dict(
-        m=_get_float(sec, "m"),
-        a_added=_get_float(sec, "a_added", 0.0),
-        b_h=_get_float(sec, "b_h"),
-        k_h=_get_float(sec, "k_h"),
-        k_t=_get_float(sec, "k_t"),
-        omega=_get_float(sec, "omega"),
-        g_ratio=_get_float(sec, "g_ratio", 1.0),
-        b_d=_get_float(sec, "b_d", 0.0),
-        k_d=_get_float(sec, "k_d", 0.0),
-        r_w=_get_float(sec, "r_w", 0.0),
-        l_w=_get_float(sec, "l_w", 0.0),
-        p_poles=_get_int(sec, "p_poles", 2),
-        j_density=_get_float(sec, "j_density", 0.0),
-        k_wavenumber=_get_float(sec, "k_wavenumber", 0.0),
-        g0=_get_int(sec, "g0", 1),
-    )
-    phase = _get_float(sec, "f_e_phase", 0.0)
-    if _get_bool(sec, "haskind", False):
-        if "f_e_amplitude" in sec:
-            raise ConfigError(
-                "[plant] gives both haskind = true and f_e_amplitude; pick one"
-            )
-        return haskind_plant(phase=phase, **kwargs)
-    amp = _get_float(sec, "f_e_amplitude")
-    return WecPlant(f_e=amp * cmath.exp(1j * phase), **kwargs)
+def _read_section(cp, name) -> dict:
+    """The values of ``[name]``, each checked by its reader in table order.
+
+    A key left out takes its config default, else its field's default; a
+    key whose field has neither is missing.
+    """
+    cls, readers = _SECTION_KEYS[name]
+    sec = cp[name] if cp.has_section(name) else {}
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for key, read in readers.items():
+        if key in sec:
+            values[key] = read(sec, key)
+        elif key in _CONFIG_DEFAULTS:
+            values[key] = _CONFIG_DEFAULTS[key]
+        elif key in required:
+            raise _missing(key, name)
+    return values
+
+
+def _build_plant(values: dict) -> WecPlant:
+    phase = values.pop("f_e_phase", 0.0)
+    if values.pop("haskind", False):
+        return haskind_plant(phase=phase, **values)
+    if "f_e_amplitude" not in values:
+        raise _missing("f_e_amplitude", "plant")
+    return WecPlant(f_e=values.pop("f_e_amplitude") * cmath.exp(1j * phase), **values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -215,80 +236,34 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for name in cp.sections():
-        if name not in _SECTIONS:
+        if name not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        unknown = set(cp[name]) - _SECTIONS[name]
+        unknown = set(cp[name]) - _SECTION_KEYS[name][1].keys()
         if unknown:
-            raise ConfigError(
-                f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
-            )
+            raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
 
     has_plant = cp.has_section("plant")
     has_nondim = cp.has_section("nondim")
     if has_plant == has_nondim:
         raise ConfigError("exactly one of [plant] or [nondim] must be given")
-    if has_plant and cp.has_section("waves"):
+    has_waves = cp.has_section("waves")
+    if has_plant and has_waves:
         raise ConfigError("[waves] duplicates wave data already in [plant]")
 
     try:
-        plant = _build_plant(cp["plant"]) if has_plant else None
-        groups = None
-        waves = None
-        if has_nondim:
-            sec = cp["nondim"]
-            groups = NondimGroups(
-                r_cal=_get_float(sec, "r_cal"),
-                d_cal=_get_float(sec, "d_cal"),
-                alpha_m=_get_float(sec, "alpha_m"),
-                l_cal=_get_float(sec, "l_cal", 0.0),
-            )
-            if cp.has_section("waves"):
-                wsec = cp["waves"]
-                waves = WaveData(
-                    j_density=_get_float(wsec, "j_density"),
-                    k_wavenumber=_get_float(wsec, "k_wavenumber"),
-                    g0=_get_int(wsec, "g0", 1),
-                )
-
-        for optional in ("sweep", "sim", "output"):
-            if not cp.has_section(optional):
-                cp.add_section(optional)
-        sim = _read_section(cp["sim"], _SIM_READERS)
+        plant = _build_plant(_read_section(cp, "plant")) if has_plant else None
+        groups = NondimGroups(**_read_section(cp, "nondim")) if has_nondim else None
+        waves = WaveData(**_read_section(cp, "waves")) if has_waves else None
+        sim = _read_section(cp, "sim")
         sim.pop("transient_periods", None)
-        out, defaults = cp["output"], RunConfig()
-        cfg = RunConfig(
-            plant=plant,
-            groups=groups,
-            waves=waves,
-            sim=SimConfig(**sim),
-            **_read_section(cp["sweep"], _SWEEP_READERS),
-            out_dir=out.get("dir", defaults.out_dir),
-            svg=_get_bool(out, "svg", defaults.svg),
-            dump_waveforms=_get_bool(out, "dump_waveforms", defaults.dump_waveforms),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        # domain violations inside WecPlant/NondimGroups are config errors here
+        sim = SimConfig(**sim)
+        sweep = _read_section(cp, "sweep")
+        output = _read_section(cp, "output")
+        if "dir" in output:
+            output["out_dir"] = output.pop("dir")
+        return RunConfig(plant=plant, groups=groups, waves=waves, sim=sim, **sweep, **output)
+    except DomainError as exc:  # a range check inside a dataclass
         raise ConfigError(f"invalid configuration value: {exc}") from exc
-
-    for frac in cfg.i_max_fractions:
-        if frac <= 0.0:
-            raise ConfigError(f"i_max fractions must be positive, got {frac}")
-    # sample counts below two leave a grid, front or curve without extent
-    for key in ("smith_resolution", "smith_angular", "pareto_points", "fsat_points"):
-        value = getattr(cfg, key)
-        if value < 2:
-            raise ConfigError(f"[sweep] {key} must be at least 2, got {value}")
-    if cfg.fsat_i_inv_max <= 0.0:
-        raise ConfigError(
-            f"[sweep] fsat_i_inv_max must be positive, got {cfg.fsat_i_inv_max}"
-        )
-    if cfg.n_harmonics < 1 or cfg.n_harmonics % 2 == 0:
-        raise ConfigError(
-            f"[sweep] n_harmonics must be odd and positive, got {cfg.n_harmonics}"
-        )
-    return cfg
 
 
 def load_config(path) -> RunConfig:

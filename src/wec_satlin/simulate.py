@@ -615,15 +615,7 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
     and ``n_max`` times that number must not exceed half the samples, else
     the harmonics would alias: both raise :class:`DomainError`.
     """
-    t = result.waveforms["t"]
-    i = result.waveforms["i"]
-    span = (t[-1] - t[0]) + result.dt
-    cycles = span * result.omega / (2.0 * math.pi)
-    if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
-        raise DomainError(
-            f"window spans {cycles:.6g} periods; need an integer count"
-        )
-    return _phasors(t, i, result.omega, n_max)
+    return _phasors(result.waveforms["t"], result.waveforms["i"], result.omega, n_max)
 
 
 def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
@@ -632,11 +624,15 @@ def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
 
     Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor, is bin
     n c of the real FFT of ``y``, turned back by the window's start phase
-    n w t_0.  A harmonic past the Nyquist bin, n_max c > N / 2, would alias
-    and raises :class:`DomainError`.
+    n w t_0.  A window that is not a whole number of periods would leak, and
+    a harmonic past the Nyquist bin, n_max c > N / 2, would alias: both raise
+    :class:`DomainError`.
     """
     n = len(y)
-    cycles = round((t[-1] - t[0]) * n / (n - 1) * omega / (2.0 * math.pi))
+    span = (t[-1] - t[0]) * n / (n - 1) * omega / (2.0 * math.pi)
+    cycles = round(span)
+    if abs(span - cycles) > 1e-9 or cycles < 1:
+        raise DomainError(f"window spans {span:.6g} periods; need an integer count")
     if 2 * n_max * cycles > n:
         raise DomainError(
             f"harmonic {n_max} of {n} samples over {cycles} periods is past the Nyquist bin"

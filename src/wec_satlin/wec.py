@@ -220,19 +220,15 @@ def haskind_force_amplitude(
 def haskind_plant(phase: float = 0.0, **fields) -> WecPlant:
     """Build a plant whose excitation force satisfies the reciprocity relation.
 
-    Takes the same keyword fields as :class:`WecPlant` except ``f_e``, which
-    is derived from (b_h, g0, j_density, k_wavenumber) with the given phase
-    (default 0; the phase reference only shifts phasor phases, never
-    magnitudes or powers).
+    Takes the same keyword fields as :class:`WecPlant`, with its defaults,
+    except ``f_e``, which is derived from (b_h, g0, j_density, k_wavenumber)
+    with the given phase (default 0; the phase reference only shifts phasor
+    phases, never magnitudes or powers).
     """
     if "f_e" in fields:
         raise DomainError("f_e is derived here; pass wave data instead")
-    amp = haskind_force_amplitude(
-        fields["b_h"],
-        fields.get("g0", 1),
-        fields["j_density"],
-        fields["k_wavenumber"],
-    )
+    wave = [fields.get(k, getattr(WecPlant, k)) for k in ("g0", "j_density", "k_wavenumber")]
+    amp = haskind_force_amplitude(fields["b_h"], *wave)
     return WecPlant(f_e=amp * cmath.exp(1j * phase), **fields)
 
 

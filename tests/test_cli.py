@@ -39,6 +39,13 @@ j_density = 1.0e4
 k_wavenumber = 0.102
 """
 
+NONDIM_ONLY = """
+[nondim]
+r_cal = 0.05
+d_cal = 1.0
+alpha_m = 0.0
+"""
+
 
 def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -131,6 +138,46 @@ class TestExitCodes:
 
     def test_usage_error_is_config_error(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1
+
+    def test_parser_is_built_once_and_parses_every_call(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["frobnicate", "--config", "x"]) == 1
+        assert main(["fsat"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and "--config" in err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NONDIM_ONLY + "\n[sweep]\nfsat_points = 5\n")
+        assert main(["fsat", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "fsat.csv")[1]) == 5
+
+    def test_matched_on_nondim_needs_waves(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NONDIM_ONLY)
+        assert main(["matched", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'matched'" in err and "[waves]" in err
+        assert not (tmp_path / "matched.csv").exists()
+
+    def test_nondim_alone_runs_the_normalized_commands(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            NONDIM_ONLY
+            + "\n[sweep]\nsmith_resolution = 5\nsmith_angular = 8\n"
+            + "pareto_points = 11\nfsat_points = 11\n"
+        )
+        for command in ("smith", "pareto", "fsat"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("g0", ["0", "3"])
+    def test_bad_waves_mode_gain_is_config_error(self, tmp_path, capsys, g0):
+        cfg = tmp_path / "run.ini"
+        waves = f"\n[waves]\nj_density = 1.0e4\nk_wavenumber = 0.1\ng0 = {g0}\n"
+        cfg.write_text(NONDIM_ONLY + waves)
+        assert main(["matched", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid configuration value: "
+            f"mode gain g0 must be 1 or 2, got {g0}\n"
+        )
 
     def test_stiff_winding_verify_exits_zero(self, tmp_path, capsys):
         # a 1 uH winding, far faster than the default step, is propagated

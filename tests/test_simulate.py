@@ -295,6 +295,12 @@ class TestHarmonicDecompose:
         with pytest.raises(DomainError, match="integer"):
             harmonic_decompose(truncated, 3)
 
+    @pytest.mark.parametrize("periods", [0.5, 1.5, 2.999])
+    def test_phasors_need_whole_periods(self, periods):
+        t = np.arange(100) * (periods * 2.0 * math.pi / 100)
+        with pytest.raises(DomainError, match=f"window spans {periods:.6g} periods"):
+            simulate_mod._phasors(t, np.cos(t), 1.0, 1)
+
 
 class TestValidateDf:
     def test_unsaturated_row(self, lowpass_plant, fast_sim):

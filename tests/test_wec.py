@@ -84,6 +84,10 @@ class TestWecPlant:
         with pytest.raises(DomainError):
             haskind_force_amplitude(1e4, 1, 1e4, 0.0)
 
+    def test_haskind_plant_without_wave_data_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="haskind relation"):
+            haskind_plant(m=6.0e4, a_added=4.0e4, b_h=5.0e4, k_h=1.0e5, k_t=100.0, omega=1.0)
+
     def test_raw_plant_not_flagged_consistent(self):
         assert not basic_plant().haskind_consistent
 
