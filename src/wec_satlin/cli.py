@@ -64,37 +64,68 @@ def fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _column_cells(column) -> tuple[str, list | None]:
+def _column_cells(column) -> tuple[str | None, object]:
     """printf spec and cell values of one CSV column.
 
     A list of ``str`` prints as ``%s``; a scalar, the same on every row, has
-    its :func:`fmt` text in the spec and no cells.  Otherwise bool and integer
-    dtypes print as ``%d`` and floats as ``%.12g``, the text :func:`fmt` gives
-    each cell (``inf``, ``nan`` and ``-0`` included); any other column goes
-    through :func:`fmt` cell by cell.
+    its :func:`fmt` text in the spec and no cells.  A boolean column has no
+    spec and its array as cells: :func:`_format_rows` prints it together with
+    its boolean neighbours.  Otherwise integer dtypes print as ``%d`` and
+    floats as ``%.12g``, the text :func:`fmt` gives each cell (``inf``,
+    ``nan`` and ``-0`` included); any other column goes through :func:`fmt`
+    cell by cell.
     """
     if isinstance(column, list) and set(map(type, column)) <= {str}:
         return "%s", column
     arr = np.asarray(column)
     if arr.ndim == 0:
         return fmt(column).replace("%", "%%"), None
-    if arr.dtype.kind in "biu":
+    if arr.dtype.kind == "b":
+        return None, arr
+    if arr.dtype.kind in "iu":
         return "%d", arr.tolist()
     if arr.dtype.kind == "f":
         return "%.12g", arr.tolist()
     return "%s", [fmt(v) for v in column]
 
 
+_BOOL_RUN = 8  # most boolean columns per cell; the text table has 2**k entries
+
+
+def _bool_cells(run) -> list[str]:
+    """One text cell per row for adjacent boolean columns, such as ``0,1``.
+
+    A row's bits, packed into one index, pick its text from the table of the
+    2**k joins of ``0`` and ``1``.
+    """
+    packed = np.zeros(len(run[0]), dtype=np.intp)
+    for bits in run:
+        packed = packed << 1 | bits
+    table = [",".join(t) for t in itertools.product("01", repeat=len(run))]
+    return np.array(table, dtype=object)[packed].tolist()
+
+
 def _format_rows(columns) -> str:
     """Text of ``columns``, one line per row, formatted column-wise.
 
     One row template built from the column kinds is applied to all cells in
-    a single ``%``, so the bytes match a per-cell :func:`fmt` join.
+    a single ``%``, so the bytes match a per-cell :func:`fmt` join.  Each run
+    of adjacent boolean columns, up to ``_BOOL_RUN`` of them, is one ``%s``
+    cell taken from :func:`_bool_cells`.
     """
-    specs, cells = zip(*map(_column_cells, columns))
-    cells = [c for c in cells if c is not None]
-    if len({len(c) for c in cells}) != 1:
+    kinds = list(map(_column_cells, columns))
+    if len({len(cells) for _, cells in kinds if cells is not None}) != 1:
         raise ValueError("CSV columns differ in length, or none holds cells")
+    specs, cells = [], []
+    for boolean, run in itertools.groupby(kinds, lambda kind: kind[0] is None):
+        run = list(run)
+        if not boolean:
+            specs += [spec for spec, _ in run]
+            cells += [values for _, values in run if values is not None]
+            continue
+        for k in range(0, len(run), _BOOL_RUN):
+            specs.append("%s")
+            cells.append(_bool_cells([bits for _, bits in run[k:k + _BOOL_RUN]]))
     row = ",".join(specs) + "\n"
     return row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells)))
 
@@ -267,6 +298,12 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
 def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     """Quasi-linear predictions against the time-domain reference, row per limit."""
     plant = cfg.require_plant("verify")
+    steps = cfg.sim.steps_per_period
+    if 2 * cfg.n_harmonics > steps:  # the referee's phasors would alias
+        raise ConfigError(
+            f"[sweep] n_harmonics = {cfg.n_harmonics} is past the Nyquist bin of "
+            f"[sim] steps_per_period = {steps}; verify needs n_harmonics <= {steps // 2}"
+        )
     src = thevenin_from_plant(plant)
     base = matched_baseline(src)
     rows = []

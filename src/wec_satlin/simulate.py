@@ -507,12 +507,14 @@ def simulate(
     The loop does not depend on the limit: inside a :func:`_shared_loops`
     block, calls with the same plant, controller and step count share one;
     outside one, each call builds its own.  ``n_harmonics`` past the
-    Nyquist bin raises :class:`DomainError`.
+    Nyquist bin of one period raises :class:`DomainError` before any period
+    is run.
     """
     if not (i_max > 0.0):
         raise DomainError(f"current limit must be positive, got {i_max}")
     i_max = float(i_max)
     cfg = cfg or SimConfig()
+    _check_nyquist(n_harmonics, cfg.steps_per_period, 1)
     period = 2.0 * math.pi / plant.omega
     steps = cfg.steps_per_period
     dt = period / steps
@@ -633,13 +635,19 @@ def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
     cycles = round(span)
     if abs(span - cycles) > 1e-9 or cycles < 1:
         raise DomainError(f"window spans {span:.6g} periods; need an integer count")
+    _check_nyquist(n_max, n, cycles)
+    orders = np.arange(1, n_max + 1)
+    bins = np.fft.rfft(y)[orders * cycles] * np.exp(-1j * orders * omega * t[0])
+    return float(np.mean(y)), [complex(b) for b in 2.0 / n * bins]
+
+
+def _check_nyquist(n_max: int, n: int, cycles: int) -> None:
+    """Raise :class:`DomainError` when harmonic ``n_max`` of ``n`` samples over
+    ``cycles`` periods, bin ``n_max cycles``, is past the Nyquist bin ``n / 2``."""
     if 2 * n_max * cycles > n:
         raise DomainError(
             f"harmonic {n_max} of {n} samples over {cycles} periods is past the Nyquist bin"
         )
-    orders = np.arange(1, n_max + 1)
-    bins = np.fft.rfft(y)[orders * cycles] * np.exp(-1j * orders * omega * t[0])
-    return float(np.mean(y)), [complex(b) for b in 2.0 / n * bins]
 
 
 def low_pass_merit(plant: WecPlant) -> float:

@@ -17,23 +17,27 @@ __all__ = ["smith_svg", "pareto_svg", "fsat_svg"]
 _COLORS = ("#1f6fb2", "#c44e52", "#2a9d4e", "#8a56c2", "#c78f2e", "#4b5563")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _points(template: str, x, y) -> str:
+    """``template``, which holds two ``%.2f`` fields, once per (x, y) pixel
+    pair of the arrays ``x`` and ``y``, all formatted in one ``%``."""
+    return template * len(x) % tuple(np.column_stack((x, y)).ravel().tolist())
 
 
-def _polyline(points, color: str, width: float = 1.2, dash: str | None = None) -> str:
-    if len(points) < 2:
+def _polyline(x, y, color: str, width: float = 1.2, dash: str | None = None) -> str:
+    """Polyline through the pixel coordinate arrays ``x`` and ``y``; nothing
+    when there are fewer than two points."""
+    if len(x) < 2:
         return ""
     attrs = f'fill="none" stroke="{color}" stroke-width="{width}"'
     if dash:
         attrs += f' stroke-dasharray="{dash}"'
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    pts = _points("%.2f,%.2f ", x, y)[:-1]
     return f'<polyline {attrs} points="{pts}"/>\n'
 
 
 def _text(x: float, y: float, s: str, size: int = 12, color: str = "#222") -> str:
     return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+        f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
         f'font-size="{size}" fill="{color}">{s}</text>\n'
     )
 
@@ -48,7 +52,8 @@ def _document(width: int, height: int, body: str) -> str:
 
 
 def _level_crossings(grid: np.ndarray, field: str, resolution: int, n_angular: int):
-    """(theta, radius) points where ``field`` crosses 1 along each ray.
+    """``(theta, radius)`` arrays of the points where ``field`` crosses 1
+    along each ray.
 
     Each pair of radial neighbours with finite values contributes one point,
     linearly interpolated, when the first value is exactly 1 or the pair
@@ -64,7 +69,7 @@ def _level_crossings(grid: np.ndarray, field: str, resolution: int, n_angular: i
     a, b, on_level = a[j, k], b[j, k], on_level[j, k]
     frac = np.where(on_level, 0.0, a / np.where(on_level, 1.0, a - b))
     radius = radii[k] + frac * (radii[k + 1] - radii[k])
-    return list(zip(theta[j].tolist(), radius.tolist()))
+    return theta[j], radius
 
 
 def smith_svg(
@@ -81,21 +86,19 @@ def smith_svg(
     body = f'<circle cx="{cx}" cy="{cy}" r="{r_px}" fill="none" stroke="#333" stroke-width="1.5"/>\n'
     for rho in (0.25, 0.5, 0.75):
         body += (
-            f'<circle cx="{cx}" cy="{cy}" r="{_fmt(r_px * rho)}" fill="none" '
+            f'<circle cx="{cx}" cy="{cy}" r="{r_px * rho:.2f}" fill="none" '
             f'stroke="#ccc" stroke-width="0.6"/>\n'
         )
-    body += _polyline([(cx - r_px, cy), (cx + r_px, cy)], "#ccc", 0.6)
+    body += _polyline([cx - r_px, cx + r_px], [cy, cy], "#ccc", 0.6)
 
     for field, color in (("v_ratio", "#2a9d4e"), ("i_ratio", "#d1489a")):
-        pts = sorted(_level_crossings(grid, field, resolution, n_angular))
-        body += _polyline([to_xy(t, r) for t, r in pts], color, 1.4)
+        theta, radius = _level_crossings(grid, field, resolution, n_angular)
+        order = np.lexsort((radius, theta))  # by angle, then outward
+        body += _polyline(*to_xy(theta[order], radius[order]), color, 1.4)
 
     gs = np.linspace(0.0, 1.0, 181)
     for eps, color in ((+1, "#2a9d4e"), (-1, "#d1489a")):
-        phi = optimal_angle(gs, alpha, eps)
-        body += _polyline(
-            [to_xy(p, g) for g, p in zip(gs, phi)], color, 1.4, dash="6,4"
-        )
+        body += _polyline(*to_xy(optimal_angle(gs, alpha, eps), gs), color, 1.4, dash="6,4")
 
     body += _text(12, 20, f"alpha = {alpha:g}")
     body += _text(
@@ -108,9 +111,7 @@ def smith_svg(
 
 def _axes(width, height, margin, x_label, y_label, x_max, y_max):
     body = _polyline(
-        [(margin, margin), (margin, height - margin), (width - margin, height - margin)],
-        "#333",
-        1.2,
+        [margin, margin, width - margin], [margin, height - margin, height - margin], "#333"
     )
     body += _text(width / 2 - 30, height - 8, x_label, size=12)
     body += _text(8, margin - 8, y_label, size=12)
@@ -129,18 +130,16 @@ def pareto_svg(path, fronts: dict[float, np.ndarray]) -> None:
 
     def to_xy(x, y):
         return (
-            margin + (width - 2 * margin) * min(x, x_max) / x_max,
-            height - margin - (height - 2 * margin) * min(y, y_max) / y_max,
+            margin + (width - 2 * margin) * np.minimum(x, x_max) / x_max,
+            height - margin - (height - 2 * margin) * np.minimum(y, y_max) / y_max,
         )
 
     body = _axes(width, height, margin, "current ratio", "power ratio", x_max, y_max)
     for idx, (alpha, table) in enumerate(sorted(fronts.items())):
         color = _COLORS[idx % len(_COLORS)]
-        for row in table:
-            if row["i_ratio"] > x_max:
-                continue
-            x, y = to_xy(row["i_ratio"], row["power_ratio"])
-            body += f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.6" fill="{color}"/>\n'
+        shown = table[~(table["i_ratio"] > x_max)]  # points past x_max are left out; NaN is kept
+        body += _points(f'<circle cx="%.2f" cy="%.2f" r="1.6" fill="{color}"/>\n',
+                        *to_xy(shown["i_ratio"], shown["power_ratio"]))
         body += _text(width - margin - 110, margin + 16 * (idx + 1),
                       f"alpha = {alpha:g}", size=11, color=color)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -156,14 +155,15 @@ def fsat_svg(path, i_inv: np.ndarray, curves: dict[int, np.ndarray]) -> None:
     def to_xy(x, y):
         return (
             margin + (width - 2 * margin) * x / x_max,
-            height - margin - (height - 2 * margin) * max(min(y, y_max), -0.1) / y_max,
+            height - margin
+            - (height - 2 * margin) * np.maximum(np.minimum(y, y_max), -0.1) / y_max,
         )
 
     body = _axes(width, height, margin, "command / clip level", "harmonic factor",
                  x_max, y_max)
     for idx, (n, values) in enumerate(sorted(curves.items())):
         color = _COLORS[idx % len(_COLORS)]
-        body += _polyline([to_xy(x, y) for x, y in zip(i_inv, values)], color, 1.4)
+        body += _polyline(*to_xy(i_inv, values), color, 1.4)
         body += _text(width - margin - 110, margin + 16 * (idx + 1),
                       f"harmonic {n}", size=11, color=color)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

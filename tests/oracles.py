@@ -3,10 +3,11 @@
 Everything here deliberately avoids the code paths under test: direct phasor
 circuit solutions, quadrature of clipped waveforms, brute-force sweeps,
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
-filter, the root-finders the bracketed Illinois solve replaced, the
-fixed-step RK4 integrator the exact referee replaced, the fixed-horizon
-run that shooting to the periodic orbit replaced, and the concatenating
-doubling the in-place power stack replaced.
+filter, SVG renderers that place each point by scalar calls, the
+root-finders the bracketed Illinois solve replaced, the fixed-step RK4
+integrator the exact referee replaced, the fixed-horizon run that shooting
+to the periodic orbit replaced, and the concatenating doubling the in-place
+power stack replaced.
 """
 
 import cmath
@@ -17,10 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from wec_satlin.descfcn import saturation_factor
+from wec_satlin.mismatch import optimal_angle
 from wec_satlin.propagate import flow
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
+from wec_satlin.svg import _COLORS, _document, _text
 from wec_satlin.wec import WecPlant
 
 
@@ -131,6 +134,114 @@ def level_crossings_loop(grid, field, resolution, n_angular):
                 frac = 0.0 if a == 0.0 else a / (a - b)
                 points.append((theta[j], radii[k] + frac * (radii[k + 1] - radii[k])))
     return points
+
+
+def _polyline_pointwise(points, color, width=1.2, dash=None):
+    if len(points) < 2:
+        return ""
+    attrs = f'fill="none" stroke="{color}" stroke-width="{width}"'
+    if dash:
+        attrs += f' stroke-dasharray="{dash}"'
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    return f'<polyline {attrs} points="{pts}"/>\n'
+
+
+def _axes_pointwise(width, height, margin, x_label, y_label, x_max, y_max):
+    body = _polyline_pointwise(
+        [(margin, margin), (margin, height - margin), (width - margin, height - margin)],
+        "#333",
+        1.2,
+    )
+    body += _text(width / 2 - 30, height - 8, x_label, size=12)
+    body += _text(8, margin - 8, y_label, size=12)
+    for k in range(5):
+        fx = margin + (width - 2 * margin) * k / 4
+        fy = height - margin - (height - 2 * margin) * k / 4
+        body += _text(fx - 8, height - margin + 16, f"{x_max * k / 4:g}", size=10, color="#555")
+        body += _text(margin - 26, fy + 4, f"{y_max * k / 4:g}", size=10, color="#555")
+    return body
+
+
+def smith_svg_pointwise(path, alpha, grid, resolution, n_angular):
+    """Smith chart SVG placing each point by scalar calls, crossings by the loop."""
+    size = 640
+    cx = cy = size / 2
+    r_px = size / 2 - 30
+
+    def to_xy(theta, radius):
+        return cx + r_px * radius * np.cos(theta), cy - r_px * radius * np.sin(theta)
+
+    body = f'<circle cx="{cx}" cy="{cy}" r="{r_px}" fill="none" stroke="#333" stroke-width="1.5"/>\n'
+    for rho in (0.25, 0.5, 0.75):
+        body += (
+            f'<circle cx="{cx}" cy="{cy}" r="{r_px * rho:.2f}" fill="none" '
+            f'stroke="#ccc" stroke-width="0.6"/>\n'
+        )
+    body += _polyline_pointwise([(cx - r_px, cy), (cx + r_px, cy)], "#ccc", 0.6)
+    for field, color in (("v_ratio", "#2a9d4e"), ("i_ratio", "#d1489a")):
+        pts = sorted(level_crossings_loop(grid, field, resolution, n_angular))
+        body += _polyline_pointwise([to_xy(t, r) for t, r in pts], color, 1.4)
+    gs = np.linspace(0.0, 1.0, 181)
+    for eps, color in ((+1, "#2a9d4e"), (-1, "#d1489a")):
+        phi = optimal_angle(gs, alpha, eps)
+        body += _polyline_pointwise(
+            [to_xy(p, g) for g, p in zip(gs, phi)], color, 1.4, dash="6,4"
+        )
+    body += _text(12, 20, f"alpha = {alpha:g}")
+    body += _text(
+        12, size - 12, "solid: ratio = 1 boundary, dashed: optimal contour "
+        "(green voltage, pink current)", size=11, color="#555"
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_document(size, size, body))
+
+
+def pareto_svg_pointwise(path, fronts):
+    """Pareto SVG walking each front row by row, one circle per f-string."""
+    width, height, margin = 640, 480, 50
+    x_max, y_max = 1.0, 1.0
+
+    def to_xy(x, y):
+        return (
+            margin + (width - 2 * margin) * min(x, x_max) / x_max,
+            height - margin - (height - 2 * margin) * min(y, y_max) / y_max,
+        )
+
+    body = _axes_pointwise(width, height, margin, "current ratio", "power ratio", x_max, y_max)
+    for idx, (alpha, table) in enumerate(sorted(fronts.items())):
+        color = _COLORS[idx % len(_COLORS)]
+        for row in table:
+            if row["i_ratio"] > x_max:
+                continue
+            x, y = to_xy(row["i_ratio"], row["power_ratio"])
+            body += f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="{color}"/>\n'
+        body += _text(width - margin - 110, margin + 16 * (idx + 1),
+                      f"alpha = {alpha:g}", size=11, color=color)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_document(width, height, body))
+
+
+def fsat_svg_pointwise(path, i_inv, curves):
+    """Saturation-factor SVG placing each curve point by scalar calls."""
+    width, height, margin = 640, 480, 50
+    x_max = float(i_inv[-1]) if len(i_inv) else 1.0
+    y_max = 1.0
+
+    def to_xy(x, y):
+        return (
+            margin + (width - 2 * margin) * x / x_max,
+            height - margin - (height - 2 * margin) * max(min(y, y_max), -0.1) / y_max,
+        )
+
+    body = _axes_pointwise(width, height, margin, "command / clip level", "harmonic factor",
+                           x_max, y_max)
+    for idx, (n, values) in enumerate(sorted(curves.items())):
+        color = _COLORS[idx % len(_COLORS)]
+        body += _polyline_pointwise([to_xy(x, y) for x, y in zip(i_inv, values)], color, 1.4)
+        body += _text(width - margin - 110, margin + 16 * (idx + 1),
+                      f"harmonic {n}", size=11, color=color)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_document(width, height, body))
 
 
 def nondominated_quadratic(triples):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import math
 import os
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import csv_rows, level_crossings_loop, write_csv_rowwise
-from wec_satlin import amplitude_ratio, power_ratio, saturation_factor, smith_grid
+from oracles import fsat_svg_pointwise, pareto_svg_pointwise, smith_svg_pointwise
+from wec_satlin import amplitude_ratio, pareto_front, power_ratio, saturation_factor, smith_grid
 from wec_satlin import solve_operating_point
 from wec_satlin import cli, svg
 from wec_satlin.cli import main
@@ -203,6 +205,21 @@ class TestExitCodes:
                 patch.setattr(simulate_mod, attr, replacement)
                 assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_harmonics_past_referee_nyquist_is_config_error(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(simulate_mod, "simulate", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sweep]\nn_harmonics = 61\n"
+                       + "\n[sim]\nsteps_per_period = 100\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "[sweep] n_harmonics = 61" in err and "[sim] steps_per_period = 100" in err
+        assert calls == [] and not (tmp_path / "verify.csv").exists()
+        # the describing-function commands do not run the referee
+        assert main(["saturate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "saturate.csv").exists()
 
     def test_verification_failure_exit(self, tmp_path, monkeypatch, capsys):
         import wec_satlin.cli as cli_mod
@@ -576,6 +593,21 @@ EMISSION_CASES = {
     "no_rows": [[], np.array([], dtype=bool)],
     "scalars_and_rendered_text": [-1.5, ["1,2", "%s", "-0"], np.array([0.5, 1e-7, -0.0]),
                                   "50%", np.float64(1e-7), True, ["x", 1.0 / 3.0, False]],
+    # adjacent boolean columns print as one cell per run
+    "bool_run_1": [np.array([1.5, -0.0, math.inf]), np.array([True, False, True]),
+                   [0.25, 0.5, 1.0]],
+    "bool_run_2": [[1.0, 2.0, 3.0, 4.0], np.array([False, False, True, True]),
+                   np.array([False, True, False, True]), [7, 8, 9, 10]],
+    "bool_run_3": [*(np.array(bits, dtype=bool) for bits in
+                     zip(*itertools.product((False, True), repeat=3)))],
+    "bool_runs_split_by_float": [np.array([True, False]), np.array([True, True]),
+                                 [0.5, math.nan], np.array([False, True]),
+                                 np.array([False, False]), np.array([True, False])],
+    "bool_runs_split_by_scalar": [np.array([True, False]), True, np.array([False, True])],
+    "bool_run_longer_than_one_table": [np.arange(3) & (1 << k) > 0 for k in range(11)],
+    "python_and_numpy_bool_lists": [[True, False, True], [np.bool_(False), np.bool_(True),
+                                    np.bool_(True)], [True, np.bool_(False), False]],
+    "empty_bool_run": [[], np.array([], dtype=bool), np.array([], dtype=bool), -2.5],
 }
 
 
@@ -665,15 +697,55 @@ class TestEmissionContract:
         for field in ("v_ratio", "i_ratio"):
             want = level_crossings_loop(grid, field, resolution, n_angular)
             assert want
-            assert svg._level_crossings(grid, field, resolution, n_angular) == want
+            theta, radius = svg._level_crossings(grid, field, resolution, n_angular)
+            assert list(zip(theta.tolist(), radius.tolist())) == want
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 5.0])
-    def test_smith_svg_matches_oracle_render(self, tmp_path, monkeypatch, alpha):
-        grid = smith_grid(alpha, 21, 72)
-        svg.smith_svg(tmp_path / "new.svg", alpha, grid, 21, 72)
-        monkeypatch.setattr(svg, "_level_crossings", level_crossings_loop)
-        svg.smith_svg(tmp_path / "oracle.svg", alpha, grid, 21, 72)
+    @staticmethod
+    def _same_svg(tmp_path, render, oracle, *args):
+        render(tmp_path / "new.svg", *args)
+        oracle(tmp_path / "oracle.svg", *args)
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.0, 1.0, 2.0, 5.0])
+    def test_smith_svg_matches_oracle_render(self, tmp_path, alpha):
+        for resolution, n_angular in ((21, 72), (101, 360)):
+            grid = smith_grid(alpha, resolution, n_angular)
+            if alpha in (1.0, 2.0) and resolution == 21:  # the divergent cell
+                assert np.isinf(grid["v_ratio"]).any()
+            self._same_svg(tmp_path, svg.smith_svg, smith_svg_pointwise,
+                           alpha, grid, resolution, n_angular)
+
+    def test_pareto_svg_matches_oracle_render(self, tmp_path):
+        alphas = [-1.5, 0.0, 1.0, 2.0, 5.0]
+        for n_points in (101, 201):
+            fronts = {alpha: pareto_front(alpha, n_points) for alpha in alphas}
+            assert any((front["i_ratio"] > 1.0).any() for front in fronts.values())
+            self._same_svg(tmp_path, svg.pareto_svg, pareto_svg_pointwise, fronts)
+        # a front wholly past the current axis draws no circle; NaN, inf and
+        # values on or past the axis ends are placed as the row walk placed them
+        past = pareto_front(1.0, 21)
+        past["i_ratio"] += 1.5
+        edges = np.zeros(6, dtype=past.dtype)
+        edges["i_ratio"] = [math.nan, math.inf, 1.0, 0.5, -0.0, 1.0 + 1e-12]
+        edges["power_ratio"] = [0.5, 0.5, 1.0, 2.0, math.nan, 0.25]
+        fronts = {0.0: past, 2.0: edges, 5.0: edges[:0]}
+        self._same_svg(tmp_path, svg.pareto_svg, pareto_svg_pointwise, fronts)
+        assert (tmp_path / "new.svg").read_text().count("<circle") == 4
+
+    def test_fsat_svg_matches_oracle_render(self, tmp_path):
+        for n_points in (101, 201):
+            i_inv = np.linspace(0.0, 10.0, n_points)
+            curves = {n: np.array([saturation_factor(n, math.inf if x == 0.0 else 1.0 / x)
+                                   for x in i_inv]) for n in cli.FSAT_HARMONICS}
+            self._same_svg(tmp_path, svg.fsat_svg, fsat_svg_pointwise, i_inv, curves)
+        # values past either clamp, NaN, and curves of one point or none
+        i_inv = np.array([0.0, 0.5, 1.0, 2.0])
+        curves = {1: np.array([math.nan, 1.5, -0.5, -0.1]), 3: np.array([0.2, 1.0, 0.0, -0.0])}
+        self._same_svg(tmp_path, svg.fsat_svg, fsat_svg_pointwise, i_inv, curves)
+        for i_inv in (np.array([2.0]), np.array([])):
+            curves = {1: np.ones(len(i_inv)), 3: np.zeros(len(i_inv))}
+            self._same_svg(tmp_path, svg.fsat_svg, fsat_svg_pointwise, i_inv, curves)
+            assert (tmp_path / "new.svg").read_text().count("<polyline") == 1  # the axes
 
     def test_verify_simulates_once_per_row(self, tmp_path, monkeypatch):
         calls = []

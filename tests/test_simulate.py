@@ -288,6 +288,15 @@ class TestHarmonicDecompose:
         with pytest.raises(DomainError, match="Nyquist"):
             simulate_mod._phasors(t, np.cos(t), 1.0, 17)
 
+    def test_harmonics_past_nyquist_raise_before_shooting(self, lowpass_plant, monkeypatch):
+        periods = []
+        monkeypatch.setattr(_Loop, "period", lambda *args: periods.append(args))
+        z_c = lowpass_plant.z_thevenin().conjugate()
+        cfg = SimConfig(steps_per_period=100)
+        with pytest.raises(DomainError, match="harmonic 61 of 100 samples over 1 periods"):
+            simulate(lowpass_plant, z_c, i_max=1.0, cfg=cfg, n_harmonics=61)
+        assert periods == []
+
     def test_window_validation(self, lowpass_plant, fast_sim):
         src = thevenin_from_plant(lowpass_plant)
         res = simulate(lowpass_plant, src.z_th.conjugate(), cfg=fast_sim)
