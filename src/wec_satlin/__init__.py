@@ -5,7 +5,7 @@ disk (:mod:`.mismatch`), the physical converter and its Thevenin reduction
 (:mod:`.wec`), quasi-linear treatment of the current clip (:mod:`.descfcn`),
 a nonlinear time-domain reference simulation (:mod:`.simulate`, on the
 exact switched-affine propagator in :mod:`.propagate`), and a CLI
-that sweeps and emits CSV/SVG artifacts (:mod:`.cli`).
+that sweeps (:mod:`.cli`) and writes CSV/SVG artifacts (:mod:`.emit`).
 """
 
 from .errors import (

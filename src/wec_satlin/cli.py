@@ -1,22 +1,18 @@
-"""Command-line interface: sweep orchestration and CSV/SVG emission.
+"""Command-line interface: sweep orchestration over the emission module.
 
     wec-satlin <matched|smith|pareto|fsat|saturate|verify> --config <path>
                [--out <dir>] [--svg]
 
-Exit codes: 0 success, 1 configuration error, 2 numerical or convergence
-error, 3 verification failure.
-
-CSV output is deterministic: fixed column order, lowercase snake_case
-headers, floats at 12 significant digits, complex values split into paired
-``_re``/``_im`` columns.  Identical configuration produces byte-identical
-files.
+Exit codes: 0 success, 1 configuration error (an output that cannot be
+written included), 2 numerical or convergence error, 3 verification failure.
+The CSV format is :mod:`.emit`'s.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import itertools
 import math
 import os
 import sys
@@ -31,6 +27,7 @@ from .descfcn import (
     saturation_factor,
     solve_operating_point,
 )
+from .emit import _format_rows, fmt, tag, write_csv
 from .errors import ConfigError, WecSatlinError
 from .mismatch import matched_baseline, pareto_front, smith_grid
 from .simulate import _shared_loops, dump_waveforms, validate_df
@@ -53,96 +50,12 @@ VERIFY_FIELDS = (
 )
 
 
-def fmt(value) -> str:
-    """Deterministic scalar formatting: floats at 12 significant digits."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+def _out_path(cfg: RunConfig, name: str) -> str:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, name)
 
 
-def _column_cells(column) -> tuple[str | None, object]:
-    """printf spec and cell values of one CSV column.
-
-    A list of ``str`` prints as ``%s``; a scalar, the same on every row, has
-    its :func:`fmt` text in the spec and no cells.  A boolean column has no
-    spec and its array as cells: :func:`_format_rows` prints it together with
-    its boolean neighbours.  Otherwise integer dtypes print as ``%d`` and
-    floats as ``%.12g``, the text :func:`fmt` gives each cell (``inf``,
-    ``nan`` and ``-0`` included); any other column goes through :func:`fmt`
-    cell by cell.
-    """
-    if isinstance(column, list) and set(map(type, column)) <= {str}:
-        return "%s", column
-    arr = np.asarray(column)
-    if arr.ndim == 0:
-        return fmt(column).replace("%", "%%"), None
-    if arr.dtype.kind == "b":
-        return None, arr
-    if arr.dtype.kind in "iu":
-        return "%d", arr.tolist()
-    if arr.dtype.kind == "f":
-        return "%.12g", arr.tolist()
-    return "%s", [fmt(v) for v in column]
-
-
-_BOOL_RUN = 8  # most boolean columns per cell; the text table has 2**k entries
-
-
-def _bool_cells(run) -> list[str]:
-    """One text cell per row for adjacent boolean columns, such as ``0,1``.
-
-    A row's bits, packed into one index, pick its text from the table of the
-    2**k joins of ``0`` and ``1``.
-    """
-    packed = np.zeros(len(run[0]), dtype=np.intp)
-    for bits in run:
-        packed = packed << 1 | bits
-    table = [",".join(t) for t in itertools.product("01", repeat=len(run))]
-    return np.array(table, dtype=object)[packed].tolist()
-
-
-def _format_rows(columns) -> str:
-    """Text of ``columns``, one line per row, formatted column-wise.
-
-    One row template built from the column kinds is applied to all cells in
-    a single ``%``, so the bytes match a per-cell :func:`fmt` join.  Each run
-    of adjacent boolean columns, up to ``_BOOL_RUN`` of them, is one ``%s``
-    cell taken from :func:`_bool_cells`.
-    """
-    kinds = list(map(_column_cells, columns))
-    if len({len(cells) for _, cells in kinds if cells is not None}) != 1:
-        raise ValueError("CSV columns differ in length, or none holds cells")
-    specs, cells = [], []
-    for boolean, run in itertools.groupby(kinds, lambda kind: kind[0] is None):
-        run = list(run)
-        if not boolean:
-            specs += [spec for spec, _ in run]
-            cells += [values for _, values in run if values is not None]
-            continue
-        for k in range(0, len(run), _BOOL_RUN):
-            specs.append("%s")
-            cells.append(_bool_cells([bits for _, bits in run[k:k + _BOOL_RUN]]))
-    row = ",".join(specs) + "\n"
-    return row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells)))
-
-
-def write_csv(path: str, header: list[str], columns) -> None:
-    """Write ``columns`` under ``header``; see :func:`_column_cells` for the kinds."""
-    text = ",".join(header) + "\n" + _format_rows(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def cmd_matched(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_matched(cfg: RunConfig) -> int:
     """Matched baselines and dimensionless groups, both routes when possible."""
     rows: list[tuple[str, object]] = []
     waves = cfg.wave_data("matched")
@@ -176,17 +89,13 @@ def cmd_matched(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
         p_nd = matched_power(groups, waves.j_density, waves.k_wavenumber, waves.g0)
         rows.append(("p_matched_nondim", p_nd))
         rows.append(("p_absorbed_limit", waves.g0 * waves.j_density / waves.k_wavenumber))
-    write_csv(_out_path(out_dir, "matched.csv"), ["name", "value"], list(zip(*rows)))
+    write_csv(_out_path(cfg, "matched.csv"), ["name", "value"], list(zip(*rows)))
     for name, value in rows:
         print(f"{name} = {fmt(value)}")
     return 0
 
 
-def _alpha_tag(alpha: float) -> str:
-    return fmt(alpha).replace(".", "p").replace("-", "m")
-
-
-def cmd_smith(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_smith(cfg: RunConfig) -> int:
     """Ratio grids over the reflection-coefficient disk, one file per alpha.
 
     Files are split per alpha so each stays a few megabytes even at the
@@ -205,35 +114,29 @@ def cmd_smith(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
             shared = _format_rows(cols).splitlines()
         columns = [alpha, shared] + [grid[name] for name in header[4:]]
         total += len(grid)
-        tag = _alpha_tag(alpha)
-        write_csv(_out_path(out_dir, f"smith_alpha_{tag}.csv"), header, columns)
-        if use_svg:
-            svgmod.smith_svg(
-                _out_path(out_dir, f"smith_alpha_{tag}.svg"),
-                alpha,
-                grid,
-                cfg.smith_resolution,
-                cfg.smith_angular,
-            )
+        write_csv(_out_path(cfg, f"smith_alpha_{tag(alpha)}.csv"), header, columns)
+        if cfg.svg:
+            svgmod.smith_svg(_out_path(cfg, f"smith_alpha_{tag(alpha)}.svg"), alpha, grid,
+                             cfg.smith_resolution, cfg.smith_angular)
     print(f"smith grid: {total} cells over {len(cfg.alphas)} alpha value(s)")
     return 0
 
 
-def cmd_pareto(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_pareto(cfg: RunConfig) -> int:
     """Nondominated (power, voltage, current) fronts per alpha."""
     header = ["alpha", "power_ratio", "v_ratio", "i_ratio"]
     fronts = [(alpha, pareto_front(alpha, cfg.pareto_points)) for alpha in cfg.alphas]
     table = np.concatenate([front for _, front in fronts])
     columns = [np.concatenate([np.full(len(front), alpha) for alpha, front in fronts])]
     columns += [table[name] for name in header[1:]]
-    write_csv(_out_path(out_dir, "pareto.csv"), header, columns)
-    if use_svg:
-        svgmod.pareto_svg(_out_path(out_dir, "pareto.svg"), dict(fronts))
+    write_csv(_out_path(cfg, "pareto.csv"), header, columns)
+    if cfg.svg:
+        svgmod.pareto_svg(_out_path(cfg, "pareto.svg"), dict(fronts))
     print(f"pareto front: {len(table)} nondominated points")
     return 0
 
 
-def cmd_fsat(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_fsat(cfg: RunConfig) -> int:
     """Saturation-factor curves against inverse clipping depth."""
     i_inv = np.linspace(0.0, cfg.fsat_i_inv_max, cfg.fsat_points)
     header = ["i_inv"] + [f"f_sat_{n}" for n in FSAT_HARMONICS]
@@ -242,14 +145,14 @@ def cmd_fsat(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
         i_script = math.inf if inv == 0.0 else 1.0 / inv
         for n in FSAT_HARMONICS:
             curves[n][k] = saturation_factor(n, i_script)
-    write_csv(_out_path(out_dir, "fsat.csv"), header, [i_inv, *curves.values()])
-    if use_svg:
-        svgmod.fsat_svg(_out_path(out_dir, "fsat.svg"), i_inv, curves)
+    write_csv(_out_path(cfg, "fsat.csv"), header, [i_inv, *curves.values()])
+    if cfg.svg:
+        svgmod.fsat_svg(_out_path(cfg, "fsat.svg"), i_inv, curves)
     print(f"saturation factors: {len(i_inv)} points, harmonics {FSAT_HARMONICS}")
     return 0
 
 
-def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_saturate(cfg: RunConfig) -> int:
     """Quasi-linear operating point per current-limit fraction, with linear baseline."""
     plant = cfg.require_plant("saturate")
     src = thevenin_from_plant(plant)
@@ -285,7 +188,7 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
             }
         )
     columns = list(zip(*(row.values() for row in rows)))
-    write_csv(_out_path(out_dir, "saturate.csv"), list(rows[0]), columns)
+    write_csv(_out_path(cfg, "saturate.csv"), list(rows[0]), columns)
     for row in rows:
         print(
             f"fraction {fmt(row['i_max_fraction'])}: f_sat_1 = {fmt(row['f_sat_1'])}, "
@@ -295,7 +198,7 @@ def cmd_saturate(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     """Quasi-linear predictions against the time-domain reference, row per limit."""
     plant = cfg.require_plant("verify")
     steps = cfg.sim.steps_per_period
@@ -324,10 +227,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str, use_svg: bool) -> int:
                 f"merit {rep.low_pass_merit:.2f} -> {status}"
             )
             if cfg.dump_waveforms:
-                tag = fmt(frac).replace(".", "p")
-                dump_waveforms(rep.sim, _out_path(out_dir, f"waveforms_{tag}.csv"))
+                dump_waveforms(rep.sim, _out_path(cfg, f"waveforms_{tag(frac)}.csv"))
     header = ["i_max_fraction", *VERIFY_FIELDS]
-    write_csv(_out_path(out_dir, "verify.csv"), header, list(zip(*rows)))
+    write_csv(_out_path(cfg, "verify.csv"), header, list(zip(*rows)))
     return 0 if all_ok else 3
 
 
@@ -361,11 +263,9 @@ def _build_parser() -> _Parser:
 def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     cfg = load_config(args.config)
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    if not out_dir:
-        raise ConfigError("the output directory ([output] dir or --out) is empty")
-    use_svg = args.svg or cfg.svg
-    return _COMMANDS[args.command](cfg, out_dir, use_svg)
+    out_dir = cfg.out_dir if args.out is None else args.out
+    cfg = dataclasses.replace(cfg, out_dir=out_dir, svg=args.svg or cfg.svg)
+    return _COMMANDS[args.command](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -378,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except WecSatlinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # load_config reports its own: this one is an output
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from operator import getitem
 
+from .emit import fmt
 from .errors import ConfigError, DomainError
 from .simulate import SimConfig
 from .wec import NondimGroups, WecPlant, haskind_plant
@@ -83,6 +84,12 @@ class RunConfig:
         for frac in self.i_max_fractions:
             if frac <= 0.0:
                 raise ConfigError(f"i_max fractions must be positive, got {frac}")
+        # each value's 12-digit text names its output files and CSV rows
+        for key in ("alphas", "i_max_fractions"):
+            texts = [fmt(value) for value in getattr(self, key)]
+            for k, text in enumerate(texts):
+                if text in texts[:k]:
+                    raise ConfigError(f"[sweep] {key} repeats {text} at 12 significant digits")
         # sample counts below two leave a grid, front or curve without extent
         for key in ("smith_resolution", "smith_angular", "pareto_points", "fsat_points"):
             value = getattr(self, key)
@@ -96,6 +103,8 @@ class RunConfig:
             raise ConfigError(
                 f"[sweep] n_harmonics must be odd and positive, got {self.n_harmonics}"
             )
+        if not self.out_dir:
+            raise ConfigError("the output directory ([output] dir or --out) is empty")
 
     def require_plant(self, command: str) -> WecPlant:
         if self.plant is None:

@@ -223,9 +223,10 @@ def solve_operating_point(
     for the fundamental gain f in (0, 1].  The residual f - f_sat,1(f) is
     continuous, negative as f -> 0+ and positive at f = 1 when the limit
     binds.  Unless it is already below ``tol`` at f = 1, [1e-15, 1] brackets
-    a root, which one Illinois regula falsi solve finds to
-    |residual| < ``tol``; ``iterations`` counts its evaluations inside the
-    bracket.
+    a root, or [0, 1e-15] where the residual at 1e-15 is not negative: a
+    clip that deep needs a gain below 1e-15.  One Illinois regula falsi
+    solve finds the root to |residual| < ``tol``; ``iterations`` counts its
+    evaluations inside the bracket.
 
     The default controller is the conjugate-matched one, z_c = z_th*: for a
     hard current limit, clipping the unconstrained-optimal command is the
@@ -259,9 +260,11 @@ def solve_operating_point(
     r_hi = residual(hi)  # zero when the limit does not bind
     residuals: list[float] = []
     if r_hi > 0.0 and r_hi >= tol:
-        f, residuals = _bracketed_root(
-            residual, lo, hi, residual(lo), r_hi, tol, max_iter
-        )
+        r_lo = residual(lo)
+        # a clip so deep that the root is below lo; with z_c = 0, f = 0 has no residual
+        if not r_lo < 0.0 and z_c != 0.0:
+            lo, hi, r_lo, r_hi = 0.0, lo, residual(0.0), r_lo
+        f, residuals = _bracketed_root(residual, lo, hi, r_lo, r_hi, tol, max_iter)
 
     i_temp = src.v_th / (f * src.z_th + z_c)
     psi = cmath.phase(i_temp)

@@ -394,6 +394,15 @@ def _nondominated(triples: np.ndarray) -> np.ndarray:
     return np.array(keep, dtype=bool)
 
 
+def _ratios(gamma: np.ndarray, alpha: float):
+    """Voltage and current ratio arrays at ``gamma``; ``inf`` where a
+    denominator is zero, as at gamma = -i/alpha."""
+    num_v, den = _ratio_num_den(gamma, alpha, +1)
+    num_i, _ = _ratio_num_den(gamma, alpha, -1)
+    with np.errstate(divide="ignore"):
+        return np.sqrt(num_v / den), np.sqrt(num_i / den)
+
+
 def _pareto_candidates(alpha: float, n_points: int) -> np.ndarray:
     """Distinct ratio triples on both optimal contours, |gamma| over [0, 1]."""
     if n_points < 2:
@@ -403,11 +412,7 @@ def _pareto_candidates(alpha: float, n_points: int) -> np.ndarray:
     for eps in (+1, -1):
         phi = optimal_angle(gs, alpha, eps)
         gamma = gs * np.exp(1j * phi)
-        num_v, den = _ratio_num_den(gamma, alpha, +1)
-        num_i, _ = _ratio_num_den(gamma, alpha, -1)
-        with np.errstate(divide="ignore"):
-            v = np.sqrt(num_v / den)
-            i = np.sqrt(num_i / den)
+        v, i = _ratios(gamma, alpha)
         p = 1.0 - gs**2
         rows.append(np.rec.fromarrays([p, v, i], dtype=PARETO_DTYPE))
     table = np.concatenate(rows).view(np.recarray)
@@ -457,12 +462,7 @@ def smith_grid(alpha: float, resolution: int = 101, n_angular: int = 360) -> np.
     gg, tt = np.meshgrid(g, theta, indexing="ij")
     gamma = (gg * np.exp(1j * tt)).ravel()
 
-    num_v, den = _ratio_num_den(gamma, alpha, +1)
-    num_i, _ = _ratio_num_den(gamma, alpha, -1)
-    with np.errstate(divide="ignore"):
-        v = np.sqrt(num_v / den)
-        i = np.sqrt(num_i / den)
-
+    v, i = _ratios(gamma, alpha)
     out = np.empty(gamma.size, dtype=SMITH_GRID_DTYPE)
     out["gamma"] = gamma
     out["power_ratio"] = 1.0 - np.abs(gamma) ** 2

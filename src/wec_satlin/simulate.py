@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .descfcn import equivalent_z, solve_operating_point
+from .emit import write_csv
 from .errors import DomainError, SimulationError
 from .mismatch import matched_baseline
 from .propagate import Branch
@@ -304,13 +305,11 @@ class _Loop:
         y[self.sigma] = math.copysign(i_max, current)
         return y, True
 
-    def first_candidate(self, rail: bool, ys, cur, i_max: float, lead: int = 0) -> int:
+    def first_candidate(self, rail: bool, ys, cur, i_max: float) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
         that may hold a switch under the limit ``i_max``: it ends outside the
         branch, or its guard's slope changes sign and the guard may peak
-        past its level.  The number of steps if none does.  With ``lead`` 1
-        the guard products also take ``ys[0]``, so that one step rounds as a
-        longer run does (see :meth:`period`).
+        past its level.  The number of steps if none does.
 
         Within step j a guard peaks at most ``bend * ||ys[j]||_inf`` above
         the larger of its end samples (see :func:`_bend`).  A slope change
@@ -323,7 +322,7 @@ class _Loop:
             return len(ys) - 1
         if rail:
             row = self.release
-            out = np.sign(ys[1:, self.sigma]) * (ys[1 - lead :] @ row)[lead:] < 0.0
+            out = np.sign(ys[1:, self.sigma]) * (ys @ row)[1:] < 0.0
         else:
             row = self.free.i_row
             out = np.abs(cur[1:]) > i_max
@@ -423,9 +422,8 @@ class _Loop:
 
         numpy rounds a one-row product as a dot product, and a longer one
         row by row as a matrix-vector product.  The row products of a window
-        therefore also take the sample before it, so every sample rounds as
-        in one product over the whole rest of the period, which has one row
-        only when one step is left.
+        therefore also take the sample before it: with two or more rows,
+        every sample rounds the same way however the run is cut into windows.
         """
         steps, n, dt = self.steps, self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
@@ -446,15 +444,14 @@ class _Loop:
         while k < steps:
             br = self.branch(rail)
             rest = steps - k
-            lead = int(rest > 1)  # row products take the sample before a window
             m = 0  # whole steps from ys[k] before the first candidate
             while m < rest:
                 lo, m = m, min(m + _WINDOW, rest)
                 flat = br.powers[lo:m].reshape(-1, n) @ ys[k]  # one GEMV
                 ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
-                cur[k + 1 + lo : k + 1 + m] = (ys[k + 1 + lo - lead : k + 1 + m] @ br.i_row)[lead:]
-                seen = slice(k + lo, k + 1 + m)
-                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], i_max, lead)
+                seen = slice(k + lo, k + 1 + m)  # the window and the sample before it
+                cur[k + 1 + lo : k + 1 + m] = (ys[seen] @ br.i_row)[1:]
+                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], i_max)
                 if hit < m:
                     m = hit
                     break
@@ -740,9 +737,4 @@ def validate_df(
 
 def dump_waveforms(result: SimResult, path) -> None:
     """Write the stored final period as CSV: t,x,v,i,v_load,p_inst."""
-    waves = result.waveforms
-    row = ",".join(["%.12g"] * len(WAVEFORM_FIELDS)) + "\n"
-    cells = np.column_stack([waves[name] for name in WAVEFORM_FIELDS]).ravel().tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(WAVEFORM_FIELDS) + "\n")
-        fh.write(row * len(waves) % tuple(cells))
+    write_csv(path, list(WAVEFORM_FIELDS), [result.waveforms[name] for name in WAVEFORM_FIELDS])

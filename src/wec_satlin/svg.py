@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .emit import write_text
 from .mismatch import optimal_angle
 
 __all__ = ["smith_svg", "pareto_svg", "fsat_svg"]
@@ -105,66 +106,48 @@ def smith_svg(
         12, size - 12, "solid: ratio = 1 boundary, dashed: optimal contour "
         "(green voltage, pink current)", size=11, color="#555"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_document(size, size, body))
+    write_text(path, _document(size, size, body))
 
 
-def _axes(width, height, margin, x_label, y_label, x_max, y_max):
+def _chart(path, x_label: str, y_label: str, x_max: float, series, mark) -> None:
+    """Axes over [0, ``x_max``] x [0, 1] and, in one colour per ``(legend, x,
+    y)`` of ``series``, ``mark(x_px, y_px, color)`` and the legend.
+
+    Pixels clamp x at ``x_max`` and y to [-0.1, 1].
+    """
+    width, height, margin = 640, 480, 50
+    span_x, span_y = width - 2 * margin, height - 2 * margin
     body = _polyline(
         [margin, margin, width - margin], [margin, height - margin, height - margin], "#333"
     )
     body += _text(width / 2 - 30, height - 8, x_label, size=12)
     body += _text(8, margin - 8, y_label, size=12)
     for k in range(5):
-        fx = margin + (width - 2 * margin) * k / 4
-        fy = height - margin - (height - 2 * margin) * k / 4
-        body += _text(fx - 8, height - margin + 16, f"{x_max * k / 4:g}", size=10, color="#555")
-        body += _text(margin - 26, fy + 4, f"{y_max * k / 4:g}", size=10, color="#555")
-    return body
+        body += _text(margin + span_x * k / 4 - 8, height - margin + 16, f"{x_max * k / 4:g}",
+                      size=10, color="#555")
+        body += _text(margin - 26, height - margin - span_y * k / 4 + 4, f"{k / 4:g}",
+                      size=10, color="#555")
+    for idx, (legend, x, y) in enumerate(series):
+        color = _COLORS[idx % len(_COLORS)]
+        body += mark(margin + span_x * np.minimum(x, x_max) / x_max,
+                     height - margin - span_y * np.maximum(np.minimum(y, 1.0), -0.1), color)
+        body += _text(width - margin - 110, margin + 16 * (idx + 1), legend, size=11, color=color)
+    write_text(path, _document(width, height, body))
 
 
 def pareto_svg(path, fronts: dict[float, np.ndarray]) -> None:
     """Power ratio against current ratio for each swept reactance parameter."""
-    width, height, margin = 640, 480, 50
-    x_max, y_max = 1.0, 1.0
-
-    def to_xy(x, y):
-        return (
-            margin + (width - 2 * margin) * np.minimum(x, x_max) / x_max,
-            height - margin - (height - 2 * margin) * np.minimum(y, y_max) / y_max,
-        )
-
-    body = _axes(width, height, margin, "current ratio", "power ratio", x_max, y_max)
-    for idx, (alpha, table) in enumerate(sorted(fronts.items())):
-        color = _COLORS[idx % len(_COLORS)]
-        shown = table[~(table["i_ratio"] > x_max)]  # points past x_max are left out; NaN is kept
-        body += _points(f'<circle cx="%.2f" cy="%.2f" r="1.6" fill="{color}"/>\n',
-                        *to_xy(shown["i_ratio"], shown["power_ratio"]))
-        body += _text(width - margin - 110, margin + 16 * (idx + 1),
-                      f"alpha = {alpha:g}", size=11, color=color)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_document(width, height, body))
+    # points past the current axis are left out; NaN is kept
+    shown = {alpha: table[~(table["i_ratio"] > 1.0)] for alpha, table in fronts.items()}
+    series = [(f"alpha = {alpha:g}", table["i_ratio"], table["power_ratio"])
+              for alpha, table in sorted(shown.items())]
+    _chart(path, "current ratio", "power ratio", 1.0, series, lambda x, y, color: _points(
+        f'<circle cx="%.2f" cy="%.2f" r="1.6" fill="{color}"/>\n', x, y))
 
 
 def fsat_svg(path, i_inv: np.ndarray, curves: dict[int, np.ndarray]) -> None:
     """Saturation factors against the inverse clipping depth, one curve per harmonic."""
-    width, height, margin = 640, 480, 50
     x_max = float(i_inv[-1]) if len(i_inv) else 1.0
-    y_max = 1.0
-
-    def to_xy(x, y):
-        return (
-            margin + (width - 2 * margin) * x / x_max,
-            height - margin
-            - (height - 2 * margin) * np.maximum(np.minimum(y, y_max), -0.1) / y_max,
-        )
-
-    body = _axes(width, height, margin, "command / clip level", "harmonic factor",
-                 x_max, y_max)
-    for idx, (n, values) in enumerate(sorted(curves.items())):
-        color = _COLORS[idx % len(_COLORS)]
-        body += _polyline(*to_xy(i_inv, values), color, 1.4)
-        body += _text(width - margin - 110, margin + 16 * (idx + 1),
-                      f"harmonic {n}", size=11, color=color)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_document(width, height, body))
+    series = [(f"harmonic {n}", i_inv, values) for n, values in sorted(curves.items())]
+    _chart(path, "command / clip level", "harmonic factor", x_max, series,
+           lambda x, y, color: _polyline(x, y, color, 1.4))

@@ -340,6 +340,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "output directory" in err
 
+    @pytest.mark.parametrize(
+        "command, key, values",
+        [("smith", "alphas", "1, 1.0000000000001"), ("pareto", "alphas", "2, 0, 2"),
+         ("saturate", "i_max_fractions", "0.5, 0.4, 0.5")],
+    )
+    def test_repeated_sweep_value_is_config_error(self, tmp_path, capsys, command, key, values):
+        # each value names its own files and rows by its 12-digit text
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + f"\n[sweep]\n{key} = {values}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [sweep] {key} repeats ") and "12 significant" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("taken", ["out", "out/fsat.csv"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, taken):
+        # --out names a file, or a directory stands where the CSV goes
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT)
+        if taken == "out":
+            (tmp_path / "out").write_text("")
+        else:
+            (tmp_path / taken).mkdir(parents=True)
+        assert main(["fsat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ") and "out" in err
+
     def test_non_finite_mass_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(MINIMAL_PLANT.replace("m = 6.0e4", "m = nan"))

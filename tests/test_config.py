@@ -145,6 +145,11 @@ class TestRanges:
             ("fsat_i_inv_max", 0.0, "[sweep] fsat_i_inv_max must be positive, got 0.0"),
             ("n_harmonics", 4, "[sweep] n_harmonics must be odd and positive, got 4"),
             ("n_harmonics", -1, "[sweep] n_harmonics must be odd and positive, got -1"),
+            # values alike at 12 significant digits name the same output files
+            ("alphas", (1.0, 1.0000000000001),
+             "[sweep] alphas repeats 1 at 12 significant digits"),
+            ("i_max_fractions", (0.5, 0.4, 0.5),
+             "[sweep] i_max_fractions repeats 0.5 at 12 significant digits"),
         ],
     )
     def test_run_config_checks_its_own_fields(self, field, value, message):

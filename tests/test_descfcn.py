@@ -344,6 +344,26 @@ class TestBracketedSolve:
                 assert sol.residual < 1e-12 and sol.iterations <= 2
                 assert sol.factors.factors[1] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, -30.0])
+    def test_clip_deeper_than_the_bracket_end(self, alpha):
+        # at alpha 0 and a fraction of 1e-15 the root is 6.4e-16: the residual
+        # at 1e-15 is positive, so [0, 1e-15] brackets the root instead
+        src = make_source(alpha=alpha)
+        for frac in (1e-15, 1e-16, 1e-18, 1e-300):
+            i_max = frac * matched_baseline(src).i_peak_matched
+            gain = loop_gain(src, i_max, src.z_th.conjugate())
+            sol = solve_operating_point(src, i_max)
+            f = sol.factors.factors[1]
+            assert sol.converged and sol.residual < 1e-12
+            assert gain(f) == pytest.approx(f, rel=1e-12)
+            assert f == pytest.approx(SQ * sol.factors.i_script, rel=1e-12)
+
+    def test_short_circuit_controller_takes_no_deep_bracket(self):
+        # at z_c = 0 the residual has no value at f = 0, and with this limit
+        # it stays positive on (0, 1]: no root, and no division by zero
+        with pytest.raises(ConvergenceError):
+            solve_operating_point(make_source(alpha=0.5), 1e-20, z_c=0.0)
+
     def test_convergence_error_carries_residual_trace(self):
         src = make_source(alpha=1.0)
         i_max = 0.4 * matched_baseline(src).i_peak_matched
