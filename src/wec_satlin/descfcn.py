@@ -112,42 +112,73 @@ def saturation_factor(n: int, i_script: float) -> float:
     Six terms reach rounding there.  The fundamental is continuous and rises
     from (4/pi) I (square-wave limit) to 1 at clipping onset; higher
     harmonics are signed and decay at least as 1/n^2.
+
+    Evaluated by the same kernel as :func:`saturation_factors`, so a factor
+    has the same bits whichever of the two computes it.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"harmonic index must be a positive integer, got {n}")
-    if not i_script > 0.0:
-        raise DomainError(f"clipping depth must be positive, got {i_script}")
+    _check_depth(i_script)
     n = int(n)
     if n % 2 == 0:
         return 0.0
-    if i_script >= 1.0:
-        return 1.0 if n == 1 else 0.0
     if n == 1:
-        root = math.sqrt(1.0 - i_script**2)
-        return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
-    phi = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - i_script)))
-    s = -1.0 if n % 4 == 3 else 1.0
-    if (n + 1) * phi < 0.25:
-        series = sum(
-            (-1) ** k * ((n + 1) ** (2 * k) - (n - 1) ** (2 * k))
-            * phi ** (2 * k + 1) / math.factorial(2 * k + 1)
-            for k in range(1, 7)
-        )
-        return (2.0 / math.pi) * s * series / n
-    return (
-        (4.0 / math.pi)
-        * s
-        * (n * math.sin(phi) * math.cos(n * phi) - math.cos(phi) * math.sin(n * phi))
-        / (n * (n**2 - 1))
-    )
+        return _fundamental(i_script)
+    return _odd_factors(i_script, n, n)[n]
 
 
 def saturation_factors(i_script: float, n_max: int = 9) -> SaturationFactors:
-    """Saturation factors for every odd harmonic up to ``n_max``."""
-    return SaturationFactors(
-        i_script=i_script,
-        factors={n: saturation_factor(n, i_script) for n in range(1, n_max + 1, 2)},
-    )
+    """Saturation factors for every odd harmonic up to ``n_max``.
+
+    One kernel call: phi, sin(phi) and cos(phi) are formed once for all the
+    harmonics, with the formulas and bits of :func:`saturation_factor`.
+    """
+    _check_depth(i_script)
+    return SaturationFactors(i_script=i_script, factors=_odd_factors(i_script, 1, n_max))
+
+
+def _check_depth(i_script: float) -> None:
+    if not i_script > 0.0:
+        raise DomainError(f"clipping depth must be positive, got {i_script}")
+
+
+def _fundamental(i_script: float) -> float:
+    """f_sat,1 at a clipping depth already known to be positive."""
+    if i_script >= 1.0:
+        return 1.0
+    root = math.sqrt(1.0 - i_script**2)
+    return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
+
+
+def _odd_factors(i_script: float, first: int, last: int) -> dict[int, float]:
+    """f_sat,n for every odd n from ``first`` (odd) to ``last``, keyed by n in
+    rising order, at a clipping depth already known to be positive.  The
+    formulas are those of :func:`saturation_factor`, in its expression order.
+    """
+    factors = {1: _fundamental(i_script)} if first == 1 <= last else {}
+    higher = range(max(first, 3), last + 1, 2)
+    if i_script >= 1.0 or not higher:  # unclipped, or nothing above the fundamental
+        factors.update(dict.fromkeys(higher, 0.0))
+        return factors
+    phi = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - i_script)))
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    for n in higher:
+        s = -1.0 if n % 4 == 3 else 1.0
+        if (n + 1) * phi < 0.25:
+            series = sum(
+                (-1) ** k * ((n + 1) ** (2 * k) - (n - 1) ** (2 * k))
+                * phi ** (2 * k + 1) / math.factorial(2 * k + 1)
+                for k in range(1, 7)
+            )
+            factors[n] = (2.0 / math.pi) * s * series / n
+        else:
+            factors[n] = (
+                (4.0 / math.pi)
+                * s
+                * (n * sin_phi * math.cos(n * phi) - cos_phi * math.sin(n * phi))
+                / (n * (n**2 - 1))
+            )
+    return factors
 
 
 def equivalent_z(n: int, z_c: complex, f_sat_n: float, z_th: complex) -> complex:
@@ -238,6 +269,11 @@ def solve_operating_point(
     every higher harmonic sees the short-circuited source impedance at its
     own frequency and therefore dissipates (negative power).
 
+    With a short-circuit controller, z_c = 0, the residual is positive on
+    all of (0, 1] when i_max <= pi |v_th| / (4 |z_th|), because
+    f_sat,1(I) <= 4 I / pi; there is no operating point, and
+    :class:`DomainError` says so after two evaluations.
+
     Raises :class:`ConvergenceError` (with residual trace) if the loop does
     not close within ``max_iter`` evaluations.
     """
@@ -251,9 +287,9 @@ def solve_operating_point(
     if not cmath.isfinite(z_c):
         raise DomainError(f"controller impedance must be finite, got {z_c}")
 
-    def residual(f):
+    def residual(f):  # unchecked depth: i_max and |v_th| are positive
         i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
-        return f - saturation_factor(1, i_max / i_temp_mag)
+        return f - _fundamental(i_max / i_temp_mag)
 
     lo, hi = 1e-15, 1.0
     f = hi
@@ -261,8 +297,15 @@ def solve_operating_point(
     residuals: list[float] = []
     if r_hi > 0.0 and r_hi >= tol:
         r_lo = residual(lo)
-        # a clip so deep that the root is below lo; with z_c = 0, f = 0 has no residual
-        if not r_lo < 0.0 and z_c != 0.0:
+        if not r_lo < 0.0:
+            if z_c == 0.0:  # f_sat,1(I) <= 4 I / pi keeps the residual positive
+                bound = math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+                raise DomainError(
+                    f"no operating point: with z_c = 0 the residual f - f_sat,1 is "
+                    f"positive on (0, 1], because the current limit {i_max:.6g} is at "
+                    f"most pi |v_th| / (4 |z_th|) = {bound:.6g}"
+                )
+            # a clip so deep that the root is below lo
             lo, hi, r_lo, r_hi = 0.0, lo, residual(0.0), r_lo
         f, residuals = _bracketed_root(residual, lo, hi, r_lo, r_hi, tol, max_iter)
 

@@ -83,6 +83,12 @@ class WecPlant:
         Wavenumber, 1/m.
     g0 : int
         Mode gain: 1 for heave, 2 for surge/pitch.
+
+    The impedances are pure functions of these frozen fields, so each plant
+    memoizes Z_m(n w) and Z_th(n w) per harmonic on first use.  The memo is
+    not a field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace``
+    ignore it, pickling and copying drop it, and every plant starts with
+    its own.  It holds only complex numbers, so it makes no reference cycle.
     """
 
     m: float
@@ -122,6 +128,13 @@ class WecPlant:
             raise DomainError("gear ratio must be nonzero")
         if self.g0 not in (1, 2):
             raise DomainError(f"mode gain g0 must be 1 or 2, got {self.g0}")
+        object.__setattr__(self, "_memo", {})
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _memo={})
 
     @property
     def coupling(self) -> float:
@@ -133,14 +146,18 @@ class WecPlant:
 
         Z_m(s) = (B_h + G^2 B_d) + (m + A) s + (K_h + G^2 K_d)/s at s = i n w.
         """
-        s = 1j * n * self.omega
-        g2 = self.g_ratio**2
-        return (
-            self.b_h
-            + g2 * self.b_d
-            + (self.m + self.a_added) * s
-            + (self.k_h + g2 * self.k_d) / s
-        )
+        key = ("z_mech", n)
+        z = self._memo.get(key)
+        if z is None:
+            s = 1j * n * self.omega
+            g2 = self.g_ratio**2
+            z = self._memo[key] = (
+                self.b_h
+                + g2 * self.b_d
+                + (self.m + self.a_added) * s
+                + (self.k_h + g2 * self.k_d) / s
+            )
+        return z
 
     def z_wind(self, n: int = 1) -> complex:
         """Winding impedance R + i n w L at harmonic ``n``."""
@@ -148,10 +165,14 @@ class WecPlant:
 
     def z_thevenin(self, n: int = 1) -> complex:
         """Source impedance of the Thevenin reduction at harmonic ``n``."""
-        zm = self.z_mech(n)
-        if zm == 0.0:
-            raise SingularityError(f"mechanical impedance vanishes at harmonic {n}")
-        return self.z_wind(n) + self.coupling**2 / zm
+        key = ("z_th", n)
+        z = self._memo.get(key)
+        if z is None:
+            zm = self.z_mech(n)
+            if zm == 0.0:
+                raise SingularityError(f"mechanical impedance vanishes at harmonic {n}")
+            z = self._memo[key] = self.z_wind(n) + self.coupling**2 / zm
+        return z
 
     @property
     def haskind_consistent(self) -> bool:
@@ -238,7 +259,9 @@ def thevenin_from_plant(plant: WecPlant) -> TheveninSource:
     Z_th = Z_w + (K_t G)^2 / Z_m and V_th = K_t G F_e / Z_m, so the source
     voltage carries the excitation phase minus the mechanical impedance
     phase.  The returned source knows how to evaluate Z_th at integer
-    harmonics of the wave frequency, which the saturation analysis needs.
+    harmonics of the wave frequency, which the saturation analysis needs;
+    it evaluates them through ``plant.z_thevenin``, so Z_m and every Z_th
+    come from the plant's memo.
     """
     zm = plant.z_mech()
     if zm == 0.0:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: direct phasor
 circuit solutions, quadrature of clipped waveforms, brute-force sweeps,
 cell-by-cell loops for the vectorized CSV writers, contour tracer and Pareto
 filter, SVG renderers that place each point by scalar calls, the
-root-finders the bracketed Illinois solve replaced, the fixed-step RK4
+root-finders the bracketed Illinois solve replaced, the per-call
+saturation factors and unmemoized plant impedances that the shared factor
+kernel and the plant memo replaced, the fixed-step RK4
 integrator the exact referee replaced, the fixed-horizon run that shooting
 to the periodic orbit replaced, and the concatenating doubling the in-place
 power stack replaced.
@@ -17,8 +19,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from wec_satlin.descfcn import saturation_factor
-from wec_satlin.mismatch import optimal_angle
+from wec_satlin.descfcn import (
+    HarmonicComponent,
+    SaturationFactors,
+    SaturationSolution,
+    _bracketed_root,
+    saturation_factor,
+)
+from wec_satlin.mismatch import TheveninSource, optimal_angle
 from wec_satlin.propagate import flow
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
@@ -322,6 +330,126 @@ def solve_gain_three_stage(src, i_max: float, z_c: complex, tol=1e-12, max_iter=
         else:
             hi = f
     raise ConvergenceError("three-stage solve did not converge", residuals=residuals)
+
+
+# --- per-call factors and unmemoized impedances the kernel and memo replaced --
+
+
+def saturation_factor_percall(n: int, i_script: float) -> float:
+    """f_sat,n by its own evaluation of phi for each call, with argument checks."""
+    if n < 1 or n != int(n):
+        raise DomainError(f"harmonic index must be a positive integer, got {n}")
+    if not i_script > 0.0:
+        raise DomainError(f"clipping depth must be positive, got {i_script}")
+    n = int(n)
+    if n % 2 == 0:
+        return 0.0
+    if i_script >= 1.0:
+        return 1.0 if n == 1 else 0.0
+    if n == 1:
+        root = math.sqrt(1.0 - i_script**2)
+        return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
+    phi = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - i_script)))
+    s = -1.0 if n % 4 == 3 else 1.0
+    if (n + 1) * phi < 0.25:
+        series = sum(
+            (-1) ** k * ((n + 1) ** (2 * k) - (n - 1) ** (2 * k))
+            * phi ** (2 * k + 1) / math.factorial(2 * k + 1)
+            for k in range(1, 7)
+        )
+        return (2.0 / math.pi) * s * series / n
+    return (
+        (4.0 / math.pi)
+        * s
+        * (n * math.sin(phi) * math.cos(n * phi) - math.cos(phi) * math.sin(n * phi))
+        / (n * (n**2 - 1))
+    )
+
+
+def saturation_factors_percall(i_script: float, n_max: int = 9) -> SaturationFactors:
+    """The bundle as one checked per-call factor per odd harmonic."""
+    return SaturationFactors(
+        i_script=i_script,
+        factors={n: saturation_factor_percall(n, i_script) for n in range(1, n_max + 1, 2)},
+    )
+
+
+def z_mech_fresh(plant: WecPlant, n: int = 1) -> complex:
+    """Mechanical impedance at harmonic n, evaluated on every call."""
+    s = 1j * n * plant.omega
+    g2 = plant.g_ratio**2
+    return (
+        plant.b_h
+        + g2 * plant.b_d
+        + (plant.m + plant.a_added) * s
+        + (plant.k_h + g2 * plant.k_d) / s
+    )
+
+
+def z_thevenin_fresh(plant: WecPlant, n: int = 1) -> complex:
+    """Thevenin source impedance at harmonic n, evaluated on every call."""
+    return plant.z_wind(n) + plant.coupling**2 / z_mech_fresh(plant, n)
+
+
+def thevenin_fresh(plant: WecPlant) -> TheveninSource:
+    """A new Thevenin source whose harmonic impedances bypass the plant memo."""
+    v_th = plant.coupling * plant.f_e / z_mech_fresh(plant)
+    return TheveninSource(
+        v_th=v_th,
+        z_th=z_thevenin_fresh(plant),
+        harmonic_impedance=lambda n: z_thevenin_fresh(plant, n),
+    )
+
+
+def solve_operating_point_percall(
+    src, i_max: float, z_c=None, n_harmonics: int = 9, tol=1e-12, max_iter=200
+) -> SaturationSolution:
+    """The bracketed Illinois solve with a checked per-call f_sat,1 in its
+    residual and per-call factors for the harmonics.  Assumes a root exists."""
+    if z_c is None:
+        z_c = src.z_th.conjugate()
+    z_c = complex(z_c)
+
+    def residual(f):
+        i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
+        return f - saturation_factor_percall(1, i_max / i_temp_mag)
+
+    lo, hi = 1e-15, 1.0
+    f = hi
+    r_hi = residual(hi)
+    residuals = []
+    if r_hi > 0.0 and r_hi >= tol:
+        r_lo = residual(lo)
+        if not r_lo < 0.0 and z_c != 0.0:
+            lo, hi, r_lo, r_hi = 0.0, lo, residual(0.0), r_lo
+        f, residuals = _bracketed_root(residual, lo, hi, r_lo, r_hi, tol, max_iter)
+
+    i_temp = src.v_th / (f * src.z_th + z_c)
+    psi = cmath.phase(i_temp)
+    i_temp_mag = abs(i_temp)
+    factors = saturation_factors_percall(i_max / i_temp_mag, n_harmonics)
+    harmonics = []
+    p_total = 0.0
+    for n, f_n in factors.factors.items():
+        current = f_n * i_temp_mag * cmath.exp(1j * (n * psi + (n - 1) * math.pi / 2.0))
+        if n == 1:
+            v_load = src.v_th - src.z_th * current
+        else:
+            v_load = -src.z_th_at(n) * current
+        power = 0.5 * (v_load * current.conjugate()).real
+        p_total += power
+        harmonics.append(HarmonicComponent(n=n, current=current, v_load=v_load, power=power))
+    return SaturationSolution(
+        i_max=i_max,
+        i_temp=i_temp,
+        psi=psi,
+        factors=factors,
+        harmonics=harmonics,
+        p_total=p_total,
+        converged=True,
+        iterations=len(residuals),
+        residual=residuals[-1] if residuals else r_hi,
+    )
 
 
 def contour_ratio_scalar(g: float, alpha: float, epsilon: int) -> float:

@@ -8,12 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from oracles import clipped_cap_fourier, clipped_sine_fourier, solve_gain_three_stage
+from conftest import random_plant
+from oracles import (
+    clipped_cap_fourier,
+    clipped_sine_fourier,
+    saturation_factor_percall,
+    saturation_factors_percall,
+    solve_gain_three_stage,
+    solve_operating_point_percall,
+    thevenin_fresh,
+)
 from wec_satlin import (
     ConvergenceError,
     DomainError,
     TheveninSource,
+    WecSatlinError,
     classic_sidf_power,
+    descfcn,
     equivalent_z,
     gamma_from_z,
     linear_saturation_equivalent,
@@ -23,6 +34,7 @@ from wec_satlin import (
     saturation_factor,
     saturation_factors,
     solve_operating_point,
+    thevenin_from_plant,
     z_from_gamma,
 )
 
@@ -358,11 +370,33 @@ class TestBracketedSolve:
             assert gain(f) == pytest.approx(f, rel=1e-12)
             assert f == pytest.approx(SQ * sol.factors.i_script, rel=1e-12)
 
-    def test_short_circuit_controller_takes_no_deep_bracket(self):
-        # at z_c = 0 the residual has no value at f = 0, and with this limit
-        # it stays positive on (0, 1]: no root, and no division by zero
-        with pytest.raises(ConvergenceError):
-            solve_operating_point(make_source(alpha=0.5), 1e-20, z_c=0.0)
+    def test_short_circuit_controller_takes_no_deep_bracket(self, monkeypatch):
+        # at z_c = 0 the residual has no value at f = 0, and at or below
+        # pi |v_th| / (4 |z_th|) it stays positive on (0, 1]: no root, and no
+        # division by zero; the error says so after two evaluations
+        src = make_source(alpha=0.5)
+        bound = math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+        calls = []
+
+        def counted(i_script, fundamental=descfcn._fundamental):
+            calls.append(i_script)
+            return fundamental(i_script)
+
+        monkeypatch.setattr(descfcn, "_fundamental", counted)
+        for i_max in (1e-20, 1.0, 3.0, 0.99 * bound):
+            calls.clear()
+            with pytest.raises(DomainError, match=r"no operating point: with z_c = 0"):
+                solve_operating_point(src, i_max, z_c=0.0)
+            assert 0 < len(calls) <= 3
+
+    def test_short_circuit_controller_above_the_bound_converges(self):
+        src = make_source(alpha=0.5)
+        i_max = 1.01 * math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+        sol = solve_operating_point(src, i_max, z_c=0.0)
+        f = sol.factors.factors[1]
+        assert sol.converged and sol.residual < 1e-12
+        assert loop_gain(src, i_max, 0.0)(f) == pytest.approx(f, rel=1e-12)
+        assert abs(sol.fundamental.current) <= SQ * i_max
 
     def test_convergence_error_carries_residual_trace(self):
         src = make_source(alpha=1.0)
@@ -457,3 +491,92 @@ class TestLinearBaseline:
         base = matched_baseline(src)
         with pytest.raises(DomainError):
             linear_saturation_equivalent(src, 1.5 * base.i_peak_matched)
+
+
+def assert_same(got, want):
+    """Equal, and equal in every printed bit (so -0.0 is not 0.0)."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except WecSatlinError as exc:
+        return type(exc), str(exc)
+
+
+class TestPerCallOracle:
+    """The shared factor kernel and the plant memo reproduce the per-call
+    paths bit for bit."""
+
+    # clip-free (I >= 1), the onset series at every n up to 21, both branches
+    # across n, and deep clips
+    DEPTHS = (
+        1e-300, 1e-15, 1e-3, 0.1, 0.4, 0.7, 0.9, 0.999, 1.0 - 1e-6,
+        1.0 - 1e-12, 1.0, 1.5, math.inf,
+    )
+    # the last two below 1e-14 bracket on [0, 1e-15]; 1.5 never clips
+    FRACTIONS = (0.05, 0.3, 0.7, 0.999, 1.0 - 1e-9, 1.0, 1.5, 1e-15, 1e-300)
+    N_MAX = (1, 3, 9, 21)
+
+    def test_factors(self):
+        rng = np.random.default_rng(15)
+        depths = list(self.DEPTHS) + [float(d) for d in rng.uniform(0.0, 1.0, 50)]
+        depths += [1.0 - float(d) for d in np.geomspace(1e-14, 1e-2, 25)]
+        for i_script in depths:
+            for n_max in (-1, 0) + self.N_MAX:  # below 1 the bundle is empty
+                assert_same(
+                    saturation_factors(i_script, n_max),
+                    saturation_factors_percall(i_script, n_max),
+                )
+            for n in range(1, 23):
+                assert_same(saturation_factor(n, i_script), saturation_factor_percall(n, i_script))
+
+    def test_seeded_solves(self):
+        rng = np.random.default_rng(1500)
+        for _ in range(12):
+            plant = random_plant(rng)
+            src, fresh = thevenin_from_plant(plant), thevenin_fresh(plant)
+            assert_same((src.v_th, src.z_th), (fresh.v_th, fresh.z_th))
+            base = matched_baseline(src)
+            other = complex(0.5 * src.z_th.real, 2.0 * src.z_th.imag)
+            for frac in self.FRACTIONS:
+                i_max = frac * base.i_peak_matched
+                for z_c in (None, other):
+                    for n_max in self.N_MAX:
+                        assert_same(
+                            solve_operating_point(src, i_max, z_c, n_max),
+                            solve_operating_point_percall(fresh, i_max, z_c, n_max),
+                        )
+                if frac <= 1.0:  # at 1e-300 both raise: gamma rounds to the open circuit
+                    assert_same(
+                        outcome(linear_saturation_equivalent, src, i_max),
+                        outcome(linear_saturation_equivalent, fresh, i_max),
+                    )
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda f: f(2.5, 0.5), "harmonic index must be a positive integer, got 2.5"),
+            (lambda f: f(1, 0.0), "clipping depth must be positive, got 0.0"),
+            (lambda f: f(3, math.nan), "clipping depth must be positive, got nan"),
+        ],
+    )
+    def test_factor_errors_keep_their_text(self, call, text):
+        for factor in (saturation_factor, saturation_factor_percall):
+            with pytest.raises(DomainError) as info:
+                call(factor)
+            assert str(info.value) == text
+
+    def test_bundle_and_solve_errors_keep_their_text(self):
+        with pytest.raises(DomainError) as info:
+            saturation_factors(0.0)
+        assert str(info.value) == "clipping depth must be positive, got 0.0"
+        with pytest.raises(DomainError) as info:
+            saturation_factors(math.nan, n_max=21)
+        assert str(info.value) == "clipping depth must be positive, got nan"
+        with pytest.raises(DomainError) as info:
+            solve_operating_point(make_source(), math.nan)
+        assert str(info.value) == "current limit must be positive, got nan"

@@ -1,21 +1,26 @@
 """Tests for the converter model and its Thevenin reduction."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import random_plant
+from oracles import thevenin_fresh, z_mech_fresh, z_thevenin_fresh
 from wec_satlin import (
     DomainError,
     NondimGroups,
     SingularityError,
+    TheveninSource,
     WecPlant,
     alpha_from_nondim,
     constraint_amplitudes,
     haskind_force_amplitude,
     haskind_plant,
+    low_pass_merit,
     matched_baseline,
     matched_power,
     matched_power_from_plant,
@@ -23,6 +28,7 @@ from wec_satlin import (
     optimal_alpha_m_for_limits,
     rescale_to_haskind,
     simulate,
+    solve_operating_point,
     thevenin_from_plant,
 )
 
@@ -137,6 +143,79 @@ class TestThevenin:
             a_direct = thevenin_from_plant(plant).alpha
             a_groups = alpha_from_nondim(nondim_from_plant(plant))
             assert a_groups == pytest.approx(a_direct, rel=1e-12, abs=1e-12)
+
+
+class TestImpedanceMemo:
+    """Each plant memoizes its impedances and source; the memo is invisible."""
+
+    def test_memo_keeps_every_bit(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            plant = random_plant(rng)
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                for n in (1, 3, 5, 7, 9, 21):
+                    assert repr(plant.z_mech(n)) == repr(z_mech_fresh(plant, n))
+                    assert repr(plant.z_thevenin(n)) == repr(z_thevenin_fresh(plant, n))
+                src, fresh = thevenin_from_plant(plant), thevenin_fresh(plant)
+                assert repr((src.v_th, src.z_th)) == repr((fresh.v_th, fresh.z_th))
+            merit = abs(z_thevenin_fresh(plant, 1)) / abs(z_thevenin_fresh(plant, 3))
+            assert repr(low_pass_merit(plant)) == repr(merit)
+            z = 0.7 - 0.2j
+            cold = dataclasses.replace(plant)
+            assert repr(constraint_amplitudes(plant, z)) == repr(constraint_amplitudes(cold, z))
+
+    def test_memo_takes_no_part_in_the_value(self):
+        used, unused = basic_plant(l_w=0.01), basic_plant(l_w=0.01)
+        before = repr(used)
+        src = thevenin_from_plant(used)
+        used.z_thevenin(3)
+        assert used == unused and hash(used) == hash(unused)
+        assert repr(used) == before == repr(unused)
+        assert "_memo" not in repr(used) and "_memo" not in repr(src)
+        assert pickle.dumps(used) == pickle.dumps(unused)
+
+    def test_replace_gives_fresh_impedances(self):
+        plant = basic_plant(l_w=0.01)
+        src = thevenin_from_plant(plant)
+        old_z3 = plant.z_thevenin(3)
+        stiffer = dataclasses.replace(plant, k_h=2.0 * plant.k_h)
+        new = thevenin_from_plant(stiffer)
+        assert new is not src and new.z_th != src.z_th
+        assert stiffer.z_thevenin(3) == z_thevenin_fresh(stiffer, 3) != old_z3
+        assert new.z_th_at(3) == z_thevenin_fresh(stiffer, 3)
+        assert (new.v_th, new.z_th) == (thevenin_fresh(stiffer).v_th, thevenin_fresh(stiffer).z_th)
+
+    def test_plants_never_share_a_memo(self):
+        plant = basic_plant(l_w=0.01)
+        src = thevenin_from_plant(plant)
+        plant.z_thevenin(3)
+        twins = [
+            basic_plant(l_w=0.01),
+            copy.copy(plant),
+            copy.deepcopy(plant),
+            pickle.loads(pickle.dumps(plant)),
+            dataclasses.replace(plant),
+        ]
+        for twin in twins:
+            assert twin == plant and hash(twin) == hash(plant)
+            assert twin._memo == {} and twin._memo is not plant._memo
+            twin_src = thevenin_from_plant(twin)
+            assert twin_src == src and twin_src.z_th_at(3) == src.z_th_at(3)
+
+    def test_hand_built_source_calls_its_callable(self):
+        calls = []
+
+        def z_at(n):
+            calls.append(n)
+            return complex(1.0, 0.5 * n)
+
+        src = TheveninSource(v_th=10.0 + 0j, z_th=1.0 + 0.5j, harmonic_impedance=z_at)
+        assert src.z_th_at(3) == src.z_th_at(3) == 1.0 + 1.5j
+        assert calls == [3, 3]
+        calls.clear()
+        first = solve_operating_point(src, 1.0)
+        assert solve_operating_point(src, 1.0) == first
+        assert calls == [3, 5, 7, 9] * 2
 
 
 class TestNondimGroups:
