@@ -18,10 +18,15 @@ Between clip switches each realization is linear in a state augmented with
 a wave oscillator, so each branch advances exactly by its matrix exponential
 (Van Loan 1978; Higham 2005), and each switch is located on its guard
 function (Shampine & Thompson 2000), also when the clip is entered and
-released within one step.  The periodic steady state is found by Newton
-shooting on the period map (Aprille & Trick 1972), whose Jacobian, the
-monodromy matrix, multiplies the branch flows and the saltation matrix of
-each switch.  Identical inputs give bit-identical runs.
+released within one step.  The clip is odd and the wave forcing one
+sinusoid, so with y(t) the loop also has the solution -y(t + T/2), and its
+steady state is half-wave symmetric (Gelb & Vander Velde, Multiple-Input
+Describing Functions, 1968).  That steady state is found by Newton shooting
+(Aprille & Trick 1972) on the anti-period map G(y) = -Phi_half(y), half a
+period of the loop and a negation, whose fixed points are T-periodic since
+G(G(y)) = Phi(y).  Its Jacobian negates the monodromy matrix of the half
+period, which multiplies the branch flows and the saltation matrix of each
+switch.  Identical inputs give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -60,10 +65,11 @@ class SimConfig:
     """Sampling, period cap and steady-state settings.
 
     Propagation is exact whatever the step, so ``steps_per_period`` sets the
-    sampling and DFT resolution, not stability.  ``n_periods``, at least 1,
-    caps the periods the shooting may run; shooting needs no transient skip,
-    so there is no such field, and the config reader checks the
-    ``[sim] transient_periods`` key of older configs as an integer and
+    sampling and DFT resolution, not stability; it must be even, so that the
+    half period the shooting runs ends on a sample.  ``n_periods``, at least
+    1, caps the half-period maps the shooting may run; shooting needs no
+    transient skip, so there is no such field, and the config reader checks
+    the ``[sim] transient_periods`` key of older configs as an integer and
     ignores it.  ``convergence_tol`` bounds the periodicity residual of a
     converged run; shooting itself goes on to 1e-12 where it can.
     ``algebraic_loop_tol`` is the clip switch-time tolerance relative to the
@@ -72,12 +78,14 @@ class SimConfig:
 
     steps_per_period: int = 2000
     n_periods: int = 40
-    convergence_tol: float = 1e-3  # relative periodicity residual ||Phi(y) - y|| / ||y||
+    convergence_tol: float = 1e-3  # relative periodicity residual ||G(y) - y|| / ||y||
     algebraic_loop_tol: float = 1e-12
 
     def __post_init__(self):
         if self.steps_per_period < 100:
             raise DomainError("need at least 100 steps per period")
+        if self.steps_per_period % 2:
+            raise DomainError(f"steps_per_period must be even, got {self.steps_per_period}")
         if self.n_periods < 1:
             raise DomainError(f"n_periods must be at least 1, got {self.n_periods}")
         for key in ("convergence_tol", "algebraic_loop_tol"):
@@ -91,15 +99,20 @@ class SimResult:
     """Steady-state extraction from one run.
 
     ``waveforms`` holds the final period, one record per sample with
-    fields t, x, v, i, v_load, p_inst.  ``harmonic_currents[k]`` is the
+    fields t, x, v, i, v_load, p_inst: the final half period and its
+    negation, so the window is half-wave symmetric by construction, and its
+    mean and even harmonics vanish up to rounding.  ``t`` starts at
+    ``periods_run - 1`` whole periods.  ``harmonic_currents[k]`` is the
     current phasor at harmonic k+1 (cosine convention); ``dc_current`` the
     window mean.  ``x_amp`` is the fundamental position amplitude from the
     same window.
 
-    Diagnostics of the run: ``period_powers`` holds the mean power of each
-    period run, ``periods_run`` their count and ``newton_steps`` how many
-    of them followed a Newton step.  ``periodicity_residual`` is
-    ||Phi(y) - y|| / ||y|| of the final period over the plant states, and
+    Diagnostics of the run: shooting runs the anti-period map G, half a
+    period each.  ``period_powers`` holds the mean power of each half
+    period run, which on a symmetric orbit is the mean over the period;
+    ``periods_run`` counts the half-period maps and ``newton_steps`` how
+    many of them followed a Newton step.  ``periodicity_residual`` is
+    ||G(y) - y|| / ||y|| of the final map over the plant states, and
     ``converged`` holds exactly when it is at most ``convergence_tol``.
     ``clip_fraction`` is the share of the final period spent on the rail.
     """
@@ -157,9 +170,11 @@ _LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", d
 
 
 class _Period(NamedTuple):
-    """One evaluation of the period map: samples 0..steps of the state,
-    applied current and load voltage; the branch at the end; the monodromy
-    matrix; and the period as ``(rail, start, duration)`` segments."""
+    """One evaluation of the anti-period map G: samples 0..steps of the
+    state, applied current and load voltage over half a period, the last
+    one negated, so that ``ys[steps]`` is G(y); the branch at the end; the
+    Jacobian of G, the negated monodromy matrix of the half period; and the
+    half period as ``(rail, start, duration)`` segments."""
 
     ys: np.ndarray
     cur: np.ndarray
@@ -197,9 +212,12 @@ class _Loop:
     holds no current state.  The free branch is left when |i| exceeds i_max,
     the rail when the command current falls back inside.
 
-    Neither branch depends on the limit, which the methods take as
-    ``i_max``, so one loop serves every limit of its plant, controller and
-    step.  The rail branch is built the first time it is used.
+    ``steps`` steps of ``dt`` make half a period, the span of the
+    anti-period map :meth:`period`, and each branch stacks that many powers
+    of its one-step flow.  Neither branch depends on the limit, which the
+    methods take as ``i_max``, so one loop serves every limit of its plant,
+    controller and step.  The rail branch is built the first time it is
+    used.
     """
 
     def __init__(self, plant: WecPlant, z_c: complex, dt: float, steps: int):
@@ -289,14 +307,14 @@ class _Loop:
 
     def free_orbit(self, i_max: float) -> tuple[np.ndarray, bool]:
         """Start state and branch of the free branch's periodic orbit, the
-        fixed point of E^steps with the oscillator at its phase; at rest
-        where that solve has no finite answer.  The start is on the rail,
-        holding the limit ``i_max``, where the orbit's current there
-        exceeds it."""
+        fixed point y = -E^steps y of its anti-period map, with the
+        oscillator at its phase; at rest where that solve has no finite
+        answer.  The start is on the rail, holding the limit ``i_max``, where
+        the orbit's current there exceeds it."""
         u = self.unknowns(False)
         e = self.free.powers[-1]
         y = self.y0.copy()
-        y[u] = np.linalg.solve(np.eye(u.sum()) - e[np.ix_(u, u)], e[np.ix_(u, ~u)] @ y[~u])
+        y[u] = np.linalg.solve(np.eye(u.sum()) + e[np.ix_(u, u)], -(e[np.ix_(u, ~u)] @ y[~u]))
         if not np.isfinite(y).all():
             return self.y0.copy(), False
         current = y @ self.free.i_row
@@ -408,17 +426,21 @@ class _Loop:
         raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
 
     def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
-        """The period map under the limit ``i_max``: one period from ``y``
-        on branch ``rail``, with the oscillator restarted at its phase.
+        """The anti-period map G(y) = -Phi_half(y) under the limit
+        ``i_max``: half a period from ``y`` on branch ``rail``, with the
+        oscillator restarted at its phase, then the end state negated.  Its
+        fixed points are the half-wave symmetric periodic orbits; an
+        asymmetric orbit, if the loop has one, is not sought.
 
         Whole-step runs advance by powers of the one-step flow, steps that
-        may hold a switch by :meth:`cross`; the monodromy matrix is the
-        product of their flows and saltation matrices.  A run is scanned
-        forward from its start ``ys[k]`` in windows of ``_WINDOW`` steps,
-        each the next rows of the powers stack times ``ys[k]``, and the scan
-        stops at the first window that holds a candidate.  Each window after
-        the first starts at the last sample of the one before, so every pair
-        of neighbouring samples is checked.
+        may hold a switch by :meth:`cross`; the monodromy matrix of the half
+        period is the product of their flows and saltation matrices, and
+        G's Jacobian its negation.  A run is scanned forward from its start
+        ``ys[k]`` in windows of ``_WINDOW`` steps, each the next rows of the
+        powers stack times ``ys[k]``, and the scan stops at the first window
+        that holds a candidate.  Each window after the first starts at the
+        last sample of the one before, so every pair of neighbouring samples
+        is checked.
 
         numpy rounds a one-row product as a dot product, and a longer one
         row by row as a matrix-vector product.  The row products of a window
@@ -470,7 +492,8 @@ class _Loop:
                     add(on_rail, start, duration)
                     start += duration
                 k += 1
-        return _Period(ys, cur, vl, rail, jac, segments)
+        ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
+        return _Period(ys, cur, vl, rail, -jac, segments)
 
 
 def simulate(
@@ -487,19 +510,23 @@ def simulate(
     not normalized); ``i_max`` the hard current clip (infinity disables it).
     The excitation is |F_e| cos(w t + arg F_e).
 
-    The period map starts from the free branch's periodic orbit, which is
-    the answer for a row that never clips.  Newton's method on y - Phi(y) = 0
-    over the plant states, with the monodromy matrix as Jacobian (Aprille &
-    Trick, Proc. IEEE 1972), refines it until the periodicity residual
-    ||Phi(y) - y|| / ||y|| is at most ``min(cfg.convergence_tol, 1e-12)``.
-    A step may raise the residual once, as when the start moves between
-    branches; after two steps in a row that do not lower the best residual,
-    plain period iteration takes over from the best period.  At most
-    ``cfg.n_periods`` periods are run, and the run is converged when the
-    final residual is at most ``cfg.convergence_tol``.  Extraction uses the final period, whose
-    samples are exact up to the switch-time tolerance
+    Shooting runs the anti-period map G(y) = -Phi_half(y), half a period
+    and a negation (see :meth:`_Loop.period`), so it finds the half-wave
+    symmetric orbit; an asymmetric one, if it exists, is not sought.  The
+    map starts from the free branch's periodic orbit, which is the answer
+    for a row that never clips.  Newton's method on y - G(y) = 0 over the
+    plant states, with G's Jacobian (Aprille & Trick, Proc. IEEE 1972),
+    refines it until the periodicity residual ||G(y) - y|| / ||y|| is at
+    most ``min(cfg.convergence_tol, 1e-12)``.  A step may raise the residual
+    once, as when the start moves between branches; after two steps in a
+    row that do not lower the best residual, plain iteration of G takes
+    over from the best map.  At most ``cfg.n_periods`` maps are run, and
+    the run is converged when the final residual is at most
+    ``cfg.convergence_tol``.  Extraction uses the final half period and its
+    negation, whose samples are exact up to the switch-time tolerance
     ``cfg.algebraic_loop_tol * dt``.  A non-finite state, checked once per
-    period, aborts with :class:`SimulationError` carrying the step index.
+    map, aborts with :class:`SimulationError` carrying the step index,
+    counted over the half periods run.
 
     The loop does not depend on the limit: inside a :func:`_shared_loops`
     block, calls with the same plant, controller and step count share one;
@@ -514,34 +541,35 @@ def simulate(
     _check_nyquist(n_harmonics, cfg.steps_per_period, 1)
     period = 2.0 * math.pi / plant.omega
     steps = cfg.steps_per_period
+    half = steps // 2
     dt = period / steps
     tol = cfg.algebraic_loop_tol * dt
     target = min(cfg.convergence_tol, _SHOOTING_TOL)
     loops = _LOOPS.get()
     if loops is None:  # outside a _shared_loops block the loop is this call's own
         loops = {}
-    key = (plant, complex(z_c), steps)
+    key = (plant, complex(z_c), half)
     if key not in loops:
-        loops[key] = _Loop(plant, z_c, dt, steps)
+        loops[key] = _Loop(plant, z_c, dt, half)
     loop = loops[key]
 
     y, rail = loop.free_orbit(i_max)
     period_powers = []
-    best = None  # (residual, end state, end branch) of the best Newton period
+    best = None  # (residual, end state, end branch) of the best Newton map
     newton, newton_steps, misses = True, 0, 0
     for p in range(cfg.n_periods):
         run = loop.period(y, rail, i_max, tol)
         bad = np.flatnonzero(~np.isfinite(run.ys[1:]).all(axis=1))
         if bad.size:
-            j = p * steps + int(bad[0])
+            j = p * half + int(bad[0])
             raise SimulationError(
                 f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
                 step=j,
                 trace=tuple(run.ys[1 + bad[0]]),
             )
-        period_powers.append(float(np.mean(run.vl[:steps] * run.cur[:steps])))
+        period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.unknowns(rail)
-        end = run.ys[steps]
+        end = run.ys[half]
         gap = end[u] - y[u]
         residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
         if residual <= target or p == cfg.n_periods - 1:
@@ -553,19 +581,20 @@ def simulate(
             best, misses = (residual, end, run.rail), 0
         else:
             misses += 1
-        if misses == 2:  # Newton stalls: iterate the period map from the best period
+        if misses == 2:  # Newton stalls: iterate the map from the best map
             newton = False
             _, y, rail = best
             continue
         step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[np.ix_(u, u)], gap)
         y = end.copy()
         y[u] = step
-        if run.rail:  # the rail holds the current the period ended with
+        if run.rail:  # the rail holds the current the map ended with
             y[loop.sigma] = end[loop.sigma]
         rail = run.rail
         newton_steps += 1
 
-    ys, cur, vl = run.ys[:steps], run.cur[:steps], run.vl[:steps]
+    # the stored period: the final half and its negation
+    ys, cur, vl = (np.concatenate((a[:half], -a[:half])) for a in (run.ys, run.cur, run.vl))
     columns = (np.arange(p * steps, (p + 1) * steps) * dt, ys[:, 0], ys[:, 1],
                cur, vl, vl * cur)
     waveforms = np.empty(steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS])
@@ -587,7 +616,7 @@ def simulate(
         periodicity_residual=residual,
         periods_run=p + 1,
         newton_steps=newton_steps,
-        clip_fraction=sum(d for on_rail, _, d in run.segments if on_rail) / period,
+        clip_fraction=2.0 * sum(d for on_rail, _, d in run.segments if on_rail) / period,
     )
 
 

@@ -320,6 +320,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "n_periods must be at least 1" in err
 
+    @pytest.mark.parametrize("command", ["verify", "fsat"])
+    def test_odd_step_count_is_config_error(self, tmp_path, capsys, command):
+        # the referee shoots over half a period, which must end on a sample
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sim]\nsteps_per_period = 401\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "steps_per_period must be even, got 401" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_cap_alone_runs_without_transient_periods(self, tmp_path, capsys):
         # n_periods no longer has to exceed an unused transient skip of 20
         cfg = tmp_path / "run.ini"

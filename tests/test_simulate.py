@@ -64,6 +64,13 @@ class TestSimConfig:
                 with pytest.raises(DomainError, match=f"{key} must be positive"):
                     SimConfig(**{key: value})
 
+    @pytest.mark.parametrize("steps", [101, 401, 2001])
+    def test_odd_step_count_is_rejected(self, steps):
+        # half a period of an odd count falls between two samples
+        with pytest.raises(DomainError, match=f"steps_per_period must be even, got {steps}"):
+            SimConfig(steps_per_period=steps)
+        assert SimConfig(steps_per_period=steps + 1).steps_per_period == steps + 1
+
     def test_no_transient_skip(self):
         # shooting needs no transient periods, so a short cap is valid alone
         assert SimConfig(n_periods=3).n_periods == 3
@@ -682,9 +689,10 @@ class TestWindowedScan:
 
     def test_clipped_period_scans_about_one_period(self, monkeypatch):
         # the verify_reactive rows: conjugate control on the reactive plant
-        # at the default step count; each candidate may overrun by at most
-        # one window, where one scan over the rest of the period after each
-        # candidate scanned 3.3 to 4.6 periods per clipped period
+        # at the default step count; each map runs half a period, and each
+        # candidate may overrun by at most one window, where one scan over
+        # the rest of the period after each candidate scanned 3.3 to 4.6
+        # periods per clipped period
         plant = haskind_plant(**REACTIVE_PLANT)
         src = thevenin_from_plant(plant)
         peak = matched_baseline(src).i_peak_matched
@@ -708,13 +716,13 @@ class TestWindowedScan:
         monkeypatch.setattr(_Loop, "cross", counted_cross)
         runs = [simulate(plant, src.z_th.conjugate(), i_max=frac * peak)
                 for frac in (0.4, 0.6, 0.8, 1.0)]
-        assert [res.periods_run for res in runs] == [5, 4, 4, 1]
-        assert len(counts) == 14
-        # the peak bound leaves 55 steps to cross, of 81 without it
-        assert sum(candidates for _, candidates in counts) == 55
-        steps = SimConfig().steps_per_period
+        assert [res.periods_run for res in runs] == [5, 5, 4, 1]  # half periods
+        assert len(counts) == 15
+        # the peak bound leaves 30 steps to cross, of 44 without it
+        assert sum(candidates for _, candidates in counts) == 30
+        half = SimConfig().steps_per_period // 2
         for samples, candidates in counts:
-            assert samples < steps + (candidates + 1) * simulate_mod._WINDOW
+            assert samples < half + (candidates + 1) * simulate_mod._WINDOW
 
 
 class TestRk4Oracle:
@@ -804,7 +812,7 @@ class TestShooting:
         steps = 600
         dt = 2.0 * math.pi / plant.omega / steps
         tol = 1e-12 * dt
-        loop = _Loop(plant, z_c, dt, steps)
+        loop = _Loop(plant, z_c, dt, steps // 2)  # the anti-period map
         y, rail = loop.free_orbit(i_max)
         for _ in range(3):  # near the orbit, where Newton uses the Jacobian
             run = loop.period(y, rail, i_max, tol)
@@ -850,7 +858,7 @@ class TestShooting:
 
         monkeypatch.setattr(_Loop, "period", backwards)
         res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
-        assert res.newton_steps == 2 and res.periods_run > 4
+        assert res.newton_steps == 2 and res.periods_run > 8  # half periods
         assert res.converged and res.periodicity_residual <= 1e-12
         assert res.p_avg == pytest.approx(good.p_avg, rel=1e-9)
 
@@ -882,3 +890,95 @@ class TestShooting:
         res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
         assert res.periods_run <= n_periods
         assert res.converged == (res.periodicity_residual <= tol)
+
+
+def _reactive_rows():
+    """(plant, z_c, i_max) of the verify_reactive rows: conjugate control on
+    the reactive plant at clip fractions 0.4, 0.6, 0.8 and 1.0."""
+    plant = haskind_plant(**REACTIVE_PLANT)
+    src = thevenin_from_plant(plant)
+    peak = matched_baseline(src).i_peak_matched
+    return [(plant, src.z_th.conjugate(), frac * peak) for frac in (0.4, 0.6, 0.8, 1.0)]
+
+
+def _seeded_rows():
+    """(plant, z_c, i_max) of the 180 seeded validity rows."""
+    rng = np.random.default_rng(1)
+    rows = []
+    for _ in range(60):
+        plant = haskind_plant(**draw_design(rng))
+        src = thevenin_from_plant(plant)
+        peak = matched_baseline(src).i_peak_matched
+        rows += [(plant, src.z_th.conjugate(), frac * peak) for frac in (0.2, 0.5, 0.8)]
+    return rows
+
+
+class TestHalfWaveSymmetry:
+    """Shooting on the anti-period map G(y) = -Phi_half(y) finds the
+    half-wave symmetric orbit, which the full-period map keeps."""
+
+    def _shoot(self, monkeypatch, rows):
+        """Each row's result and its full-period residual ||Phi(y) - y|| /
+        ||y||, for y the start of the final map and Phi run by a loop whose
+        map spans a whole period's steps."""
+        period = _Loop.period
+        starts = []
+
+        def recorded(self, *args):
+            starts.append((self, *args))
+            return period(self, *args)
+
+        monkeypatch.setattr(_Loop, "period", recorded)
+        out = []
+        for plant, z_c, i_max in rows:
+            res = simulate(plant, z_c, i_max=i_max)
+            loop, y, rail, _, tol = starts[-1]
+            steps = 2 * loop.steps
+            whole = _Loop(plant, z_c, loop.dt, steps)
+            end = -period(whole, y, rail, i_max, tol).ys[steps]  # Phi(y)
+            u = loop.unknowns(rail)
+            out.append((res, np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u])))
+        return out
+
+    def test_stored_period_is_a_half_and_its_negation(self):
+        for plant, z_c, i_max in _reactive_rows():
+            res = simulate(plant, z_c, i_max=i_max)
+            w, half = res.waveforms, len(res.waveforms) // 2
+            for name in ("x", "v", "i", "v_load"):
+                assert np.array_equal(w[name][half:], -w[name][:half])
+            assert np.array_equal(w["p_inst"][half:], w["p_inst"][:half])
+            # the window starts at periods_run - 1 whole periods
+            steps = 2 * half
+            start = (res.periods_run - 1) * steps
+            assert np.array_equal(w["t"], np.arange(start, start + steps) * res.dt)
+
+    def test_dc_and_even_harmonics_vanish(self):
+        for plant, z_c, i_max in _reactive_rows():
+            res = simulate(plant, z_c, i_max=i_max)
+            i1 = abs(res.harmonic_currents[0])
+            assert abs(res.dc_current) <= 1e-13 * i1
+            for n in (2, 4, 6, 8):
+                assert abs(res.harmonic_currents[n - 1]) <= 1e-13 * i1
+
+    def test_full_period_map_keeps_the_reactive_orbit(self, monkeypatch):
+        for res, full in self._shoot(monkeypatch, _reactive_rows()):
+            assert res.periodicity_residual <= 1e-12
+            assert full <= 1e-11
+
+    def test_full_period_map_keeps_the_seeded_orbits(self, monkeypatch):
+        with _shared_loops():
+            for res, full in self._shoot(monkeypatch, _seeded_rows()):
+                assert res.periodicity_residual <= 1e-12
+                assert full <= 1e-11
+
+    def test_reruns_are_bit_identical(self):
+        for plant, z_c, i_max in _reactive_rows():
+            first = simulate(plant, z_c, i_max=i_max)
+            assert _result_bits(simulate(plant, z_c, i_max=i_max)) == _result_bits(first)
+
+
+def test_too_many_switches_in_one_step_raise(monkeypatch):
+    plant, z_c, i_max = _reactive_rows()[0]
+    monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", 0)
+    with pytest.raises(SimulationError, match="clip switched more than 0 times in one step"):
+        simulate(plant, z_c, i_max=i_max)
