@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .mismatch import (
-    OperatingPoint,
-    TheveninSource,
-    gamma_for_amplitude_target,
-    matched_baseline,
-    operating_point,
-)
+from .mismatch import OperatingPoint, TheveninSource, _current_contour_point, matched_baseline
 
 __all__ = [
     "SaturationFactors",
@@ -359,16 +353,16 @@ def linear_saturation_equivalent(src: TheveninSource, i_max: float) -> Operating
     returned point sits on the minimum-current optimal contour at exactly
     that ratio, i.e. the highest-power linear design obeying the limit.
     Clipped (nonlinear) control beats this baseline whenever the limit binds
-    hard, thanks to the up-to-4/pi fundamental boost.
+    hard, thanks to the up-to-4/pi fundamental boost.  The power ratio and z
+    stay exact to rounding up to the open circuit, where gamma rounds to
+    one: both are built from 1 - |gamma| without forming 1 - |gamma|^2.
     """
     baseline = matched_baseline(src)
     if i_max > baseline.i_peak_matched:
         raise DomainError(
             "current limit exceeds the matched current; no reduction is needed"
         )
-    target = i_max / baseline.i_peak_matched
-    gamma = gamma_for_amplitude_target(target, src.alpha, epsilon=-1)
-    return operating_point(gamma, src.alpha, epsilon=-1)
+    return _current_contour_point(i_max / baseline.i_peak_matched, src.alpha)
 
 
 def reconstruct_current(solution: SaturationSolution, omega: float, t) -> np.ndarray:

@@ -338,13 +338,56 @@ def gamma_for_amplitude_target(
     ``tol`` is accepted for compatibility and ignored: the result is exact
     to rounding.
     """
+    g, _ = _contour_radius(target_ratio, alpha)
+    return g * cmath.exp(1j * optimal_angle(g, alpha, epsilon))
+
+
+def _contour_radius(target_ratio: float, alpha: float) -> tuple[float, float]:
+    """g* of :func:`gamma_for_amplitude_target` and 1 - g*, each a ratio of
+    positive terms.  With D = sqrt(1 + r^4 a^2) + r sqrt(1 + a^2), the
+    denominator of g*,
+
+        1 - g* = [r sqrt(1 + a^2) + r^2 + r^4 a^2 / (sqrt(1 + r^4 a^2) + 1)] / D,
+
+    so 1 - g* keeps its relative accuracy as r -> 0, where g* rounds to one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 1);
+    the bracket is one correctly rounded sum.
+    """
     if not (0.0 < target_ratio <= 1.0):
         raise DomainError(f"target ratio must lie in (0, 1], got {target_ratio}")
     r = float(target_ratio)
-    g = (1.0 - r) * (1.0 + r) / (
-        math.hypot(1.0, r * r * alpha) + r * math.hypot(1.0, alpha)
+    root, rise = math.hypot(1.0, r * r * alpha), r * math.hypot(1.0, alpha)
+    den = root + rise
+    gap = math.fsum((rise, r * r, (r * r * alpha) ** 2 / (root + 1.0))) / den
+    return (1.0 - r) * (1.0 + r) / den, gap
+
+
+def _current_contour_point(target_ratio: float, alpha: float) -> OperatingPoint:
+    """:func:`operating_point` of the minimum-current contour's point at
+    current ratio ``target_ratio`` (:func:`gamma_for_amplitude_target` with
+    epsilon = -1), exact to rounding up to the open circuit.
+
+    1 - |gamma|^2 and 1 - gamma cancel as gamma -> 1, so both are built from
+    g*, 1 - g* (:func:`_contour_radius`) and phi instead: the power ratio is
+    (1 - g*)(1 + g*), with 1 + g* taken as 2 - (1 - g*), and
+    z = (1 + gamma) / (1 - gamma) with
+
+        1 - gamma = (1 - g*) + 2 g* sin^2(phi / 2) - i g* sin(phi).
+
+    The current ratio is ``target_ratio`` by construction.
+    """
+    g, gap = _contour_radius(target_ratio, alpha)
+    phi = optimal_angle(g, alpha, -1)
+    gamma = g * cmath.exp(1j * phi)
+    half = math.sin(0.5 * phi)
+    return OperatingPoint(
+        z=(1.0 + gamma) / complex(gap + 2.0 * g * half * half, -g * math.sin(phi)),
+        gamma=gamma,
+        power_ratio=gap * (2.0 - gap),
+        v_ratio=amplitude_ratio(gamma, alpha, +1),
+        i_ratio=float(target_ratio),
+        epsilon=-1,
     )
-    return g * cmath.exp(1j * optimal_angle(g, alpha, epsilon))
 
 
 def _nondominated(triples: np.ndarray) -> np.ndarray:

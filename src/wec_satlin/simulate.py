@@ -26,7 +26,10 @@ Describing Functions, 1968).  That steady state is found by Newton shooting
 period of the loop and a negation, whose fixed points are T-periodic since
 G(G(y)) = Phi(y).  Its Jacobian negates the monodromy matrix of the half
 period, which multiplies the branch flows and the saltation matrix of each
-switch.  Identical inputs give bit-identical runs.
+switch.  Where the limit binds, shooting starts from the describing
+function's orbit, a harmonic-balance estimate of the steady state (Kundert,
+Sangiovanni-Vincentelli & White, Steady-State Methods for Simulating Analog
+and Microwave Circuits, 1990).  Identical inputs give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -165,6 +168,7 @@ _MAX_EVENTS = 8  # clip switches allowed within one step
 _WINDOW = 256  # steps sampled at a time while scanning for the next switch
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
+_EPS = np.finfo(float).eps
 # (plant, z_c, steps) -> _Loop while a _shared_loops block is open, else None
 _LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", default=None)
 
@@ -276,10 +280,12 @@ class _Loop:
             free = (i_free, emf - r * i_free)
             rail = (row(sigma=1.0), emf - row(sigma=r))
             self.release = i_free - row(sigma=1.0)
+        self.plant, self.z_c = plant, z_c
         self.n = n
         self.dt = dt
         self.steps = steps
         self.sigma = idx.get("sigma", idx.get("i"))
+        self.current, self.xi, self.filter_rate = idx.get("i"), idx.get("xi"), a
         self.osc = [idx["p"], idx["q"]]
         self.plant_states = np.array([name not in ("p", "q", "sigma") for name in names])
         phase = math.atan2(plant.f_e.imag, plant.f_e.real)
@@ -305,23 +311,53 @@ class _Loop:
             mask[self.sigma] = False
         return mask
 
-    def free_orbit(self, i_max: float) -> tuple[np.ndarray, bool]:
-        """Start state and branch of the free branch's periodic orbit, the
-        fixed point y = -E^steps y of its anti-period map, with the
-        oscillator at its phase; at rest where that solve has no finite
-        answer.  The start is on the rail, holding the limit ``i_max``, where
-        the orbit's current there exceeds it."""
+    def free_orbit(self) -> np.ndarray:
+        """Start state of the free branch's periodic orbit, the fixed point
+        y = -E^steps y of its anti-period map, with the oscillator at its
+        phase; at rest where that solve has no finite answer.  It is the
+        orbit itself, so a row that never clips converges in one map."""
         u = self.unknowns(False)
         e = self.free.powers[-1]
         y = self.y0.copy()
         y[u] = np.linalg.solve(np.eye(u.sum()) + e[np.ix_(u, u)], -(e[np.ix_(u, ~u)] @ y[~u]))
-        if not np.isfinite(y).all():
-            return self.y0.copy(), False
-        current = y @ self.free.i_row
-        if not abs(current) > i_max:
-            return y, False
-        y[self.sigma] = math.copysign(i_max, current)
-        return y, True
+        return y if np.isfinite(y).all() else self.y0.copy()
+
+    def start(self, i_max: float) -> tuple[np.ndarray, bool]:
+        """Start state and branch of the first map under the limit ``i_max``.
+
+        Where the describing function says the limit binds (clipping depth
+        below 1), the state at t = 0 of its half-wave symmetric orbit: with
+        I_n and V_n the current and load-voltage phasors of harmonic n, the
+        velocity U_n = (V_n + Z_w(n w) I_n) / c, the position U_n / (i n w)
+        and the filter state V_n / (a + i n w), summed over the harmonics;
+        the held or command current is the pre-clip command Re(i_temp), and
+        the start is on the rail, at +-i_max, where that exceeds the limit.
+        The solve always keeps the package default of 9 harmonics, so a
+        run's bits do not depend on the harmonics it extracts.  Elsewhere,
+        with no limit, no forcing or a limit the describing function never
+        reaches, the free branch's orbit.
+        """
+        plant = self.plant
+        if not (math.isfinite(i_max) and plant.f_e != 0.0):
+            return self.free_orbit(), False
+        sol = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=self.z_c)
+        if not sol.factors.i_script < 1.0:
+            return self.free_orbit(), False
+        y = self.y0.copy()
+        for h in sol.harmonics:
+            s = 1j * h.n * plant.omega
+            velocity = (h.v_load + plant.z_wind(h.n) * h.current) / plant.coupling
+            y[0] += (velocity / s).real
+            y[1] += velocity.real
+            if self.xi is not None:
+                y[self.xi] += (h.v_load / (self.filter_rate + s)).real
+        command = sol.i_temp.real
+        if self.current is not None:
+            y[self.current] = command
+        rail = abs(command) > i_max
+        if rail:
+            y[self.sigma] = math.copysign(i_max, command)
+        return y, rail
 
     def first_candidate(self, rail: bool, ys, cur, i_max: float) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
@@ -362,7 +398,12 @@ class _Loop:
         ``(tau, y_tau, sign)`` under the limit ``i_max``, or None.
 
         A guard positive at the end brackets a switch; one whose slope turns
-        from rising to falling is checked at its located peak.
+        from rising to falling is checked at its located peak.  A located
+        point whose guard rate is zero to within its rounding bound is a
+        touch, not a switch, and has no saltation matrix: after a release
+        with winding inductance the current leaves the limit with zero
+        slope, and a stiff sub-step's matrix exponential reads it one ulp
+        above the limit.
         """
         br = self.branch(rail)
         at = br.path(y, h)
@@ -385,6 +426,10 @@ class _Loop:
             # a path over a shorter bracket rounds differently: build it anew
             path = at if hi == h else br.path(y, hi)
             tau, y_tau = br.locate(path, y, y_hi, hi, guard, level, tol)
+            # the guard's rate is the saltation denominator of :meth:`cross`
+            bound = 2.0 * self.n * _EPS * (np.abs(row) @ (np.abs(br.a) @ np.abs(y_tau)))
+            if not abs(row @ (br.a @ y_tau)) > bound:
+                continue
             if first is None or tau < first[0]:
                 first = (tau, y_tau, sign)
         return y_end, first
@@ -513,20 +558,24 @@ def simulate(
     Shooting runs the anti-period map G(y) = -Phi_half(y), half a period
     and a negation (see :meth:`_Loop.period`), so it finds the half-wave
     symmetric orbit; an asymmetric one, if it exists, is not sought.  The
-    map starts from the free branch's periodic orbit, which is the answer
-    for a row that never clips.  Newton's method on y - G(y) = 0 over the
-    plant states, with G's Jacobian (Aprille & Trick, Proc. IEEE 1972),
-    refines it until the periodicity residual ||G(y) - y|| / ||y|| is at
-    most ``min(cfg.convergence_tol, 1e-12)``.  A step may raise the residual
-    once, as when the start moves between branches; after two steps in a
-    row that do not lower the best residual, plain iteration of G takes
-    over from the best map.  At most ``cfg.n_periods`` maps are run, and
-    the run is converged when the final residual is at most
-    ``cfg.convergence_tol``.  Extraction uses the final half period and its
-    negation, whose samples are exact up to the switch-time tolerance
-    ``cfg.algebraic_loop_tol * dt``.  A non-finite state, checked once per
-    map, aborts with :class:`SimulationError` carrying the step index,
-    counted over the half periods run.
+    first map starts from the describing function's orbit at t = 0 where it
+    says the limit binds, and from the free branch's periodic orbit, the
+    answer for a row that never clips, elsewhere (see :meth:`_Loop.start`).
+    The start sets how many maps are run, not which orbit is found, on a
+    loop with one attracting periodic response (a convergent one: Pavlov,
+    van de Wouw & Nijmeijer, Syst. Control Lett. 2005).  Newton's method on
+    y - G(y) = 0 over the plant states, with G's Jacobian (Aprille & Trick,
+    Proc. IEEE 1972), refines it until the periodicity residual
+    ||G(y) - y|| / ||y|| is at most ``min(cfg.convergence_tol, 1e-12)``.
+    A step may raise the residual once, as when the start moves between
+    branches; after two steps in a row that do not lower the best residual,
+    plain iteration of G takes over from the best map.  At most
+    ``cfg.n_periods`` maps are run, and the run is converged when the final
+    residual is at most ``cfg.convergence_tol``.  Extraction uses the final
+    half period and its negation, whose samples are exact up to the
+    switch-time tolerance ``cfg.algebraic_loop_tol * dt``.  A non-finite
+    state, checked once per map, aborts with :class:`SimulationError`
+    carrying the step index, counted over the half periods run.
 
     The loop does not depend on the limit: inside a :func:`_shared_loops`
     block, calls with the same plant, controller and step count share one;
@@ -553,7 +602,7 @@ def simulate(
         loops[key] = _Loop(plant, z_c, dt, half)
     loop = loops[key]
 
-    y, rail = loop.free_orbit(i_max)
+    y, rail = loop.start(i_max)
     period_powers = []
     best = None  # (residual, end state, end branch) of the best Newton map
     newton, newton_steps, misses = True, 0, 0

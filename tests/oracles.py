@@ -8,8 +8,9 @@ root-finders the bracketed Illinois solve replaced, the per-call
 saturation factors and unmemoized plant impedances that the shared factor
 kernel and the plant memo replaced, the fixed-step RK4
 integrator the exact referee replaced, the fixed-horizon run that shooting
-to the periodic orbit replaced, and the concatenating doubling the in-place
-power stack replaced.
+to the periodic orbit replaced, the concatenating doubling the in-place
+power stack replaced, and the free-orbit start of the shooting that the
+describing function's start replaced.
 """
 
 import cmath
@@ -882,3 +883,16 @@ def powers_by_concatenation(a, dt: float, steps: int) -> np.ndarray:
     while len(powers) < steps:
         powers = np.concatenate([powers, powers[: steps - len(powers)] @ powers[-1]])
     return powers
+
+
+def free_orbit_start(loop: ExactLoop, i_max: float) -> tuple[np.ndarray, bool]:
+    """The shooting's start before the describing function's: the free
+    branch's periodic orbit at t = 0, moved onto the rail, holding the limit
+    ``i_max``, where its current there exceeds it.  ``(start, rail)`` as
+    :meth:`ExactLoop.start` returns it."""
+    y = loop.free_orbit()
+    current = y @ loop.free.i_row
+    if not abs(current) > i_max:
+        return y, False
+    y[loop.sigma] = math.copysign(i_max, current)
+    return y, True

@@ -496,6 +496,18 @@ class TestEmittedArtifacts:
             float(last["p_matched"]), rel=1e-9
         )
 
+    def test_saturate_up_to_the_open_circuit(self, tmp_path):
+        # the linear baseline's gamma rounds to one below a fraction of about
+        # 1e-16; its power ratio and z are built without 1 - |gamma|^2
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 1e-300, 5e-17, 1e-15\n")
+        assert main(["saturate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "saturate.csv")
+        rows = [dict(zip(header, row)) for row in rows]
+        assert all(float(row["p_linear_baseline"]) > 0.0 for row in rows)
+        # 4/pi to the 12 digits printed
+        assert [row["nonlinear_over_linear"] for row in rows[1:]] == ["1.27323954474"] * 2
+
     def test_matched_ideal_nondim_plant(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(

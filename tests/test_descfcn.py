@@ -1,5 +1,6 @@
 """Tests for the saturation describing functions and the operating-point solve."""
 
+import decimal
 import math
 
 import numpy as np
@@ -147,6 +148,16 @@ class TestEquivalentZ:
     def test_round_trip_through_gamma(self):
         z = equivalent_z(3, 0.8 - 0.4j, 0.37, 1.1 + 0.9j)
         assert abs(z_from_gamma(gamma_from_z(z)) - z) < 1e-12
+
+    def test_negative_factor_keeps_its_magnitude(self):
+        # f_sat,5 is negative at depth 0.7 (f_sat,3 is positive at every
+        # depth); the sign lives in the phase of the harmonic, so the
+        # impedance takes the factor's magnitude
+        f5 = saturation_factor(5, 0.7)
+        assert f5 < 0.0
+        z = equivalent_z(5, 0.8 - 0.4j, f5, 1.1 + 0.9j)
+        assert z == equivalent_z(5, 0.8 - 0.4j, -f5, 1.1 + 0.9j)
+        assert z == pytest.approx((0.8 - 0.4j) / (-f5 * (1.1 - 0.9j)), rel=1e-15)
 
 
 def make_source(alpha: float = 0.0, r: float = 1.0, v: complex = 10.0 + 0j):
@@ -398,6 +409,18 @@ class TestBracketedSolve:
         assert loop_gain(src, i_max, 0.0)(f) == pytest.approx(f, rel=1e-12)
         assert abs(sol.fundamental.current) <= SQ * i_max
 
+    def test_chord_point_on_a_bracket_end_takes_the_midpoint(self):
+        # the chord point 0.5 * 5e-324 / 1 underflows onto the lower end, so
+        # the first point is the bracket's midpoint, a root of the function
+        points = []
+
+        def func(x):
+            points.append(x)
+            return x - 0.25
+
+        root, residuals = descfcn._bracketed_root(func, 0.0, 0.5, -5e-324, 1.0, 1e-12, 10)
+        assert points == [0.25] and root == 0.25 and residuals == [0.0]
+
     def test_convergence_error_carries_residual_trace(self):
         src = make_source(alpha=1.0)
         i_max = 0.4 * matched_baseline(src).i_peak_matched
@@ -461,7 +484,42 @@ class TestClassicSidfPower:
             assert classic_sidf_power(sol) >= sol.p_total
 
 
+def _decimal_power_ratio(r: float, alpha: float):
+    """1 - g*^2 of the linear baseline at current ratio ``r``, in 700-digit
+    decimal arithmetic: 1 - g* is near 1e-300 at the smallest ratio."""
+    with decimal.localcontext(prec=700):
+        r, a = decimal.Decimal(r), decimal.Decimal(alpha)
+        g = (1 - r * r) / ((1 + r**4 * a * a).sqrt() + r * (1 + a * a).sqrt())
+        return 1 - g * g
+
+
 class TestLinearBaseline:
+    def test_power_ratio_within_four_ulp_up_to_the_open_circuit(self):
+        ratios = [10.0**k for k in range(-300, 1, 5)] + [5e-17, 0.03, 0.3, 0.75, 0.999]
+        for alpha in (-50.0, -7.3, -1.0, 0.0, 0.95, 2.0, 31.1, 50.0):
+            src = make_source(alpha=alpha)
+            peak = matched_baseline(src).i_peak_matched
+            for r in ratios:
+                got = linear_saturation_equivalent(src, r * peak)
+                exact = _decimal_power_ratio(r * peak / peak, src.alpha)
+                assert abs(decimal.Decimal(got.power_ratio) - exact) <= 4 * decimal.Decimal(
+                    math.ulp(float(exact))), (r, alpha)
+                assert math.isfinite(abs(got.z)) and got.z.real > 0.0
+
+    def test_nonlinear_over_linear_tends_to_four_over_pi(self):
+        # the fundamental's square-wave gain: 4/pi is the deep-clip limit of
+        # the power ratio, approached from below
+        src = make_source(alpha=0.0)
+        base = matched_baseline(src)
+        ratios = []
+        for fraction in (1e-8, 1e-12, 1e-14, 1e-15, 5e-17):
+            i_max = fraction * base.i_peak_matched
+            p_linear = linear_saturation_equivalent(src, i_max).power_ratio * base.p_matched
+            ratios.append(solve_operating_point(src, i_max).p_total / p_linear)
+        assert all(r <= SQ * (1.0 + 1e-12) for r in ratios)
+        assert ratios[-1] == pytest.approx(SQ, rel=1e-12)
+        assert SQ - ratios[0] < 5e-9
+
     def test_full_limit_is_matched_point(self):
         src = make_source(alpha=1.0)
         base = matched_baseline(src)

@@ -65,7 +65,7 @@ def rows():
 def test_every_row_reaches_its_periodic_orbit(rows):
     for _, rep in rows.values():
         assert rep.sim.converged
-        assert rep.sim.periods_run <= 7  # half-period maps: 3.5 periods
+        assert rep.sim.periods_run <= 4  # half-period maps: 2 periods
 
 
 def test_failures_at_merit_three_are_pinned(rows):

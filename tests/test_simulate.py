@@ -13,6 +13,7 @@ from conftest import random_plant, random_load
 from oracles import (
     circuit_solution,
     dump_waveforms_rowwise,
+    free_orbit_start,
     powers_by_concatenation,
     simulate_horizon,
     simulate_rk4,
@@ -560,6 +561,28 @@ class TestClipEvents:
         assert all(a > b for a, b in zip(clip, clip[1:]))
         assert clip[-1] > 0.0
 
+    def test_tangential_release_is_not_a_reentry(self):
+        # with winding inductance the current leaves the rail tangentially:
+        # it starts at the limit with a rate of zero to rounding.  The stiff
+        # winding (l_w = 5e-5, tau_l = dt / 7.5) puts the sub-step path on
+        # the matrix exponential, which reads the current one ulp above the
+        # limit 1e-16 s after the release.  That touch is not a switch: its
+        # guard rate, the saltation denominator, is zero to rounding.  The
+        # state is the start of the step of the verify_reactive plant at
+        # fraction 0.4 whose release was followed by a re-entry 1.4e-16 s
+        # later and a second release 2.1e-15 s after that
+        plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=5e-5))
+        src = thevenin_from_plant(plant)
+        i_max = 0.4 * matched_baseline(src).i_peak_matched
+        dt = 2.0 * math.pi / plant.omega / 2000
+        loop = _Loop(plant, src.z_th.conjugate(), dt, 1000)
+        y = np.array([1.2754632585823462, 2.2498832567616365, 179.87306806879317, i_max,
+                      0.9991661343425408, 0.040829351978509995])
+        y_end, rail, current, jac, pieces = loop.cross(y, True, i_max, dt, 1e-12 * dt)
+        assert [on_rail for on_rail, _ in pieces] == [True, False]
+        assert not rail and abs(current) < i_max
+        assert np.isfinite(jac).all() and np.isfinite(y_end).all()
+
 
 class TestPeakBound:
     """Steps whose guard changes slope but provably stays inside its branch
@@ -716,10 +739,10 @@ class TestWindowedScan:
         monkeypatch.setattr(_Loop, "cross", counted_cross)
         runs = [simulate(plant, src.z_th.conjugate(), i_max=frac * peak)
                 for frac in (0.4, 0.6, 0.8, 1.0)]
-        assert [res.periods_run for res in runs] == [5, 5, 4, 1]  # half periods
-        assert len(counts) == 15
-        # the peak bound leaves 30 steps to cross, of 44 without it
-        assert sum(candidates for _, candidates in counts) == 30
+        assert [res.periods_run for res in runs] == [3, 4, 3, 1]  # half periods
+        assert len(counts) == 11
+        # the peak bound leaves 22 steps to cross, of 32 without it
+        assert sum(candidates for _, candidates in counts) == 22
         half = SimConfig().steps_per_period // 2
         for samples, candidates in counts:
             assert samples < half + (candidates + 1) * simulate_mod._WINDOW
@@ -813,7 +836,7 @@ class TestShooting:
         dt = 2.0 * math.pi / plant.omega / steps
         tol = 1e-12 * dt
         loop = _Loop(plant, z_c, dt, steps // 2)  # the anti-period map
-        y, rail = loop.free_orbit(i_max)
+        y, rail = loop.start(i_max)
         for _ in range(3):  # near the orbit, where Newton uses the Jacobian
             run = loop.period(y, rail, i_max, tol)
             y, rail = run.ys[-1], run.rail
@@ -975,6 +998,66 @@ class TestHalfWaveSymmetry:
         for plant, z_c, i_max in _reactive_rows():
             first = simulate(plant, z_c, i_max=i_max)
             assert _result_bits(simulate(plant, z_c, i_max=i_max)) == _result_bits(first)
+
+
+class TestDescribingFunctionStart:
+    """Where the describing function says the limit binds, shooting starts
+    from its orbit; elsewhere from the free branch's orbit, as before."""
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("l_w, reactance", REALIZATIONS)
+    def test_same_orbit_whichever_start(self, lowpass_plant, monkeypatch, l_w, reactance,
+                                        fraction):
+        plant = dataclasses.replace(lowpass_plant, l_w=l_w)
+        src = thevenin_from_plant(plant)
+        z_c = complex(src.z_th.real, reactance * src.z_th.real)
+        i_max = fraction * abs(src.v_th / (src.z_th + z_c))  # of the unclipped current
+        new = simulate(plant, z_c, i_max=i_max)
+        monkeypatch.setattr(_Loop, "start", free_orbit_start)
+        old = simulate(plant, z_c, i_max=i_max)
+        assert new.clip_fraction > 0.0
+        for res in (new, old):
+            assert res.periodicity_residual <= 1e-12
+        assert new.p_avg == pytest.approx(old.p_avg, rel=1e-10)
+        assert abs(new.harmonic_currents[0]) == pytest.approx(
+            abs(old.harmonic_currents[0]), rel=1e-10
+        )
+
+    def test_rows_that_never_clip_keep_their_bits(self, lowpass_plant, monkeypatch):
+        plant = haskind_plant(**REACTIVE_PLANT)
+        src = thevenin_from_plant(plant)
+        peak = matched_baseline(src).i_peak_matched
+        rows = [(plant, src.z_th.conjugate(), frac * peak) for frac in (math.inf, 2.0, 1.0)]
+        conj = lowpass_plant.z_thevenin().conjugate()
+        rows += [(lowpass_plant, conj, math.inf),
+                 (dataclasses.replace(lowpass_plant, f_e=0.0), conj, 1.0)]
+        new = [simulate(*row[:2], i_max=row[2]) for row in rows]
+        monkeypatch.setattr(_Loop, "start", free_orbit_start)
+        for (plant, z_c, i_max), res in zip(rows, new):
+            assert _result_bits(simulate(plant, z_c, i_max=i_max)) == _result_bits(res)
+
+    def test_start_does_not_depend_on_the_harmonics_extracted(self):
+        # the start's solve keeps 9 harmonics whatever the run extracts
+        plant, z_c, i_max = _reactive_rows()[0]
+        few, many = (simulate(plant, z_c, i_max=i_max, n_harmonics=n) for n in (1, 15))
+        assert few.waveforms.tobytes() == many.waveforms.tobytes()
+        assert few.periods_run == many.periods_run and few.p_avg == many.p_avg
+        assert few.harmonic_currents == many.harmonic_currents[:1]
+
+    def test_first_map_starts_nearer_the_orbit(self):
+        # the verify_reactive rows: the free orbit's first residual is 0.36,
+        # 0.20 and 0.012 at fractions 0.4, 0.6 and 0.8, the describing
+        # function's at most 0.0045
+        for plant, z_c, i_max in _reactive_rows()[:3]:
+            dt = 2.0 * math.pi / plant.omega / 2000
+            loop = _Loop(plant, z_c, dt, 1000)
+            first = []
+            for start in (free_orbit_start, _Loop.start):
+                y, rail = start(loop, i_max)
+                u = loop.unknowns(rail)
+                end = loop.period(y, rail, i_max, 1e-12 * dt).ys[-1]
+                first.append(np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u]))
+            assert first[1] < 5e-3 < first[0]
 
 
 def test_too_many_switches_in_one_step_raise(monkeypatch):
