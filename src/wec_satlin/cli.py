@@ -24,7 +24,7 @@ from .config import RunConfig, load_config
 from .descfcn import (
     classic_sidf_power,
     linear_saturation_equivalent,
-    saturation_factor,
+    saturation_factors,
     solve_operating_point,
 )
 from .emit import _format_rows, fmt, tag, write_csv
@@ -143,8 +143,9 @@ def cmd_fsat(cfg: RunConfig) -> int:
     curves = {n: np.empty(len(i_inv)) for n in FSAT_HARMONICS}
     for k, inv in enumerate(i_inv):
         i_script = math.inf if inv == 0.0 else 1.0 / inv
+        factors = saturation_factors(i_script, max(FSAT_HARMONICS)).factors
         for n in FSAT_HARMONICS:
-            curves[n][k] = saturation_factor(n, i_script)
+            curves[n][k] = factors[n]
     write_csv(_out_path(cfg, "fsat.csv"), header, [i_inv, *curves.values()])
     if cfg.svg:
         svgmod.fsat_svg(_out_path(cfg, "fsat.svg"), i_inv, curves)

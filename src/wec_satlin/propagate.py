@@ -30,6 +30,12 @@ _THETA13 = 5.371920351148152
 _ORDERS = np.arange(21)  # Taylor terms of a sub-step flow
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max |v_i| of a short vector, in Python floats: one numpy call, not
+    two."""
+    return max(map(abs, v.tolist()))
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
     a = np.asarray(a, dtype=float)
@@ -65,7 +71,9 @@ class Branch:
     voltage, read off the state as ``i_row @ y`` and ``v_row @ y``.
 
     ``powers`` stacks E, E^2, ..., E^steps for E = expm(a dt), so samples
-    j + 1 .. m from y are ``powers[j:m] @ y``; ``taylor`` stacks a^k / k!.
+    j + 1 .. m from y are ``powers[j:m] @ y``, one matrix-vector product of
+    the stack's ``((m - j) n, n)`` view; ``taylor`` stacks a^k / k!, and
+    ``tail`` is max |a^20 / 20!|, the last term's size for a unit step.
     """
 
     a: np.ndarray
@@ -73,37 +81,43 @@ class Branch:
     v_row: np.ndarray
     powers: np.ndarray
     taylor: np.ndarray
+    tail: float
 
     @classmethod
     def build(cls, a, i_row, v_row, dt: float, steps: int) -> "Branch":
         """The branch of generator ``a`` sampled every ``dt``, with ``steps``
         powers of its one-step flow, filled in place by doubling."""
-        powers = np.empty((steps, len(a), len(a)))
+        n = len(a)
+        powers = np.empty((steps, n, n))
         powers[0] = flow(a, dt)
         done = 1
-        while done < steps:  # doubling: E^(j+L) = E^j E^L
+        while done < steps:  # doubling: E^(j+L) = E^j E^L, one (m n, n) @ (n, n) product
             m = min(done, steps - done)
-            np.matmul(powers[:m], powers[done - 1], out=powers[done : done + m])
+            np.matmul(powers[:m].reshape(-1, n), powers[done - 1],
+                      out=powers[done : done + m].reshape(-1, n))
             done += m
-        taylor = [np.eye(len(a))]
+        taylor = np.empty((len(_ORDERS), n, n))
+        taylor[0] = np.eye(n)
         for k in _ORDERS[1:]:
-            taylor.append(taylor[-1] @ a / k)
-        return cls(a, i_row, v_row, powers, np.stack(taylor))
+            np.divide(np.matmul(taylor[k - 1], a, out=taylor[k]), k, out=taylor[k])
+        return cls(a, i_row, v_row, powers, taylor, float(np.abs(taylor[-1]).max()))
 
     def path(self, y0, h):
         """tau -> expm(a tau) y0 on [0, h]: the Taylor polynomial where its
         last term is below rounding, else the matrix exponential (stiff)."""
-        terms = (self.taylor @ y0) * h ** _ORDERS[:, None]
-        if np.abs(terms[-1]).max() <= 1e-16 * np.abs(terms[0]).max():
+        terms = (self.taylor.reshape(-1, len(y0)) @ y0).reshape(len(_ORDERS), -1)
+        terms *= h ** _ORDERS[:, None]
+        if _max_abs(terms[-1]) <= 1e-16 * _max_abs(terms[0]):
             return lambda tau: (tau / h) ** _ORDERS @ terms
         return lambda tau: flow(self.a, tau) @ y0
 
     def transition(self, h: float) -> np.ndarray:
-        """expm(a h) as a matrix: the Taylor sum where its last term is
-        below rounding, else the matrix exponential (stiff)."""
-        terms = self.taylor * (h ** _ORDERS)[:, None, None]
-        if np.abs(terms[-1]).max() <= 1e-16:
-            return terms.sum(axis=0)
+        """expm(a h) as a matrix: the Taylor sum, one product of the powers
+        of h with the stacked terms, where its last term is below rounding,
+        else the matrix exponential (stiff)."""
+        scale = h ** _ORDERS
+        if self.tail * scale[-1] <= 1e-16:
+            return (scale @ self.taylor.reshape(len(_ORDERS), -1)).reshape(self.a.shape)
         return flow(self.a, h)
 
     def locate(self, at, y0, y_hi, h, guard, level, tol):

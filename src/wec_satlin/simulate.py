@@ -165,7 +165,6 @@ class ValidationReport:
 
 
 _MAX_EVENTS = 8  # clip switches allowed within one step
-_WINDOW = 256  # steps sampled at a time while scanning for the next switch
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
 _EPS = np.finfo(float).eps
@@ -177,15 +176,37 @@ class _Period(NamedTuple):
     """One evaluation of the anti-period map G: samples 0..steps of the
     state, applied current and load voltage over half a period, the last
     one negated, so that ``ys[steps]`` is G(y); the branch at the end; the
-    Jacobian of G, the negated monodromy matrix of the half period; and the
-    half period as ``(rail, start, duration)`` segments."""
+    factors of the half period's monodromy matrix in the order it applies
+    them, a power of a branch's one-step flow for each whole-step run and a
+    function forming the step's Jacobian for each step through a switch;
+    and the half period as ``(rail, start, duration)`` segments."""
 
     ys: np.ndarray
     cur: np.ndarray
     vl: np.ndarray
     rail: bool
-    jac: np.ndarray
+    factors: list
     segments: list
+
+    @property
+    def jac(self) -> np.ndarray:
+        """The Jacobian of G, the negated monodromy matrix.  It is formed
+        when read, so a map that no Newton step follows never forms it."""
+        jac = np.eye(self.ys.shape[1])
+        for factor in self.factors:
+            jac = (factor if isinstance(factor, np.ndarray) else factor()) @ jac
+        return -jac
+
+
+class _Guard(NamedTuple):
+    """A branch's guard row, formed once per loop: the row whose value the
+    branch's switch is located on, its slope row ``row @ a`` along the
+    branch, and ``|row|`` and ``|a|`` for the rounding bound of its rate."""
+
+    row: np.ndarray
+    slope: np.ndarray
+    abs_row: np.ndarray
+    abs_a: np.ndarray
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -292,6 +313,11 @@ class _Loop:
         self.y0 = row(p=math.cos(phase), q=math.sin(phase))
         self.free = Branch.build(*generator(*free), dt, steps)
         self._rail = generator(*rail)
+        # the free branch's current and the rail's release guard
+        self.guards = tuple(_Guard(row, row @ a, np.abs(row), np.abs(a)) for row, a in
+                            ((self.free.i_row, self.free.a), (self.release, self._rail[0])))
+        self.eye = np.eye(n)
+        self.eye.flags.writeable = False  # copied where a reset matrix is built
         # peak bounds of the free branch's current and the rail's release guard
         self.bend = (_bend(self.free.a, self.free.i_row, dt),
                      _bend(self._rail[0], self.release, dt))
@@ -374,18 +400,18 @@ class _Loop:
         """
         if not math.isfinite(i_max):
             return len(ys) - 1
+        guard = self.guards[rail]
         if rail:
-            row = self.release
-            out = np.sign(ys[1:, self.sigma]) * (ys @ row)[1:] < 0.0
+            g = ys @ guard.row
+            out = np.sign(ys[1:, self.sigma]) * g[1:] < 0.0
         else:
-            row = self.free.i_row
             out = np.abs(cur[1:]) > i_max
-        slope = np.sign(ys @ (row @ self.branch(rail).a))
+        slope = np.sign(ys @ guard.slope)
         for j in np.flatnonzero(out | (slope[1:] != slope[:-1])):
             if out[j]:
                 return int(j)
             if rail:  # the guard is -sign(sigma) release @ y, level 0
-                top = np.max(-np.sign(ys[j, self.sigma]) * (ys[j : j + 2] @ row))
+                top = np.max(-np.sign(ys[j, self.sigma]) * g[j : j + 2])
                 level = 0.0
             else:
                 top, level = max(abs(cur[j]), abs(cur[j + 1])), i_max
@@ -405,30 +431,31 @@ class _Loop:
         slope, and a stiff sub-step's matrix exponential reads it one ulp
         above the limit.
         """
-        br = self.branch(rail)
+        br, guard = self.branch(rail), self.guards[rail]
         at = br.path(y, h)
         y_end = at(h)
         if rail:  # positive once the command current is back inside
-            guards = [(self.release, -np.sign(y[self.sigma]), 0.0)]
+            signs, level = (-np.sign(y[self.sigma]),), 0.0
         else:
-            guards = [(br.i_row, 1.0, i_max), (br.i_row, -1.0, i_max)]
+            signs, level = (1.0, -1.0), i_max
+        # the guards +-row share the row's value at the end and its slope
+        g_end = guard.row @ y_end
+        rate, rate_end = guard.slope @ y, guard.slope @ y_end
         first = None
-        for row, sign, level in guards:
-            guard = sign * row
+        for sign in signs:
             hi, y_hi = h, y_end
-            if not sign * (row @ y_end) - level > 0.0:
-                slope = guard @ br.a
-                if not slope @ y > 0.0 > slope @ y_end:
+            if not sign * g_end - level > 0.0:
+                if not sign * rate > 0.0 > sign * rate_end:
                     continue
-                hi, y_hi = br.locate(at, y, y_end, h, -slope, 0.0, tol)
-                if not sign * (row @ y_hi) - level > 0.0:
+                hi, y_hi = br.locate(at, y, y_end, h, -sign * guard.slope, 0.0, tol)
+                if not sign * (guard.row @ y_hi) - level > 0.0:
                     continue
             # a path over a shorter bracket rounds differently: build it anew
             path = at if hi == h else br.path(y, hi)
-            tau, y_tau = br.locate(path, y, y_hi, hi, guard, level, tol)
+            tau, y_tau = br.locate(path, y, y_hi, hi, sign * guard.row, level, tol)
             # the guard's rate is the saltation denominator of :meth:`cross`
-            bound = 2.0 * self.n * _EPS * (np.abs(row) @ (np.abs(br.a) @ np.abs(y_tau)))
-            if not abs(row @ (br.a @ y_tau)) > bound:
+            bound = 2.0 * self.n * _EPS * (guard.abs_row @ (guard.abs_a @ np.abs(y_tau)))
+            if not abs(guard.row @ (br.a @ y_tau)) > bound:
                 continue
             if first is None or tau < first[0]:
                 first = (tau, y_tau, sign)
@@ -436,8 +463,30 @@ class _Loop:
 
     def cross(self, y, rail: bool, i_max: float, dt: float, tol: float):
         """State, branch and current one step on from ``y``, through every
-        switch on the way; with the step's Jacobian and its ``(rail,
-        duration)`` pieces.
+        switch on the way; with a function forming the step's Jacobian (see
+        :meth:`step_jacobian`) and the step's ``(rail, duration)`` pieces."""
+        t = 0.0
+        switches, pieces = [], []
+        for _ in range(_MAX_EVENTS + 1):
+            y_end, event = self.switch(rail, y, dt - t, i_max, tol)
+            if event is None:
+                pieces.append((rail, dt - t))
+                step_jacobian = functools.partial(self.step_jacobian, switches, rail, dt - t)
+                return y_end, rail, y_end @ self.branch(rail).i_row, step_jacobian, pieces
+            tau, y_switch, sign = event
+            pieces.append((rail, tau))
+            y = y_switch.copy()
+            if not rail:  # entering the rail: it holds the limit
+                y[self.sigma] = sign * i_max
+            switches.append((rail, tau, y_switch, y))
+            t += tau
+            rail = not rail
+        raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
+
+    def step_jacobian(self, switches, rail: bool, h: float) -> np.ndarray:
+        """Jacobian of a step through ``switches``, each ``(rail, duration,
+        state before the reset, state after)``, that ends with ``h`` on
+        branch ``rail``.
 
         At a switch the Jacobian takes the saltation matrix
         R + (f+ - R f-) grad^T / (grad . f-) of the guard gradient ``grad``,
@@ -445,30 +494,20 @@ class _Loop:
         zeroes the held current on entering the rail (Leine & Nijmeijer,
         Dynamics and Bifurcations of Non-smooth Mechanical Systems, 2004).
         """
-        t = 0.0
-        jac = np.eye(self.n)
-        pieces = []
-        for _ in range(_MAX_EVENTS + 1):
-            br = self.branch(rail)
-            y_end, event = self.switch(rail, y, dt - t, i_max, tol)
-            if event is None:
-                pieces.append((rail, dt - t))
-                return y_end, rail, y_end @ br.i_row, br.transition(dt - t) @ jac, pieces
-            tau, y, sign = event
-            pieces.append((rail, tau))
-            f_minus = br.a @ y
-            reset = np.eye(self.n)
-            if rail:
+        jac = self.eye
+        for on_rail, tau, y_minus, y_plus in switches:
+            br = self.branch(on_rail)
+            f_minus = br.a @ y_minus
+            reset = self.eye.copy()
+            if on_rail:
                 grad = self.release
             else:
                 grad = br.i_row
-                y[self.sigma] = sign * i_max
                 reset[self.sigma, self.sigma] = 0.0
-            t += tau
-            rail = not rail
-            jump = np.outer(self.branch(rail).a @ y - reset @ f_minus, grad / (grad @ f_minus))
+            jump = np.outer(self.branch(not on_rail).a @ y_plus - reset @ f_minus,
+                            grad / (grad @ f_minus))
             jac = (reset + jump) @ br.transition(tau) @ jac
-        raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
+        return self.branch(rail).transition(h) @ jac
 
     def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
         """The anti-period map G(y) = -Phi_half(y) under the limit
@@ -480,17 +519,12 @@ class _Loop:
         Whole-step runs advance by powers of the one-step flow, steps that
         may hold a switch by :meth:`cross`; the monodromy matrix of the half
         period is the product of their flows and saltation matrices, and
-        G's Jacobian its negation.  A run is scanned forward from its start
-        ``ys[k]`` in windows of ``_WINDOW`` steps, each the next rows of the
-        powers stack times ``ys[k]``, and the scan stops at the first window
-        that holds a candidate.  Each window after the first starts at the
-        last sample of the one before, so every pair of neighbouring samples
-        is checked.
-
-        numpy rounds a one-row product as a dot product, and a longer one
-        row by row as a matrix-vector product.  The row products of a window
-        therefore also take the sample before it: with two or more rows,
-        every sample rounds the same way however the run is cut into windows.
+        G's Jacobian its negation, formed from the recorded factors only
+        when a Newton step reads it.  A run is scanned once from its start
+        ``ys[k]``: one matrix-vector product of the powers stack samples the
+        rest of the half period, and one :meth:`first_candidate` call finds
+        where the run ends.  The samples past that step are overwritten by
+        the runs that follow it.
         """
         steps, n, dt = self.steps, self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
@@ -498,8 +532,7 @@ class _Loop:
         ys[0, self.osc] = self.y0[self.osc]
         cur[0] = ys[0] @ self.branch(rail).i_row
         vl[0] = ys[0] @ self.branch(rail).v_row
-        jac = np.eye(n)
-        segments = []
+        factors, segments = [], []
 
         def add(on_rail, start, duration):
             if segments and segments[-1][0] == on_rail:
@@ -510,35 +543,27 @@ class _Loop:
         k = 0
         while k < steps:
             br = self.branch(rail)
-            rest = steps - k
-            m = 0  # whole steps from ys[k] before the first candidate
-            while m < rest:
-                lo, m = m, min(m + _WINDOW, rest)
-                flat = br.powers[lo:m].reshape(-1, n) @ ys[k]  # one GEMV
-                ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
-                seen = slice(k + lo, k + 1 + m)  # the window and the sample before it
-                cur[k + 1 + lo : k + 1 + m] = (ys[seen] @ br.i_row)[1:]
-                hit = lo + self.first_candidate(rail, ys[seen], cur[seen], i_max)
-                if hit < m:
-                    m = hit
-                    break
+            np.matmul(br.powers[: steps - k].reshape(-1, n), ys[k], out=ys[k + 1 :].reshape(-1))
+            # the sample before the run keeps the product a matrix-vector one
+            cur[k + 1 :] = (ys[k:] @ br.i_row)[1:]
+            m = self.first_candidate(rail, ys[k:], cur[k:], i_max)
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             if m:
-                jac = br.powers[m - 1] @ jac
+                factors.append(br.powers[m - 1])
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
                 ys[k + 1], rail, cur[k + 1], step_jac, pieces = self.cross(
                     ys[k], rail, i_max, dt, tol)
                 vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
-                jac = step_jac @ jac
+                factors.append(step_jac)
                 start = k * dt
                 for on_rail, duration in pieces:
                     add(on_rail, start, duration)
                     start += duration
                 k += 1
         ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-        return _Period(ys, cur, vl, rail, -jac, segments)
+        return _Period(ys, cur, vl, rail, factors, segments)
 
 
 def simulate(
@@ -608,13 +633,14 @@ def simulate(
     newton, newton_steps, misses = True, 0, 0
     for p in range(cfg.n_periods):
         run = loop.period(y, rail, i_max, tol)
-        bad = np.flatnonzero(~np.isfinite(run.ys[1:]).all(axis=1))
-        if bad.size:
-            j = p * half + int(bad[0])
+        finite = np.isfinite(run.ys[1:])
+        if not finite.all():  # the row search runs only on a diverged map
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            j = p * half + bad
             raise SimulationError(
                 f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
                 step=j,
-                trace=tuple(run.ys[1 + bad[0]]),
+                trace=tuple(run.ys[1 + bad]),
             )
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.unknowns(rail)
@@ -634,7 +660,7 @@ def simulate(
             newton = False
             _, y, rail = best
             continue
-        step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[np.ix_(u, u)], gap)
+        step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[u][:, u], gap)
         y = end.copy()
         y[u] = step
         if run.rail:  # the rail holds the current the map ended with
@@ -642,21 +668,20 @@ def simulate(
         rail = run.rail
         newton_steps += 1
 
-    # the stored period: the final half and its negation
-    ys, cur, vl = (np.concatenate((a[:half], -a[:half])) for a in (run.ys, run.cur, run.vl))
-    columns = (np.arange(p * steps, (p + 1) * steps) * dt, ys[:, 0], ys[:, 1],
-               cur, vl, vl * cur)
+    # the stored period: the final half and its negation, as rows i, x, v, v_load
+    first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))
+    cur, x, v, vl = rows = np.concatenate((first, -first), axis=1)
+    t = np.arange(p * steps, (p + 1) * steps) * dt
     waveforms = np.empty(steps, dtype=[(name, np.float64) for name in WAVEFORM_FIELDS])
-    for name, column in zip(WAVEFORM_FIELDS, columns):
+    for name, column in zip(WAVEFORM_FIELDS, (t, x, v, cur, vl, vl * cur)):
         waveforms[name] = column
-    dc_current, harmonics = _phasors(columns[0], cur, plant.omega, n_harmonics)
-    x_fundamental = _phasors(columns[0], ys[:, 0], plant.omega, 1)[1][0]
+    means, phasors = _phasors(t, rows[:2], plant.omega, n_harmonics)  # i and x in one FFT
     return SimResult(
         waveforms=waveforms,
         p_avg=period_powers[-1],
-        harmonic_currents=harmonics,
-        dc_current=dc_current,
-        x_amp=abs(x_fundamental),
+        harmonic_currents=[complex(b) for b in phasors[0]],
+        dc_current=float(means[0]),
+        x_amp=abs(complex(phasors[1, 0])),
         peak_current=float(np.max(np.abs(cur))),
         converged=residual <= cfg.convergence_tol,
         omega=plant.omega,
@@ -697,7 +722,9 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
 
 def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
     """``(mean, [Y_1, ..., Y_n_max])`` of samples ``y(t)`` on a uniform grid
-    spanning a whole number c of periods.
+    spanning a whole number c of periods; for ``y`` that stacks signals on
+    that grid as rows, the array of their means and the array of their
+    phasors, one row per signal, from one transform.
 
     Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor, is bin
     n c of the real FFT of ``y``, turned back by the window's start phase
@@ -705,15 +732,18 @@ def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
     a harmonic past the Nyquist bin, n_max c > N / 2, would alias: both raise
     :class:`DomainError`.
     """
-    n = len(y)
+    n = y.shape[-1]
     span = (t[-1] - t[0]) * n / (n - 1) * omega / (2.0 * math.pi)
     cycles = round(span)
     if abs(span - cycles) > 1e-9 or cycles < 1:
         raise DomainError(f"window spans {span:.6g} periods; need an integer count")
     _check_nyquist(n_max, n, cycles)
     orders = np.arange(1, n_max + 1)
-    bins = np.fft.rfft(y)[orders * cycles] * np.exp(-1j * orders * omega * t[0])
-    return float(np.mean(y)), [complex(b) for b in 2.0 / n * bins]
+    bins = np.fft.rfft(y)[..., orders * cycles] * np.exp(-1j * orders * omega * t[0])
+    means, phasors = np.mean(y, axis=-1), 2.0 / n * bins
+    if y.ndim > 1:
+        return means, phasors
+    return float(means), [complex(b) for b in phasors]
 
 
 def _check_nyquist(n_max: int, n: int, cycles: int) -> None:

@@ -9,11 +9,13 @@ saturation factors and unmemoized plant impedances that the shared factor
 kernel and the plant memo replaced, the fixed-step RK4
 integrator the exact referee replaced, the fixed-horizon run that shooting
 to the periodic orbit replaced, the concatenating doubling the in-place
-power stack replaced, and the free-orbit start of the shooting that the
-describing function's start replaced.
+power stack replaced, the free-orbit start of the shooting that the
+describing function's start replaced, and the windowed period scan that one
+scan per branch run replaced.
 """
 
 import cmath
+import decimal
 import itertools
 import math
 
@@ -30,7 +32,7 @@ from wec_satlin.descfcn import (
 from wec_satlin.mismatch import TheveninSource, optimal_angle
 from wec_satlin.propagate import flow
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
-from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _phasors
+from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _Period, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
 from wec_satlin.svg import _COLORS, _document, _text
 from wec_satlin.wec import WecPlant
@@ -350,6 +352,14 @@ def saturation_factor_percall(n: int, i_script: float) -> float:
     if n == 1:
         root = math.sqrt(1.0 - i_script**2)
         return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
+    if i_script < 0.1:  # deep clip: the complementary angle theta = asin(I)
+        theta = math.asin(i_script)
+        return (
+            (4.0 / math.pi)
+            * (n * math.sqrt(1.0 - i_script**2) * math.sin(n * theta)
+               - i_script * math.cos(n * theta))
+            / (n * (n**2 - 1))
+        )
     phi = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - i_script)))
     s = -1.0 if n % 4 == 3 else 1.0
     if (n + 1) * phi < 0.25:
@@ -365,6 +375,38 @@ def saturation_factor_percall(n: int, i_script: float) -> float:
         * (n * math.sin(phi) * math.cos(n * phi) - math.cos(phi) * math.sin(n * phi))
         / (n * (n**2 - 1))
     )
+
+
+def saturation_factor_decimal(n: int, i_script: float, digits: int = 60) -> float:
+    """f_sat,n (odd n >= 3, 0 < I < 1) in ``digits``-digit decimal arithmetic:
+    (4/pi) (n cos(theta) sin(n theta) - sin(theta) cos(n theta)) / (n (n^2 - 1))
+    with theta = asin(I), each function summed as its Maclaurin series.  At
+    this precision nothing cancels for the small theta it is used at."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        ctx.Emin = -9999
+        tiny = decimal.Decimal(10) ** -(digits + 5)
+
+        def maclaurin(first, ratio):
+            """Sum of the terms t_0 = ``first``, t_k = t_(k-1) ratio(k)."""
+            total = term = first
+            k = 0
+            while abs(term) > tiny * abs(total):
+                k += 1
+                term *= ratio(k)
+                total += term
+            return total
+
+        i = decimal.Decimal(i_script)
+        theta = maclaurin(i, lambda k: i * i * (2 * k - 1) ** 2 / ((2 * k) * (2 * k + 1)))
+        x = n * theta
+        sin_x = maclaurin(x, lambda k: -x * x / ((2 * k) * (2 * k + 1)))
+        cos_x = maclaurin(decimal.Decimal(1), lambda k: -x * x / ((2 * k - 1) * (2 * k)))
+        cos_theta = maclaurin(decimal.Decimal(1), lambda k: -theta * theta / ((2 * k - 1) * (2 * k)))
+        pi = decimal.Decimal(
+            "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
+        )
+        return float(4 * (n * cos_theta * sin_x - i * cos_x) / (pi * n * (n * n - 1)))
 
 
 def saturation_factors_percall(i_script: float, n_max: int = 9) -> SaturationFactors:
@@ -874,6 +916,64 @@ def simulate_horizon(
         dt=dt,
         period_powers=period_powers,
     )
+
+
+def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
+                    window: int):
+    """:meth:`ExactLoop.period` with each branch run scanned in windows of
+    ``window`` steps, as the referee once did: each window samples the next
+    rows of the powers stack times the run's start, and the scan stops at
+    the first window that holds a candidate.  Each window after the first
+    starts at the last sample of the one before, so every pair of
+    neighbouring samples is checked; the current of a window is read off
+    with the sample before it, so that it is a matrix-vector product however
+    the run is cut."""
+    steps, n, dt = loop.steps, loop.n, loop.dt
+    ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
+    ys[0] = y
+    ys[0, loop.osc] = loop.y0[loop.osc]
+    cur[0] = ys[0] @ loop.branch(rail).i_row
+    vl[0] = ys[0] @ loop.branch(rail).v_row
+    factors, segments = [], []
+
+    def add(on_rail, start, duration):
+        if segments and segments[-1][0] == on_rail:
+            segments[-1] = (on_rail, segments[-1][1], segments[-1][2] + duration)
+        else:
+            segments.append((on_rail, start, duration))
+
+    k = 0
+    while k < steps:
+        br = loop.branch(rail)
+        rest = steps - k
+        m = 0  # whole steps from ys[k] before the first candidate
+        while m < rest:
+            lo, m = m, min(m + window, rest)
+            flat = br.powers[lo:m].reshape(-1, n) @ ys[k]
+            ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
+            seen = slice(k + lo, k + 1 + m)  # the window and the sample before it
+            cur[k + 1 + lo : k + 1 + m] = (ys[seen] @ br.i_row)[1:]
+            hit = lo + loop.first_candidate(rail, ys[seen], cur[seen], i_max)
+            if hit < m:
+                m = hit
+                break
+        vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
+        if m:
+            factors.append(br.powers[m - 1])
+            add(rail, k * dt, m * dt)
+        k += m
+        if k < steps:
+            ys[k + 1], rail, cur[k + 1], step_jac, pieces = loop.cross(
+                ys[k], rail, i_max, dt, tol)
+            vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
+            factors.append(step_jac)
+            start = k * dt
+            for on_rail, duration in pieces:
+                add(on_rail, start, duration)
+                start += duration
+            k += 1
+    ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
+    return _Period(ys, cur, vl, rail, factors, segments)
 
 
 def powers_by_concatenation(a, dt: float, steps: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from conftest import random_plant
 from oracles import (
     clipped_cap_fourier,
     clipped_sine_fourier,
+    saturation_factor_decimal,
     saturation_factor_percall,
     saturation_factors_percall,
     solve_gain_three_stage,
@@ -126,6 +127,17 @@ class TestSaturationFactor:
             i_script = 1.0 - float(depth)
             oracle = clipped_cap_fourier(n, i_script)
             assert abs(saturation_factor(n, i_script) - oracle) <= 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize("i_script", [1e-300, 1e-20, 1e-14, 1e-12, 1e-6, 1e-3])
+    def test_deep_clip_against_decimal_reference(self, i_script):
+        # phi = acos(I) rounds near pi/2, and cos(n phi), of order n I, lost
+        # all its digits to it: f_sat,3 read -1.0e-16 at I = 1e-20
+        bundle = saturation_factors(i_script, n_max=21)
+        for n in range(3, 22, 2):
+            oracle = saturation_factor_decimal(n, i_script)
+            assert oracle > 0.0
+            assert abs(saturation_factor(n, i_script) - oracle) <= 1e-15 * oracle
+            assert bundle.factors[n] == saturation_factor(n, i_script)
 
     def test_factors_bundle(self):
         bundle = saturation_factors(0.4, n_max=9)

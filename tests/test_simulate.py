@@ -14,6 +14,7 @@ from oracles import (
     circuit_solution,
     dump_waveforms_rowwise,
     free_orbit_start,
+    period_windowed,
     powers_by_concatenation,
     simulate_horizon,
     simulate_rk4,
@@ -244,6 +245,29 @@ class TestNumericalQuality:
             simulate(lowpass_plant, lowpass_plant.z_thevenin().conjugate(), cfg=cfg)
         assert info.value.step == 40
         assert not all(math.isfinite(c) for c in info.value.trace)
+
+    def test_finite_states_whose_sum_overflows_pass(self, lowpass_plant, monkeypatch):
+        # two finite samples of 1.7e308 overflow the sum of the states;
+        # the per-map check looks at each state, so the run goes on as
+        # without them: the oscillator columns of a mid-map sample feed
+        # neither the residual nor the extraction
+        z_c = lowpass_plant.z_thevenin().conjugate()
+        i_max = 0.5 * matched_baseline(thevenin_from_plant(lowpass_plant)).i_peak_matched
+        cfg = SimConfig(steps_per_period=100, n_periods=6)
+        plain = simulate(lowpass_plant, z_c, i_max=i_max, cfg=cfg)
+        period, huge = _Loop.period, []
+
+        def overflowing(self, *args):
+            run = period(self, *args)
+            run.ys[5, self.osc] = 1.7e308
+            with np.errstate(over="ignore"):
+                huge.append(run.ys[1:].sum())
+            return run
+
+        monkeypatch.setattr(_Loop, "period", overflowing)
+        res = simulate(lowpass_plant, z_c, i_max=i_max, cfg=cfg)
+        assert huge and all(total == math.inf for total in huge)
+        assert _result_bits(res) == _result_bits(plain)
 
     def test_controller_must_dissipate(self, lowpass_plant):
         with pytest.raises(DomainError):
@@ -581,7 +605,7 @@ class TestClipEvents:
         y_end, rail, current, jac, pieces = loop.cross(y, True, i_max, dt, 1e-12 * dt)
         assert [on_rail for on_rail, _ in pieces] == [True, False]
         assert not rail and abs(current) < i_max
-        assert np.isfinite(jac).all() and np.isfinite(y_end).all()
+        assert np.isfinite(jac()).all() and np.isfinite(y_end).all()
 
 
 class TestPeakBound:
@@ -669,26 +693,44 @@ class TestPowerStack:
 
 
 def _result_bits(res):
-    """Every field a windowed scan could move, in a form == compares bit
-    for bit (the residual and powers are finite here)."""
+    """Every field of a run's result, in a form == compares bit for bit
+    (the residual and powers are finite here)."""
     return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents, res.period_powers,
             res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
 
 
+def _period_bits(run):
+    """Every field of one anti-period map, in a form == compares bit for bit."""
+    return (run.ys.tobytes(), run.cur.tobytes(), run.vl.tobytes(), run.rail,
+            run.jac.tobytes(), run.segments)
+
+
 class TestWindowedScan:
-    """The period scan in windows of ``_WINDOW`` steps against one window
-    over the whole rest of the period."""
+    """One scan per branch run against the windowed scan it replaced."""
 
     @pytest.mark.parametrize(
         "row",
         [pytest.param(("grazing", l_w), id=f"grazing-{l_w}") for l_w in (0.0, 0.005)]
         + [pytest.param(("enter-release", l_w), id=f"enter-release-{l_w}")
            for l_w in (0.0, 0.004)]
-        + [pytest.param(("clipped",) + tuple(p.values), id=p.id) for p in REALIZATIONS],
+        + [pytest.param(("clipped",) + tuple(p.values), id=p.id) for p in REALIZATIONS]
+        # seeded designs where a map ends with a one-step run
+        + [pytest.param(("seeded",) + case, id="seeded-{}-{}-{}-{}".format(*case))
+           for case in ((1, 1, 0.5, 100), (6, 0, 0.8, 400))],
     )
     def test_window_does_not_move_a_bit(self, lowpass_plant, monkeypatch, row):
         kind, *args = row
-        if kind == "grazing":
+        if kind == "seeded":  # design k of seed 1, controller z_th* or r(1 +- j/2)
+            k, controller, fraction, steps = args
+            rng = np.random.default_rng(1)
+            for _ in range(k + 1):
+                plant = haskind_plant(**draw_design(rng))
+            src = thevenin_from_plant(plant)
+            r = src.z_th.real
+            z_c = (src.z_th.conjugate(), complex(r, 0.5 * r), complex(r, -0.5 * r))[controller]
+            i_max = fraction * abs(src.v_th / (src.z_th + z_c))
+            cfg = SimConfig(steps_per_period=steps)
+        elif kind == "grazing":
             plant, z_c, i_max = _grazing_row(*args)
             cfg = SimConfig(steps_per_period=400)
         elif kind == "enter-release":
@@ -700,35 +742,41 @@ class TestWindowedScan:
             z_c = complex(src.z_th.real, reactance * src.z_th.real)
             i_max = 0.4 * matched_baseline(src).i_peak_matched
             cfg = SimConfig(steps_per_period=600)
-        steps = cfg.steps_per_period
-        runs = {}
-        for window in (1, 2, 7, 256, steps):
-            monkeypatch.setattr(simulate_mod, "_WINDOW", window)
-            runs[window] = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+        period, maps = _Loop.period, []
+
+        def recorded_period(self, y, *args):
+            run = period(self, y, *args)
+            maps.append((self, y.copy(), args, run))
+            return run
+
+        monkeypatch.setattr(_Loop, "period", recorded_period)
+        res = simulate(plant, z_c, i_max=i_max, cfg=cfg)
         if kind != "grazing":
-            assert runs[steps].clip_fraction > 0.0
-        for window, res in runs.items():
-            assert _result_bits(res) == _result_bits(runs[steps]), window
+            assert res.clip_fraction > 0.0
+        assert maps
+        for loop, y, args, run in maps:
+            for window in (1, 2, 7, 256):
+                ref = period_windowed(loop, y, *args, window)
+                assert _period_bits(run) == _period_bits(ref), window
 
     def test_clipped_period_scans_about_one_period(self, monkeypatch):
         # the verify_reactive rows: conjugate control on the reactive plant
         # at the default step count; each map runs half a period, and each
-        # candidate may overrun by at most one window, where one scan over
-        # the rest of the period after each candidate scanned 3.3 to 4.6
-        # periods per clipped period
+        # branch run is scanned by one first_candidate call, so a map makes
+        # at most one call more than the candidates it crosses
         plant = haskind_plant(**REACTIVE_PLANT)
         src = thevenin_from_plant(plant)
         peak = matched_baseline(src).i_peak_matched
-        counts = []  # [samples scanned, candidates crossed] per period
+        counts = []  # [first_candidate calls, candidates crossed] per map
         period, first_candidate, cross = _Loop.period, _Loop.first_candidate, _Loop.cross
 
         def counted_period(self, *args):
             counts.append([0, 0])
             return period(self, *args)
 
-        def counted_first_candidate(self, rail, ys, *args):
-            counts[-1][0] += len(ys)
-            return first_candidate(self, rail, ys, *args)
+        def counted_first_candidate(self, *args):
+            counts[-1][0] += 1
+            return first_candidate(self, *args)
 
         def counted_cross(self, *args):
             counts[-1][1] += 1
@@ -743,9 +791,8 @@ class TestWindowedScan:
         assert len(counts) == 11
         # the peak bound leaves 22 steps to cross, of 32 without it
         assert sum(candidates for _, candidates in counts) == 22
-        half = SimConfig().steps_per_period // 2
-        for samples, candidates in counts:
-            assert samples < half + (candidates + 1) * simulate_mod._WINDOW
+        for calls, candidates in counts:
+            assert 1 <= calls <= candidates + 1
 
 
 class TestRk4Oracle:
@@ -877,7 +924,7 @@ class TestShooting:
         period = _Loop.period
 
         def backwards(self, *args):  # a Jacobian of 2I steps away from the orbit
-            return period(self, *args)._replace(jac=2.0 * np.eye(self.n))
+            return period(self, *args)._replace(factors=[-2.0 * np.eye(self.n)])
 
         monkeypatch.setattr(_Loop, "period", backwards)
         res = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
