@@ -199,14 +199,21 @@ class _Period(NamedTuple):
 
 
 class _Guard(NamedTuple):
-    """A branch's guard row, formed once per loop: the row whose value the
-    branch's switch is located on, its slope row ``row @ a`` along the
-    branch, and ``|row|`` and ``|a|`` for the rounding bound of its rate."""
+    """One branch's data, fixed once the loop's plant and controller are
+    known: the guard row whose value the branch's switch is located on, its
+    slope row ``row @ a`` along the branch, ``|row|`` and ``|a|`` for the
+    rounding bound of its rate, and the guard's peak bound per step (see
+    :func:`_bend`); the mask of the states a map started on the branch
+    depends on; and the reset R applied on leaving the branch, which zeroes
+    the held current on entering the rail."""
 
     row: np.ndarray
     slope: np.ndarray
     abs_row: np.ndarray
     abs_a: np.ndarray
+    peak: float
+    unknowns: np.ndarray
+    reset: np.ndarray
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -241,8 +248,8 @@ class _Loop:
     anti-period map :meth:`period`, and each branch stacks that many powers
     of its one-step flow.  Neither branch depends on the limit, which the
     methods take as ``i_max``, so one loop serves every limit of its plant,
-    controller and step.  The rail branch is built the first time it is
-    used.
+    controller and step.  Both branches, and their guards, are built with
+    the loop.
     """
 
     def __init__(self, plant: WecPlant, z_c: complex, dt: float, steps: int):
@@ -290,17 +297,17 @@ class _Loop:
             free = (row(i=1.0), row(i=b_c) + l_c * di, di)
             v_rail = emf - row(sigma=r)
             rail = (row(sigma=1.0), v_rail, (v_rail - row(i=b_c)) / l_c)
-            self.release = row(i=1.0, sigma=-1.0)
+            release = row(i=1.0, sigma=-1.0)
         elif l > 0.0:
             free = (row(i=1.0), row(i=b_c, xi=a), (emf - row(i=r + b_c, xi=a)) / l)
             v_rail = emf - row(i=r)
             rail = (row(i=1.0), v_rail)
-            self.release = (v_rail - row(xi=a)) / b_c - row(i=1.0)
+            release = (v_rail - row(xi=a)) / b_c - row(i=1.0)
         else:  # algebraic loop: the unclipped current is a state functional
             i_free = (emf - row(xi=a)) / (r + b_c)
             free = (i_free, emf - r * i_free)
             rail = (row(sigma=1.0), emf - row(sigma=r))
-            self.release = i_free - row(sigma=1.0)
+            release = i_free - row(sigma=1.0)
         self.plant, self.z_c = plant, z_c
         self.n = n
         self.dt = dt
@@ -308,41 +315,31 @@ class _Loop:
         self.sigma = idx.get("sigma", idx.get("i"))
         self.current, self.xi, self.filter_rate = idx.get("i"), idx.get("xi"), a
         self.osc = [idx["p"], idx["q"]]
-        self.plant_states = np.array([name not in ("p", "q", "sigma") for name in names])
         phase = math.atan2(plant.f_e.imag, plant.f_e.real)
         self.y0 = row(p=math.cos(phase), q=math.sin(phase))
         self.free = Branch.build(*generator(*free), dt, steps)
-        self._rail = generator(*rail)
+        self.rail = Branch.build(*generator(*rail), dt, steps)
+        plant_states = np.array([name not in ("p", "q", "sigma") for name in names])
+        held = plant_states.copy()  # the rail holds the current at +-i_max
+        held[self.sigma] = False
+        enter = np.eye(n)  # entering the rail zeroes the held current
+        enter[self.sigma, self.sigma] = 0.0
         # the free branch's current and the rail's release guard
-        self.guards = tuple(_Guard(row, row @ a, np.abs(row), np.abs(a)) for row, a in
-                            ((self.free.i_row, self.free.a), (self.release, self._rail[0])))
-        self.eye = np.eye(n)
-        self.eye.flags.writeable = False  # copied where a reset matrix is built
-        # peak bounds of the free branch's current and the rail's release guard
-        self.bend = (_bend(self.free.a, self.free.i_row, dt),
-                     _bend(self._rail[0], self.release, dt))
-
-    @functools.cached_property
-    def rail(self) -> Branch:
-        return Branch.build(*self._rail, self.dt, self.steps)
+        self.guards = tuple(
+            _Guard(row, row @ br.a, np.abs(row), np.abs(br.a), _bend(br.a, row, dt),
+                   unknowns, reset)
+            for br, row, unknowns, reset in ((self.free, self.free.i_row, plant_states, enter),
+                                             (self.rail, release, held, np.eye(n))))
 
     def branch(self, rail: bool) -> Branch:
         return self.rail if rail else self.free
-
-    def unknowns(self, rail: bool) -> np.ndarray:
-        """Mask of the states a period started on this branch depends on:
-        the plant states, less the current the rail holds at +-i_max."""
-        mask = self.plant_states.copy()
-        if rail:
-            mask[self.sigma] = False
-        return mask
 
     def free_orbit(self) -> np.ndarray:
         """Start state of the free branch's periodic orbit, the fixed point
         y = -E^steps y of its anti-period map, with the oscillator at its
         phase; at rest where that solve has no finite answer.  It is the
         orbit itself, so a row that never clips converges in one map."""
-        u = self.unknowns(False)
+        u = self.guards[False].unknowns
         e = self.free.powers[-1]
         y = self.y0.copy()
         y[u] = np.linalg.solve(np.eye(u.sum()) + e[np.ix_(u, u)], -(e[np.ix_(u, ~u)] @ y[~u]))
@@ -391,7 +388,7 @@ class _Loop:
         branch, or its guard's slope changes sign and the guard may peak
         past its level.  The number of steps if none does.
 
-        Within step j a guard peaks at most ``bend * ||ys[j]||_inf`` above
+        Within step j a guard peaks at most ``peak * ||ys[j]||_inf`` above
         the larger of its end samples (see :func:`_bend`).  A slope change
         whose bound stays below the level is a whole step; one whose bound
         is infinite or reaches the level stays a candidate, as does every
@@ -415,7 +412,7 @@ class _Loop:
                 level = 0.0
             else:
                 top, level = max(abs(cur[j]), abs(cur[j + 1])), i_max
-            if not top + self.bend[rail] * np.max(np.abs(ys[j])) < level:
+            if not top + guard.peak * np.max(np.abs(ys[j])) < level:
                 return int(j)
         return len(ys) - 1
 
@@ -462,8 +459,8 @@ class _Loop:
         return y_end, first
 
     def cross(self, y, rail: bool, i_max: float, dt: float, tol: float):
-        """State, branch and current one step on from ``y``, through every
-        switch on the way; with a function forming the step's Jacobian (see
+        """State and branch one step on from ``y``, through every switch on
+        the way; with a function forming the step's Jacobian (see
         :meth:`step_jacobian`) and the step's ``(rail, duration)`` pieces."""
         t = 0.0
         switches, pieces = [], []
@@ -472,7 +469,7 @@ class _Loop:
             if event is None:
                 pieces.append((rail, dt - t))
                 step_jacobian = functools.partial(self.step_jacobian, switches, rail, dt - t)
-                return y_end, rail, y_end @ self.branch(rail).i_row, step_jacobian, pieces
+                return y_end, rail, step_jacobian, pieces
             tau, y_switch, sign = event
             pieces.append((rail, tau))
             y = y_switch.copy()
@@ -489,24 +486,18 @@ class _Loop:
         branch ``rail``.
 
         At a switch the Jacobian takes the saltation matrix
-        R + (f+ - R f-) grad^T / (grad . f-) of the guard gradient ``grad``,
-        the vector fields f- before and f+ after, and the reset R, which
-        zeroes the held current on entering the rail (Leine & Nijmeijer,
-        Dynamics and Bifurcations of Non-smooth Mechanical Systems, 2004).
+        R + (f+ - R f-) grad^T / (grad . f-) of the vector fields f- before
+        and f+ after, and the guard row ``grad`` and reset R of the branch
+        the switch leaves (Leine & Nijmeijer, Dynamics and Bifurcations of
+        Non-smooth Mechanical Systems, 2004).
         """
-        jac = self.eye
+        jac = np.eye(self.n)
         for on_rail, tau, y_minus, y_plus in switches:
-            br = self.branch(on_rail)
+            br, guard = self.branch(on_rail), self.guards[on_rail]
             f_minus = br.a @ y_minus
-            reset = self.eye.copy()
-            if on_rail:
-                grad = self.release
-            else:
-                grad = br.i_row
-                reset[self.sigma, self.sigma] = 0.0
-            jump = np.outer(self.branch(not on_rail).a @ y_plus - reset @ f_minus,
-                            grad / (grad @ f_minus))
-            jac = (reset + jump) @ br.transition(tau) @ jac
+            jump = np.outer(self.branch(not on_rail).a @ y_plus - guard.reset @ f_minus,
+                            guard.row / (guard.row @ f_minus))
+            jac = (guard.reset + jump) @ br.transition(tau) @ jac
         return self.branch(rail).transition(h) @ jac
 
     def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
@@ -553,8 +544,8 @@ class _Loop:
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
-                ys[k + 1], rail, cur[k + 1], step_jac, pieces = self.cross(
-                    ys[k], rail, i_max, dt, tol)
+                ys[k + 1], rail, step_jac, pieces = self.cross(ys[k], rail, i_max, dt, tol)
+                cur[k + 1] = ys[k + 1] @ self.branch(rail).i_row
                 vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
                 factors.append(step_jac)
                 start = k * dt
@@ -643,7 +634,7 @@ def simulate(
                 trace=tuple(run.ys[1 + bad]),
             )
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
-        u = loop.unknowns(rail)
+        u = loop.guards[rail].unknowns
         end = run.ys[half]
         gap = end[u] - y[u]
         residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))

@@ -145,6 +145,7 @@ class WecPlant:
         """Mechanical impedance at harmonic ``n`` of the wave frequency.
 
         Z_m(s) = (B_h + G^2 B_d) + (m + A) s + (K_h + G^2 K_d)/s at s = i n w.
+        Its real part is at least B_h > 0, so it never vanishes.
         """
         key = ("z_mech", n)
         z = self._memo.get(key)
@@ -168,10 +169,7 @@ class WecPlant:
         key = ("z_th", n)
         z = self._memo.get(key)
         if z is None:
-            zm = self.z_mech(n)
-            if zm == 0.0:
-                raise SingularityError(f"mechanical impedance vanishes at harmonic {n}")
-            z = self._memo[key] = self.z_wind(n) + self.coupling**2 / zm
+            z = self._memo[key] = self.z_wind(n) + self.coupling**2 / self.z_mech(n)
         return z
 
     @property
@@ -263,10 +261,7 @@ def thevenin_from_plant(plant: WecPlant) -> TheveninSource:
     it evaluates them through ``plant.z_thevenin``, so Z_m and every Z_th
     come from the plant's memo.
     """
-    zm = plant.z_mech()
-    if zm == 0.0:
-        raise SingularityError("degenerate plant: mechanical impedance is zero")
-    v_th = plant.coupling * plant.f_e / zm
+    v_th = plant.coupling * plant.f_e / plant.z_mech()
     return TheveninSource(
         v_th=v_th, z_th=plant.z_thevenin(), harmonic_impedance=plant.z_thevenin
     )

@@ -874,7 +874,8 @@ def simulate_horizon(
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             k += m
             if k < steps:
-                ys[k + 1], rail, cur[k + 1], *_ = loop.cross(ys[k], rail, i_max, dt, tol)
+                ys[k + 1], rail, *_ = loop.cross(ys[k], rail, i_max, dt, tol)
+                cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
                 vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
                 k += 1
         bad = np.flatnonzero(~np.isfinite(ys[1:]).all(axis=1))
@@ -963,8 +964,8 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
             add(rail, k * dt, m * dt)
         k += m
         if k < steps:
-            ys[k + 1], rail, cur[k + 1], step_jac, pieces = loop.cross(
-                ys[k], rail, i_max, dt, tol)
+            ys[k + 1], rail, step_jac, pieces = loop.cross(ys[k], rail, i_max, dt, tol)
+            cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
             vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
             factors.append(step_jac)
             start = k * dt

@@ -181,6 +181,33 @@ class TestExitCodes:
             f"mode gain g0 must be 1 or 2, got {g0}\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("saturate", NONDIM_ONLY, "command 'saturate' needs a dimensional [plant] section"),
+            ("fsat", MINIMAL_PLANT + "\n[output]\nsvg = maybe\n",
+             "[output] svg = 'maybe' is not a boolean"),
+            ("smith", MINIMAL_PLANT + "\n[sweep]\nalphas = 1, x\n",
+             "[sweep] alphas = '1, x' is not a number list"),
+            ("saturate", MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = ,\n",
+             "[sweep] i_max_fractions must list at least one value"),
+            ("fsat", "[plant\nm = 6.0e4\n", "malformed config: "),
+        ],
+    )
+    def test_bad_config_text_exits_one(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_false_boolean_turns_emission_off(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL_PLANT + "\n[sweep]\nfsat_points = 5\n[output]\nsvg = off\n")
+        assert main(["fsat", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fsat.csv").exists() and not list(tmp_path.glob("*.svg"))
+
     def test_stiff_winding_verify_exits_zero(self, tmp_path, capsys):
         # a 1 uH winding, far faster than the default step, is propagated
         # exactly rather than rejected

@@ -1,5 +1,6 @@
 """Tests for the saturation describing functions and the operating-point solve."""
 
+import dataclasses
 import decimal
 import math
 
@@ -494,6 +495,12 @@ class TestClassicSidfPower:
         for frac in (0.1, 0.4, 0.7):
             sol = solve_operating_point(src, frac * base.i_peak_matched)
             assert classic_sidf_power(sol) >= sol.p_total
+
+    def test_unconverged_solution_has_no_estimate(self):
+        src = make_source(alpha=1.0)
+        sol = solve_operating_point(src, 0.5 * matched_baseline(src).i_peak_matched)
+        with pytest.raises(DomainError, match="did not converge"):
+            classic_sidf_power(dataclasses.replace(sol, converged=False))
 
 
 def _decimal_power_ratio(r: float, alpha: float):

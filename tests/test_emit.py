@@ -1,9 +1,12 @@
-"""The emission module is the only code in the package that writes a file."""
+"""Tests for the emission module: its scalar text, and that it is the only code
+in the package that writes a file."""
 
 import ast
 import pathlib
 
 import pytest
+
+from wec_satlin.emit import fmt
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wec_satlin"
 
@@ -61,3 +64,9 @@ def test_only_the_emission_module_opens_a_file_for_writing():
         "emit.py": found["emit.py"]
     }
     assert len(found["emit.py"]) == 1
+
+
+@pytest.mark.parametrize("value, text", [(12345678901234567, "12345678901234567"),
+                                         (-3, "-3"), (1.0 / 3.0, "0.333333333333")])
+def test_fmt_writes_integers_whole_and_floats_at_12_digits(value, text):
+    assert fmt(value) == text

@@ -236,6 +236,9 @@ class TestOptimalAngle:
             optimal_angle(1.2, 1.0, +1)
         with pytest.raises(DomainError):
             optimal_angle(-0.1, 1.0, +1)
+        for g in ([0.5, 1.2], [-0.1, 0.5]):
+            with pytest.raises(DomainError, match="gamma magnitude must lie in"):
+                optimal_angle(np.array(g), 1.0, +1)
 
 
 class TestAmplitudeTarget:
@@ -448,6 +451,8 @@ class TestSmithGrid:
     def test_resolution_guard(self):
         with pytest.raises(DomainError):
             smith_grid(1.0, resolution=1)
+        with pytest.raises(DomainError, match="n_angular must be at least 2, got 1"):
+            smith_grid(1.0, resolution=5, n_angular=1)
 
 
 class TestOperatingPoint:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ class TestWecPlant:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             basic_plant(**{name: value})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(k_h=-1.0), "hydrostatic stiffness k_h must be non-negative"),
+            (dict(r_w=-0.01), "winding resistance and inductance must be non-negative"),
+            (dict(l_w=-1e-3), "winding resistance and inductance must be non-negative"),
+            (dict(b_d=-1.0), "drivetrain damping b_d must be non-negative"),
+            (dict(g_ratio=0.0), "gear ratio must be nonzero"),
+        ],
+    )
+    def test_range_check_names_the_quantity(self, overrides, message):
+        with pytest.raises(DomainError, match=message):
+            basic_plant(**overrides)
+
     def test_non_finite_force_phase_rejected(self):
         with pytest.raises(DomainError, match="f_e must be finite"):
             basic_plant(f_e=complex(2.0e5, math.nan))
@@ -96,6 +111,12 @@ class TestWecPlant:
 
     def test_raw_plant_not_flagged_consistent(self):
         assert not basic_plant().haskind_consistent
+        assert not basic_plant(j_density=0.0).haskind_consistent
+
+    def test_haskind_plant_derives_the_force_itself(self):
+        with pytest.raises(DomainError, match="f_e is derived here"):
+            haskind_plant(m=6.0e4, a_added=4.0e4, b_h=5.0e4, k_h=1.0e5, k_t=100.0,
+                          omega=1.0, j_density=1.0e4, k_wavenumber=0.102, f_e=1.0e5)
 
     def test_rescale_to_haskind_keeps_phase(self):
         plant = basic_plant(f_e=1e5 * np.exp(0.5j))
@@ -251,6 +272,8 @@ class TestNondimGroups:
             NondimGroups(r_cal=-0.1, d_cal=1.0, alpha_m=0.0, l_cal=0.0)
         with pytest.raises(DomainError):
             NondimGroups(r_cal=0.1, d_cal=1.2, alpha_m=0.0, l_cal=0.0)
+        with pytest.raises(DomainError, match="winding time-constant ratio must be non-negative"):
+            NondimGroups(r_cal=0.1, d_cal=1.0, alpha_m=0.0, l_cal=-0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["r_cal", "d_cal", "alpha_m", "l_cal"])
@@ -290,6 +313,19 @@ class TestMatchedPower:
             p_neg = matched_power(NondimGroups(0.4, 0.8, -am, 0.0), 1.0, 1.0, 1)
             assert p_pos == p_neg
 
+    @pytest.mark.parametrize(
+        "j_density, k_wavenumber, g0, message",
+        [
+            (0.0, 0.1, 1, "positive wave energy flux and wavenumber"),
+            (1.0e4, -0.1, 1, "positive wave energy flux and wavenumber"),
+            (1.0e4, 0.1, 3, "mode gain g0 must be 1 or 2, got 3"),
+        ],
+    )
+    def test_guards(self, j_density, k_wavenumber, g0, message):
+        groups = NondimGroups(r_cal=0.1, d_cal=1.0, alpha_m=0.0, l_cal=0.0)
+        with pytest.raises(DomainError, match=message):
+            matched_power(groups, j_density, k_wavenumber, g0)
+
     def test_surge_doubles_gain(self):
         groups = NondimGroups(0.0, 1.0, 0.0, 0.0)
         assert matched_power(groups, 1.0, 1.0, 2) == 2.0 * matched_power(
@@ -310,8 +346,12 @@ class TestAlphaFromGroups:
     def test_degenerate_denominator(self):
         groups = NondimGroups(0.0, 1e-300, 0.0, 0.0)
         # denominator ~ 1e-300 is still positive; exact zero cannot be built
-        # through the validated constructor, so check the guard directly
+        # through the validated constructor, so check the guard directly on
+        # an unvalidated record of the four groups
         assert alpha_from_nondim(groups) == 0.0
+        zero = types.SimpleNamespace(r_cal=0.0, d_cal=0.0, alpha_m=0.0, l_cal=0.0)
+        with pytest.raises(DomainError, match="degenerate groups"):
+            alpha_from_nondim(zero)
 
 
 class TestOptimalAlphaM:
@@ -418,6 +458,11 @@ class TestConstraintAmplitudes:
         z_singular = -plant.r_w / np.conj(src.z_th)
         with pytest.raises(SingularityError):
             constraint_amplitudes(plant, z_singular)
+        # this plant is resonant, so Z_th is real and z = -1 puts -Z_th in
+        # series with Z_th
+        assert thevenin_from_plant(plant).z_th.imag == 0.0
+        with pytest.raises(SingularityError, match="series loop resonates"):
+            constraint_amplitudes(plant, -1.0)
 
 
 class TestSignConventionLock:
