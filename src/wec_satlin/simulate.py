@@ -388,31 +388,27 @@ class _Loop:
         branch, or its guard's slope changes sign and the guard may peak
         past its level.  The number of steps if none does.
 
-        Within step j a guard peaks at most ``peak * ||ys[j]||_inf`` above
-        the larger of its end samples (see :func:`_bend`).  A slope change
-        whose bound stays below the level is a whole step; one whose bound
-        is infinite or reaches the level stays a candidate, as does every
-        step that ends outside the branch.  The free branch of a loop with
-        winding inductance has a fast pole that makes its bound useless.
+        The height ``g`` that leaves the branch above ``level`` is |i| over
+        i_max on the free branch, and on the rail -sign(sigma) times the
+        release guard over 0, with sigma the run's held rail value.  Within
+        step j it peaks at most ``peak * ||ys[j]||_inf`` above the larger of
+        its end samples (see :func:`_bend`).  A slope change whose bound
+        stays below the level is a whole step; one whose bound is infinite
+        or reaches the level stays a candidate, as does every step that ends
+        outside the branch.  The free branch of a loop with winding
+        inductance has a fast pole that makes its bound useless.
         """
         if not math.isfinite(i_max):
             return len(ys) - 1
         guard = self.guards[rail]
         if rail:
-            g = ys @ guard.row
-            out = np.sign(ys[1:, self.sigma]) * g[1:] < 0.0
+            g, level = -np.sign(ys[0, self.sigma]) * (ys @ guard.row), 0.0
         else:
-            out = np.abs(cur[1:]) > i_max
+            g, level = np.abs(cur), i_max
+        out = g[1:] > level
         slope = np.sign(ys @ guard.slope)
         for j in np.flatnonzero(out | (slope[1:] != slope[:-1])):
-            if out[j]:
-                return int(j)
-            if rail:  # the guard is -sign(sigma) release @ y, level 0
-                top = np.max(-np.sign(ys[j, self.sigma]) * g[j : j + 2])
-                level = 0.0
-            else:
-                top, level = max(abs(cur[j]), abs(cur[j + 1])), i_max
-            if not top + guard.peak * np.max(np.abs(ys[j])) < level:
+            if out[j] or not max(g[j], g[j + 1]) + guard.peak * np.max(np.abs(ys[j])) < level:
                 return int(j)
         return len(ys) - 1
 
@@ -458,11 +454,11 @@ class _Loop:
                 first = (tau, y_tau, sign)
         return y_end, first
 
-    def cross(self, y, rail: bool, i_max: float, dt: float, tol: float):
-        """State and branch one step on from ``y``, through every switch on
-        the way; with a function forming the step's Jacobian (see
+    def cross(self, y, rail: bool, i_max: float, tol: float):
+        """State and branch one step ``dt`` on from ``y``, through every
+        switch on the way; with a function forming the step's Jacobian (see
         :meth:`step_jacobian`) and the step's ``(rail, duration)`` pieces."""
-        t = 0.0
+        dt, t = self.dt, 0.0
         switches, pieces = [], []
         for _ in range(_MAX_EVENTS + 1):
             y_end, event = self.switch(rail, y, dt - t, i_max, tol)
@@ -544,7 +540,7 @@ class _Loop:
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
-                ys[k + 1], rail, step_jac, pieces = self.cross(ys[k], rail, i_max, dt, tol)
+                ys[k + 1], rail, step_jac, pieces = self.cross(ys[k], rail, i_max, tol)
                 cur[k + 1] = ys[k + 1] @ self.branch(rail).i_row
                 vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
                 factors.append(step_jac)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 
 from .errors import DomainError, SingularityError
 from .mismatch import TheveninSource, matched_baseline
@@ -37,6 +38,10 @@ __all__ = [
     "rescale_to_haskind",
     "matched_power_from_plant",
 ]
+
+# alpha_m**2 is finite up to here.  Python's ** is libm's pow, which rounds a
+# square otherwise than a product now and then, so the formulas keep it
+_ROOT_MAX = 2.0**511
 
 
 def _require_finite(record) -> None:
@@ -295,27 +300,39 @@ def matched_power(
 
     Independent of the winding time constant (inductance is reactive) and
     even in alpha_m.  The unconstrained optimum is the corner
-    (R, D, alpha_m) = (0, 1, 0), which absorbs g0 J / k.
+    (R, D, alpha_m) = (0, 1, 0), which absorbs g0 J / k.  Where the float
+    denominator overflows, the group factor D^2 / (R (1 + alpha_m^2) + D)
+    is formed exactly and rounded once, to 0.0 where it underflows.
     """
     if j_density <= 0.0 or k_wavenumber <= 0.0:
         raise DomainError("matched power needs positive wave energy flux and wavenumber")
     if g0 not in (1, 2):
         raise DomainError(f"mode gain g0 must be 1 or 2, got {g0}")
-    d = groups.d_cal
-    denom = 1.0 + (groups.r_cal / d) * (1.0 + groups.alpha_m**2)
-    return (g0 * j_density / k_wavenumber) * d / denom
+    flux, d = g0 * j_density / k_wavenumber, groups.d_cal
+    one_p = 1.0 + groups.alpha_m**2 if abs(groups.alpha_m) <= _ROOT_MAX else math.inf
+    denom = 1.0 + (groups.r_cal / d) * one_p
+    if denom < math.inf:
+        return flux * d / denom
+    r, d, a = map(Fraction, (groups.r_cal, d, groups.alpha_m))
+    return flux * float(d * d / (r * (1 + a * a) + d))
 
 
 def alpha_from_nondim(groups: NondimGroups) -> float:
     """Source reactance parameter Im(Z_th)/Re(Z_th) from the dimensionless groups.
 
         alpha = (L R (1 + alpha_m^2) - D alpha_m) / (R (1 + alpha_m^2) + D)
+
+    Where a float term of that quotient overflows, it is formed exactly and
+    rounded once; it is the mean of L and -alpha_m weighted by
+    R (1 + alpha_m^2) and D, so it is always finite.
     """
-    one_p = 1.0 + groups.alpha_m**2
+    one_p = 1.0 + groups.alpha_m**2 if abs(groups.alpha_m) <= _ROOT_MAX else math.inf
     denom = groups.r_cal * one_p + groups.d_cal
-    if denom <= 0.0:
-        raise DomainError("degenerate groups: R (1 + alpha_m^2) + D must be positive")
-    return (groups.l_cal * groups.r_cal * one_p - groups.d_cal * groups.alpha_m) / denom
+    num = groups.l_cal * groups.r_cal * one_p - groups.d_cal * groups.alpha_m
+    if abs(num) < math.inf and denom < math.inf:
+        return num / denom
+    r, d, a, l = map(Fraction, (groups.r_cal, groups.d_cal, groups.alpha_m, groups.l_cal))
+    return float((l * r * (1 + a * a) - d * a) / (r * (1 + a * a) + d))
 
 
 def optimal_alpha_m_for_limits(groups: NondimGroups) -> tuple[float, float]:

@@ -10,14 +10,16 @@ kernel and the plant memo replaced, the fixed-step RK4
 integrator the exact referee replaced, the fixed-horizon run that shooting
 to the periodic orbit replaced, the concatenating doubling the in-place
 power stack replaced, the free-orbit start of the shooting that the
-describing function's start replaced, and the windowed period scan that one
-scan per branch run replaced.
+describing function's start replaced, the windowed period scan that one
+scan per branch run replaced, and exact rational and plain float forms of
+the dimensionless-group formulas.
 """
 
 import cmath
 import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,7 +37,7 @@ from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, Si
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _Period, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
 from wec_satlin.svg import _COLORS, _document, _text
-from wec_satlin.wec import WecPlant
+from wec_satlin.wec import NondimGroups, WecPlant
 
 
 def circuit_solution(v_th: complex, z_th: complex, z_load: complex):
@@ -874,7 +876,7 @@ def simulate_horizon(
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             k += m
             if k < steps:
-                ys[k + 1], rail, *_ = loop.cross(ys[k], rail, i_max, dt, tol)
+                ys[k + 1], rail, *_ = loop.cross(ys[k], rail, i_max, tol)
                 cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
                 vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
                 k += 1
@@ -964,7 +966,7 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
             add(rail, k * dt, m * dt)
         k += m
         if k < steps:
-            ys[k + 1], rail, step_jac, pieces = loop.cross(ys[k], rail, i_max, dt, tol)
+            ys[k + 1], rail, step_jac, pieces = loop.cross(ys[k], rail, i_max, tol)
             cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
             vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
             factors.append(step_jac)
@@ -997,3 +999,23 @@ def free_orbit_start(loop: ExactLoop, i_max: float) -> tuple[np.ndarray, bool]:
         return y, False
     y[loop.sigma] = math.copysign(i_max, current)
     return y, True
+
+
+def groups_exact(groups: NondimGroups) -> tuple[Fraction, Fraction]:
+    """``(alpha, D / (1 + (R/D)(1 + alpha_m^2)))`` of the groups, the
+    reactance parameter and the matched power per unit g0 J / k, in exact
+    rational arithmetic."""
+    r, d, a, l = (Fraction(v) for v in (groups.r_cal, groups.d_cal, groups.alpha_m,
+                                         groups.l_cal))
+    x = r * (1 + a * a)
+    return (l * x - d * a) / (x + d), d / (1 + x / d)
+
+
+def groups_float(groups: NondimGroups, flux: float = 1.0) -> tuple[float, float]:
+    """``(alpha, matched power)`` by the plain float quotients, squaring
+    alpha_m with ``**``; for ``|alpha_m|`` up to 1e100 and groups whose
+    terms stay finite."""
+    one_p = 1.0 + groups.alpha_m**2
+    alpha = ((groups.l_cal * groups.r_cal * one_p - groups.d_cal * groups.alpha_m)
+             / (groups.r_cal * one_p + groups.d_cal))
+    return alpha, flux * groups.d_cal / (1.0 + (groups.r_cal / groups.d_cal) * one_p)

@@ -556,6 +556,21 @@ class TestEmittedArtifacts:
         assert float(values["p_matched_nondim"]) == pytest.approx(1.0e5)
         assert float(values["alpha"]) == 0.0
 
+    @pytest.mark.parametrize("alpha_m", [1e160, 1e200])
+    def test_matched_at_extreme_mechanical_reactance(self, tmp_path, capsys, alpha_m):
+        # alpha_m^2 overflows a float; alpha is -D / (R alpha_m) to rounding
+        # and the matched power D^2 / (R alpha_m^2) times 1e5 underflows
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            NONDIM_ONLY.replace("alpha_m = 0.0", f"alpha_m = {alpha_m!r}")
+            + "\n[waves]\nj_density = 1.0e4\nk_wavenumber = 0.1\ng0 = 1\n"
+        )
+        assert main(["matched", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        values = dict(read_csv(tmp_path / "matched.csv")[1])
+        assert float(values["alpha"]) == pytest.approx(-1.0 / (0.05 * alpha_m), rel=1e-11)
+        assert 0.0 <= float(values["p_matched_nondim"]) <= 1e5 / (0.05 * alpha_m) / alpha_m
+
     def test_verify_flagged_rows_do_not_fail(self, tmp_path):
         # broadband plant: the saturated row is flagged, not failed, so the
         # command still exits 0

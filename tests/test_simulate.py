@@ -621,7 +621,7 @@ class TestClipEvents:
         loop = _Loop(plant, src.z_th.conjugate(), dt, 1000)
         y = np.array([1.2754632585823462, 2.2498832567616365, 179.87306806879317, i_max,
                       0.9991661343425408, 0.040829351978509995])
-        y_end, rail, jac, pieces = loop.cross(y, True, i_max, dt, 1e-12 * dt)
+        y_end, rail, jac, pieces = loop.cross(y, True, i_max, 1e-12 * dt)
         assert [on_rail for on_rail, _ in pieces] == [True, False]
         assert not rail and abs(y_end @ loop.free.i_row) < i_max
         assert np.isfinite(jac()).all() and np.isfinite(y_end).all()
@@ -694,6 +694,93 @@ class TestPeakBound:
             i1 = abs(ref.harmonic_currents[0])
             for new, old in zip(res.harmonic_currents, ref.harmonic_currents):
                 assert abs(new - old) <= 1e-12 * i1
+
+
+def _run_samples(loop, rail, heights, slopes, sign=1.0, knob=0.0, i_max=2.0):
+    """Samples of one run of ``loop`` on branch ``rail``, and their currents.
+
+    The exit height, |i| on the free branch and -sign(sigma) times the
+    release guard on the rail, reads ``heights``, and the guard's slope row
+    reads ``slopes``; the rail holds sigma = ``sign * i_max``, and the
+    oscillator state q, which neither row reads, is ``knob`` throughout.
+    """
+    guard = loop.guards[rail]
+    rows = np.stack([guard.row, guard.slope])
+    q = loop.osc[1]
+    ys = np.zeros((len(heights), loop.n))
+    ys[:, q] = knob
+    solve = np.arange(loop.n) != q
+    if rail:
+        solve[loop.sigma] = False
+        ys[:, loop.sigma] = sign * i_max
+    targets = np.stack([np.multiply(heights, -sign if rail else 1.0), slopes])
+    ys[:, solve] = np.linalg.lstsq(rows[:, solve], targets - rows @ ys.T, rcond=None)[0].T
+    if not rail:
+        ys[:, loop.current] = heights  # the current itself, exactly
+    return ys, ys @ loop.branch(rail).i_row
+
+
+class TestFirstCandidate:
+    """The branch-exit screen of one run, on hand-built samples of the
+    verify_reactive loop: the first step that ends outside the branch or
+    whose guard changes slope and may peak past the level, else the number
+    of steps."""
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        plant = haskind_plant(**REACTIVE_PLANT)
+        z_c = thevenin_from_plant(plant).z_th.conjugate()
+        return _Loop(plant, z_c, 2.0 * math.pi / plant.omega / 2000, 1000)
+
+    def test_free_branch_is_left_past_the_limit_not_at_it(self, loop):
+        rising = [1.0] * 6
+        ys, cur = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.0, 1.9], rising)
+        assert loop.first_candidate(False, ys, cur, 2.0) == 5  # steps 2, 3 end at the level
+        ys, cur = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.3, 2.6], rising)
+        assert loop.first_candidate(False, ys, cur, 2.0) == 3
+        ys, cur = _run_samples(loop, False, [-1.0, -1.4, -1.7, -2.0, -2.3, -2.6], rising)
+        assert loop.first_candidate(False, ys, cur, 2.0) == 3  # |i| is what leaves
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rail_is_left_where_the_release_guard_turns_positive(self, loop, sign):
+        rising = [1.0] * 6
+        ys, cur = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, -0.05, -0.01], rising, sign)
+        assert loop.first_candidate(True, ys, cur, 2.0) == 5
+        ys, cur = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, 0.3, 0.6], rising, sign)
+        assert loop.first_candidate(True, ys, cur, 2.0) == 3
+
+    @pytest.mark.parametrize("rail, sign", [(False, 1.0), (True, 1.0), (True, -1.0)])
+    def test_slope_change_is_a_candidate_once_its_bound_reaches_the_level(self, loop, rail,
+                                                                          sign):
+        # the guard turns between samples 2 and 3; the free branch's bound
+        # (about 2e27 per unit state) leaves room below the limit 1 only for
+        # states near 1e-30.  The knob q sets ||ys[2]||_inf and so the bound
+        if rail:
+            heights, level, i_max = [-3.0, -2.0, -1.5, -2.0, -3.0, -4.0], 0.0, 2.0
+        else:
+            heights, level = [1e-30 * h for h in (0.2, 0.5, 0.7, 0.5, 0.2, 0.1)], 1.0
+            i_max = level
+        slopes = np.multiply([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], abs(heights[0]))
+        ys, cur = _run_samples(loop, rail, heights, slopes, sign, i_max=i_max)
+        assert loop.first_candidate(rail, ys, cur, i_max) == 5
+        peak = loop.guards[rail].peak
+        top = max(heights[2:4]) if not rail else max(
+            -np.sign(ys[0, loop.sigma]) * (ys[2:4] @ loop.guards[True].row))
+        knob = (level - top) / peak  # the least knob whose bound reaches the level
+        while top + peak * knob < level:
+            knob = np.nextafter(knob, math.inf)
+        while not top + peak * np.nextafter(knob, 0.0) < level:
+            knob = np.nextafter(knob, 0.0)
+        assert knob > np.max(np.abs(ys[2]))
+        for q, expected in ((knob, 2), (np.nextafter(knob, 0.0), 5)):
+            ys, cur = _run_samples(loop, rail, heights, slopes, sign, q, i_max)
+            assert loop.first_candidate(rail, ys, cur, i_max) == expected
+
+    @pytest.mark.parametrize("rail", [False, True])
+    def test_no_limit_no_candidate(self, loop, rail):
+        ys, cur = _run_samples(loop, rail, [1.0, 3.0, 2.0, 5.0, 1.0, 9.0],
+                               [1.0, -1.0, 1.0, -1.0, 1.0, -1.0], knob=1e300)
+        assert loop.first_candidate(rail, ys, cur, math.inf) == 5
 
 
 class TestPowerStack:

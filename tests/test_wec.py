@@ -2,15 +2,16 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
-import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_plant
-from oracles import thevenin_fresh, z_mech_fresh, z_thevenin_fresh
+from oracles import groups_exact, groups_float, thevenin_fresh, z_mech_fresh, z_thevenin_fresh
 from wec_satlin import (
     DomainError,
     NondimGroups,
@@ -344,14 +345,66 @@ class TestAlphaFromGroups:
             assert val == pytest.approx(-am, rel=1e-9)
 
     def test_degenerate_denominator(self):
+        # the denominator R (1 + alpha_m^2) + D is at least D, which the
+        # record keeps positive; here it is 1e-300
         groups = NondimGroups(0.0, 1e-300, 0.0, 0.0)
-        # denominator ~ 1e-300 is still positive; exact zero cannot be built
-        # through the validated constructor, so check the guard directly on
-        # an unvalidated record of the four groups
         assert alpha_from_nondim(groups) == 0.0
-        zero = types.SimpleNamespace(r_cal=0.0, d_cal=0.0, alpha_m=0.0, l_cal=0.0)
-        with pytest.raises(DomainError, match="degenerate groups"):
-            alpha_from_nondim(zero)
+
+
+def _signed(values):
+    return [s * v for v in values for s in (1.0, -1.0)]
+
+
+class TestGroupsAtExtremeReactance:
+    """alpha_from_nondim and matched_power on every valid record of groups,
+    also where alpha_m^2 or a quotient's float terms overflow."""
+
+    @staticmethod
+    def _check_against_exact(groups):
+        got = (alpha_from_nondim(groups), matched_power(groups, 1.0, 1.0, 1))
+        for value, exact in zip(got, groups_exact(groups)):
+            nearest = float(exact)
+            if nearest == 0.0:  # the exact value underflows
+                assert value == 0.0, groups
+            else:
+                assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(nearest)), groups
+
+    def test_within_four_ulp_of_exact(self):
+        grid = itertools.product((0.0, 1e-3, 1.0), (1e-3, 1.0),
+                                 _signed((0.0, 1e-300, 1.0, 1e150, 1e300)), (0.0, 2.0))
+        for r_cal, d_cal, alpha_m, l_cal in grid:
+            self._check_against_exact(NondimGroups(r_cal, d_cal, alpha_m, l_cal))
+
+    def test_plain_quotients_keep_their_bits(self):
+        # |alpha_m| <= 1e100 with finite float terms: the quotients as they
+        # were, alpha_m^2 by ** (libm's pow).  glibc's pow rounds a square
+        # otherwise than alpha_m * alpha_m on about 1 alpha_m in 1000; the
+        # draws at R = D = 1, L = 0, where alpha = -alpha_m / (2 + alpha_m^2),
+        # carry such a change through to both results
+        rng = np.random.default_rng(20)
+        flux = 1 * 1.0e4 / 0.1
+        draws = [
+            NondimGroups(
+                r_cal=float(rng.choice([0.0, 10.0 ** rng.uniform(-300, 50)])),
+                d_cal=float(10.0 ** rng.uniform(-40, 0)),
+                alpha_m=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 100)),
+                l_cal=float(rng.choice([0.0, 10.0 ** rng.uniform(-5, 5)])),
+            )
+            for _ in range(2000)
+        ]
+        draws += [NondimGroups(1.0, 1.0, a, 0.0)
+                  for a in (10.0 ** rng.uniform(0, 100, 20000)).tolist()]
+        for groups in draws:
+            alpha, power = groups_float(groups, flux)
+            assert alpha_from_nondim(groups) == alpha
+            assert matched_power(groups, 1.0e4, 0.1, 1) == power
+
+    def test_near_exact_at_the_float_range_ends(self):
+        big, tiny = 1.7976931348623157e308, 5e-324
+        grid = itertools.product((0.0, tiny, 1e-300, 1.0, 1e300, big), (tiny, 1e-300, 1.0),
+                                 _signed((0.0, tiny, 1.0, 1e300, big)), (0.0, 1.0, 1e300))
+        for r_cal, d_cal, alpha_m, l_cal in grid:
+            self._check_against_exact(NondimGroups(r_cal, d_cal, alpha_m, l_cal))
 
 
 class TestOptimalAlphaM:
