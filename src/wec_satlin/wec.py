@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 from .errors import DomainError, SingularityError
 from .mismatch import TheveninSource, matched_baseline
@@ -38,10 +37,6 @@ __all__ = [
     "rescale_to_haskind",
     "matched_power_from_plant",
 ]
-
-# alpha_m**2 is finite up to here.  Python's ** is libm's pow, which rounds a
-# square otherwise than a product now and then, so the formulas keep it
-_ROOT_MAX = 2.0**511
 
 
 def _require_finite(record) -> None:
@@ -300,21 +295,22 @@ def matched_power(
 
     Independent of the winding time constant (inductance is reactive) and
     even in alpha_m.  The unconstrained optimum is the corner
-    (R, D, alpha_m) = (0, 1, 0), which absorbs g0 J / k.  Where the float
-    denominator overflows, the group factor D^2 / (R (1 + alpha_m^2) + D)
-    is formed exactly and rounded once, to 0.0 where it underflows.
+    (R, D, alpha_m) = (0, 1, 0), which absorbs g0 J / k.  The quotient is
+    formed exactly and rounded once, so alpha_m^2 cannot overflow; the
+    result is 0.0 where it underflows.
     """
     if j_density <= 0.0 or k_wavenumber <= 0.0:
         raise DomainError("matched power needs positive wave energy flux and wavenumber")
     if g0 not in (1, 2):
         raise DomainError(f"mode gain g0 must be 1 or 2, got {g0}")
-    flux, d = g0 * j_density / k_wavenumber, groups.d_cal
-    one_p = 1.0 + groups.alpha_m**2 if abs(groups.alpha_m) <= _ROOT_MAX else math.inf
-    denom = 1.0 + (groups.r_cal / d) * one_p
-    if denom < math.inf:
-        return flux * d / denom
-    r, d, a = map(Fraction, (groups.r_cal, d, groups.alpha_m))
-    return flux * float(d * d / (r * (1 + a * a) + d))
+    # every float is an exact ratio of integers, and int / int rounds once;
+    # x_n / x_d = R (1 + alpha_m^2)
+    (f_n, f_d), (r_n, r_d), (d_n, d_d), (a_n, a_d) = (
+        float(v).as_integer_ratio()
+        for v in (g0 * j_density / k_wavenumber, groups.r_cal, groups.d_cal, groups.alpha_m)
+    )
+    x_n, x_d = r_n * (a_d * a_d + a_n * a_n), r_d * a_d * a_d
+    return f_n * d_n * d_n * x_d / (f_d * d_d * (x_n * d_d + d_n * x_d))
 
 
 def alpha_from_nondim(groups: NondimGroups) -> float:
@@ -322,17 +318,18 @@ def alpha_from_nondim(groups: NondimGroups) -> float:
 
         alpha = (L R (1 + alpha_m^2) - D alpha_m) / (R (1 + alpha_m^2) + D)
 
-    Where a float term of that quotient overflows, it is formed exactly and
-    rounded once; it is the mean of L and -alpha_m weighted by
-    R (1 + alpha_m^2) and D, so it is always finite.
+    The quotient is formed exactly and rounded once.  It is the mean of L
+    and -alpha_m weighted by R (1 + alpha_m^2) and D, so it is finite for
+    every valid record of groups.
     """
-    one_p = 1.0 + groups.alpha_m**2 if abs(groups.alpha_m) <= _ROOT_MAX else math.inf
-    denom = groups.r_cal * one_p + groups.d_cal
-    num = groups.l_cal * groups.r_cal * one_p - groups.d_cal * groups.alpha_m
-    if abs(num) < math.inf and denom < math.inf:
-        return num / denom
-    r, d, a, l = map(Fraction, (groups.r_cal, groups.d_cal, groups.alpha_m, groups.l_cal))
-    return float((l * r * (1 + a * a) - d * a) / (r * (1 + a * a) + d))
+    # as in matched_power: exact integer ratios, x_n / x_d = R (1 + alpha_m^2)
+    (r_n, r_d), (d_n, d_d), (a_n, a_d), (l_n, l_d) = (
+        float(v).as_integer_ratio()
+        for v in (groups.r_cal, groups.d_cal, groups.alpha_m, groups.l_cal)
+    )
+    x_n, x_d = r_n * (a_d * a_d + a_n * a_n), r_d * a_d * a_d
+    return ((l_n * x_n * d_d * a_d - d_n * a_n * l_d * x_d)
+            / (l_d * a_d * (x_n * d_d + d_n * x_d)))
 
 
 def optimal_alpha_m_for_limits(groups: NondimGroups) -> tuple[float, float]:

@@ -1009,13 +1009,3 @@ def groups_exact(groups: NondimGroups) -> tuple[Fraction, Fraction]:
                                          groups.l_cal))
     x = r * (1 + a * a)
     return (l * x - d * a) / (x + d), d / (1 + x / d)
-
-
-def groups_float(groups: NondimGroups, flux: float = 1.0) -> tuple[float, float]:
-    """``(alpha, matched power)`` by the plain float quotients, squaring
-    alpha_m with ``**``; for ``|alpha_m|`` up to 1e100 and groups whose
-    terms stay finite."""
-    one_p = 1.0 + groups.alpha_m**2
-    alpha = ((groups.l_cal * groups.r_cal * one_p - groups.d_cal * groups.alpha_m)
-             / (groups.r_cal * one_p + groups.d_cal))
-    return alpha, flux * groups.d_cal / (1.0 + (groups.r_cal / groups.d_cal) * one_p)

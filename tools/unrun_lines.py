@@ -40,7 +40,7 @@ def main(argv: list[str]) -> int:
     def lines_of(code: types.CodeType) -> set[int] | None:
         name = code.co_filename
         if name not in owner:
-            owner[name] = seen.get(os.path.abspath(name))
+            owner[name] = seen.get(os.path.realpath(name))  # as root: links resolved
         return owner[name]
 
     def trace(frame, event, arg):
