@@ -38,12 +38,13 @@ import contextlib
 import contextvars
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .descfcn import equivalent_z, solve_operating_point
+from .descfcn import SaturationSolution, equivalent_z, solve_operating_point
 from .emit import write_csv
 from .errors import DomainError, SimulationError
 from .mismatch import matched_baseline
@@ -112,8 +113,12 @@ class SimResult:
 
     Diagnostics of the run: shooting runs the anti-period map G, half a
     period each.  ``period_powers`` holds the mean power of each half
-    period run, which on a symmetric orbit is the mean over the period;
-    ``periods_run`` counts the half-period maps and ``newton_steps`` how
+    period run, which on a symmetric orbit is the mean over the period: one
+    entry per map, NaN for a map run from a plan of switch times and not
+    sampled (see :func:`simulate`), so its last entry, the sampled final
+    map's, is ``p_avg``.  ``periods_run`` counts the half-period maps, a
+    planned map run again, scanned, in its place counting once, and
+    ``newton_steps`` how
     many of them followed a Newton step.  ``periodicity_residual`` is
     ||G(y) - y|| / ||y|| of the final map over the plant states, and
     ``converged`` holds exactly when it is at most ``convergence_tol``.
@@ -179,7 +184,10 @@ class _Period(NamedTuple):
     factors of the half period's monodromy matrix in the order it applies
     them, a power of a branch's one-step flow for each whole-step run and a
     function forming the step's Jacobian for each step through a switch;
-    and the half period as ``(rail, start, duration)`` segments."""
+    and the half period as ``(rail, start, duration)`` segments.  A map run
+    from a plan stores only each branch run's start and the end, and lists
+    its runs as ``(start step, rail, whole steps)`` until :meth:`_Loop.fill`
+    samples them."""
 
     ys: np.ndarray
     cur: np.ndarray
@@ -187,6 +195,7 @@ class _Period(NamedTuple):
     rail: bool
     factors: list
     segments: list
+    runs: list | tuple = ()
 
     @property
     def jac(self) -> np.ndarray:
@@ -345,29 +354,29 @@ class _Loop:
         y[u] = np.linalg.solve(np.eye(u.sum()) + e[np.ix_(u, u)], -(e[np.ix_(u, ~u)] @ y[~u]))
         return y if np.isfinite(y).all() else self.y0.copy()
 
-    def start(self, i_max: float) -> tuple[np.ndarray, bool]:
-        """Start state and branch of the first map under the limit ``i_max``.
+    def start(self, i_max: float, sol) -> tuple[np.ndarray, bool, list | None]:
+        """Start state, branch and switch plan of the first map under the
+        limit ``i_max``, from the describing function's solution ``sol`` at
+        that limit (None where there is none to use).
 
-        Where the describing function says the limit binds (clipping depth
-        below 1), the state at t = 0 of its half-wave symmetric orbit: with
-        I_n and V_n the current and load-voltage phasors of harmonic n, the
-        velocity U_n = (V_n + Z_w(n w) I_n) / c, the position U_n / (i n w)
-        and the filter state V_n / (a + i n w), summed over the harmonics;
-        the held or command current is the pre-clip command Re(i_temp), and
-        the start is on the rail, at +-i_max, where that exceeds the limit.
-        The solve always keeps the package default of 9 harmonics, so a
-        run's bits do not depend on the harmonics it extracts.  Elsewhere,
-        with no limit, no forcing or a limit the describing function never
-        reaches, the free branch's orbit.
+        Where the solution says the limit binds (clipping depth I below 1),
+        the state at t = 0 of its half-wave symmetric orbit: with I_n and V_n
+        the current and load-voltage phasors of harmonic n, the velocity
+        U_n = (V_n + Z_w(n w) I_n) / c, the position U_n / (i n w) and the
+        filter state V_n / (a + i n w), summed over harmonics 1 to 9 whatever
+        the solution holds, so a run's bits do not depend on the harmonics it
+        extracts; the held or command current is the pre-clip command
+        Re(i_temp), and the start is on the rail, at +-i_max, where that
+        exceeds the limit.  The plan is the clipped command's switches in the
+        half period, in steps: where w t + psi = m pi -+ acos(I), from the
+        branch the start is on.  Elsewhere the free branch's orbit, with no
+        plan.
         """
         plant = self.plant
-        if not (math.isfinite(i_max) and plant.f_e != 0.0):
-            return self.free_orbit(), False
-        sol = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=self.z_c)
-        if not sol.factors.i_script < 1.0:
-            return self.free_orbit(), False
+        if sol is None or not sol.factors.i_script < 1.0:
+            return self.free_orbit(), False, None
         y = self.y0.copy()
-        for h in sol.harmonics:
+        for h in sol.harmonics[:5]:
             s = 1j * h.n * plant.omega
             velocity = (h.v_load + plant.z_wind(h.n) * h.current) / plant.coupling
             y[0] += (velocity / s).real
@@ -380,7 +389,10 @@ class _Loop:
         rail = abs(command) > i_max
         if rail:
             y[self.sigma] = math.copysign(i_max, command)
-        return y, rail
+        clip = math.acos(sol.factors.i_script)
+        first = ((clip if rail else -clip) - sol.psi) % math.pi
+        second = first + (math.pi - 2.0 * clip if rail else 2.0 * clip)
+        return y, rail, [t * self.steps / math.pi for t in (first, second) if t < math.pi]
 
     def first_candidate(self, rail: bool, ys, cur, i_max: float) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
@@ -496,7 +508,82 @@ class _Loop:
             jac = (guard.reset + jump) @ br.transition(tau) @ jac
         return self.branch(rail).transition(h) @ jac
 
-    def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
+    def exit_step(self, rail: bool, y, k: int, j: int, i_max: float):
+        """The step in which a run from sample ``k``, state ``y``, on branch
+        ``rail`` leaves it under the limit ``i_max``, sought from the planned
+        step ``j``, and the state there; ``steps`` if the run stays inside
+        the branch.  ``(None, None)``, to run the map
+        unplanned, if it stays inside although ``j`` plans a switch in the
+        half period, if its end is not finite, or if the guard's slope turns
+        before the exit where the branch's peak bound per step, at the run
+        start's size, reaches the limit: there the scan takes the turn as a
+        candidate.
+
+        The exit is a step whose end sample is outside the branch and whose
+        start sample is inside it or is ``k``.  Each probe is one sample, one
+        power times ``y``: samples ``j`` and ``j + 1`` first, then steps
+        doubling away from the plan to a sample on the other side, then
+        bisection.  A run that leaves and re-enters the branch, or whose
+        first step or a turn near the level is a candidate, may end later
+        than the scan's; :meth:`fill` screens for it.
+        """
+        br, guard, steps, samples = self.branch(rail), self.guards[rail], self.steps, {k: y}
+
+        def sample(s):  # memoized: the search probes some samples twice
+            return samples[s] if s in samples else samples.setdefault(s, br.powers[s - k - 1] @ y)
+
+        def out(s):  # sample s of the run is outside the branch
+            g = guard.row @ sample(s) if s > k else 0.0
+            # on the rail, the release guard signed against the held current
+            return g * y[self.sigma] < 0.0 if rail else abs(g) > i_max
+
+        def turned(s):  # the guard's slope at sample s has left its sign at k
+            return (guard.slope @ sample(s) > 0.0) != (guard.slope @ y > 0.0)
+
+        lo = min(max(j, k), steps - 1)
+        hi, width = lo + 1, 1
+        while out(lo):
+            lo, hi, width = max(lo - width, k), lo, 2 * width
+        found = out(hi)
+        while not found and hi < steps:
+            lo, hi, width = hi, min(hi + width, steps), 2 * width
+            found = out(hi)
+        end = lo + bisect_left(range(lo + 1, hi), True, key=out) if found else steps
+        if end == steps and (j < steps or not np.isfinite(sample(steps)).all()):
+            return None, None
+        if guard.peak * max(map(abs, y.tolist())) >= i_max and turned(end):
+            return None, None  # a slope turn the scan likely crosses: run the map scanned
+        return end, sample(end)
+
+    def scan(self, ys, cur, vl, k: int, length: int, rail: bool, i_max: float) -> int:
+        """Sample ``length`` steps of the run from ``ys[k]`` on branch
+        ``rail`` with one matrix-vector product of the powers stack, and
+        their currents ``cur``, and return the whole steps before the run's
+        first candidate (see :meth:`first_candidate`), over which the load
+        voltages ``vl`` are sampled; all in place."""
+        br, stop = self.branch(rail), k + length + 1
+        np.matmul(br.powers[:length].reshape(-1, self.n), ys[k], out=ys[k + 1 : stop].reshape(-1))
+        # the sample before the run keeps the product a matrix-vector one
+        cur[k + 1 : stop] = (ys[k:stop] @ br.i_row)[1:]
+        m = self.first_candidate(rail, ys[k:stop], cur[k:stop], i_max)
+        vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
+        return m
+
+    def fill(self, run: _Period, i_max: float) -> bool:
+        """Sample and screen, in place, each branch run of a map run from a
+        plan by :meth:`scan`, so with the bits of an unplanned map.  False
+        if a screen ends a run before the step the map crossed, which the
+        unplanned map would have crossed first: the map is then not the one
+        :meth:`period` runs unplanned, and is left partly sampled."""
+        ys, cur, vl = run.ys, run.cur, run.vl
+        for k, rail, m in run.runs:
+            if self.scan(ys, cur, vl, k, m, rail, i_max) < m:
+                return False
+        if k + m == self.steps:  # the last run sampled the end anew: negate it again
+            ys[k + m], cur[k + m], vl[k + m] = -ys[k + m], -cur[k + m], -vl[k + m]
+        return True
+
+    def period(self, y, rail: bool, i_max: float, tol: float, plan=None) -> _Period:
         """The anti-period map G(y) = -Phi_half(y) under the limit
         ``i_max``: half a period from ``y`` on branch ``rail``, with the
         oscillator restarted at its phase, then the end state negated.  Its
@@ -512,14 +599,24 @@ class _Loop:
         rest of the half period, and one :meth:`first_candidate` call finds
         where the run ends.  The samples past that step are overwritten by
         the runs that follow it.
+
+        Given a ``plan``, the switch times in steps from the branch ``rail``
+        on, repeated every half period, each run ends instead at the step
+        :meth:`exit_step` finds near its next planned switch, reached by one
+        power, and is neither sampled nor screened: the steps crossed, and
+        so the factors and the end, are the unplanned map's where that step
+        is the run's first candidate, and :meth:`fill` samples the map
+        later.  Only the run starts and the end are stored, and ``runs``
+        lists the runs.  The map is run unplanned where :meth:`exit_step`
+        gives up on a run.
         """
         steps, n, dt = self.steps, self.n, self.dt
-        ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
+        ys, cur, vl = np.zeros((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
         ys[0] = y
         ys[0, self.osc] = self.y0[self.osc]
         cur[0] = ys[0] @ self.branch(rail).i_row
         vl[0] = ys[0] @ self.branch(rail).v_row
-        factors, segments = [], []
+        factors, segments, runs, first = [], [], [], rail
 
         def add(on_rail, start, duration):
             if segments and segments[-1][0] == on_rail:
@@ -530,11 +627,16 @@ class _Loop:
         k = 0
         while k < steps:
             br = self.branch(rail)
-            np.matmul(br.powers[: steps - k].reshape(-1, n), ys[k], out=ys[k + 1 :].reshape(-1))
-            # the sample before the run keeps the product a matrix-vector one
-            cur[k + 1 :] = (ys[k:] @ br.i_row)[1:]
-            m = self.first_candidate(rail, ys[k:], cur[k:], i_max)
-            vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
+            if plan is None:
+                m = self.scan(ys, cur, vl, k, steps - k, rail, i_max)
+            else:
+                i = max(len(segments) - 1, 0)  # the switches crossed so far
+                j = int(plan[i % len(plan)] + steps * (i // len(plan))) if plan else steps
+                m, x = self.exit_step(rail, ys[k], k, j, i_max)
+                if x is None:
+                    return self.period(y, first, i_max, tol)
+                ys[m], m = x, m - k
+                runs.append((k, rail, m))
             if m:
                 factors.append(br.powers[m - 1])
                 add(rail, k * dt, m * dt)
@@ -550,7 +652,7 @@ class _Loop:
                     start += duration
                 k += 1
         ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-        return _Period(ys, cur, vl, rail, factors, segments)
+        return _Period(ys, cur, vl, rail, factors, segments, runs)
 
 
 def simulate(
@@ -559,6 +661,7 @@ def simulate(
     i_max: float = math.inf,
     cfg: SimConfig | None = None,
     n_harmonics: int = 9,
+    solution: SaturationSolution | None = None,
 ) -> SimResult:
     """Shoot to the periodic steady state of the nonlinear loop and extract
     one period.
@@ -573,6 +676,9 @@ def simulate(
     first map starts from the describing function's orbit at t = 0 where it
     says the limit binds, and from the free branch's periodic orbit, the
     answer for a row that never clips, elsewhere (see :meth:`_Loop.start`).
+    ``solution`` is the describing function's solution at this limit and
+    controller if the caller has one, as :func:`validate_df` does; it is
+    solved here where it is None or holds fewer than 9 harmonics.
     The start sets how many maps are run, not which orbit is found, on a
     loop with one attracting periodic response (a convergent one: Pavlov,
     van de Wouw & Nijmeijer, Syst. Control Lett. 2005).  Newton's method on
@@ -583,7 +689,18 @@ def simulate(
     branches; after two steps in a row that do not lower the best residual,
     plain iteration of G takes over from the best map.  At most
     ``cfg.n_periods`` maps are run, and the run is converged when the final
-    residual is at most ``cfg.convergence_tol``.  Extraction uses the final
+    residual is at most ``cfg.convergence_tol``.
+
+    Where the limit binds, the maps that only feed a Newton step run from a
+    plan of switch times (see :meth:`_Loop.period`): the first map's from
+    the describing function, each later one's from the map before.  The map
+    whose residual meets the target is then sampled and screened (see
+    :meth:`_Loop.fill`), and if a screen ends a run before the step the map
+    crossed it is run again, scanned, in its place; so the returned orbit
+    always comes from a sampled, fully screened half period.  The row is
+    scanned from its first map run unplanned on, and once a Newton step
+    fails to lower the residual; plain iteration and the last allowed map
+    are scanned.  Extraction uses the final
     half period and its negation, whose samples are exact up to the
     switch-time tolerance ``cfg.algebraic_loop_tol * dt``.  A non-finite
     state, checked once per map, aborts with :class:`SimulationError`
@@ -614,26 +731,33 @@ def simulate(
         loops[key] = _Loop(plant, z_c, dt, half)
     loop = loops[key]
 
-    y, rail = loop.start(i_max)
+    if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
+        solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
+    y, rail, plan = loop.start(i_max, solution)
     period_powers = []
     best = None  # (residual, end state, end branch) of the best Newton map
     newton, newton_steps, misses = True, 0, 0
     for p in range(cfg.n_periods):
-        run = loop.period(y, rail, i_max, tol)
-        finite = np.isfinite(run.ys[1:])
-        if not finite.all():  # the row search runs only on a diverged map
-            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-            j = p * half + bad
-            raise SimulationError(
-                f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
-                step=j,
-                trace=tuple(run.ys[1 + bad]),
-            )
-        period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
-        u = loop.guards[rail].unknowns
-        end = run.ys[half]
-        gap = end[u] - y[u]
-        residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
+        while True:  # a planned map whose fill is refused runs again, unplanned
+            run = loop.period(y, rail, i_max, tol, plan if p < cfg.n_periods - 1 else None)
+            finite = np.isfinite(run.ys[1:])
+            if not finite.all():  # the row search runs only on a diverged map
+                bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+                j = p * half + bad
+                raise SimulationError(
+                    f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
+                    step=j,
+                    trace=tuple(run.ys[1 + bad]),
+                )
+            u = loop.guards[rail].unknowns
+            end = run.ys[half]
+            gap = end[u] - y[u]
+            residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
+            if not run.runs or residual > target or loop.fill(run, i_max):
+                break
+            plan = None
+        full = not run.runs or residual <= target  # sampled: run unplanned, or filled
+        period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])) if full else math.nan)
         if residual <= target or p == cfg.n_periods - 1:
             break
         if not newton:
@@ -643,8 +767,8 @@ def simulate(
             best, misses = (residual, end, run.rail), 0
         else:
             misses += 1
-        if misses == 2:  # Newton stalls: iterate the map from the best map
-            newton = False
+        if misses == 2:  # Newton stalls: iterate the map, unplanned, from the best map
+            newton, plan = False, None
             _, y, rail = best
             continue
         step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[u][:, u], gap)
@@ -652,6 +776,10 @@ def simulate(
         y[u] = step
         if run.rail:  # the rail holds the current the map ended with
             y[loop.sigma] = end[loop.sigma]
+        # the next plan is this map's switches from the branch the next map starts on, while
+        # planned maps lower the residual; a map run unplanned leaves the row unplanned
+        switches = run.segments[1 + (run.rail != rail) :]
+        plan = [t / dt for _, t, _ in switches] if plan and run.runs and not misses else None
         rail = run.rail
         newton_steps += 1
 
@@ -783,7 +911,7 @@ def validate_df(
     baseline = matched_baseline(src)
 
     sol = solve_operating_point(src, i_max, z_c=z_c, n_harmonics=n_harmonics)
-    sim = simulate(plant, z_c, i_max=i_max, cfg=cfg, n_harmonics=n_harmonics)
+    sim = simulate(plant, z_c, i_max=i_max, cfg=cfg, n_harmonics=n_harmonics, solution=sol)
 
     saturated = i_max < baseline.i_peak_matched
     merit = low_pass_merit(plant)

@@ -338,13 +338,20 @@ def optimal_alpha_m_for_limits(groups: NondimGroups) -> tuple[float, float]:
     With a negligible winding time constant the reactance parameter reduces
     to alpha = -D alpha_m / (R (1 + alpha_m^2) + D), whose magnitude peaks at
     alpha_m = +/- sqrt(1 + D/R).  Plants designed there are least sensitive
-    to amplitude limits, at the cost of detuning from resonance.
+    to amplitude limits, at the cost of detuning from resonance.  The root
+    is formed exactly and rounded once, so it stays finite, about 4.5e161,
+    for R at the least subnormal float.
     """
     if groups.l_cal != 0.0:
         raise DomainError("closed-form optimum assumes a zero winding time constant")
     if groups.r_cal == 0.0:
         raise DomainError("|alpha| is unbounded in alpha_m when R = 0")
-    a = math.sqrt(1.0 + groups.d_cal / groups.r_cal)
+    # as in matched_power: exact integer ratios; num / den = (1 + D/R) 4^56
+    (r_n, r_d), (d_n, d_d) = groups.r_cal.as_integer_ratio(), groups.d_cal.as_integer_ratio()
+    num, den = (d_d * r_n + d_n * r_d) << 112, d_d * r_n
+    root = math.isqrt(num // den)  # the root's floor, at least 2^56
+    # one rounding: the low bit marks a root between root and root + 1
+    a = (2 * root + (root * root * den != num)) / (1 << 57)
     return (a, -a)
 
 

@@ -988,17 +988,19 @@ def powers_by_concatenation(a, dt: float, steps: int) -> np.ndarray:
     return powers
 
 
-def free_orbit_start(loop: ExactLoop, i_max: float) -> tuple[np.ndarray, bool]:
+def free_orbit_start(loop: ExactLoop, i_max: float, sol=None) -> tuple[np.ndarray, bool, None]:
     """The shooting's start before the describing function's: the free
     branch's periodic orbit at t = 0, moved onto the rail, holding the limit
-    ``i_max``, where its current there exceeds it.  ``(start, rail)`` as
-    :meth:`ExactLoop.start` returns it."""
+    ``i_max``, where its current there exceeds it.  ``(start, rail, plan)``
+    as :meth:`ExactLoop.start` returns it, with no switch plan, so every map
+    is run unplanned; the describing function's solution ``sol`` is not
+    read."""
     y = loop.free_orbit()
     current = y @ loop.free.i_row
     if not abs(current) > i_max:
-        return y, False
+        return y, False, None
     y[loop.sigma] = math.copysign(i_max, current)
-    return y, True
+    return y, True, None
 
 
 def groups_exact(groups: NondimGroups) -> tuple[Fraction, Fraction]:

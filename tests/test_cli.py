@@ -922,7 +922,9 @@ class TestSharedLoops:
                     assert getattr(shared, field.name) == getattr(alone, field.name), field.name
             assert shared.sim.waveforms.tobytes() == alone.sim.waveforms.tobytes()
             assert shared.sim.harmonic_currents == alone.sim.harmonic_currents
-            assert shared.sim.period_powers == alone.sim.period_powers
+            # maps run without samples read NaN: compare the powers' bytes
+            assert (np.array(shared.sim.period_powers).tobytes()
+                    == np.array(alone.sim.period_powers).tobytes())
             assert shared.sim.periodicity_residual == alone.sim.periodicity_residual
             assert shared.sim.clip_fraction == alone.sim.clip_fraction
 

@@ -23,6 +23,7 @@ from test_df_validity import draw_design
 from wec_satlin import (
     DomainError,
     SimConfig,
+    SimResult,
     SimulationError,
     dump_waveforms,
     harmonic_decompose,
@@ -655,7 +656,8 @@ class TestPeakBound:
 
         def recorded_period(self, *args):
             run = period(self, *args)
-            segments[-1].append(run.segments)
+            if not segments[-1] or segments[-1][-1] is not run.segments:
+                segments[-1].append(run.segments)  # a planned map run again, scanned, is one map
             return run
 
         def counted_cross(self, *args):
@@ -799,10 +801,20 @@ class TestPowerStack:
 
 
 def _result_bits(res):
-    """Every field of a run's result, in a form == compares bit for bit
-    (the residual and powers are finite here)."""
-    return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents, res.period_powers,
-            res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
+    """Every field of a run's result, in a form == compares bit for bit (the
+    residual is finite here; the powers of maps run without samples are
+    NaN, compared by their bytes)."""
+    return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents,
+            np.array(res.period_powers).tobytes(), res.periods_run, res.newton_steps,
+            res.periodicity_residual, res.clip_fraction)
+
+
+def _describing_function(loop, i_max):
+    """The describing function's solution :func:`simulate` hands the
+    loop's start at the limit ``i_max``; None with no limit."""
+    if not math.isfinite(i_max):
+        return None
+    return solve_operating_point(thevenin_from_plant(loop.plant), i_max, z_c=loop.z_c)
 
 
 def _period_bits(run):
@@ -850,17 +862,19 @@ class TestWindowedScan:
             cfg = SimConfig(steps_per_period=600)
         period, maps = _Loop.period, []
 
-        def recorded_period(self, y, *args):
-            run = period(self, y, *args)
-            maps.append((self, y.copy(), args, run))
+        def recorded_period(self, y, rail, i_max, tol, plan=None):
+            run = period(self, y, rail, i_max, tol, plan)
+            maps.append((self, y.copy(), (rail, i_max, tol), run, plan))
             return run
 
         monkeypatch.setattr(_Loop, "period", recorded_period)
         res = simulate(plant, z_c, i_max=i_max, cfg=cfg)
         if kind != "grazing":
             assert res.clip_fraction > 0.0
-        assert maps
-        for loop, y, args, run in maps:
+        # the maps run without a plan, and the final map, filled if it ran
+        # from one
+        sampled = [m for m in maps[:-1] if m[4] is None] + maps[-1:]
+        for loop, y, args, run, _ in sampled:
             for window in (1, 2, 7, 256):
                 ref = period_windowed(loop, y, *args, window)
                 assert _period_bits(run) == _period_bits(ref), window
@@ -868,17 +882,18 @@ class TestWindowedScan:
     def test_clipped_period_scans_about_one_period(self, monkeypatch):
         # the verify_reactive rows: conjugate control on the reactive plant
         # at the default step count; each map runs half a period, and each
-        # branch run is scanned by one first_candidate call, so a map makes
-        # at most one call more than the candidates it crosses
+        # branch run of a sampled map is scanned by one first_candidate call,
+        # so a sampled map makes at most one call more than the candidates
+        # it crosses; a map run from a plan and not filled screens nothing
         plant = haskind_plant(**REACTIVE_PLANT)
         src = thevenin_from_plant(plant)
         peak = matched_baseline(src).i_peak_matched
-        counts = []  # [first_candidate calls, candidates crossed] per map
+        counts = []  # [first_candidate calls, candidates crossed, sampled] per map
         period, first_candidate, cross = _Loop.period, _Loop.first_candidate, _Loop.cross
 
-        def counted_period(self, *args):
-            counts.append([0, 0])
-            return period(self, *args)
+        def counted_period(self, y, rail, i_max, tol, plan=None):
+            counts.append([0, 0, plan is None])  # a map run from a plan is sampled if final
+            return period(self, y, rail, i_max, tol, plan)
 
         def counted_first_candidate(self, *args):
             counts[-1][0] += 1
@@ -891,14 +906,17 @@ class TestWindowedScan:
         monkeypatch.setattr(_Loop, "period", counted_period)
         monkeypatch.setattr(_Loop, "first_candidate", counted_first_candidate)
         monkeypatch.setattr(_Loop, "cross", counted_cross)
-        runs = [simulate(plant, src.z_th.conjugate(), i_max=frac * peak)
-                for frac in (0.4, 0.6, 0.8, 1.0)]
+        runs = []
+        for frac in (0.4, 0.6, 0.8, 1.0):
+            runs.append(simulate(plant, src.z_th.conjugate(), i_max=frac * peak))
+            counts[-1][2] = True  # the row's final map, filled where it ran from a plan
         assert [res.periods_run for res in runs] == [3, 4, 3, 1]  # half periods
         assert len(counts) == 11
         # the peak bound leaves 22 steps to cross, of 32 without it
-        assert sum(candidates for _, candidates in counts) == 22
-        for calls, candidates in counts:
-            assert 1 <= calls <= candidates + 1
+        assert sum(candidates for _, candidates, _ in counts) == 22
+        assert sum(sampled for _, _, sampled in counts) == 4  # one map per row
+        for calls, candidates, sampled in counts:
+            assert 1 <= calls <= candidates + 1 if sampled else calls == 0
 
 
 class TestRk4Oracle:
@@ -989,7 +1007,7 @@ class TestShooting:
         dt = 2.0 * math.pi / plant.omega / steps
         tol = 1e-12 * dt
         loop = _Loop(plant, z_c, dt, steps // 2)  # the anti-period map
-        y, rail = loop.start(i_max)
+        y, rail, _ = loop.start(i_max, _describing_function(loop, i_max))
         for _ in range(3):  # near the orbit, where Newton uses the Jacobian
             run = loop.period(y, rail, i_max, tol)
             y, rail = run.ys[-1], run.rail
@@ -1108,7 +1126,7 @@ class TestHalfWaveSymmetry:
         out = []
         for plant, z_c, i_max in rows:
             res = simulate(plant, z_c, i_max=i_max)
-            loop, y, rail, _, tol = starts[-1]
+            loop, y, rail, _, tol = starts[-1][:5]  # the final map's start
             steps = 2 * loop.steps
             whole = _Loop(plant, z_c, loop.dt, steps)
             end = -period(whole, y, rail, i_max, tol).ys[steps]  # Phi(y)
@@ -1197,6 +1215,21 @@ class TestDescribingFunctionStart:
         assert few.periods_run == many.periods_run and few.p_avg == many.p_avg
         assert few.harmonic_currents == many.harmonic_currents[:1]
 
+    def test_validation_solves_the_describing_function_once(self, monkeypatch):
+        # validate_df hands its solution to the shooting start, which sums
+        # harmonics 1 to 9 of it; with fewer harmonics simulate solves its own
+        plant, _, i_max = _reactive_rows()[0]
+        reports = {n: validate_df(plant, i_max, n_harmonics=n) for n in (3, 9, 15)}
+        solve, calls = simulate_mod.solve_operating_point, []
+        monkeypatch.setattr(simulate_mod, "solve_operating_point",
+                            lambda *args, **kw: calls.append(kw) or solve(*args, **kw))
+        for n, report in reports.items():
+            calls.clear()
+            again = validate_df(plant, i_max, n_harmonics=n)
+            assert len(calls) == (2 if n < 9 else 1)
+            assert again.sim.waveforms.tobytes() == report.sim.waveforms.tobytes()
+            assert again.sim.waveforms.tobytes() == reports[9].sim.waveforms.tobytes()
+
     def test_first_map_starts_nearer_the_orbit(self):
         # the verify_reactive rows: the free orbit's first residual is 0.36,
         # 0.20 and 0.012 at fractions 0.4, 0.6 and 0.8, the describing
@@ -1206,11 +1239,72 @@ class TestDescribingFunctionStart:
             loop = _Loop(plant, z_c, dt, 1000)
             first = []
             for start in (free_orbit_start, _Loop.start):
-                y, rail = start(loop, i_max)
+                y, rail, _ = start(loop, i_max, _describing_function(loop, i_max))
                 u = loop.guards[rail].unknowns
                 end = loop.period(y, rail, i_max, 1e-12 * dt).ys[-1]
                 first.append(np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u]))
             assert first[1] < 5e-3 < first[0]
+
+
+def _unplanned(monkeypatch):
+    """Switch off the switch plans of :meth:`_Loop.start`, so that every map
+    is run and screened in full, as before plans."""
+    start = _Loop.start
+    monkeypatch.setattr(_Loop, "start", lambda self, *args: start(self, *args)[:2] + (None,))
+
+
+class TestPlannedMaps:
+    """Newton maps run from a plan of switch times: one power and one cross
+    per branch run, unsampled, until the final map is filled and screened."""
+
+    def test_reactive_rows_match_maps_run_without_plans(self, monkeypatch):
+        planned = [simulate(plant, z_c, i_max=i_max) for plant, z_c, i_max in _reactive_rows()]
+        _unplanned(monkeypatch)
+        for res, (plant, z_c, i_max) in zip(planned, _reactive_rows()):
+            ref = simulate(plant, z_c, i_max=i_max)
+            for field in dataclasses.fields(SimResult):
+                if field.name == "waveforms":
+                    assert res.waveforms.tobytes() == ref.waveforms.tobytes()
+                elif field.name != "period_powers":
+                    assert getattr(res, field.name) == getattr(ref, field.name), field.name
+            # a planned map's power is NaN; a sampled one's has the unplanned bits
+            assert len(res.period_powers) == len(ref.period_powers) == res.periods_run
+            for power, ref_power in zip(res.period_powers, ref.period_powers):
+                assert math.isnan(power) or power == ref_power
+            assert res.p_avg == res.period_powers[-1] == ref.p_avg
+
+    def test_clipped_rows_sample_one_map(self):
+        # fractions 0.4, 0.6 and 0.8 run 3, 4 and 3 maps, all but the
+        # final one planned; the unclipped row has no plan
+        for plant, z_c, i_max in _reactive_rows():
+            res = simulate(plant, z_c, i_max=i_max)
+            sampled = [power for power in res.period_powers if not math.isnan(power)]
+            assert sampled == [res.p_avg]
+            assert len(res.period_powers) == res.periods_run
+
+    @pytest.mark.parametrize("change", ["+40", "-40", "missing"])
+    def test_a_wrong_first_plan_reaches_the_same_orbit(self, monkeypatch, change):
+        # the describing function's switches moved 40 steps later or
+        # earlier, or its last switch dropped
+        start = _Loop.start
+
+        def changed(self, *args):
+            y, rail, plan = start(self, *args)
+            if plan is not None:
+                plan = plan[:-1] if change == "missing" else [s + int(change) for s in plan]
+            return y, rail, plan
+
+        planned = []
+        with monkeypatch.context() as patch:
+            patch.setattr(_Loop, "start", changed)
+            for plant, z_c, i_max in _reactive_rows()[:3]:
+                planned.append(simulate(plant, z_c, i_max=i_max))
+        _unplanned(monkeypatch)
+        for res, (plant, z_c, i_max) in zip(planned, _reactive_rows()):
+            ref = simulate(plant, z_c, i_max=i_max)
+            assert res.periodicity_residual <= 1e-12
+            assert res.p_avg == pytest.approx(ref.p_avg, rel=1e-12)
+            assert res.periods_run <= ref.periods_run + 1
 
 
 def test_too_many_switches_in_one_step_raise(monkeypatch):

@@ -406,6 +406,26 @@ class TestOptimalAlphaM:
             sweep[int(np.argmax(mags))] + best
         ) < 2e-4
 
+    def test_tiny_resistance_stays_finite(self):
+        # sqrt(1 + D/R) at the least subnormal R: 1 + D/R overflows a float
+        pair = optimal_alpha_m_for_limits(NondimGroups(5e-324, 1.0, 0.0, 0.0))
+        assert pair[0] == pytest.approx(4.4989137945431964e161, rel=1e-15)
+        assert pair[1] == -pair[0]
+
+    def test_correctly_rounded_at_the_float_range_ends(self):
+        # the nearest float to sqrt(1 + D/R): the exact 1 + D/R lies between
+        # the squares of the midpoints to its two neighbours
+        big, tiny = 1.7976931348623157e308, 5e-324
+        grid = itertools.product((tiny, 1e-300, 1e-3, 0.7, 1.0, 3.0, 1e300, big),
+                                 (tiny, 1e-300, 1e-3, 0.9, 1.0))
+        for r_cal, d_cal in grid:
+            value, negative = optimal_alpha_m_for_limits(NondimGroups(r_cal, d_cal, 0.0, 0.0))
+            exact = 1 + Fraction(d_cal) / Fraction(r_cal)
+            below = (Fraction(math.nextafter(value, 0.0)) + Fraction(value)) / 2
+            above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+            assert below**2 <= exact <= above**2, (r_cal, d_cal)
+            assert negative == -value
+
     def test_guards(self):
         with pytest.raises(DomainError):
             optimal_alpha_m_for_limits(NondimGroups(0.0, 1.0, 0.0, 0.0))
