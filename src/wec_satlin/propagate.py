@@ -128,10 +128,17 @@ class Branch:
 
         Newton's method from the secant guess, kept inside the bracket,
         until the bracket is ``tol`` wide; its positive end is returned.
+        A guard already positive at ``y0`` would have the search halve the
+        bracket onto 0, so the end of that halving is returned at once.
         """
         slope = guard @ self.a
         lo, hi = 0.0, h
         g_lo, g_hi = guard @ y0 - level, guard @ y_hi - level
+        if g_lo > 0.0:
+            hi = 0.5 * h
+            while hi > tol:
+                hi *= 0.5
+            return hi, at(hi)
         tau = h * g_lo / (g_lo - g_hi) if g_lo < g_hi else 0.5 * h
         for _ in range(100):
             if not lo < tau < hi:

@@ -29,7 +29,11 @@ period, which multiplies the branch flows and the saltation matrix of each
 switch.  Where the limit binds, shooting starts from the describing
 function's orbit, a harmonic-balance estimate of the steady state (Kundert,
 Sangiovanni-Vincentelli & White, Steady-State Methods for Simulating Analog
-and Microwave Circuits, 1990).  Identical inputs give bit-identical runs.
+and Microwave Circuits, 1990), and first solves for the start and the half
+period's switch times together, with the switching instants as unknowns
+(di Bernardo et al., Piecewise-smooth Dynamical Systems, 2008); one sampled
+map from that start then checks it.  Identical inputs give bit-identical
+runs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import contextlib
 import contextvars
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -114,12 +117,11 @@ class SimResult:
     Diagnostics of the run: shooting runs the anti-period map G, half a
     period each.  ``period_powers`` holds the mean power of each half
     period run, which on a symmetric orbit is the mean over the period: one
-    entry per map, NaN for a map run from a plan of switch times and not
-    sampled (see :func:`simulate`), so its last entry, the sampled final
-    map's, is ``p_avg``.  ``periods_run`` counts the half-period maps, a
-    planned map run again, scanned, in its place counting once, and
-    ``newton_steps`` how
-    many of them followed a Newton step.  ``periodicity_residual`` is
+    entry per map, so its last entry is ``p_avg``.  ``periods_run`` counts
+    the half-period maps run, 1 on a row the switch-time solve settles (see
+    :func:`simulate`), and ``newton_steps`` the Newton steps of the
+    switch-time solve plus the maps a Newton step followed.
+    ``periodicity_residual`` is
     ||G(y) - y|| / ||y|| of the final map over the plant states, and
     ``converged`` holds exactly when it is at most ``convergence_tol``.
     ``clip_fraction`` is the share of the final period spent on the rail.
@@ -171,6 +173,7 @@ class ValidationReport:
 
 _MAX_EVENTS = 8  # clip switches allowed within one step
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
+_SWITCH_ITERATIONS = 8  # Newton steps the switch-time solve may take
 _TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
 _EPS = np.finfo(float).eps
 # (plant, z_c, steps) -> _Loop while a _shared_loops block is open, else None
@@ -184,10 +187,7 @@ class _Period(NamedTuple):
     factors of the half period's monodromy matrix in the order it applies
     them, a power of a branch's one-step flow for each whole-step run and a
     function forming the step's Jacobian for each step through a switch;
-    and the half period as ``(rail, start, duration)`` segments.  A map run
-    from a plan stores only each branch run's start and the end, and lists
-    its runs as ``(start step, rail, whole steps)`` until :meth:`_Loop.fill`
-    samples them."""
+    and the half period as ``(rail, start, duration)`` segments."""
 
     ys: np.ndarray
     cur: np.ndarray
@@ -195,7 +195,6 @@ class _Period(NamedTuple):
     rail: bool
     factors: list
     segments: list
-    runs: list | tuple = ()
 
     @property
     def jac(self) -> np.ndarray:
@@ -355,9 +354,10 @@ class _Loop:
         return y if np.isfinite(y).all() else self.y0.copy()
 
     def start(self, i_max: float, sol) -> tuple[np.ndarray, bool, list | None]:
-        """Start state, branch and switch plan of the first map under the
+        """Start state, branch and switch plan of the shooting under the
         limit ``i_max``, from the describing function's solution ``sol`` at
-        that limit (None where there is none to use).
+        that limit (None where there is none to use); the plan is the first
+        guess of :meth:`shoot`.
 
         Where the solution says the limit binds (clipping depth I below 1),
         the state at t = 0 of its half-wave symmetric orbit: with I_n and V_n
@@ -508,82 +508,98 @@ class _Loop:
             jac = (guard.reset + jump) @ br.transition(tau) @ jac
         return self.branch(rail).transition(h) @ jac
 
-    def exit_step(self, rail: bool, y, k: int, j: int, i_max: float):
-        """The step in which a run from sample ``k``, state ``y``, on branch
-        ``rail`` leaves it under the limit ``i_max``, sought from the planned
-        step ``j``, and the state there; ``steps`` if the run stays inside
-        the branch.  ``(None, None)``, to run the map
-        unplanned, if it stays inside although ``j`` plans a switch in the
-        half period, if its end is not finite, or if the guard's slope turns
-        before the exit where the branch's peak bound per step, at the run
-        start's size, reaches the limit: there the scan takes the turn as a
-        candidate.
+    def advance(self, rail: bool, t0: float, t1: float, m: np.ndarray) -> np.ndarray:
+        """``m`` carried along branch ``rail`` from time t0 to t1 of the half
+        period as a scanned map carries a state: by :meth:`Branch.transition`
+        over the rest of t0's step, the power of the whole steps between,
+        then the transition over the start of t1's step."""
+        br, dt = self.branch(rail), self.dt
+        first, last = math.ceil(t0 / dt), math.floor(t1 / dt)  # the whole steps' ends
+        if first > last:  # t0 and t1 in one step
+            return br.transition(t1 - t0) @ m
+        m = br.transition(first * dt - t0) @ m
+        if last > first:
+            m = br.powers[last - first - 1] @ m
+        return br.transition(t1 - last * dt) @ m
 
-        The exit is a step whose end sample is outside the branch and whose
-        start sample is inside it or is ``k``.  Each probe is one sample, one
-        power times ``y``: samples ``j`` and ``j + 1`` first, then steps
-        doubling away from the plan to a sample on the other side, then
-        bisection.  A run that leaves and re-enters the branch, or whose
-        first step or a turn near the level is a candidate, may end later
-        than the scan's; :meth:`fill` screens for it.
+    def switched(self, m, rail: bool, taus: list, i_max: float):
+        """The half period from the state in the first column of the matrix
+        ``m``, on branch ``rail``, that switches at the times ``taus``,
+        carried with the derivatives in the other columns, by the start's
+        unknowns and, in the last s columns, by the switch times: G(y) and
+        its derivatives in the same form, and the guard of the branch each
+        switch leaves, over its level, as a row of the same columns.
+
+        At a switch the reset R applies to the whole matrix, and the
+        switch's column becomes R f- - f+, with f- and f+ the vector fields
+        before and after it."""
+        guards, t = [], 0.0
+        for k, tau in enumerate(taus):
+            m = self.advance(rail, t, tau, m)
+            br, guard, t = self.branch(rail), self.guards[rail], tau
+            m[:, k - len(taus)] = br.a @ m[:, 0]  # the state before the switch moves with it
+            # the guard over its level: the current over +-i_max, the release guard over 0
+            level = 0.0 if rail else math.copysign(i_max, guard.row @ m[:, 0])
+            guards.append(guard.row @ m)
+            guards[-1][0] -= level
+            m = guard.reset @ m
+            m[self.sigma, 0] += level  # entering the rail, it holds the limit
+            rail = not rail
+            m[:, k - len(taus)] -= self.branch(rail).a @ m[:, 0]
+        return -self.advance(rail, t, self.steps * self.dt, m), guards
+
+    def shoot(self, y, rail: bool, plan, i_max: float, target: float):
+        """Newton's method on the plant states y[u] and the half period's
+        switch times tau_1..tau_s together, from the start ``y`` on branch
+        ``rail`` and the switch ``plan`` in steps (see :meth:`start`).
+
+        The equations are the anti-period residual G(y)[u] - y[u] and, per
+        switch, the guard of the branch it leaves at its level (Aprille &
+        Trick 1972, with the switching instants as unknowns as in di
+        Bernardo et al., Piecewise-smooth Dynamical Systems, 2008), with the
+        Jacobian :meth:`switched` carries through the s + 1 segments as one
+        n x (1 + n_u + s) matrix, with n_u the unknown plant states.  By
+        half-wave symmetry, a tau that crosses t = 0 moves to the end of the
+        half period, and the start to the other branch, and back.  A start
+        whose residual ||G(y)[u] - y[u]|| / ||y[u]|| is at most ``target``
+        still takes its Newton step, down to rounding.  The solve needs the
+        transitions' Taylor sums: where a whole step's does not converge (a
+        stiff branch, see :meth:`Branch.transition`), the rounding of the
+        matrix exponential keeps its residual above the target.
+
+        Returns ``(start, branch, segments, iterations)``: that start, its
+        branch, the s + 1 segments of its half period and the Newton steps
+        taken.  On a stiff branch, an odd or unordered set of switch times
+        (which also ends a non-finite iterate), or no start at the target
+        within ``_SWITCH_ITERATIONS`` steps, the start and branch given,
+        with 0 segments.
         """
-        br, guard, steps, samples = self.branch(rail), self.guards[rail], self.steps, {k: y}
+        half, start, first, iterations = self.steps * self.dt, y, rail, 0
+        y, taus = y.copy(), [step * self.dt for step in plan]
+        stiff = max(self.free.tail, self.rail.tail) * self.dt**20 > 1e-16
+        while iterations < _SWITCH_ITERATIONS and not stiff:
+            if len(taus) % 2 or not all(a < b for a, b in zip([0.0] + taus, taus + [half])):
+                break
+            u = self.guards[rail].unknowns
+            # y, d/dy[u] and d/dtau: the n x (1 + n_u + s) matrix switched carries
+            e = np.column_stack((y, np.eye(self.n)[:, u], np.zeros((self.n, len(taus)))))
+            m, guards = self.switched(e, rail, taus, i_max)
+            rows = np.vstack([m[u] - e[u]] + guards)  # G(y)[u] - y[u], then the s guards
+            done = np.linalg.norm(rows[: -len(taus), 0]) <= target * np.linalg.norm(y[u])
+            step = np.linalg.solve(rows[:, 1:], -rows[:, 0])  # for y[u], then the s switch times
+            iterations += 1
+            y[u] += step[: -len(taus)]
+            taus = [tau + d for tau, d in zip(taus, step[-len(taus) :].tolist())]
+            if taus[0] <= 0.0 or taus[-1] >= half:  # a switch crossed t = 0
+                taus = (taus[1:] + [taus[0] + half] if taus[0] <= 0.0
+                        else [taus[-1] - half] + taus[:-1])
+                rail = not rail  # entering the rail, the start holds the limit
+                y[self.sigma] = math.copysign(i_max, self.free.i_row @ y)
+            if done:
+                return y, rail, len(taus) + 1, iterations
+        return start, first, 0, iterations
 
-        def sample(s):  # memoized: the search probes some samples twice
-            return samples[s] if s in samples else samples.setdefault(s, br.powers[s - k - 1] @ y)
-
-        def out(s):  # sample s of the run is outside the branch
-            g = guard.row @ sample(s) if s > k else 0.0
-            # on the rail, the release guard signed against the held current
-            return g * y[self.sigma] < 0.0 if rail else abs(g) > i_max
-
-        def turned(s):  # the guard's slope at sample s has left its sign at k
-            return (guard.slope @ sample(s) > 0.0) != (guard.slope @ y > 0.0)
-
-        lo = min(max(j, k), steps - 1)
-        hi, width = lo + 1, 1
-        while out(lo):
-            lo, hi, width = max(lo - width, k), lo, 2 * width
-        found = out(hi)
-        while not found and hi < steps:
-            lo, hi, width = hi, min(hi + width, steps), 2 * width
-            found = out(hi)
-        end = lo + bisect_left(range(lo + 1, hi), True, key=out) if found else steps
-        if end == steps and (j < steps or not np.isfinite(sample(steps)).all()):
-            return None, None
-        if guard.peak * max(map(abs, y.tolist())) >= i_max and turned(end):
-            return None, None  # a slope turn the scan likely crosses: run the map scanned
-        return end, sample(end)
-
-    def scan(self, ys, cur, vl, k: int, length: int, rail: bool, i_max: float) -> int:
-        """Sample ``length`` steps of the run from ``ys[k]`` on branch
-        ``rail`` with one matrix-vector product of the powers stack, and
-        their currents ``cur``, and return the whole steps before the run's
-        first candidate (see :meth:`first_candidate`), over which the load
-        voltages ``vl`` are sampled; all in place."""
-        br, stop = self.branch(rail), k + length + 1
-        np.matmul(br.powers[:length].reshape(-1, self.n), ys[k], out=ys[k + 1 : stop].reshape(-1))
-        # the sample before the run keeps the product a matrix-vector one
-        cur[k + 1 : stop] = (ys[k:stop] @ br.i_row)[1:]
-        m = self.first_candidate(rail, ys[k:stop], cur[k:stop], i_max)
-        vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
-        return m
-
-    def fill(self, run: _Period, i_max: float) -> bool:
-        """Sample and screen, in place, each branch run of a map run from a
-        plan by :meth:`scan`, so with the bits of an unplanned map.  False
-        if a screen ends a run before the step the map crossed, which the
-        unplanned map would have crossed first: the map is then not the one
-        :meth:`period` runs unplanned, and is left partly sampled."""
-        ys, cur, vl = run.ys, run.cur, run.vl
-        for k, rail, m in run.runs:
-            if self.scan(ys, cur, vl, k, m, rail, i_max) < m:
-                return False
-        if k + m == self.steps:  # the last run sampled the end anew: negate it again
-            ys[k + m], cur[k + m], vl[k + m] = -ys[k + m], -cur[k + m], -vl[k + m]
-        return True
-
-    def period(self, y, rail: bool, i_max: float, tol: float, plan=None) -> _Period:
+    def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
         """The anti-period map G(y) = -Phi_half(y) under the limit
         ``i_max``: half a period from ``y`` on branch ``rail``, with the
         oscillator restarted at its phase, then the end state negated.  Its
@@ -599,24 +615,14 @@ class _Loop:
         rest of the half period, and one :meth:`first_candidate` call finds
         where the run ends.  The samples past that step are overwritten by
         the runs that follow it.
-
-        Given a ``plan``, the switch times in steps from the branch ``rail``
-        on, repeated every half period, each run ends instead at the step
-        :meth:`exit_step` finds near its next planned switch, reached by one
-        power, and is neither sampled nor screened: the steps crossed, and
-        so the factors and the end, are the unplanned map's where that step
-        is the run's first candidate, and :meth:`fill` samples the map
-        later.  Only the run starts and the end are stored, and ``runs``
-        lists the runs.  The map is run unplanned where :meth:`exit_step`
-        gives up on a run.
         """
         steps, n, dt = self.steps, self.n, self.dt
-        ys, cur, vl = np.zeros((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
+        ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
         ys[0] = y
         ys[0, self.osc] = self.y0[self.osc]
         cur[0] = ys[0] @ self.branch(rail).i_row
         vl[0] = ys[0] @ self.branch(rail).v_row
-        factors, segments, runs, first = [], [], [], rail
+        factors, segments = [], []
 
         def add(on_rail, start, duration):
             if segments and segments[-1][0] == on_rail:
@@ -627,16 +633,11 @@ class _Loop:
         k = 0
         while k < steps:
             br = self.branch(rail)
-            if plan is None:
-                m = self.scan(ys, cur, vl, k, steps - k, rail, i_max)
-            else:
-                i = max(len(segments) - 1, 0)  # the switches crossed so far
-                j = int(plan[i % len(plan)] + steps * (i // len(plan))) if plan else steps
-                m, x = self.exit_step(rail, ys[k], k, j, i_max)
-                if x is None:
-                    return self.period(y, first, i_max, tol)
-                ys[m], m = x, m - k
-                runs.append((k, rail, m))
+            np.matmul(br.powers[: steps - k].reshape(-1, n), ys[k], out=ys[k + 1 :].reshape(-1))
+            # the sample before the run keeps the product a matrix-vector one
+            cur[k + 1 :] = (ys[k:] @ br.i_row)[1:]
+            m = self.first_candidate(rail, ys[k:], cur[k:], i_max)
+            vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             if m:
                 factors.append(br.powers[m - 1])
                 add(rail, k * dt, m * dt)
@@ -652,7 +653,7 @@ class _Loop:
                     start += duration
                 k += 1
         ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-        return _Period(ys, cur, vl, rail, factors, segments, runs)
+        return _Period(ys, cur, vl, rail, factors, segments)
 
 
 def simulate(
@@ -691,17 +692,16 @@ def simulate(
     ``cfg.n_periods`` maps are run, and the run is converged when the final
     residual is at most ``cfg.convergence_tol``.
 
-    Where the limit binds, the maps that only feed a Newton step run from a
-    plan of switch times (see :meth:`_Loop.period`): the first map's from
-    the describing function, each later one's from the map before.  The map
-    whose residual meets the target is then sampled and screened (see
-    :meth:`_Loop.fill`), and if a screen ends a run before the step the map
-    crossed it is run again, scanned, in its place; so the returned orbit
-    always comes from a sampled, fully screened half period.  The row is
-    scanned from its first map run unplanned on, and once a Newton step
-    fails to lower the residual; plain iteration and the last allowed map
-    are scanned.  Extraction uses the final
-    half period and its negation, whose samples are exact up to the
+    Where the limit binds, Newton's method first solves for the start and
+    the half period's switch times together, from the describing function's
+    clip angles (see :meth:`_Loop.shoot`), propagating each segment exactly
+    without sampling it.  One map, sampled and screened, is then run from
+    the start it finds; where that map meets the target with the solve's
+    segment count the row is done, so the returned orbit always comes from
+    a sampled, fully screened half period.  Where the solve fails, the maps
+    start from the describing function's orbit as above, and where its map
+    misses, Newton steps on maps go on from that map.  Extraction uses the
+    final half period and its negation, whose samples are exact up to the
     switch-time tolerance ``cfg.algebraic_loop_tol * dt``.  A non-finite
     state, checked once per map, aborts with :class:`SimulationError`
     carrying the step index, counted over the half periods run.
@@ -734,31 +734,27 @@ def simulate(
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
     y, rail, plan = loop.start(i_max, solution)
+    y, rail, segments, newton_steps = (loop.shoot(y, rail, plan, i_max, target) if plan
+                                       else (y, rail, 0, 0))
     period_powers = []
     best = None  # (residual, end state, end branch) of the best Newton map
-    newton, newton_steps, misses = True, 0, 0
+    newton, misses = True, 0
     for p in range(cfg.n_periods):
-        while True:  # a planned map whose fill is refused runs again, unplanned
-            run = loop.period(y, rail, i_max, tol, plan if p < cfg.n_periods - 1 else None)
-            finite = np.isfinite(run.ys[1:])
-            if not finite.all():  # the row search runs only on a diverged map
-                bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-                j = p * half + bad
-                raise SimulationError(
-                    f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
-                    step=j,
-                    trace=tuple(run.ys[1 + bad]),
-                )
-            u = loop.guards[rail].unknowns
-            end = run.ys[half]
-            gap = end[u] - y[u]
-            residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
-            if not run.runs or residual > target or loop.fill(run, i_max):
-                break
-            plan = None
-        full = not run.runs or residual <= target  # sampled: run unplanned, or filled
-        period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])) if full else math.nan)
-        if residual <= target or p == cfg.n_periods - 1:
+        run = loop.period(y, rail, i_max, tol)
+        finite = np.isfinite(run.ys[1:])
+        if not finite.all():  # the row search runs only on a diverged map
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            j = p * half + bad
+            raise SimulationError(f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
+                                  step=j, trace=tuple(run.ys[1 + bad]))
+        period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
+        u = loop.guards[rail].unknowns
+        end = run.ys[half]
+        gap = end[u] - y[u]
+        residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
+        # the map from a switch-time solve's start must also keep its segment count
+        settled = residual <= target and (p or not segments or len(run.segments) == segments)
+        if settled or p == cfg.n_periods - 1:
             break
         if not newton:
             y, rail = end, run.rail
@@ -767,8 +763,8 @@ def simulate(
             best, misses = (residual, end, run.rail), 0
         else:
             misses += 1
-        if misses == 2:  # Newton stalls: iterate the map, unplanned, from the best map
-            newton, plan = False, None
+        if misses == 2:  # Newton stalls: iterate the map from the best map
+            newton = False
             _, y, rail = best
             continue
         step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[u][:, u], gap)
@@ -776,10 +772,6 @@ def simulate(
         y[u] = step
         if run.rail:  # the rail holds the current the map ended with
             y[loop.sigma] = end[loop.sigma]
-        # the next plan is this map's switches from the branch the next map starts on, while
-        # planned maps lower the residual; a map run unplanned leaves the row unplanned
-        switches = run.segments[1 + (run.rail != rail) :]
-        plan = [t / dt for _, t, _ in switches] if plan and run.runs and not misses else None
         rail = run.rail
         newton_steps += 1
 

@@ -992,9 +992,9 @@ def free_orbit_start(loop: ExactLoop, i_max: float, sol=None) -> tuple[np.ndarra
     """The shooting's start before the describing function's: the free
     branch's periodic orbit at t = 0, moved onto the rail, holding the limit
     ``i_max``, where its current there exceeds it.  ``(start, rail, plan)``
-    as :meth:`ExactLoop.start` returns it, with no switch plan, so every map
-    is run unplanned; the describing function's solution ``sol`` is not
-    read."""
+    as :meth:`ExactLoop.start` returns it, with no switch plan, so the
+    switch-time solve does not run; the describing function's solution
+    ``sol`` is not read."""
     y = loop.free_orbit()
     current = y @ loop.free.i_row
     if not abs(current) > i_max:

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from test_df_validity import draw_design
 from wec_satlin import (
     DomainError,
     SimConfig,
-    SimResult,
     SimulationError,
     dump_waveforms,
     harmonic_decompose,
@@ -37,11 +37,13 @@ from wec_satlin import (
     validate_df,
     z_from_gamma,
 )
+from wec_satlin.config import load_config
 from wec_satlin.propagate import Branch, expm, flow
 from wec_satlin.simulate import _Loop, _shared_loops
 from wec_satlin.wec import WecPlant
 
 simulate_mod = importlib.import_module("wec_satlin.simulate")
+GOLDEN_INI = os.path.join(os.path.dirname(__file__), "data", "golden.ini")
 
 # (l_w, controller reactance / resistance) of the five realizations of the
 # loop on the low-pass plant: series stiffness with and without a winding,
@@ -656,8 +658,7 @@ class TestPeakBound:
 
         def recorded_period(self, *args):
             run = period(self, *args)
-            if not segments[-1] or segments[-1][-1] is not run.segments:
-                segments[-1].append(run.segments)  # a planned map run again, scanned, is one map
+            segments[-1].append(run.segments)
             return run
 
         def counted_cross(self, *args):
@@ -801,12 +802,10 @@ class TestPowerStack:
 
 
 def _result_bits(res):
-    """Every field of a run's result, in a form == compares bit for bit (the
-    residual is finite here; the powers of maps run without samples are
-    NaN, compared by their bytes)."""
-    return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents,
-            np.array(res.period_powers).tobytes(), res.periods_run, res.newton_steps,
-            res.periodicity_residual, res.clip_fraction)
+    """Every field of a run's result, in a form == compares bit for bit
+    (the residual and powers are finite here)."""
+    return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents, res.period_powers,
+            res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
 
 
 def _describing_function(loop, i_max):
@@ -862,19 +861,17 @@ class TestWindowedScan:
             cfg = SimConfig(steps_per_period=600)
         period, maps = _Loop.period, []
 
-        def recorded_period(self, y, rail, i_max, tol, plan=None):
-            run = period(self, y, rail, i_max, tol, plan)
-            maps.append((self, y.copy(), (rail, i_max, tol), run, plan))
+        def recorded_period(self, y, *args):
+            run = period(self, y, *args)
+            maps.append((self, y.copy(), args, run))
             return run
 
         monkeypatch.setattr(_Loop, "period", recorded_period)
         res = simulate(plant, z_c, i_max=i_max, cfg=cfg)
         if kind != "grazing":
             assert res.clip_fraction > 0.0
-        # the maps run without a plan, and the final map, filled if it ran
-        # from one
-        sampled = [m for m in maps[:-1] if m[4] is None] + maps[-1:]
-        for loop, y, args, run, _ in sampled:
+        assert maps
+        for loop, y, args, run in maps:
             for window in (1, 2, 7, 256):
                 ref = period_windowed(loop, y, *args, window)
                 assert _period_bits(run) == _period_bits(ref), window
@@ -882,18 +879,18 @@ class TestWindowedScan:
     def test_clipped_period_scans_about_one_period(self, monkeypatch):
         # the verify_reactive rows: conjugate control on the reactive plant
         # at the default step count; each map runs half a period, and each
-        # branch run of a sampled map is scanned by one first_candidate call,
-        # so a sampled map makes at most one call more than the candidates
-        # it crosses; a map run from a plan and not filled screens nothing
+        # branch run is scanned by one first_candidate call, so a map makes
+        # at most one call more than the candidates it crosses; each row
+        # runs one map from the switch-time solve's start
         plant = haskind_plant(**REACTIVE_PLANT)
         src = thevenin_from_plant(plant)
         peak = matched_baseline(src).i_peak_matched
-        counts = []  # [first_candidate calls, candidates crossed, sampled] per map
+        counts = []  # [first_candidate calls, candidates crossed] per map
         period, first_candidate, cross = _Loop.period, _Loop.first_candidate, _Loop.cross
 
-        def counted_period(self, y, rail, i_max, tol, plan=None):
-            counts.append([0, 0, plan is None])  # a map run from a plan is sampled if final
-            return period(self, y, rail, i_max, tol, plan)
+        def counted_period(self, *args):
+            counts.append([0, 0])
+            return period(self, *args)
 
         def counted_first_candidate(self, *args):
             counts[-1][0] += 1
@@ -906,17 +903,14 @@ class TestWindowedScan:
         monkeypatch.setattr(_Loop, "period", counted_period)
         monkeypatch.setattr(_Loop, "first_candidate", counted_first_candidate)
         monkeypatch.setattr(_Loop, "cross", counted_cross)
-        runs = []
-        for frac in (0.4, 0.6, 0.8, 1.0):
-            runs.append(simulate(plant, src.z_th.conjugate(), i_max=frac * peak))
-            counts[-1][2] = True  # the row's final map, filled where it ran from a plan
-        assert [res.periods_run for res in runs] == [3, 4, 3, 1]  # half periods
-        assert len(counts) == 11
-        # the peak bound leaves 22 steps to cross, of 32 without it
-        assert sum(candidates for _, candidates, _ in counts) == 22
-        assert sum(sampled for _, _, sampled in counts) == 4  # one map per row
-        for calls, candidates, sampled in counts:
-            assert 1 <= calls <= candidates + 1 if sampled else calls == 0
+        runs = [simulate(plant, src.z_th.conjugate(), i_max=frac * peak)
+                for frac in (0.4, 0.6, 0.8, 1.0)]
+        assert [res.periods_run for res in runs] == [1, 1, 1, 1]  # half periods
+        assert len(counts) == 4
+        # the peak bound leaves 7 steps to cross, of 10 without it
+        assert sum(candidates for _, candidates in counts) == 7
+        for calls, candidates in counts:
+            assert 1 <= calls <= candidates + 1
 
 
 class TestRk4Oracle:
@@ -1042,6 +1036,7 @@ class TestShooting:
 
     def test_stalled_newton_falls_back_to_period_iteration(self, lowpass_plant, fast_sim,
                                                            monkeypatch):
+        _solve_off(monkeypatch)  # with it, the row settles in one map
         src = thevenin_from_plant(lowpass_plant)
         i_max = 0.4 * matched_baseline(src).i_peak_matched
         good = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=fast_sim)
@@ -1246,46 +1241,91 @@ class TestDescribingFunctionStart:
             assert first[1] < 5e-3 < first[0]
 
 
-def _unplanned(monkeypatch):
-    """Switch off the switch plans of :meth:`_Loop.start`, so that every map
-    is run and screened in full, as before plans."""
-    start = _Loop.start
-    monkeypatch.setattr(_Loop, "start", lambda self, *args: start(self, *args)[:2] + (None,))
+def _solve_off(monkeypatch):
+    """Switch off the switch-time solve of :meth:`_Loop.shoot`, so that
+    every row shoots by scanned maps from the describing function's start."""
+    monkeypatch.setattr(simulate_mod, "_SWITCH_ITERATIONS", 0)
+
+
+def _golden_rows():
+    """(plant, z_c, i_max, cfg) of the clipped rows of golden.ini's verify."""
+    cfg = load_config(GOLDEN_INI)
+    plant = cfg.require_plant("verify")
+    src = thevenin_from_plant(plant)
+    peak = matched_baseline(src).i_peak_matched
+    return [(plant, src.z_th.conjugate(), frac * peak, cfg.sim)
+            for frac in cfg.i_max_fractions if frac < 1.0]
+
+
+def _final_maps(monkeypatch, rows):
+    """Each row's result and the segments of its final map, for rows
+    ``(plant, z_c, i_max[, cfg])``."""
+    period, last, out = _Loop.period, [], []
+
+    def recorded(self, *args):
+        run = period(self, *args)
+        last.append(run.segments)
+        return run
+
+    with monkeypatch.context() as patch, _shared_loops():
+        patch.setattr(_Loop, "period", recorded)
+        for plant, z_c, i_max, *cfg in rows:
+            out.append((simulate(plant, z_c, i_max=i_max, cfg=(cfg or [None])[0]), last[-1]))
+    return out
+
+
+def _assert_same_orbits(solved, scanned):
+    """The rows reach the same switch structure and power both ways: the
+    final maps' branch sequences agree, their switches to 1e-9 of the
+    period, and p_avg to 1e-11 relative."""
+    for (res, segments), (ref, ref_segments) in zip(solved, scanned, strict=True):
+        assert res.periodicity_residual <= 1e-12
+        assert res.p_avg == pytest.approx(ref.p_avg, rel=1e-11)
+        assert [rail for rail, _, _ in segments] == [rail for rail, _, _ in ref_segments]
+        period = 2.0 * math.pi / res.omega
+        for (_, start, _), (_, ref_start, _) in zip(segments, ref_segments):
+            assert abs(start - ref_start) <= 1e-9 * period
 
 
 class TestPlannedMaps:
-    """Newton maps run from a plan of switch times: one power and one cross
-    per branch run, unsampled, until the final map is filled and screened."""
+    """Shooting from the describing function's plan of switch times: Newton's
+    method on the start and the switch times together, then one scanned
+    map, against scanned shooting with the solve switched off."""
 
     def test_reactive_rows_match_maps_run_without_plans(self, monkeypatch):
-        planned = [simulate(plant, z_c, i_max=i_max) for plant, z_c, i_max in _reactive_rows()]
-        _unplanned(monkeypatch)
-        for res, (plant, z_c, i_max) in zip(planned, _reactive_rows()):
-            ref = simulate(plant, z_c, i_max=i_max)
-            for field in dataclasses.fields(SimResult):
-                if field.name == "waveforms":
-                    assert res.waveforms.tobytes() == ref.waveforms.tobytes()
-                elif field.name != "period_powers":
-                    assert getattr(res, field.name) == getattr(ref, field.name), field.name
-            # a planned map's power is NaN; a sampled one's has the unplanned bits
-            assert len(res.period_powers) == len(ref.period_powers) == res.periods_run
-            for power, ref_power in zip(res.period_powers, ref.period_powers):
-                assert math.isnan(power) or power == ref_power
-            assert res.p_avg == res.period_powers[-1] == ref.p_avg
+        # the verify_reactive rows and the clipped golden.ini rows
+        rows = _reactive_rows() + _golden_rows()
+        solved = _final_maps(monkeypatch, rows)
+        _solve_off(monkeypatch)
+        scanned = _final_maps(monkeypatch, rows)
+        _assert_same_orbits(solved, scanned)
+        for (res, _), (ref, _) in zip(solved, scanned):
+            assert res.periods_run <= ref.periods_run
+
+    def test_seeded_rows_match_maps_run_without_plans(self, monkeypatch):
+        solved = _final_maps(monkeypatch, _seeded_rows())
+        _solve_off(monkeypatch)
+        scanned = _final_maps(monkeypatch, _seeded_rows())
+        _assert_same_orbits(solved, scanned)
+        # a row whose solve fails, or whose map misses, may run one map more
+        for (res, _), (ref, _) in zip(solved, scanned):
+            assert res.periods_run <= ref.periods_run + 1
+        # 176 of the 180 rows settle in one map
+        assert sum(res.periods_run == 1 for res, _ in solved) >= 170
 
     def test_clipped_rows_sample_one_map(self):
-        # fractions 0.4, 0.6 and 0.8 run 3, 4 and 3 maps, all but the
-        # final one planned; the unclipped row has no plan
-        for plant, z_c, i_max in _reactive_rows():
-            res = simulate(plant, z_c, i_max=i_max)
-            sampled = [power for power in res.period_powers if not math.isnan(power)]
-            assert sampled == [res.p_avg]
-            assert len(res.period_powers) == res.periods_run
+        # four switch-time iterations, the last one taken from a start
+        # already at the target, then one scanned map; the unclipped row
+        # has no plan and starts on its free orbit
+        runs = [simulate(plant, z_c, i_max=i_max) for plant, z_c, i_max in _reactive_rows()]
+        assert [res.newton_steps for res in runs] == [4, 4, 4, 0]
+        for res in runs:
+            assert res.periods_run == 1 and res.period_powers == [res.p_avg]
 
     @pytest.mark.parametrize("change", ["+40", "-40", "missing"])
     def test_a_wrong_first_plan_reaches_the_same_orbit(self, monkeypatch, change):
         # the describing function's switches moved 40 steps later or
-        # earlier, or its last switch dropped
+        # earlier, or its last switch dropped, which the solve cannot use
         start = _Loop.start
 
         def changed(self, *args):
@@ -1294,17 +1334,103 @@ class TestPlannedMaps:
                 plan = plan[:-1] if change == "missing" else [s + int(change) for s in plan]
             return y, rail, plan
 
-        planned = []
         with monkeypatch.context() as patch:
             patch.setattr(_Loop, "start", changed)
-            for plant, z_c, i_max in _reactive_rows()[:3]:
-                planned.append(simulate(plant, z_c, i_max=i_max))
-        _unplanned(monkeypatch)
-        for res, (plant, z_c, i_max) in zip(planned, _reactive_rows()):
-            ref = simulate(plant, z_c, i_max=i_max)
-            assert res.periodicity_residual <= 1e-12
-            assert res.p_avg == pytest.approx(ref.p_avg, rel=1e-12)
+            solved = _final_maps(monkeypatch, _reactive_rows()[:3])
+        _solve_off(monkeypatch)
+        scanned = _final_maps(monkeypatch, _reactive_rows()[:3])
+        _assert_same_orbits(solved, scanned)
+        for (res, _), (ref, _) in zip(solved, scanned):
             assert res.periods_run <= ref.periods_run + 1
+
+    def test_a_capped_solve_falls_back_to_scanned_shooting(self, monkeypatch):
+        # one switch-time iteration cannot reach the target: the row shoots
+        # by scanned maps from the describing function's start, after it
+        rows = _reactive_rows()[:3]
+        monkeypatch.setattr(simulate_mod, "_SWITCH_ITERATIONS", 1)
+        capped = [simulate(plant, z_c, i_max=i_max) for plant, z_c, i_max in rows]
+        _solve_off(monkeypatch)
+        for res, (plant, z_c, i_max) in zip(capped, rows):
+            ref = simulate(plant, z_c, i_max=i_max)
+            assert res.converged and res.periods_run == ref.periods_run > 1
+            assert _result_bits(dataclasses.replace(res, newton_steps=res.newton_steps - 1)) \
+                == _result_bits(ref)
+
+    def test_a_non_finite_iterate_falls_back_to_scanned_shooting(self, monkeypatch):
+        # derivatives of NaN make the first Newton step NaN, which fails the
+        # next iteration's order check on the switch times
+        rows = _reactive_rows()[:3]
+        switched = _Loop.switched
+
+        def no_derivatives(self, *args):
+            m, guards = switched(self, *args)
+            m[:, 1:] = np.nan
+            return m, guards
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Loop, "switched", no_derivatives)
+            broken = [simulate(plant, z_c, i_max=i_max) for plant, z_c, i_max in rows]
+        _solve_off(monkeypatch)
+        for res, (plant, z_c, i_max) in zip(broken, rows):
+            ref = simulate(plant, z_c, i_max=i_max)
+            assert _result_bits(dataclasses.replace(res, newton_steps=res.newton_steps - 1)) \
+                == _result_bits(ref)
+
+    @pytest.mark.parametrize("miss", ["start", "segments"])
+    def test_a_map_off_the_solve_carries_on_shooting(self, monkeypatch, miss):
+        # the map from the solved start must meet the target with the
+        # solve's segment count; else Newton steps on scanned maps go on
+        # from it: a start moved by 1e-9 relative, or a count off by two
+        shoot = _Loop.shoot
+
+        def missed(self, *args):
+            y, rail, segments, iterations = shoot(self, *args)
+            if miss == "start":
+                y = y * (1.0 + 1e-9)
+            return y, rail, segments + 2 * (miss == "segments"), iterations
+
+        rows = _reactive_rows()[:3]
+        solved = _final_maps(monkeypatch, rows)
+        monkeypatch.setattr(_Loop, "shoot", missed)
+        missing = _final_maps(monkeypatch, rows)
+        _assert_same_orbits(missing, solved)
+        for (res, _), (ref, _) in zip(missing, solved):
+            assert res.periods_run > 1  # a Newton step follows each map but the last
+            assert res.newton_steps == ref.newton_steps + res.periods_run - 1
+
+    def test_stiff_paths_leave_the_row_to_scanned_shooting(self, monkeypatch):
+        # at l_w = 5e-5 the state's part-step paths need the matrix
+        # exponential, whose rounding keeps the solve off the target: the
+        # solve gives up at once and the run is that of scanned shooting
+        plant = haskind_plant(**dict(REACTIVE_PLANT, l_w=5e-5))
+        src = thevenin_from_plant(plant)
+        i_max = 0.6 * matched_baseline(src).i_peak_matched
+        res = simulate(plant, src.z_th.conjugate(), i_max=i_max)
+        _solve_off(monkeypatch)
+        assert _result_bits(res) == _result_bits(simulate(plant, src.z_th.conjugate(),
+                                                          i_max=i_max))
+        assert res.periodicity_residual <= 1e-12
+
+    def test_no_switch_search_runs_long(self, monkeypatch):
+        # with the solve off, the row at fraction 0.6 starts on the rail
+        # with its release guard already positive; the search returns the
+        # end of the halving onto 0 without evaluating the path 40 times
+        locate, evaluations = Branch.locate, []
+
+        def counted(self, at, *args):
+            evaluations.append(0)
+
+            def counted_at(tau):
+                evaluations[-1] += 1
+                return at(tau)
+
+            return locate(self, counted_at, *args)
+
+        _solve_off(monkeypatch)
+        monkeypatch.setattr(Branch, "locate", counted)
+        for plant, z_c, i_max in _reactive_rows():
+            simulate(plant, z_c, i_max=i_max)
+        assert evaluations and max(evaluations) <= 10
 
 
 def test_too_many_switches_in_one_step_raise(monkeypatch):

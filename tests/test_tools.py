@@ -1,0 +1,27 @@
+"""Smoke tests for the scripts in tools/."""
+
+import importlib.util
+import os
+
+HERE = os.path.dirname(__file__)
+ROOT = os.path.dirname(HERE)
+
+
+def _tool(name):
+    """The script ``tools/<name>.py`` imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_inprocess_runs_one_tree_against_itself(capsys):
+    src = os.path.join(ROOT, "src")
+    ini = os.path.join(HERE, "data", "golden.ini")
+    code = _tool("ab_inprocess").main([src, src, "--config", ini, "--command", "verify", "-n", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0].startswith("pairs 2  command verify")
+    median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
+    assert q1 <= median <= q3 and median > 0.0
+    assert lines[2] == "outputs byte-identical: yes"
