@@ -12,7 +12,8 @@ to the periodic orbit replaced, the concatenating doubling the in-place
 power stack replaced, the free-orbit start of the shooting that the
 describing function's start replaced, the windowed period scan that one
 scan per branch run replaced, and exact rational and plain float forms of
-the dimensionless-group formulas.
+the dimensionless-group formulas, and the matrix exponential of a branch
+generator in high-precision decimal arithmetic.
 """
 
 import cmath
@@ -32,7 +33,6 @@ from wec_satlin.descfcn import (
     saturation_factor,
 )
 from wec_satlin.mismatch import TheveninSource, optimal_angle
-from wec_satlin.propagate import flow
 from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _Period, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
@@ -979,13 +979,52 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
     return _Period(ys, cur, vl, rail, factors, segments)
 
 
-def powers_by_concatenation(a, dt: float, steps: int) -> np.ndarray:
-    """E, E^2, ..., E^steps for E = flow(a, dt), grown by doubling
-    E^(j+L) = E^j E^L with one new array per doubling."""
-    powers = flow(a, dt)[None]
+def powers_by_concatenation(branch, dt: float, steps: int) -> np.ndarray:
+    """E, E^2, ..., E^steps for the branch's one-step flow
+    E = ``branch.transition(dt)``, grown by doubling E^(j+L) = E^j E^L with
+    one new array per doubling."""
+    powers = branch.transition(dt)[None]
     while len(powers) < steps:
         powers = np.concatenate([powers, powers[: steps - len(powers)] @ powers[-1]])
     return powers
+
+
+def expm_decimal(a, h: float, digits: int = 60) -> np.ndarray:
+    """expm(a h) of the float matrix ``a`` and step ``h``, taken exactly, in
+    ``digits``-digit decimal arithmetic: a h scaled by 2^-s to a 1-norm of
+    at most 1/2, its Taylor series summed until a term is below the
+    precision, then squared s times.  Squaring a stiff flow loses digits,
+    so the context carries 30 more than asked for."""
+    n = len(a)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 30
+        ctx.Emin = -99999
+        dec = decimal.Decimal
+        ah = [[dec(float(x)) * dec(float(h)) for x in row] for row in np.asarray(a)]
+        norm = max(sum(abs(ah[i][j]) for i in range(n)) for j in range(n))
+        squarings = 0
+        while norm > dec("0.5"):
+            norm /= 2
+            squarings += 1
+        factor = dec(2) ** -squarings
+        m = [[x * factor for x in row] for row in ah]
+
+        def mul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+
+        total = [[dec(int(i == j)) for j in range(n)] for i in range(n)]
+        term, k = total, 0
+        tiny = dec(10) ** -(digits + 25)
+        while True:
+            k += 1
+            term = [[x / k for x in row] for row in mul(term, m)]
+            total = [[t + x for t, x in zip(trow, xrow)] for trow, xrow in zip(total, term)]
+            if max(abs(x) for row in term for x in row) <= tiny:
+                break
+        for _ in range(squarings):
+            total = mul(total, total)
+        return np.array([[float(x) for x in row] for row in total])
 
 
 def free_orbit_start(loop: ExactLoop, i_max: float, sol=None) -> tuple[np.ndarray, bool, None]:

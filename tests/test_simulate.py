@@ -14,6 +14,7 @@ from conftest import random_plant, random_load
 from oracles import (
     circuit_solution,
     dump_waveforms_rowwise,
+    expm_decimal,
     free_orbit_start,
     period_windowed,
     powers_by_concatenation,
@@ -38,7 +39,7 @@ from wec_satlin import (
     z_from_gamma,
 )
 from wec_satlin.config import load_config
-from wec_satlin.propagate import Branch, expm, flow
+from wec_satlin.propagate import Branch, balance, expm, flow
 from wec_satlin.simulate import _Loop, _shared_loops
 from wec_satlin.wec import WecPlant
 
@@ -478,6 +479,42 @@ class TestExpm:
         assert np.array_equal(flow(gen, 1.0)[0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(flow(gen, 1.0), scipy_expm(gen), rtol=1e-12, atol=1e-14)
 
+    def test_balance_is_an_exact_similarity_that_ignores_the_step(self):
+        # a badly scaled current row, 1e4 against at most 3 for the other
+        # rows: the power-of-two diagonal evens its row and column, cutting
+        # the 1-norm from 1e4 to 14, and leaves the held state's zero row
+        gen = np.array([[0.0, 1.0, 0.0, 0.0], [-2.5, -0.5, -1e-3, 0.0],
+                        [0.0, 1e4, -10.0, 1e2], [0.0, 0.0, 0.0, 0.0]])
+        d = balance(gen)
+        assert np.all(np.frexp(d)[0] == 0.5) and d[3] == 1.0
+        for h in (1e-3, 0.37, 2.0**-10, 5.0):
+            assert np.array_equal(balance(gen * h), d)
+        balanced = gen * (d / d[:, None])
+        assert np.array_equal(balanced * (d[:, None] / d), gen)
+        assert np.linalg.norm(balanced, 1) < 15.0 < 1e4 < np.linalg.norm(gen, 1)
+        # flow balances the generator itself where no scale is given
+        assert np.array_equal(flow(gen, 0.01), flow(gen, 0.01, d))
+
+    def test_non_finite_generator_is_not_balanced(self):
+        assert np.array_equal(balance(np.array([[0.0, np.inf], [1.0, 0.0]])), [1.0, 1.0])
+
+    def test_balance_stays_finite_across_the_whole_float_range(self):
+        # entries 2e631 apart: one unbounded update would scale by 2^1048,
+        # which overflows to inf
+        d = balance(np.array([[0.0, 1e308], [5e-324, 0.0]]))
+        assert np.isfinite(d).all() and np.all(np.frexp(d)[0] == 0.5)
+
+    def test_decimal_reference_on_closed_forms(self):
+        # the oracle itself: a rotation, and a stiff transfer term whose
+        # exponential is [[e^-1, r (e^-1 - e^-2)], [0, e^-2]]
+        np.testing.assert_allclose(expm_decimal(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.5),
+                                   [[math.cos(0.5), -math.sin(0.5)],
+                                    [math.sin(0.5), math.cos(0.5)]], rtol=2e-16, atol=0)
+        ref = expm_decimal(np.array([[-1.0, 1e6], [0.0, -2.0]]), 1.0)
+        exact = [[math.exp(-1.0), 1e6 * (math.exp(-1.0) - math.exp(-2.0))],
+                 [0.0, math.exp(-2.0)]]
+        np.testing.assert_allclose(ref, exact, rtol=4e-16, atol=0)
+
 
 class TestSubStepFlow:
     def test_taylor_path_matches_matrix_exponential(self, lowpass_plant):
@@ -798,7 +835,94 @@ class TestPowerStack:
         loop = _Loop(plant, complex(z_th.real, reactance * z_th.real), dt, steps)
         for br in (loop.free, loop.rail):
             assert br.powers.shape == (steps, loop.n, loop.n)
-            assert np.array_equal(br.powers, powers_by_concatenation(br.a, dt, steps))
+            assert np.array_equal(br.powers, powers_by_concatenation(br, dt, steps))
+
+
+# the stiff grid: winding inductances from the benchmark plant's 5 mH to the
+# algebraic loop, on the reactive plant and on the low-pass plant, each at
+# clip fractions 0.4, 0.6 and 0.8 of the matched peak, default SimConfig
+STIFF_WINDINGS = (5e-3, 5e-4, 5e-5, 1e-5, 5e-6, 5e-7, 5e-9, 0.0)
+GRID_PLANTS = ("reactive", "lowpass")
+
+
+def _grid_plant(name, l_w):
+    """The reactive plant (k_h = 1.5e5) or the low-pass plant (1e5) with
+    winding inductance ``l_w``."""
+    k_h = REACTIVE_PLANT["k_h"] if name == "reactive" else 1.0e5
+    return haskind_plant(**dict(REACTIVE_PLANT, k_h=k_h, l_w=l_w))
+
+
+class TestBranchFlows:
+    """Each branch's one-step flow E = ``powers[0]`` at the default step,
+    with conjugate control, against expm(a dt) in 60-digit decimal
+    arithmetic, as max |dE| / max |E|."""
+
+    @staticmethod
+    def _errors(name, l_w):
+        """(error of E, error of scipy's expm(a dt)) for the free and the
+        rail branch."""
+        plant = _grid_plant(name, l_w)
+        dt = 2.0 * math.pi / plant.omega / 2000
+        loop = _Loop(plant, plant.z_thevenin().conjugate(), dt, 1000)
+        out = []
+        for br in (loop.free, loop.rail):
+            ref = expm_decimal(br.a, dt)
+            scale = np.max(np.abs(ref))
+            out.append((np.max(np.abs(br.powers[0] - ref)) / scale,
+                        np.max(np.abs(scipy_expm(br.a * dt) - ref)) / scale))
+        return out
+
+    @pytest.mark.parametrize("l_w", [5e-3, 5e-4, 5e-5])
+    @pytest.mark.parametrize("name", GRID_PLANTS)
+    def test_flows_match_a_decimal_reference(self, name, l_w):
+        # the reactive plant at 5 mH is the verify_reactive plant; the
+        # overscaled matrix exponential was 2.1e-14 off on its free branch
+        for err, _ in self._errors(name, l_w):
+            assert err <= 1e-15
+
+    @pytest.mark.parametrize("l_w", STIFF_WINDINGS)
+    @pytest.mark.parametrize("name", GRID_PLANTS)
+    def test_flows_are_as_accurate_as_scipy(self, name, l_w):
+        # up to rounding: within 2 ulp of the largest entry, or a factor of
+        # 4 of scipy's error where a stiff branch's squarings leave more
+        # (4.7e-14 against 1.9e-14 on the reactive plant at 5e-7 H, 2.6e-12
+        # against 2.6e-12 on the low-pass plant at 5e-9 H); the overscaled
+        # exponential was 5.9e-12 off at 5e-5 H and 8.4e-7 at 5e-9 H
+        for err, scipy_err in self._errors(name, l_w):
+            assert err <= max(4.0 * scipy_err, 2.0 * np.finfo(float).eps)
+
+    def test_unclipped_reactive_row_is_exact_to_rounding(self):
+        # the verify_reactive row at fraction 1.0, where the phasor solution
+        # is exact: 7.4e-14, against 5.9e-10 with the overscaled exponential
+        plant = haskind_plant(**REACTIVE_PLANT)
+        rep = validate_df(plant, matched_baseline(thevenin_from_plant(plant)).i_peak_matched)
+        assert not rep.saturated and rep.sim.clip_fraction == 0.0
+        assert rep.rel_err_power <= 1e-13
+
+
+class TestStiffGrid:
+    """Every row of the stiff grid reaches a periodicity residual of 1e-12
+    within 6 half-period maps, but two rows at the map's rounding floor:
+    the low-pass plant at l_w = 5e-9 H and fraction 0.6 (19 maps,
+    9.2e-13), and at 0.8 (the 40-map cap, 1.09e-12).  Both take the
+    plain-iteration fallback of :func:`simulate`; without it they stop at
+    1.6e-11 and 1.2e-11 after 40 maps."""
+
+    FLOORS = {("lowpass", 5e-9, 0.6): (19, 1e-12), ("lowpass", 5e-9, 0.8): (40, 1.5e-12)}
+
+    @pytest.mark.parametrize("l_w", STIFF_WINDINGS)
+    @pytest.mark.parametrize("name", GRID_PLANTS)
+    def test_rows_settle(self, name, l_w):
+        plant = _grid_plant(name, l_w)
+        src = thevenin_from_plant(plant)
+        peak = matched_baseline(src).i_peak_matched
+        with _shared_loops():
+            for fraction in (0.4, 0.6, 0.8):
+                res = simulate(plant, src.z_th.conjugate(), i_max=fraction * peak)
+                maps, floor = self.FLOORS.get((name, l_w, fraction), (6, 1e-12))
+                assert res.converged
+                assert res.periods_run <= maps
+                assert res.periodicity_residual <= floor
 
 
 def _result_bits(res):
@@ -907,8 +1031,12 @@ class TestWindowedScan:
                 for frac in (0.4, 0.6, 0.8, 1.0)]
         assert [res.periods_run for res in runs] == [1, 1, 1, 1]  # half periods
         assert len(counts) == 4
-        # the peak bound leaves 7 steps to cross, of 10 without it
-        assert sum(candidates for _, candidates in counts) == 7
+        # the peak bound leaves 8 steps to cross, of 11 without it: 2 per
+        # row.  The unclipped row's sampled peak sits 7e-11 A below its
+        # limit, the matched peak, so its bound reaches the limit in two
+        # steps; with the overscaled matrix exponential of the one-step
+        # flow its orbit was 4e-10 off and the peak 3.7e-7 A below, one step
+        assert sum(candidates for _, candidates in counts) == 8
         for calls, candidates in counts:
             assert 1 <= calls <= candidates + 1
 
@@ -1325,7 +1453,10 @@ class TestPlannedMaps:
     @pytest.mark.parametrize("change", ["+40", "-40", "missing"])
     def test_a_wrong_first_plan_reaches_the_same_orbit(self, monkeypatch, change):
         # the describing function's switches moved 40 steps later or
-        # earlier, or its last switch dropped, which the solve cannot use
+        # earlier, or its last switch dropped, which the solve cannot use;
+        # moved earlier, the first switch of the rows at 0.4 and 0.6 falls
+        # before t = 0 and wraps to the end of the half period, as an
+        # iterate's does, so the solve settles every row either way
         start = _Loop.start
 
         def changed(self, *args):
@@ -1342,6 +1473,8 @@ class TestPlannedMaps:
         _assert_same_orbits(solved, scanned)
         for (res, _), (ref, _) in zip(solved, scanned):
             assert res.periods_run <= ref.periods_run + 1
+        if change != "missing":
+            assert [res.periods_run for res, _ in solved] == [1, 1, 1]
 
     def test_a_capped_solve_falls_back_to_scanned_shooting(self, monkeypatch):
         # one switch-time iteration cannot reach the target: the row shoots
