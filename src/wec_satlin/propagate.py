@@ -193,8 +193,13 @@ class Branch:
 
         Newton's method from the secant guess, kept inside the bracket,
         until the bracket is ``tol`` wide; its positive end is returned.
-        A guard already positive at ``y0`` would have the search halve the
-        bracket onto 0, so the end of that halving is returned at once.
+        Once three Newton steps in a row would each go on the same way as
+        the one before and more than half as far, as where the guard is
+        flat to rounding at a tangency and each step from the low side
+        advances by half a tolerance, the search bisects from then on, so
+        it takes at most about log2(h / tol) + 5 evaluations.  A guard
+        already positive at ``y0`` would have the search halve the bracket
+        onto 0, so the end of that halving is returned at once.
         """
         slope = guard @ self.a
         lo, hi = 0.0, h
@@ -205,6 +210,7 @@ class Branch:
                 hi *= 0.5
             return hi, at(hi)
         tau = h * g_lo / (g_lo - g_hi) if g_lo < g_hi else 0.5 * h
+        last, slow = math.inf, 0  # the last Newton step, and the slow steps in a row
         for _ in range(100):
             if not lo < tau < hi:
                 tau = 0.5 * (lo + hi)
@@ -219,10 +225,9 @@ class Branch:
             # step at least half a tolerance past the Newton root, so the
             # bracket closes from both sides; a guard not rising bisects
             dg = slope @ y
-            if not dg > 0.0:
-                tau = lo
-            elif g > 0.0:
-                tau -= max(g / dg, 0.5 * tol)
-            else:
-                tau += max(-g / dg, 0.5 * tol)
+            if slow < 3 and dg > 0.0:
+                d = max(abs(g) / dg, 0.5 * tol)
+                d = -d if g > 0.0 else d
+                slow, last = (slow + 1 if d / last > 0.5 else 0), d
+            tau = tau + d if slow < 3 and dg > 0.0 else lo
         return hi, y_hi

@@ -24,23 +24,24 @@ steady state is half-wave symmetric (Gelb & Vander Velde, Multiple-Input
 Describing Functions, 1968).  That steady state is found by Newton shooting
 (Aprille & Trick 1972) on the anti-period map G(y) = -Phi_half(y), half a
 period of the loop and a negation, whose fixed points are T-periodic since
-G(G(y)) = Phi(y).  Its Jacobian negates the monodromy matrix of the half
-period, which multiplies the branch flows and the saltation matrix of each
-switch.  Where the limit binds, shooting starts from the describing
-function's orbit, a harmonic-balance estimate of the steady state (Kundert,
-Sangiovanni-Vincentelli & White, Steady-State Methods for Simulating Analog
-and Microwave Circuits, 1990), and first solves for the start and the half
+G(G(y)) = Phi(y).  Each Newton step solves for the start and the half
 period's switch times together, with the switching instants as unknowns
-(di Bernardo et al., Piecewise-smooth Dynamical Systems, 2008); one sampled
-map from that start then checks it.  Identical inputs give bit-identical
-runs.
+(di Bernardo et al., Piecewise-smooth Dynamical Systems, 2008); eliminating
+the switch times leaves G's Jacobian, the negated monodromy matrix with
+the saltation matrix of each switch.  Where the limit binds, shooting
+starts from the describing function's orbit, a harmonic-balance estimate
+of the steady state (Kundert, Sangiovanni-Vincentelli & White,
+Steady-State Methods for Simulating Analog and Microwave Circuits, 1990),
+and first takes these steps without sampling, from the describing
+function's clip angles; one sampled map from that start then checks it,
+and a sampled map that misses takes the same step at its own switch
+times.  Identical inputs give bit-identical runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -183,27 +184,15 @@ _LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", d
 class _Period(NamedTuple):
     """One evaluation of the anti-period map G: samples 0..steps of the
     state, applied current and load voltage over half a period, the last
-    one negated, so that ``ys[steps]`` is G(y); the branch at the end; the
-    factors of the half period's monodromy matrix in the order it applies
-    them, a power of a branch's one-step flow for each whole-step run and a
-    function forming the step's Jacobian for each step through a switch;
-    and the half period as ``(rail, start, duration)`` segments."""
+    one negated, so that ``ys[steps]`` is G(y); the branch at the end; and
+    the half period as ``(rail, start, duration)`` segments, whose starts
+    after the first are the map's switch times."""
 
     ys: np.ndarray
     cur: np.ndarray
     vl: np.ndarray
     rail: bool
-    factors: list
     segments: list
-
-    @property
-    def jac(self) -> np.ndarray:
-        """The Jacobian of G, the negated monodromy matrix.  It is formed
-        when read, so a map that no Newton step follows never forms it."""
-        jac = np.eye(self.ys.shape[1])
-        for factor in self.factors:
-            jac = (factor if isinstance(factor, np.ndarray) else factor()) @ jac
-        return -jac
 
 
 class _Guard(NamedTuple):
@@ -213,7 +202,7 @@ class _Guard(NamedTuple):
     rounding bound of its rate, and the guard's peak bound per step (see
     :func:`_bend`); the mask of the states a map started on the branch
     depends on, their indices and their columns of the identity, which
-    seed the derivatives :meth:`_Loop.shoot` carries; and the reset R
+    seed the derivatives :meth:`_Loop.newton` carries; and the reset R
     applied on leaving the branch, which zeroes the held current on
     entering the rail."""
 
@@ -435,10 +424,11 @@ class _Loop:
         A guard positive at the end brackets a switch; one whose slope turns
         from rising to falling is checked at its located peak.  A located
         point whose guard rate is zero to within its rounding bound is a
-        touch, not a switch, and has no saltation matrix: after a release
-        with winding inductance the current leaves the limit with zero
-        slope, and a stiff sub-step's matrix exponential reads it one ulp
-        above the limit.
+        touch, not a switch: as a switch time of a Newton step (see
+        :meth:`newton`) it would have that rate as its pivot.  After a
+        release with winding inductance the current leaves the limit with
+        zero slope, and a stiff sub-step's matrix exponential reads it one
+        ulp above the limit.
         """
         br, guard = self.branch(rail), self.guards[rail]
         at = br.path(y, h)
@@ -462,7 +452,7 @@ class _Loop:
             # a path over a shorter bracket rounds differently: build it anew
             path = at if hi == h else br.path(y, hi)
             tau, y_tau = br.locate(path, y, y_hi, hi, sign * guard.row, level, tol)
-            # the guard's rate is the saltation denominator of :meth:`cross`
+            # the guard's rate is the pivot of the switch time in :meth:`newton`
             bound = 2.0 * self.n * _EPS * (guard.abs_row @ (guard.abs_a @ np.abs(y_tau)))
             if not abs(guard.row @ (br.a @ y_tau)) > bound:
                 continue
@@ -472,45 +462,22 @@ class _Loop:
 
     def cross(self, y, rail: bool, i_max: float, tol: float):
         """State and branch one step ``dt`` on from ``y``, through every
-        switch on the way; with a function forming the step's Jacobian (see
-        :meth:`step_jacobian`) and the step's ``(rail, duration)`` pieces."""
+        switch on the way, with the step's ``(rail, duration)`` pieces."""
         dt, t = self.dt, 0.0
-        switches, pieces = [], []
+        pieces = []
         for _ in range(_MAX_EVENTS + 1):
             y_end, event = self.switch(rail, y, dt - t, i_max, tol)
             if event is None:
                 pieces.append((rail, dt - t))
-                step_jacobian = functools.partial(self.step_jacobian, switches, rail, dt - t)
-                return y_end, rail, step_jacobian, pieces
+                return y_end, rail, pieces
             tau, y_switch, sign = event
             pieces.append((rail, tau))
             y = y_switch.copy()
             if not rail:  # entering the rail: it holds the limit
                 y[self.sigma] = sign * i_max
-            switches.append((rail, tau, y_switch, y))
             t += tau
             rail = not rail
         raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
-
-    def step_jacobian(self, switches, rail: bool, h: float) -> np.ndarray:
-        """Jacobian of a step through ``switches``, each ``(rail, duration,
-        state before the reset, state after)``, that ends with ``h`` on
-        branch ``rail``.
-
-        At a switch the Jacobian takes the saltation matrix
-        R + (f+ - R f-) grad^T / (grad . f-) of the vector fields f- before
-        and f+ after, and the guard row ``grad`` and reset R of the branch
-        the switch leaves (Leine & Nijmeijer, Dynamics and Bifurcations of
-        Non-smooth Mechanical Systems, 2004).
-        """
-        jac = np.eye(self.n)
-        for on_rail, tau, y_minus, y_plus in switches:
-            br, guard = self.branch(on_rail), self.guards[on_rail]
-            f_minus = br.a @ y_minus
-            jump = np.outer(self.branch(not on_rail).a @ y_plus - guard.reset @ f_minus,
-                            guard.row / (guard.row @ f_minus))
-            jac = (guard.reset + jump) @ br.transition(tau) @ jac
-        return self.branch(rail).transition(h) @ jac
 
     def advance(self, rail: bool, t0: float, t1: float, m: np.ndarray) -> np.ndarray:
         """``m`` carried along branch ``rail`` from time t0 to t1 of the half
@@ -537,25 +504,25 @@ class _Loop:
         At a switch the reset R applies to the whole matrix, and the
         switch's column becomes R f- - f+, with f- and f+ the vector fields
         before and after it."""
-        guards, t = [], 0.0
+        guards, t = np.empty((len(taus), m.shape[1])), 0.0
         for k, tau in enumerate(taus):
             m = self.advance(rail, t, tau, m)
             br, guard, t = self.branch(rail), self.guards[rail], tau
             m[:, k - len(taus)] = br.a @ m[:, 0]  # the state before the switch moves with it
             # the guard over its level: the current over +-i_max, the release guard over 0
             level = 0.0 if rail else math.copysign(i_max, guard.row @ m[:, 0])
-            guards.append(guard.row @ m)
-            guards[-1][0] -= level
+            guards[k] = guard.row @ m
+            guards[k, 0] -= level
             m = guard.reset @ m
             m[self.sigma, 0] += level  # entering the rail, it holds the limit
             rail = not rail
             m[:, k - len(taus)] -= self.branch(rail).a @ m[:, 0]
         return -self.advance(rail, t, self.steps * self.dt, m), guards
 
-    def shoot(self, y, rail: bool, plan, i_max: float, target: float):
-        """Newton's method on the plant states y[u] and the half period's
-        switch times tau_1..tau_s together, from the start ``y`` on branch
-        ``rail`` and the switch ``plan`` in steps (see :meth:`start`).
+    def newton(self, y, rail: bool, taus: list, i_max: float, gap=None):
+        """One Newton step on the plant states y[u] and the switch times
+        tau_1..tau_s of the half period from ``y`` on branch ``rail`` that
+        switches at ``taus``.
 
         The equations are the anti-period residual G(y)[u] - y[u] and, per
         switch, the guard of the branch it leaves at its level (Aprille &
@@ -564,28 +531,50 @@ class _Loop:
         Jacobian :meth:`switched` carries through the s + 1 segments as one
         n x (1 + n_u + s) matrix, with n_u the unknown plant states; the
         system is filled in place from the guard's index arrays and identity
-        columns, built with the loop.  By half-wave symmetry, a tau at or
-        before t = 0 moves to the end of the half period, and the start to
-        the other branch, and one at or after T/2 back, in the plan as in
-        every iterate.  A start
-        whose residual ||G(y)[u] - y[u]|| / ||y[u]|| is at most ``target``
-        still takes its Newton step, down to rounding.  The solve is not
-        tried where a whole step's Taylor sum does not converge (a stiff
-        branch, see :meth:`Branch.transition`), so that every part step it
-        takes is a Taylor sum, not a balanced matrix exponential; such rows
-        shoot by maps, which settle every stiff row of the 48-row grid of
-        winding inductances down to 5 nH within 5 maps but two.
+        columns, built with the loop.  A sampled map passes its own ``gap``
+        G(y)[u] - y[u] and its own switch times, at which the guards are 0:
+        eliminating the switch times through the guard rows leaves the
+        Newton step on G alone, whose Jacobian, the Schur complement of the
+        system, is the negated monodromy matrix with the saltation matrix of
+        each switch (Leine & Nijmeijer, Dynamics and Bifurcations of
+        Non-smooth Mechanical Systems, 2004).
+
+        Returns the system, as rows [residual | d/dy[u] | d/dtau], the
+        residual rows first, and the step: for y[u], then the s switch times.
+        """
+        guard = self.guards[rail]
+        u, n_u, s = guard.index, len(guard.index), len(taus)
+        # y, d/dy[u] and d/dtau: the n x (1 + n_u + s) matrix switched carries
+        e = np.zeros((self.n, 1 + n_u + s))
+        e[:, 0] = y
+        e[:, 1 : 1 + n_u] = guard.columns
+        m, guards = self.switched(e, rail, taus, i_max)
+        rows = np.empty((n_u + s, 1 + n_u + s))  # G(y)[u] - y[u], then the s guards
+        np.subtract(m[u], e[u], out=rows[:n_u])
+        rows[n_u:] = guards
+        if gap is not None:
+            rows[:n_u, 0], rows[n_u:, 0] = gap, 0.0
+        return rows, np.linalg.solve(rows[:, 1:], -rows[:, 0])
+
+    def shoot(self, y, rail: bool, plan, i_max: float, target: float):
+        """Newton's method on the plant states y[u] and the half period's
+        switch times tau_1..tau_s together, from the start ``y`` on branch
+        ``rail`` and the switch ``plan`` in steps (see :meth:`start`), by
+        steps of :meth:`newton`.  By half-wave symmetry, a tau at or before
+        t = 0 moves to the end of the half period, and the start to the
+        other branch, and one at or after T/2 back, in the plan as in every
+        iterate.  A start whose residual ||G(y)[u] - y[u]|| / ||y[u]|| is at
+        most ``target`` still takes its Newton step, down to rounding.
 
         Returns ``(start, branch, segments, iterations)``: that start, its
         branch, the s + 1 segments of its half period and the Newton steps
-        taken.  On a stiff branch, an odd or unordered set of switch times
-        (which also ends a non-finite iterate), or no start at the target
-        within ``_SWITCH_ITERATIONS`` steps, the start and branch given,
-        with 0 segments.
+        taken.  On an odd or unordered set of switch times (which also ends
+        a non-finite iterate), or no start at the target within
+        ``_SWITCH_ITERATIONS`` steps, the start and branch given, with 0
+        segments.
         """
         half, start, first, iterations = self.steps * self.dt, y, rail, 0
         y, taus, s = y.copy(), [step * self.dt for step in plan], len(plan)
-        stiff = max(self.free.tail, self.rail.tail) * self.dt**20 > 1e-16
         done = False
         while True:
             if taus[0] <= 0.0 or taus[-1] >= half:  # a switch at or past an end
@@ -595,25 +584,16 @@ class _Loop:
                 y[self.sigma] = math.copysign(i_max, self.free.i_row @ y)
             if done:
                 return y, rail, s + 1, iterations
-            if (iterations == _SWITCH_ITERATIONS or stiff or s % 2
+            if (iterations == _SWITCH_ITERATIONS or s % 2
                     or not all(a < b for a, b in zip([0.0] + taus, taus + [half]))):
                 return start, first, 0, iterations
-            guard = self.guards[rail]
-            u, n_u = guard.index, len(guard.index)
-            # y, d/dy[u] and d/dtau: the n x (1 + n_u + s) matrix switched carries
-            e = np.zeros((self.n, 1 + n_u + s))
-            e[:, 0] = y
-            e[:, 1 : 1 + n_u] = guard.columns
-            m, guards = self.switched(e, rail, taus, i_max)
-            rows = np.empty((n_u + s, 1 + n_u + s))  # G(y)[u] - y[u], then the s guards
-            np.subtract(m[u], e[u], out=rows[:n_u])
-            rows[n_u:] = guards
-            gap, y_u = m[u, 0] - y[u], y[u]
+            u = self.guards[rail].index
+            rows, step = self.newton(y, rail, taus, i_max)
+            gap, y_u = rows[: len(u), 0], y[u]
             done = math.sqrt(gap @ gap) <= target * math.sqrt(y_u @ y_u)
-            step = np.linalg.solve(rows[:, 1:], -rows[:, 0])  # for y[u], then the s switch times
             iterations += 1
-            y[u] += step[:n_u]
-            taus = [tau + d for tau, d in zip(taus, step[n_u:].tolist())]
+            y[u] += step[: len(u)]
+            taus = [tau + d for tau, d in zip(taus, step[len(u) :].tolist())]
 
     def period(self, y, rail: bool, i_max: float, tol: float) -> _Period:
         """The anti-period map G(y) = -Phi_half(y) under the limit
@@ -623,14 +603,11 @@ class _Loop:
         asymmetric orbit, if the loop has one, is not sought.
 
         Whole-step runs advance by powers of the one-step flow, steps that
-        may hold a switch by :meth:`cross`; the monodromy matrix of the half
-        period is the product of their flows and saltation matrices, and
-        G's Jacobian its negation, formed from the recorded factors only
-        when a Newton step reads it.  A run is scanned once from its start
-        ``ys[k]``: one matrix-vector product of the powers stack samples the
-        rest of the half period, and one :meth:`first_candidate` call finds
-        where the run ends.  The samples past that step are overwritten by
-        the runs that follow it.
+        may hold a switch by :meth:`cross`.  A run is scanned once from its
+        start ``ys[k]``: one matrix-vector product of the powers stack
+        samples the rest of the half period, and one :meth:`first_candidate`
+        call finds where the run ends.  The samples past that step are
+        overwritten by the runs that follow it.
         """
         steps, n, dt = self.steps, self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
@@ -638,7 +615,7 @@ class _Loop:
         ys[0, self.osc] = self.y0[self.osc]
         cur[0] = ys[0] @ self.branch(rail).i_row
         vl[0] = ys[0] @ self.branch(rail).v_row
-        factors, segments = [], []
+        segments = []
 
         def add(on_rail, start, duration):
             if segments and segments[-1][0] == on_rail:
@@ -655,21 +632,19 @@ class _Loop:
             m = self.first_candidate(rail, ys[k:], cur[k:], i_max)
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             if m:
-                factors.append(br.powers[m - 1])
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
-                ys[k + 1], rail, step_jac, pieces = self.cross(ys[k], rail, i_max, tol)
+                ys[k + 1], rail, pieces = self.cross(ys[k], rail, i_max, tol)
                 cur[k + 1] = ys[k + 1] @ self.branch(rail).i_row
                 vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
-                factors.append(step_jac)
                 start = k * dt
                 for on_rail, duration in pieces:
                     add(on_rail, start, duration)
                     start += duration
                 k += 1
         ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-        return _Period(ys, cur, vl, rail, factors, segments)
+        return _Period(ys, cur, vl, rail, segments)
 
 
 def simulate(
@@ -699,23 +674,26 @@ def simulate(
     The start sets how many maps are run, not which orbit is found, on a
     loop with one attracting periodic response (a convergent one: Pavlov,
     van de Wouw & Nijmeijer, Syst. Control Lett. 2005).  Newton's method on
-    y - G(y) = 0 over the plant states, with G's Jacobian (Aprille & Trick,
-    Proc. IEEE 1972), refines it until the periodicity residual
-    ||G(y) - y|| / ||y|| is at most ``min(cfg.convergence_tol, 1e-12)``.
+    y - G(y) = 0 over the plant states (Aprille & Trick, Proc. IEEE 1972)
+    refines it until the periodicity residual ||G(y) - y|| / ||y|| is at
+    most ``min(cfg.convergence_tol, 1e-12)``: each step is the step of
+    :meth:`_Loop.newton` from the map's start, with the map's sampled
+    residual, at the map's own switch times, the starts of its segments
+    after the first.
     A step may raise the residual once, as when the start moves between
     branches; after two steps in a row that do not lower the best residual,
     plain iteration of G takes over from the best map.  That fallback
     serves rows at the map's rounding floor: on the low-pass test plant at
     l_w = 5 nH and clip fractions 0.6 and 0.8 it ends at residuals of
-    9.2e-13 (after 19 maps) and 1.1e-12 (at the 40-map cap), where Newton
+    8.4e-13 (after 19 maps) and 1.05e-12 (at the 40-map cap), where Newton
     steps alone stop at 1.6e-11 and 1.2e-11 after 40 maps.  At most
     ``cfg.n_periods`` maps are run, and the run is converged when the final
     residual is at most ``cfg.convergence_tol``.
 
-    Where the limit binds, Newton's method first solves for the start and
-    the half period's switch times together, from the describing function's
-    clip angles (see :meth:`_Loop.shoot`), propagating each segment exactly
-    without sampling it.  One map, sampled and screened, is then run from
+    Where the limit binds, the same Newton steps first solve for the start
+    and the half period's switch times together, from the describing
+    function's clip angles (see :meth:`_Loop.shoot`), propagating each
+    segment exactly without sampling it.  One map, sampled and screened, is then run from
     the start it finds; where that map meets the target with the solve's
     segment count the row is done, so the returned orbit always comes from
     a sampled, fully screened half period.  Where the solve fails, the maps
@@ -787,7 +765,9 @@ def simulate(
             newton = False
             _, y, rail = best
             continue
-        step = y[u] + np.linalg.solve(np.eye(len(gap)) - run.jac[u][:, u], gap)
+        # the step on the map's own switch times, at which its guards are 0
+        taus = [start for _, start, _ in run.segments[1:]]
+        step = y[u] + loop.newton(y, rail, taus, i_max, gap)[1][: len(gap)]
         y = end.copy()
         y[u] = step
         if run.rail:  # the rail holds the current the map ended with

@@ -937,7 +937,7 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
     ys[0, loop.osc] = loop.y0[loop.osc]
     cur[0] = ys[0] @ loop.branch(rail).i_row
     vl[0] = ys[0] @ loop.branch(rail).v_row
-    factors, segments = [], []
+    segments = []
 
     def add(on_rail, start, duration):
         if segments and segments[-1][0] == on_rail:
@@ -962,21 +962,19 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
                 break
         vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
         if m:
-            factors.append(br.powers[m - 1])
             add(rail, k * dt, m * dt)
         k += m
         if k < steps:
-            ys[k + 1], rail, step_jac, pieces = loop.cross(ys[k], rail, i_max, tol)
+            ys[k + 1], rail, pieces = loop.cross(ys[k], rail, i_max, tol)
             cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
             vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
-            factors.append(step_jac)
             start = k * dt
             for on_rail, duration in pieces:
                 add(on_rail, start, duration)
                 start += duration
             k += 1
     ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-    return _Period(ys, cur, vl, rail, factors, segments)
+    return _Period(ys, cur, vl, rail, segments)
 
 
 def powers_by_concatenation(branch, dt: float, steps: int) -> np.ndarray:
