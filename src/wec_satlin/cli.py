@@ -27,7 +27,7 @@ from .descfcn import (
     saturation_factors,
     solve_operating_point,
 )
-from .emit import _format_rows, fmt, tag, write_csv
+from .emit import _row_text, fmt, tag, write_csv
 from .errors import ConfigError, WecSatlinError
 from .mismatch import matched_baseline, pareto_front, smith_grid
 from .simulate import _shared_loops, dump_waveforms, validate_df
@@ -111,7 +111,7 @@ def cmd_smith(cfg: RunConfig) -> int:
         grid = smith_grid(alpha, cfg.smith_resolution, cfg.smith_angular)
         if shared is None:
             cols = [grid["gamma"].real, grid["gamma"].imag, grid["power_ratio"]]
-            shared = _format_rows(cols).splitlines()
+            shared = _row_text(cols)
         columns = [alpha, shared] + [grid[name] for name in header[4:]]
         total += len(grid)
         write_csv(_out_path(cfg, f"smith_alpha_{tag(alpha)}.csv"), header, columns)

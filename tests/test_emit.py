@@ -1,12 +1,20 @@
-"""Tests for the emission module: its scalar text, and that it is the only code
-in the package that writes a file."""
+"""Tests for the emission module: its scalar text, its float kernel against
+CPython's ``'%.12g' %``, and that it is the only code in the package that
+writes a file."""
 
 import ast
+import math
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wec_satlin import emit
+from wec_satlin.config import RunConfig
 from wec_satlin.emit import fmt
+from wec_satlin.mismatch import smith_grid
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wec_satlin"
 
@@ -70,3 +78,61 @@ def test_only_the_emission_module_opens_a_file_for_writing():
                                          (-3, "-3"), (1.0 / 3.0, "0.333333333333")])
 def test_fmt_writes_integers_whole_and_floats_at_12_digits(value, text):
     assert fmt(value) == text
+
+
+def kernel_text(values) -> list[str]:
+    """The text :func:`emit._float_cells` gives each of ``values``, NULs dropped."""
+    cells = emit._float_cells(np.asarray(values, dtype=np.float64).reshape(-1))
+    return [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+
+
+def percent_text(values) -> list[str]:
+    return ["%.12g" % x for x in values]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_kernel_matches_percent_on_any_float(values):
+    assert kernel_text(values) == percent_text(values)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(10**11, 10**12 - 1), st.floats(0.0, 1.0),
+                          st.integers(-16, 1), st.booleans()), min_size=1, max_size=40))
+def test_kernel_matches_percent_in_fixed_notation(parts):
+    # twelve digits, a fraction and a scale: the fast path's range and its ties
+    values = [(-1.0) ** neg * (digits + frac) * 10.0**scale
+              for digits, frac, scale, neg in parts]
+    assert kernel_text(values) == percent_text(values)
+
+
+def edge_floats() -> list[float]:
+    values = []
+    for k in range(-5, 14):
+        power = float(f"1e{k}")
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, math.inf)]
+    for k in range(-16, 2):  # 12-digit ties, exact or as near as a float gets
+        values += [123456789012.5 * 10.0**k, 999999999999.5 * 10.0**k]
+    values += [123456789013.5, 1e-4, 9.99999999999e-5, 9.999999999995e-5, 1e12,
+               999999999999.0, 999999999999.4, 999999999999.5, 0.0, 5e-324, math.inf,
+               math.nan, 2.0**40, 1.0 / 3.0, 1200.0, 100.0, 0.1, 0.5]
+    return values + [-x for x in values]
+
+
+def test_kernel_matches_percent_on_edges():
+    values = edge_floats()
+    assert kernel_text(values) == percent_text(values)
+    # the same cells, each alone, match too: the kernel keeps no state across cells
+    assert [kernel_text([x])[0] for x in values] == percent_text(values)
+
+
+def test_fast_path_formats_most_of_the_default_smith_grid():
+    cfg = RunConfig()
+    fast = []
+    for alpha in cfg.alphas:
+        grid = smith_grid(alpha, cfg.smith_resolution, cfg.smith_angular)
+        for values in (grid["gamma"].real, grid["gamma"].imag, grid["power_ratio"],
+                       grid["v_ratio"], grid["i_ratio"]):
+            fast.append(emit._fixed(values)[0])
+    assert np.concatenate(fast).mean() >= 0.95

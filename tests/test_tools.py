@@ -18,10 +18,11 @@ def _tool(name):
 def test_ab_inprocess_runs_one_tree_against_itself(capsys):
     src = os.path.join(ROOT, "src")
     ini = os.path.join(HERE, "data", "golden.ini")
-    code = _tool("ab_inprocess").main([src, src, "--config", ini, "--command", "verify", "-n", "2"])
+    code = _tool("ab_inprocess").main([src, src, "--config", ini, "--command", "verify",
+                                        "--command", "fsat", "--svg", "-n", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines[0].startswith("pairs 2  command verify")
+    assert lines[0].startswith("pairs 2  command verify fsat")
     median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
     assert q1 <= median <= q3 and median > 0.0
     assert lines[2] == "outputs byte-identical: yes"
