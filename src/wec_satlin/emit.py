@@ -34,8 +34,6 @@ as is every cell of a block below ``_KERNEL_MIN`` float cells.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = ["fmt", "tag", "write_csv", "write_text"]
@@ -61,13 +59,14 @@ def tag(value) -> str:
 _CHUNK = 4096  # rows per block: bounds the kernel's temporaries at a few MB
 _POW10 = 10.0 ** np.arange(16)
 _WIDTH = 32  # bytes of a cell: a frame, or CPython's text of at most 19 bytes
-# Below this many float cells in a block, CPython's per-cell text is faster than the
-# kernel's fixed cost: 53 against 49 us at 96 cells, 47 against 58 us at 128 and
-# 57 against 124 us at 256 (Python 3.11, numpy 2.4, a shared 2-vCPU VM)
+# Below this many float cells in a block, CPython's text is as fast as the kernel's
+# fixed cost or faster: 57-63 against 30-33 us at 64 cells, 52-73 against 60-68 at
+# 128, 72-80 against 76-85 at 160 (Python 3.11, numpy 2.4, a shared 2-vCPU VM).
+# Without this fork, `saturate` on tests/data/golden.ini (one 4-row table) runs
+# 1.087 times as long (quartiles 1.045 and 1.132 over 200 in-process pairs).
 _KERNEL_MIN = 128
 
 
-@functools.cache  # built on the kernel's first call, not at import; never written to
 def _quads() -> tuple[np.ndarray, np.ndarray]:
     """Text and trailing zeros of 0000 to 9999.
 
@@ -84,7 +83,6 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
     return text.view(np.uint64)[:, 0], trailing.reshape(-1)
 
 
-@functools.cache  # built on the kernel's first call, not at import; never written to
 def _frames() -> np.ndarray:
     """Text frame of a fast-path cell by (sign, e + 4, digits - 1), as bytes.
 
@@ -103,6 +101,11 @@ def _frames() -> np.ndarray:
     point = (np.arange(12) == e[..., None]) & (digits > e + 1)[..., None]
     frame[..., 9::2] = np.where(point, ord("."), 0)
     return frame.reshape(-1).view(f"S{_WIDTH}")
+
+
+# built once at import, about 0.2 ms together; never written to
+_QUAD_TEXT, _QUAD_ZEROS = _quads()
+_FRAMES = _frames()
 
 
 def _fixed(values: np.ndarray):
@@ -128,13 +131,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     sig = sig - quads[:, 1] * 1e8
     quads[:, 2] = np.floor(sig / 1e4)
     quads[:, 3] = sig - quads[:, 2] * 1e4
-    text, trailing_zeros = _quads()
-    zeros = trailing_zeros[quads[:, 1:]]
+    zeros = _QUAD_ZEROS[quads[:, 1:]]
     trailing = zeros[:, 2] + np.where(zeros[:, 2] == 4, zeros[:, 1], 0)
     trailing += np.where(trailing == 8, zeros[:, 0], 0)
     key = (np.signbit(values) * 16 + exp + 4) * 12 + 11 - trailing
-    cells = _frames().take(key).view(np.uint64).reshape(-1, 4)
-    cells &= text.take(quads)  # bytewise: each digit slot & its digit, the head & 0xFF
+    cells = _FRAMES.take(key).view(np.uint64).reshape(-1, 4)
+    cells &= _QUAD_TEXT.take(quads)  # bytewise: each digit slot & its digit, the head & 0xFF
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -217,8 +219,7 @@ def write_csv(path: str, header: list[str], columns) -> None:
     write_text(path, [",".join(header).encode() + b"\n", *body])
 
 
-def write_text(path: str, text: str | list[bytes]) -> None:
-    """Write ``text`` to ``path``: a ``str`` as UTF-8, or ``bytes`` chunks in
-    order.  Lines end in ``\\n``."""
+def write_text(path: str, chunks: list[bytes]) -> None:
+    """Write the ``bytes`` of ``chunks`` to ``path`` in order.  Lines end in ``\\n``."""
     with open(path, "wb") as fh:
-        fh.writelines([text.encode("utf-8")] if isinstance(text, str) else text)
+        fh.writelines(chunks)

@@ -106,7 +106,7 @@ def smith_svg(
         12, size - 12, "solid: ratio = 1 boundary, dashed: optimal contour "
         "(green voltage, pink current)", size=11, color="#555"
     )
-    write_text(path, _document(size, size, body))
+    write_text(path, [_document(size, size, body).encode()])
 
 
 def _chart(path, x_label: str, y_label: str, x_max: float, series, mark) -> None:
@@ -132,7 +132,7 @@ def _chart(path, x_label: str, y_label: str, x_max: float, series, mark) -> None
         body += mark(margin + span_x * np.minimum(x, x_max) / x_max,
                      height - margin - span_y * np.maximum(np.minimum(y, 1.0), -0.1), color)
         body += _text(width - margin - 110, margin + 16 * (idx + 1), legend, size=11, color=color)
-    write_text(path, _document(width, height, body))
+    write_text(path, [_document(width, height, body).encode()])
 
 
 def pareto_svg(path, fronts: dict[float, np.ndarray]) -> None:
