@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import DomainError, SingularityError
 from .mismatch import TheveninSource, matched_baseline
 
@@ -40,9 +42,14 @@ __all__ = [
 
 
 def _require_finite(record) -> None:
-    """Reject a NaN or infinite value in any field of a parameter dataclass."""
+    """Reject a NaN or infinite value in any field of a parameter dataclass,
+    and store a numpy scalar field as its Python value, so that the record
+    computes, compares and hashes as one built from Python numbers."""
     for f in fields(record):
         value = getattr(record, f.name)
+        if isinstance(value, np.generic):
+            value = value.item()
+            object.__setattr__(record, f.name, value)
         if not cmath.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value}")
 

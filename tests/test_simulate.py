@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from conftest import random_plant, random_load
@@ -419,6 +421,27 @@ class TestValidateDf:
         assert rep.sim.x_amp == rep.x_simulated
         assert "sim=" not in repr(rep)
         assert dataclasses.replace(rep, sim=None) == rep
+
+    def test_numpy_scalar_fields_run_as_python_numbers(self):
+        # the golden.ini plant with every float field a numpy.float64 and
+        # f_e a numpy.complex128: its clipped rows raised TypeError, and
+        # would equal, and so share a loop with, the Python-float plant
+        plant = load_config(GOLDEN_INI).require_plant("verify")
+        numpy_fields = {f.name: np.asarray(getattr(plant, f.name))[()]
+                        for f in dataclasses.fields(plant)
+                        if isinstance(getattr(plant, f.name), (float, complex))}
+        numpy_plant = dataclasses.replace(plant, **numpy_fields)
+        assert {type(value) for value in numpy_fields.values()} == {np.float64, np.complex128}
+        assert numpy_plant == plant and hash(numpy_plant) == hash(plant)
+        assert all(type(getattr(numpy_plant, name)) is type(getattr(plant, name))
+                   for name in numpy_fields)
+        peak = matched_baseline(thevenin_from_plant(plant)).i_peak_matched
+        for fraction in (0.3, 0.6):
+            ref = validate_df(plant, fraction * peak)
+            rep = validate_df(numpy_plant, fraction * peak)
+            assert rep.sim.clip_fraction > 0.0
+            assert _result_bits(rep.sim) == _result_bits(ref.sim)
+            assert rep.p_predicted == ref.p_predicted
 
 
 class TestWaveformDump:
@@ -1355,6 +1378,55 @@ class TestHalfWaveSymmetry:
         for plant, z_c, i_max in _reactive_rows():
             first = simulate(plant, z_c, i_max=i_max)
             assert _result_bits(simulate(plant, z_c, i_max=i_max)) == _result_bits(first)
+
+
+class _Drawn:
+    """A stand-in for ``draw_design``'s generator whose uniform and integer
+    draws come from hypothesis, over the same ranges."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def uniform(self, low, high):
+        return self.draw(st.floats(low, high))
+
+    def integers(self, low, high):
+        return self.draw(st.integers(low, high - 1))
+
+
+class TestRefereeInvariants:
+    """Physics every row must obey, on designs from ``draw_design``'s
+    ranges under conjugate control, at clip fractions 0.1 to 1.0 of the
+    matched peak current: each run settles, reruns bit for bit, holds the
+    limit and stores a half-wave symmetric period.
+
+    Three more invariants of the loop are not checked, as the referee does
+    not meet them.  ``p_avg`` <= ``p_matched`` and ``p_avg`` nondecreasing
+    in i_max fail at fractions near 1: ``p_avg`` is a rectangle sum over
+    the samples, first order at a rail switch with winding inductance, and
+    at fraction 0.98 to 0.995 it reads up to 1.4e-4 above ``p_matched``
+    (13 of 900 runs on seeded designs).  ``clip_fraction`` nonincreasing in
+    i_max fails at limits one ulp apart on a grazing clip, where the clip's
+    2e-7 of a period moves by rounding."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(),
+           fractions=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3, unique=True))
+    def test_runs_settle_and_hold_the_limit(self, data, fractions):
+        plant = haskind_plant(**draw_design(_Drawn(data.draw)))
+        src = thevenin_from_plant(plant)
+        baseline = matched_baseline(src)
+        limits = sorted(f * baseline.i_peak_matched for f in fractions)
+        with _shared_loops():
+            runs = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
+            again = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
+        for res, rerun, i_max in zip(runs, again, limits):
+            assert res.converged and res.periodicity_residual <= 1e-12
+            assert _result_bits(rerun) == _result_bits(res)
+            assert res.peak_current <= i_max * (1.0 + 1e-9)
+            w, half = res.waveforms, len(res.waveforms) // 2
+            for name in ("x", "v", "i", "v_load"):
+                assert np.array_equal(w[name][half:], -w[name][:half])
 
 
 class TestDescribingFunctionStart:
