@@ -32,10 +32,10 @@ the saltation matrix of each switch.  Where the limit binds, shooting
 starts from the describing function's orbit, a harmonic-balance estimate
 of the steady state (Kundert, Sangiovanni-Vincentelli & White,
 Steady-State Methods for Simulating Analog and Microwave Circuits, 1990),
-and first takes these steps without sampling, from the describing
-function's clip angles; one sampled map from that start then checks it,
-and a sampled map that misses takes the same step at its own switch
-times.  Identical inputs give bit-identical runs.
+and takes these steps without sampling, from the describing function's
+clip angles; one sampled map from that start then checks it, and a
+sampled map that misses hands its end and its own switch times to the
+same solve.  Identical inputs give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ class SimResult:
     entry per map, so its last entry is ``p_avg``.  ``periods_run`` counts
     the half-period maps run, 1 on a row the switch-time solve settles (see
     :func:`simulate`), and ``newton_steps`` the Newton steps of the
-    switch-time solve plus the maps a Newton step followed.
-    ``periodicity_residual`` is
+    switch-time solves.  ``periodicity_residual`` is
     ||G(y) - y|| / ||y|| of the final map over the plant states, and
     ``converged`` holds exactly when it is at most ``convergence_tol``.
     ``clip_fraction`` is the share of the final period spent on the rail.
@@ -519,7 +518,7 @@ class _Loop:
             m[:, k - len(taus)] -= self.branch(rail).a @ m[:, 0]
         return -self.advance(rail, t, self.steps * self.dt, m), guards
 
-    def newton(self, y, rail: bool, taus: list, i_max: float, gap=None):
+    def newton(self, y, rail: bool, taus: list, i_max: float):
         """One Newton step on the plant states y[u] and the switch times
         tau_1..tau_s of the half period from ``y`` on branch ``rail`` that
         switches at ``taus``.
@@ -531,13 +530,7 @@ class _Loop:
         Jacobian :meth:`switched` carries through the s + 1 segments as one
         n x (1 + n_u + s) matrix, with n_u the unknown plant states; the
         system is filled in place from the guard's index arrays and identity
-        columns, built with the loop.  A sampled map passes its own ``gap``
-        G(y)[u] - y[u] and its own switch times, at which the guards are 0:
-        eliminating the switch times through the guard rows leaves the
-        Newton step on G alone, whose Jacobian, the Schur complement of the
-        system, is the negated monodromy matrix with the saltation matrix of
-        each switch (Leine & Nijmeijer, Dynamics and Bifurcations of
-        Non-smooth Mechanical Systems, 2004).
+        columns, built with the loop.
 
         Returns the system, as rows [residual | d/dy[u] | d/dtau], the
         residual rows first, and the step: for y[u], then the s switch times.
@@ -552,8 +545,6 @@ class _Loop:
         rows = np.empty((n_u + s, 1 + n_u + s))  # G(y)[u] - y[u], then the s guards
         np.subtract(m[u], e[u], out=rows[:n_u])
         rows[n_u:] = guards
-        if gap is not None:
-            rows[:n_u, 0], rows[n_u:, 0] = gap, 0.0
         return rows, np.linalg.solve(rows[:, 1:], -rows[:, 0])
 
     def shoot(self, y, rail: bool, plan, i_max: float, target: float):
@@ -570,14 +561,16 @@ class _Loop:
         branch, the s + 1 segments of its half period and the Newton steps
         taken.  On an odd or unordered set of switch times (which also ends
         a non-finite iterate), or no start at the target within
-        ``_SWITCH_ITERATIONS`` steps, the start and branch given, with 0
+        ``_SWITCH_ITERATIONS`` steps, the iterate of the lowest residual and
+        its branch, the start and branch given if no step was taken, with 0
         segments.
         """
-        half, start, first, iterations = self.steps * self.dt, y, rail, 0
+        half, iterations = self.steps * self.dt, 0
+        best = (math.inf, y, rail)  # (residual, start, branch) of the best iterate
         y, taus, s = y.copy(), [step * self.dt for step in plan], len(plan)
         done = False
         while True:
-            if taus[0] <= 0.0 or taus[-1] >= half:  # a switch at or past an end
+            if taus and (taus[0] <= 0.0 or taus[-1] >= half):  # a switch at or past an end
                 taus = (taus[1:] + [taus[0] + half] if taus[0] <= 0.0
                         else [taus[-1] - half] + taus[:-1])
                 rail = not rail  # entering the rail, the start holds the limit
@@ -586,11 +579,14 @@ class _Loop:
                 return y, rail, s + 1, iterations
             if (iterations == _SWITCH_ITERATIONS or s % 2
                     or not all(a < b for a, b in zip([0.0] + taus, taus + [half]))):
-                return start, first, 0, iterations
+                return best[1], best[2], 0, iterations
             u = self.guards[rail].index
             rows, step = self.newton(y, rail, taus, i_max)
             gap, y_u = rows[: len(u), 0], y[u]
-            done = math.sqrt(gap @ gap) <= target * math.sqrt(y_u @ y_u)
+            residual = math.sqrt(gap @ gap) / max(math.sqrt(y_u @ y_u), _TINY)
+            done = residual <= target
+            if residual < best[0]:
+                best = (residual, y.copy(), rail)
             iterations += 1
             y[u] += step[: len(u)]
             taus = [tau + d for tau, d in zip(taus, step[len(u) :].tolist())]
@@ -673,36 +669,42 @@ def simulate(
     solved here where it is None or holds fewer than 9 harmonics.
     The start sets how many maps are run, not which orbit is found, on a
     loop with one attracting periodic response (a convergent one: Pavlov,
-    van de Wouw & Nijmeijer, Syst. Control Lett. 2005).  Newton's method on
-    y - G(y) = 0 over the plant states (Aprille & Trick, Proc. IEEE 1972)
-    refines it until the periodicity residual ||G(y) - y|| / ||y|| is at
-    most ``min(cfg.convergence_tol, 1e-12)``: each step is the step of
-    :meth:`_Loop.newton` from the map's start, with the map's sampled
-    residual, at the map's own switch times, the starts of its segments
-    after the first.
-    A step may raise the residual once, as when the start moves between
-    branches; after two steps in a row that do not lower the best residual,
-    plain iteration of G takes over from the best map.  That fallback
-    serves rows at the map's rounding floor: on the low-pass test plant at
-    l_w = 5 nH and clip fractions 0.6 and 0.8 it ends at residuals of
-    8.4e-13 (after 19 maps) and 1.05e-12 (at the 40-map cap), where Newton
-    steps alone stop at 1.6e-11 and 1.2e-11 after 40 maps.  At most
-    ``cfg.n_periods`` maps are run, and the run is converged when the final
-    residual is at most ``cfg.convergence_tol``.
+    van de Wouw & Nijmeijer, Syst. Control Lett. 2005).
 
-    Where the limit binds, the same Newton steps first solve for the start
-    and the half period's switch times together, from the describing
-    function's clip angles (see :meth:`_Loop.shoot`), propagating each
-    segment exactly without sampling it.  One map, sampled and screened, is then run from
-    the start it finds; where that map meets the target with the solve's
-    segment count the row is done, so the returned orbit always comes from
-    a sampled, fully screened half period.  Where the solve fails, the maps
-    start from the describing function's orbit as above, and where its map
-    misses, Newton steps on maps go on from that map.  Extraction uses the
-    final half period and its negation, whose samples are exact up to the
-    switch-time tolerance ``cfg.algebraic_loop_tol * dt``.  A non-finite
-    state, checked once per map, aborts with :class:`SimulationError`
-    carrying the step index, counted over the half periods run.
+    Every Newton step on y - G(y) = 0 over the plant states (Aprille &
+    Trick, Proc. IEEE 1972) is one of the switch-time solve
+    :meth:`_Loop.shoot`, which solves for the start and the half period's
+    switch times together, propagating each segment exactly without
+    sampling it, until the periodicity residual ||G(y) - y|| / ||y|| is at
+    most ``min(cfg.convergence_tol, 1e-12)``.  Where the limit binds it
+    runs first, from the describing function's clip angles.  One map,
+    sampled and screened, is then run from the start it returns: its own
+    where it settles, else its best iterate.  The row is done where the
+    map meets the target, with the solve's segment count where it settled,
+    so the returned orbit always comes from a sampled, fully screened half
+    period.  A map that misses hands its end, and its own switch times,
+    the starts of its segments after the first, to the solve again; so
+    does a first map that misses from the free branch's orbit.
+
+    A map that does not lower the best map's residual ends the solves:
+    plain iteration of G takes over from the best map's end for the rest
+    of the run.  The second solve and the fallback are both needed.  Plain
+    iteration after one solve took 26 to 38 maps on three of the 180
+    seeded validity rows, which the solve from the missed map's end settles
+    in two.  Solving again after every miss, with no fallback, left four
+    rows of the low-pass test plant (l_w = 5e-7 H at fraction 0.8, 5 nH at
+    0.4, 0.6 and 0.8) at the 40-map cap, at residuals of 1.4e-10 to
+    5.3e-9; on each, the map after the second solve misses by more than the
+    first map, and the fallback from the first map's end settles them in 3
+    to 19 maps.
+
+    At most ``cfg.n_periods`` maps are run, and the run is converged when
+    the final residual is at most ``cfg.convergence_tol``.  Extraction uses
+    the final half period and its negation, whose samples are exact up to
+    the switch-time tolerance ``cfg.algebraic_loop_tol * dt``.  A
+    non-finite state, checked once per map, aborts with
+    :class:`SimulationError` carrying the step index, counted over the half
+    periods run.
 
     The loop does not depend on the limit: inside a :func:`_shared_loops`
     block, calls with the same plant, controller and step count share one;
@@ -732,12 +734,11 @@ def simulate(
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
     y, rail, plan = loop.start(i_max, solution)
-    y, rail, segments, newton_steps = (loop.shoot(y, rail, plan, i_max, target) if plan
-                                       else (y, rail, 0, 0))
-    period_powers = []
-    best = None  # (residual, end state, end branch) of the best Newton map
-    newton, misses = True, 0
+    period_powers, best, segments, newton_steps, iterating = [], None, 0, 0, False
     for p in range(cfg.n_periods):
+        if plan is not None:
+            y, rail, segments, iterations = loop.shoot(y, rail, plan, i_max, target)
+            newton_steps += iterations
         run = loop.period(y, rail, i_max, tol)
         finite = np.isfinite(run.ys[1:])
         if not finite.all():  # the row search runs only on a diverged map
@@ -748,32 +749,18 @@ def simulate(
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.guards[rail].unknowns
         end = run.ys[half]
-        gap = end[u] - y[u]
-        residual = float(np.linalg.norm(gap) / max(np.linalg.norm(y[u]), _TINY))
-        # the map from a switch-time solve's start must also keep its segment count
-        settled = residual <= target and (p or not segments or len(run.segments) == segments)
+        residual = float(np.linalg.norm(end[u] - y[u]) / max(np.linalg.norm(y[u]), _TINY))
+        # the map from a solved start must also keep the solve's segment count
+        settled = residual <= target and (not segments or len(run.segments) == segments)
         if settled or p == cfg.n_periods - 1:
             break
-        if not newton:
+        if iterating:
             y, rail = end, run.rail
-            continue
-        if best is None or residual < best[0]:
-            best, misses = (residual, end, run.rail), 0
-        else:
-            misses += 1
-        if misses == 2:  # Newton stalls: iterate the map from the best map
-            newton = False
-            _, y, rail = best
-            continue
-        # the step on the map's own switch times, at which its guards are 0
-        taus = [start for _, start, _ in run.segments[1:]]
-        step = y[u] + loop.newton(y, rail, taus, i_max, gap)[1][: len(gap)]
-        y = end.copy()
-        y[u] = step
-        if run.rail:  # the rail holds the current the map ended with
-            y[loop.sigma] = end[loop.sigma]
-        rail = run.rail
-        newton_steps += 1
+        elif best is None or residual < best[0]:  # solve again from the map's end
+            best = (residual, end, run.rail)
+            y, rail, plan = end, run.rail, [start / dt for _, start, _ in run.segments[1:]]
+        else:  # the solve no longer lowers the residual: iterate G from the best map
+            (_, y, rail), iterating, plan, segments = best, True, None, 0
 
     # the stored period: the final half and its negation, as rows i, x, v, v_load
     first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))
