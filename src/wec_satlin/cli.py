@@ -123,7 +123,8 @@ def cmd_smith(cfg: RunConfig) -> int:
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
-    """Nondominated (power, voltage, current) fronts per alpha."""
+    """(power, voltage, current) fronts per alpha: the minimum-voltage and
+    minimum-current optimal contours, which hold only nondominated points."""
     header = ["alpha", "power_ratio", "v_ratio", "i_ratio"]
     fronts = [(alpha, pareto_front(alpha, cfg.pareto_points)) for alpha in cfg.alphas]
     table = np.concatenate([front for _, front in fronts])

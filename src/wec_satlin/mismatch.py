@@ -17,11 +17,14 @@ All angles are reported wrapped to (-pi, pi].
 A scalar input (Python or numpy scalar, or 0-d array) is evaluated with
 ``math``, returns a Python number equal to the array result up to rounding,
 and raises :class:`DomainError` on NaN; NaN array entries give NaN.
+
+The optimal-angle closed form squares alpha^2 g^2 + 1, which overflows once
+|alpha| reaches ``ALPHA_LIMIT`` = (largest float)^(1/4), about 1.158e77.
+Every function of alpha raises :class:`DomainError` there.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -67,6 +70,18 @@ PARETO_DTYPE = np.dtype(
         ("i_ratio", np.float64),
     ]
 )
+
+
+ALPHA_LIMIT = float(np.finfo(float).max) ** 0.25
+
+
+def _require_alpha(alpha: float) -> None:
+    """Raise :class:`DomainError` where |alpha| reaches ``ALPHA_LIMIT``; NaN
+    passes, for each caller's own NaN rule."""
+    if abs(alpha) >= ALPHA_LIMIT:
+        raise DomainError(
+            f"|alpha| must be below {ALPHA_LIMIT:.4g}, where alpha^4 overflows, got {alpha}"
+        )
 
 
 def _is_scalar(x) -> bool:
@@ -213,6 +228,7 @@ def power_ratio(gamma) -> float:
 
 
 def _ratio_num_den(gamma, alpha: float, epsilon: int):
+    _require_alpha(alpha)
     g2 = abs(gamma) ** 2
     num = g2 + 2.0 * epsilon * gamma.real + 1.0
     den = alpha**2 * g2 + 2.0 * alpha * gamma.imag + 1.0
@@ -272,6 +288,7 @@ def optimal_angle(gamma_mag, alpha: float, epsilon: int):
     """
     if epsilon not in (+1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
+    _require_alpha(alpha)
     if _is_scalar(gamma_mag):
         g = float(gamma_mag)
         if not (0.0 <= g and g * g <= 1.0 + 1e-9) or math.isnan(alpha):
@@ -355,6 +372,7 @@ def _contour_radius(target_ratio: float, alpha: float) -> tuple[float, float]:
     """
     if not (0.0 < target_ratio <= 1.0):
         raise DomainError(f"target ratio must lie in (0, 1], got {target_ratio}")
+    _require_alpha(alpha)
     r = float(target_ratio)
     root, rise = math.hypot(1.0, r * r * alpha), r * math.hypot(1.0, alpha)
     den = root + rise
@@ -390,53 +408,6 @@ def _current_contour_point(target_ratio: float, alpha: float) -> OperatingPoint:
     )
 
 
-def _nondominated(triples: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows not dominated by any other row.
-
-    A row dominates another when it has power_ratio at least as high and
-    both amplitude ratios at least as low, with at least one strict.
-
-    Maxima filter of Kung, Luccio & Preparata (J. ACM 1975): rows are swept
-    by descending power.  A staircase of the (v, i) minima among rows of
-    strictly higher power, ascending in v and strictly descending in i,
-    answers each dominance query with one bisection; rows of equal power
-    are compared among themselves.  A row with a NaN compares false against
-    every other, so it is kept and dominates nothing.
-    """
-    p, v, i = (triples[name] for name in PARETO_DTYPE.names)
-    has_nan = (np.isnan(p) | np.isnan(v) | np.isnan(i)).tolist()
-    order = np.argsort(-p, kind="stable").tolist()
-    p, v, i = p.tolist(), v.tolist(), i.tolist()
-    keep = [True] * len(order)
-    stair_v: list[float] = []
-    stair_i: list[float] = []
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and p[order[end]] == p[order[start]]:
-            end += 1
-        group = [k for k in order[start:end] if not has_nan[k]]
-        start = end
-        for k in group:
-            pos = bisect.bisect_right(stair_v, v[k])
-            keep[k] = not (
-                (pos and stair_i[pos - 1] <= i[k])
-                or any(
-                    v[q] <= v[k] and i[q] <= i[k] and (v[q] < v[k] or i[q] < i[k])
-                    for q in group
-                )
-            )
-        for k in group:
-            if keep[k]:
-                pos = bisect.bisect_left(stair_v, v[k])
-                stop = pos
-                while stop < len(stair_i) and stair_i[stop] >= i[k]:
-                    stop += 1
-                stair_v[pos:stop] = [v[k]]
-                stair_i[pos:stop] = [i[k]]
-    return np.array(keep, dtype=bool)
-
-
 def _ratios(gamma: np.ndarray, alpha: float):
     """Voltage and current ratio arrays at ``gamma``; ``inf`` where a
     denominator is zero, as at gamma = -i/alpha."""
@@ -446,34 +417,38 @@ def _ratios(gamma: np.ndarray, alpha: float):
         return np.sqrt(num_v / den), np.sqrt(num_i / den)
 
 
-def _pareto_candidates(alpha: float, n_points: int) -> np.ndarray:
-    """Distinct ratio triples on both optimal contours, |gamma| over [0, 1]."""
+def pareto_front(alpha: float, n_points: int) -> np.ndarray:
+    """(power, voltage, current) ratio triples on the two optimal contours.
+
+    Samples both the minimum-voltage and the minimum-current contour at
+    ``n_points`` radii |gamma| over [0, 1], drops the matched point that both
+    share (rows equal in all three ratios count once), and returns the
+    2 ``n_points`` - 1 triples as a structured array sorted by descending
+    power ratio, then ascending voltage and current ratio.  The matched point
+    (1, 1, 1) is always first.
+
+    The two contours are the whole Pareto front, and no sample is dominated:
+
+    - v = |1 + gamma| / |1 - i alpha gamma| and
+      i = |1 - gamma| / |1 - i alpha gamma| have reciprocals that are analytic
+      and nonconstant on |gamma| < 1.
+    - So by the maximum-modulus principle (Ahlfors, Complex Analysis, ch. 4)
+      each ratio's minimum over |gamma| <= g is reached only on the circle
+      |gamma| = g, at a single point, and it falls strictly as g grows.
+    - So any point of equal or higher power, |gamma| <= g, has a strictly
+      larger value of that minimized ratio than the contour point, unless it
+      is the contour point itself.
+    """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     gs = np.linspace(0.0, 1.0, n_points)
-    rows = []
-    for eps in (+1, -1):
-        phi = optimal_angle(gs, alpha, eps)
-        gamma = gs * np.exp(1j * phi)
-        v, i = _ratios(gamma, alpha)
-        p = 1.0 - gs**2
-        rows.append(np.rec.fromarrays([p, v, i], dtype=PARETO_DTYPE))
-    table = np.concatenate(rows).view(np.recarray)
-    return np.unique(table)  # drops the duplicated matched endpoint
-
-
-def pareto_front(alpha: float, n_points: int) -> np.ndarray:
-    """Nondominated (power, voltage, current) ratio triples on the optimal contours.
-
-    Sweeps |gamma| over [0, 1] with ``n_points`` samples, evaluates both the
-    minimum-voltage and minimum-current contours, and returns the
-    nondominated triples as a structured array sorted by descending power
-    ratio.  The matched point (1, 1, 1) is always first.
-    """
-    table = _pareto_candidates(alpha, n_points)
-    table = table[_nondominated(table)]
-    order = np.lexsort((table["i_ratio"], table["v_ratio"], -table["power_ratio"]))
-    return np.asarray(table[order])
+    table = np.empty(2 * n_points, dtype=PARETO_DTYPE)
+    for rows, eps in zip((table[:n_points], table[n_points:]), (+1, -1)):
+        gamma = gs * np.exp(1j * optimal_angle(gs, alpha, eps))
+        rows["v_ratio"], rows["i_ratio"] = _ratios(gamma, alpha)
+        rows["power_ratio"] = 1.0 - gs**2
+    table = np.unique(table)  # drops the duplicated matched endpoint
+    return table[np.lexsort((table["i_ratio"], table["v_ratio"], -table["power_ratio"]))]
 
 
 def smith_grid(alpha: float, resolution: int = 101, n_angular: int = 360) -> np.ndarray:

@@ -61,8 +61,8 @@ def _level_crossings(grid: np.ndarray, field: str, resolution: int, n_angular: i
     straddles 1.  Points come ray by ray, outward along each ray.
     """
     values = grid[field].reshape(resolution, n_angular).T - 1.0
-    radii = np.abs(grid["gamma"]).reshape(resolution, n_angular)[:, 0]
-    theta = np.angle(grid["gamma"].reshape(resolution, n_angular)[-1, :])
+    gamma = grid["gamma"].reshape(resolution, n_angular)
+    radii, theta = np.abs(gamma[:, 0]), np.angle(gamma[-1])
     a, b = values[:, :-1], values[:, 1:]
     on_level = a == 0.0
     hit = np.isfinite(a) & np.isfinite(b) & (on_level | (a * b < 0.0))

@@ -392,6 +392,25 @@ class TestExitCodes:
         assert err.startswith(f"config error: [sweep] {key} repeats ") and "12 significant" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas", ["1e78", "0, 1e200", "-1e200"])
+    @pytest.mark.parametrize("command", ["smith", "pareto"])
+    def test_alpha_past_the_overflow_limit_is_an_error(self, tmp_path, capsys, command, alphas):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NONDIM_ONLY + f"\n[sweep]\nalphas = {alphas}\n"
+                       "smith_resolution = 5\nsmith_angular = 8\npareto_points = 5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: |alpha| must be below 1.158e+77") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["smith", "pareto"])
+    def test_alpha_below_the_overflow_limit_runs(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NONDIM_ONLY + "\n[sweep]\nalphas = 1e76, -1e76\n"
+                       "smith_resolution = 5\nsmith_angular = 8\npareto_points = 5\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--svg"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("taken", ["out", "out/fsat.csv"])
     def test_unwritable_output_is_config_error(self, tmp_path, capsys, taken):
         # --out names a file, or a directory stands where the CSV goes

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     amplitude_ratio_bruteforce_angle,
@@ -33,12 +35,7 @@ from wec_satlin import (
     z_from_gamma,
 )
 from wec_satlin.descfcn import linear_saturation_equivalent
-from wec_satlin.mismatch import (
-    PARETO_DTYPE,
-    _nondominated,
-    _pareto_candidates,
-    wrap_angle,
-)
+from wec_satlin.mismatch import ALPHA_LIMIT, wrap_angle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -346,20 +343,19 @@ class TestParetoFront:
     @pytest.mark.parametrize("n_points", [2, 3, 201, 2001])
     @pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 5.0])
     def test_sweep_filter_matches_quadratic_oracle(self, alpha, n_points):
-        table = _pareto_candidates(alpha, n_points)
-        np.testing.assert_array_equal(_nondominated(table), nondominated_quadratic(table))
+        # fixed cases outside the property below (alpha = 0, 2001 points):
+        # the quadratic oracle keeps every point of the swept contours
+        front = pareto_front(alpha, n_points)
+        assert len(front) == 2 * n_points - 1
+        assert nondominated_quadratic(front).all()
 
-    def test_sweep_filter_with_ties_inf_and_nan(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            vals = rng.integers(0, 4, size=(3, 50)).astype(float)
-            vals[rng.random(vals.shape) < 0.05] = np.inf
-            vals[rng.random(vals.shape) < 0.03] = -np.inf
-            vals[rng.random(vals.shape) < 0.03] = np.nan
-            table = np.rec.fromarrays(vals, dtype=PARETO_DTYPE)
-            np.testing.assert_array_equal(
-                _nondominated(table), nondominated_quadratic(table)
-            )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(magnitude=st.floats(1e-12, 1e6), sign=st.sampled_from((1.0, -1.0)),
+           n_points=st.integers(2, 500))
+    def test_front_is_nondominated(self, magnitude, sign, n_points):
+        front = pareto_front(sign * magnitude, n_points)
+        assert len(front) == 2 * n_points - 1
+        assert nondominated_quadratic(front).all()
 
     def test_sorted_descending_power(self):
         front = pareto_front(5.0, 101)
@@ -453,6 +449,44 @@ class TestSmithGrid:
             smith_grid(1.0, resolution=1)
         with pytest.raises(DomainError, match="n_angular must be at least 2, got 1"):
             smith_grid(1.0, resolution=5, n_angular=1)
+
+
+class TestAlphaLimit:
+    """|alpha| must stay below (largest float)^(1/4), where the closed forms'
+    (alpha^2 g^2 + 1)^2 overflows; a warning is an error under this suite."""
+
+    def test_limit_is_where_the_square_overflows(self):
+        below = math.nextafter(ALPHA_LIMIT, 0.0)
+        assert math.isfinite((below * below + 1.0) ** 2)
+        assert math.isinf(ALPHA_LIMIT**2 * ALPHA_LIMIT**2)
+
+    @pytest.mark.parametrize("alpha", [1e76, -1e76, math.nextafter(ALPHA_LIMIT, 0.0)])
+    def test_below_the_limit_runs(self, alpha):
+        gs = np.linspace(0.0, 1.0, 5)
+        for eps in (+1, -1):
+            assert np.isfinite(optimal_angle(gs, alpha, eps)).all()
+            assert math.isfinite(optimal_angle(1.0, alpha, eps))
+            gamma = gamma_for_amplitude_target(0.5, alpha, eps)
+            assert amplitude_ratio(gamma, alpha, eps) == pytest.approx(0.5)
+        front = pareto_front(alpha, 5)
+        assert len(front) == 9 and np.isfinite(front.tolist()).all()
+        grid = smith_grid(alpha, resolution=5, n_angular=8)
+        assert not np.isnan(grid["v_ratio"]).any()
+
+    @pytest.mark.parametrize("alpha", [ALPHA_LIMIT, 1e78, -1e78, 1e200, -math.inf])
+    def test_at_and_above_the_limit_is_rejected(self, alpha):
+        calls = [
+            lambda: optimal_angle(np.linspace(0.0, 1.0, 5), alpha, +1),
+            lambda: optimal_angle(0.5, alpha, -1),
+            lambda: amplitude_ratio(0.1 + 0.2j, alpha, +1),
+            lambda: amplitude_ratio(np.array([0.1, 0.2j]), alpha, -1),
+            lambda: gamma_for_amplitude_target(0.5, alpha, -1),
+            lambda: pareto_front(alpha, 5),
+            lambda: smith_grid(alpha, resolution=5, n_angular=8),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="alpha"):
+                call()
 
 
 class TestOperatingPoint:
