@@ -160,12 +160,10 @@ def _column(column) -> tuple[np.ndarray, bool]:
     """One CSV column as float64 values or a block of cell bytes, and whether
     it is a scalar, whose one-row block stands for every row.
 
-    A list of ``str`` is its UTF-8 text, a flag column ``0`` or ``1``, and
-    integer and ``S`` arrays their text; any other column goes through
-    :func:`fmt` cell by cell.
+    A flag column is ``0`` or ``1``, and integer and ``S`` arrays are their
+    text; any other column, text included, goes through :func:`fmt` cell by
+    cell.
     """
-    if isinstance(column, list) and set(map(type, column)) <= {str}:
-        return _block(np.array([cell.encode() for cell in column], dtype="S")), False
     arr = np.asarray(column)
     if arr.ndim == 0:
         return _block(np.array([fmt(column).encode()])), True

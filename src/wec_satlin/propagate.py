@@ -12,7 +12,7 @@ that a badly scaled row, such as a small winding inductance's current
 row, does not set the squaring count.  Samples on the grid are one
 matrix-vector product against a stack of powers of the one-step flow; a
 switch between samples is located on its guard function (Shampine &
-Thompson, Appl. Numer. Math. 2000) along the sub-step flow.
+Thompson, Appl. Numer. Math. 2000) along the sub-step flow, by the same rule.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
 _THETA13 = 5.371920351148152
 _ORDERS = np.arange(21)  # Taylor terms of a sub-step flow
 _MAX_SCALE = 2.0**256  # largest factor one balance update applies
-
-
-def _max_abs(v: np.ndarray) -> float:
-    """max |v_i| of a short vector, in Python floats: one numpy call, not
-    two."""
-    return max(map(abs, v.tolist()))
 
 
 def expm(a) -> np.ndarray:
@@ -124,8 +118,8 @@ class Branch:
     so samples j + 1 .. m from y are ``powers[j:m] @ y``, one matrix-vector
     product of the stack's ``((m - j) n, n)`` view; ``taylor`` stacks
     a^k / k!, and ``tail`` is max |a^20 / 20!|, the last term's size for a
-    unit step.  Steps that take the matrix exponential share the
-    generator's balance, :attr:`scale`.
+    unit step.  :meth:`transition` is the one choice between the Taylor sum
+    and the matrix exponential, whose steps share :attr:`scale`.
     """
 
     a: np.ndarray
@@ -166,16 +160,6 @@ class Branch:
         that takes the matrix exponential, and shared by every later one."""
         return balance(self.a)
 
-    def path(self, y0, h):
-        """tau -> expm(a tau) y0 on [0, h]: the Taylor polynomial where its
-        last term is below rounding, else the balanced matrix exponential
-        (stiff)."""
-        terms = (self.taylor.reshape(-1, len(y0)) @ y0).reshape(len(_ORDERS), -1)
-        terms *= h ** _ORDERS[:, None]
-        if _max_abs(terms[-1]) <= 1e-16 * _max_abs(terms[0]):
-            return lambda tau: (tau / h) ** _ORDERS @ terms
-        return lambda tau: flow(self.a, tau, self.scale) @ y0
-
     def transition(self, h: float) -> np.ndarray:
         """expm(a h) as a matrix: the Taylor sum, one product of the powers
         of h with the stacked terms, where its last term is below rounding,
@@ -187,9 +171,9 @@ class Branch:
 
     def locate(self, at, y0, y_hi, h, guard, level, tol):
         """Time in (0, h] where ``guard @ y - level`` turns positive, and the
-        state there, along ``at = path(y0, h)``; the guard is not positive
-        at ``y0`` and positive at ``y_hi``.  The caller passes the path, so
-        one built for a whole sub-step serves every search over it.
+        state there, along ``at``: tau -> expm(a tau) y0, such as
+        ``transition(tau) @ y0``; the guard is not positive at ``y0`` and
+        positive at ``y_hi``.  The caller passes ``at``, so it can wrap it.
 
         Newton's method from the secant guess, kept inside the bracket,
         until the bracket is ``tol`` wide; its positive end is returned.

@@ -174,7 +174,7 @@ class ValidationReport:
 _MAX_EVENTS = 8  # clip switches allowed within one step
 _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _SWITCH_ITERATIONS = 8  # Newton steps the switch-time solve may take
-_TINY = np.finfo(float).tiny  # residual scale floor: a zero orbit converges
+_TINY = float(np.finfo(float).tiny)  # residual scale floor: a zero orbit converges
 _EPS = np.finfo(float).eps
 # (plant, z_c, steps) -> _Loop while a _shared_loops block is open, else None
 _LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", default=None)
@@ -214,6 +214,12 @@ class _Guard(NamedTuple):
     index: np.ndarray
     columns: np.ndarray
     reset: np.ndarray
+
+
+def _residual(gap: np.ndarray, y_u: np.ndarray) -> float:
+    """The periodicity residual ||G(y)[u] - y[u]|| / ||y[u]|| from the gap
+    G(y)[u] - y[u] and y[u], the start's unknowns."""
+    return math.sqrt(gap @ gap) / max(math.sqrt(y_u @ y_u), _TINY)
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -418,7 +424,8 @@ class _Loop:
 
     def switch(self, rail: bool, y, h: float, i_max: float, tol: float):
         """End state of a sub-step ``h`` from ``y``, and its first switch
-        ``(tau, y_tau, sign)`` under the limit ``i_max``, or None.
+        ``(tau, y_tau, sign)`` under the limit ``i_max``, or None.  The end
+        state and every search point are ``Branch.transition(tau) @ y``.
 
         A guard positive at the end brackets a switch; one whose slope turns
         from rising to falling is checked at its located peak.  A located
@@ -430,7 +437,7 @@ class _Loop:
         ulp above the limit.
         """
         br, guard = self.branch(rail), self.guards[rail]
-        at = br.path(y, h)
+        at = lambda tau: br.transition(tau) @ y
         y_end = at(h)
         if rail:  # positive once the command current is back inside
             signs, level = (-np.sign(y[self.sigma]),), 0.0
@@ -448,9 +455,7 @@ class _Loop:
                 hi, y_hi = br.locate(at, y, y_end, h, -sign * guard.slope, 0.0, tol)
                 if not sign * (guard.row @ y_hi) - level > 0.0:
                     continue
-            # a path over a shorter bracket rounds differently: build it anew
-            path = at if hi == h else br.path(y, hi)
-            tau, y_tau = br.locate(path, y, y_hi, hi, sign * guard.row, level, tol)
+            tau, y_tau = br.locate(at, y, y_hi, hi, sign * guard.row, level, tol)
             # the guard's rate is the pivot of the switch time in :meth:`newton`
             bound = 2.0 * self.n * _EPS * (guard.abs_row @ (guard.abs_a @ np.abs(y_tau)))
             if not abs(guard.row @ (br.a @ y_tau)) > bound:
@@ -582,8 +587,7 @@ class _Loop:
                 return best[1], best[2], 0, iterations
             u = self.guards[rail].index
             rows, step = self.newton(y, rail, taus, i_max)
-            gap, y_u = rows[: len(u), 0], y[u]
-            residual = math.sqrt(gap @ gap) / max(math.sqrt(y_u @ y_u), _TINY)
+            residual = _residual(rows[: len(u), 0], y[u])
             done = residual <= target
             if residual < best[0]:
                 best = (residual, y.copy(), rail)
@@ -749,7 +753,7 @@ def simulate(
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.guards[rail].unknowns
         end = run.ys[half]
-        residual = float(np.linalg.norm(end[u] - y[u]) / max(np.linalg.norm(y[u]), _TINY))
+        residual = _residual(end[u] - y[u], y[u])
         # the map from a solved start must also keep the solve's segment count
         settled = residual <= target and (not segments or len(run.segments) == segments)
         if settled or p == cfg.n_periods - 1:

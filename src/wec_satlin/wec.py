@@ -344,10 +344,23 @@ def optimal_alpha_m_for_limits(groups: NondimGroups) -> tuple[float, float]:
 
     With a negligible winding time constant the reactance parameter reduces
     to alpha = -D alpha_m / (R (1 + alpha_m^2) + D), whose magnitude peaks at
-    alpha_m = +/- sqrt(1 + D/R).  Plants designed there are least sensitive
-    to amplitude limits, at the cost of detuning from resonance.  The root
-    is formed exactly and rounded once, so it stays finite, about 4.5e161,
-    for R at the least subnormal float.
+    alpha_m = +/- sqrt(1 + D/R).  The root is formed exactly and rounded
+    once, so it stays finite, about 4.5e161, for R at the least subnormal
+    float.
+
+    The claim that plants designed there are least sensitive to force
+    limits holds for one controller and one measure: the optimal-contour
+    linear load's chart power ratio 1 - |gamma|^2 at equal peak current
+    (:func:`~wec_satlin.mismatch.gamma_for_amplitude_target`), which grows
+    with |alpha|.  The clipped conjugate controller is the most sensitive
+    there: on the ``golden.ini`` plant (R = 0.05, D = 1) with alpha_m moved
+    by the mass through 0, 2, alpha_m* and 6, its power ratio at 0.2 and
+    0.5 of the matched current is lowest at alpha_m*, under the describing
+    function and the referee alike.  The describing function's merit is
+    3.09 at +alpha_m*, and 0.84 (not enforced) at -alpha_m* reached by
+    stiffening k_h.  The chart's 1 - |gamma|^2 is the circuit's load power
+    only at alpha = 0; at alpha_m* the referee runs that linear load at
+    0.255 of the matched power, not 0.581 (fraction 0.2).
     """
     if groups.l_cal != 0.0:
         raise DomainError("closed-form optimum assumes a zero winding time constant")

@@ -558,7 +558,11 @@ class TestLocate:
     def test_flat_guard_is_bisected(self, h, t0, tol, level):
         br = Branch.build(np.diag([1.0, 1.0, 1.0], 1), np.eye(4)[0], np.eye(4)[0], h, 1)
         y0 = np.array([level - t0**3 / 6.0, t0 * t0 / 2.0, -t0, 1.0])
-        at, taus = br.path(y0, h), []
+        taus = []
+
+        def at(t):
+            return br.transition(t) @ y0
+
         tau, y = br.locate(lambda t: taus.append(t) or at(t), y0, at(h), h, np.eye(4)[0],
                            level, tol)
         assert len(taus) <= math.log2(h / tol) + 5
@@ -575,7 +579,8 @@ class TestSubStepFlow:
         h = 2 * math.pi / 600
         for tau in (0.0, 0.3 * h, h):
             exact = flow(loop.free.a, tau) @ y0
-            np.testing.assert_allclose(loop.free.path(y0, h)(tau), exact, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(loop.free.transition(tau) @ y0, exact, rtol=1e-13,
+                                       atol=1e-13)
 
     def test_stiff_sub_step_falls_back_to_matrix_exponential(self, lowpass_plant):
         plant = dataclasses.replace(lowpass_plant, l_w=1e-6)
@@ -583,15 +588,16 @@ class TestSubStepFlow:
         loop = _Loop(plant, plant.z_thevenin().conjugate(), h, 2000)
         y0 = loop.y0 + np.arange(loop.n)
         tau = 0.6 * h
-        assert np.array_equal(loop.free.path(y0, h)(tau), flow(loop.free.a, tau) @ y0)
+        assert np.array_equal(loop.free.transition(tau) @ y0, flow(loop.free.a, tau) @ y0)
 
     @pytest.mark.parametrize("fraction", [0.4, 0.6, 0.8])
     def test_path_keeps_the_taylor_sum_per_state(self, lowpass_plant, fraction):
-        # a 0.5 mH winding: the path's Taylor test on its own terms keeps
-        # these sub-steps on the Taylor polynomial.  Put on the transition's
-        # test of the generator's tail instead, they take the matrix
-        # exponential, and the rows run to the 40-map cap with residuals of
-        # 9.7e-13, 7.0e-11 and 1.8e-11
+        # a 0.5 mH winding: on the transition's test of the generator's
+        # tail, 6, 2 and 2 of the 12, 11 and 12 sub-step flows of these
+        # rows' switch searches take the balanced matrix exponential, and
+        # each row settles in one map at a residual of 5.4e-14, 1.0e-15 and
+        # 3.7e-15.  Before the balance, that test took these rows to the
+        # 40-map cap, at residuals of 9.7e-13, 7.0e-11 and 1.8e-11
         plant = dataclasses.replace(lowpass_plant, l_w=5e-4)
         src = thevenin_from_plant(plant)
         i_max = fraction * matched_baseline(src).i_peak_matched
@@ -652,21 +658,6 @@ class TestClipEvents:
         assert _waveform_gap(coarse, free, 1) > 1e-8  # so the clip was seen
         assert _waveform_gap(coarse, fine, 4) < 1e-10
 
-    @pytest.mark.parametrize("l_w", [0.0, 0.004])
-    def test_reused_sub_step_path_moves_no_bit(self, lowpass_plant, monkeypatch, l_w):
-        # the peak search and the switch search share the sub-step's path;
-        # a search over a bracket the peak shortened needs its own
-        plant, z_c, i_max, cfg, _ = _enter_and_release_row(lowpass_plant, l_w)
-        shared = simulate(plant, z_c, i_max=i_max, cfg=cfg)
-        locate = Branch.locate
-
-        def own_path(self, at, y0, y_hi, h, *args):
-            return locate(self, self.path(y0, h), y0, y_hi, h, *args)
-
-        monkeypatch.setattr(Branch, "locate", own_path)
-        fresh = simulate(plant, z_c, i_max=i_max, cfg=cfg)
-        assert _result_bits(shared) == _result_bits(fresh)
-
     @pytest.mark.parametrize("l_w", [0.0, 0.005])
     def test_grazing_full_fraction_row(self, l_w):
         plant, z_c, i_max = _grazing_row(l_w)
@@ -699,7 +690,7 @@ class TestClipEvents:
     def test_tangential_release_is_not_a_reentry(self):
         # with winding inductance the current leaves the rail tangentially:
         # it starts at the limit with a rate of zero to rounding.  The stiff
-        # winding (l_w = 5e-5, tau_l = dt / 7.5) puts the sub-step path on
+        # winding (l_w = 5e-5, tau_l = dt / 7.5) puts the sub-step flow on
         # the matrix exponential, which reads the current one ulp above the
         # limit 1e-16 s after the release.  That touch is not a switch: its
         # guard rate, the pivot of its switch time in the Newton step, is
@@ -1086,12 +1077,12 @@ class TestWindowedScan:
                 for frac in (0.4, 0.6, 0.8, 1.0)]
         assert [res.periods_run for res in runs] == [1, 1, 1, 1]  # half periods
         assert len(counts) == 4
-        # the peak bound leaves 8 steps to cross, of 11 without it: 2 per
-        # row.  The unclipped row's sampled peak sits 7e-11 A below its
-        # limit, the matched peak, so its bound reaches the limit in two
-        # steps; with the overscaled matrix exponential of the one-step
-        # flow its orbit was 4e-10 off and the peak 3.7e-7 A below, one step
-        assert sum(candidates for _, candidates in counts) == 8
+        # the peak bound leaves 7 steps to cross, of 10 without it: 2 per
+        # clipped row.  The unclipped row's sampled peak sits 7e-11 A below
+        # its limit, the matched peak, so its bound reaches the limit in one
+        # step; with the overscaled matrix exponential of the one-step flow
+        # its orbit was 4e-10 off and the peak 3.7e-7 A below
+        assert sum(candidates for _, candidates in counts) == 7
         for calls, candidates in counts:
             assert 1 <= calls <= candidates + 1
 
