@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .mismatch import OperatingPoint, TheveninSource, _current_contour_point, matched_baseline
+from .mismatch import OperatingPoint, TheveninSource, _current_contour_point, _matched_current
 
 __all__ = [
     "SaturationFactors",
@@ -296,14 +296,16 @@ def solve_operating_point(
         raise DomainError(f"current limit must be positive, got {i_max}")
     if n_harmonics < 1 or n_harmonics % 2 == 0:
         raise DomainError(f"n_harmonics must be odd and positive, got {n_harmonics}")
+    v_th, z_th = src.v_th, src.z_th
+    v_mag = abs(v_th)
     if z_c is None:
-        z_c = src.z_th.conjugate()
+        z_c = z_th.conjugate()
     z_c = complex(z_c)
     if not cmath.isfinite(z_c):
         raise DomainError(f"controller impedance must be finite, got {z_c}")
 
     def residual(f):  # unchecked depth: i_max and |v_th| are positive
-        i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
+        i_temp_mag = v_mag / abs(f * z_th + z_c)
         return f - _fundamental(i_max / i_temp_mag)
 
     lo, hi = 1e-15, 1.0
@@ -314,7 +316,7 @@ def solve_operating_point(
         r_lo = residual(lo)
         if not r_lo < 0.0:
             if z_c == 0.0:  # f_sat,1(I) <= 4 I / pi keeps the residual positive
-                bound = math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+                bound = math.pi * v_mag / (4.0 * abs(z_th))
                 raise DomainError(
                     f"no operating point: with z_c = 0 the residual f - f_sat,1 is "
                     f"positive on (0, 1], because the current limit {i_max:.6g} is at "
@@ -324,7 +326,7 @@ def solve_operating_point(
             lo, hi, r_lo, r_hi = 0.0, lo, residual(0.0), r_lo
         f, residuals = _bracketed_root(residual, lo, hi, r_lo, r_hi, tol, max_iter)
 
-    i_temp = src.v_th / (f * src.z_th + z_c)
+    i_temp = v_th / (f * z_th + z_c)
     psi = cmath.phase(i_temp)
     i_temp_mag = abs(i_temp)
     factors = saturation_factors(i_max / i_temp_mag, n_harmonics)
@@ -333,13 +335,10 @@ def solve_operating_point(
     p_total = 0.0
     for n, f_n in factors.factors.items():
         current = f_n * i_temp_mag * cmath.exp(1j * (n * psi + (n - 1) * math.pi / 2.0))
-        if n == 1:
-            v_load = src.v_th - src.z_th * current
-        else:
-            v_load = -src.z_th_at(n) * current
+        v_load = v_th - z_th * current if n == 1 else -src.z_th_at(n) * current
         power = 0.5 * (v_load * current.conjugate()).real
         p_total += power
-        harmonics.append(HarmonicComponent(n=n, current=current, v_load=v_load, power=power))
+        harmonics.append(HarmonicComponent(n, current, v_load, power))
 
     return SaturationSolution(
         i_max=i_max,
@@ -378,12 +377,12 @@ def linear_saturation_equivalent(src: TheveninSource, i_max: float) -> Operating
     stay exact to rounding up to the open circuit, where gamma rounds to
     one: both are built from 1 - |gamma| without forming 1 - |gamma|^2.
     """
-    baseline = matched_baseline(src)
-    if i_max > baseline.i_peak_matched:
+    i_matched = _matched_current(src)
+    if i_max > i_matched:
         raise DomainError(
             "current limit exceeds the matched current; no reduction is needed"
         )
-    return _current_contour_point(i_max / baseline.i_peak_matched, src.alpha)
+    return _current_contour_point(i_max / i_matched, src.alpha)
 
 
 def reconstruct_current(solution: SaturationSolution, omega: float, t) -> np.ndarray:

@@ -85,7 +85,8 @@ def _require_alpha(alpha: float) -> None:
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, Number) or np.ndim(x) == 0
+    # the concrete types first: the Number ABC's check is the slow one
+    return isinstance(x, (float, complex, int)) or isinstance(x, Number) or np.ndim(x) == 0
 
 
 def wrap_angle(angle):
@@ -179,8 +180,13 @@ def matched_baseline(src: TheveninSource) -> MatchedBaseline:
     return MatchedBaseline(
         p_matched=vmag**2 / (8.0 * r),
         v_peak_matched=vmag * abs(src.z_th) / (2.0 * r),
-        i_peak_matched=vmag / (2.0 * r),
+        i_peak_matched=_matched_current(src),
     )
+
+
+def _matched_current(src: TheveninSource) -> float:
+    """Peak load current at the conjugate-matched load, |V_th| / (2 Re Z_th)."""
+    return abs(src.v_th) / (2.0 * src.z_th.real)
 
 
 def gamma_from_z(z: complex) -> complex:

@@ -44,14 +44,15 @@ __all__ = [
 def _require_finite(record) -> None:
     """Reject a NaN or infinite value in any field of a parameter dataclass,
     and store a numpy scalar field as its Python value, so that the record
-    computes, compares and hashes as one built from Python numbers."""
-    for f in fields(record):
-        value = getattr(record, f.name)
+    computes, compares and hashes as one built from Python numbers.  The
+    names come from the class's field table, built once with the class."""
+    for name in type(record).__dataclass_fields__:
+        value = getattr(record, name)
         if isinstance(value, np.generic):
             value = value.item()
-            object.__setattr__(record, f.name, value)
+            object.__setattr__(record, name, value)
         if not cmath.isfinite(value):
-            raise DomainError(f"{f.name} must be finite, got {value}")
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,12 @@ class WecPlant:
     g0 : int
         Mode gain: 1 for heave, 2 for surge/pitch.
 
-    The impedances are pure functions of these frozen fields, so each plant
-    memoizes Z_m(n w) and Z_th(n w) per harmonic on first use.  The memo is
-    not a field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace``
-    ignore it, pickling and copying drop it, and every plant starts with
-    its own.  It holds only complex numbers, so it makes no reference cycle.
+    The impedances and the Thevenin voltage are pure functions of these
+    frozen fields, so each plant memoizes Z_m(n w) and Z_th(n w) per
+    harmonic, and V_th, on first use.  The memo is not a field: ``==``,
+    ``hash``, ``repr`` and ``dataclasses.replace`` ignore it, pickling and
+    copying drop it, and every plant starts with its own.  It holds only
+    complex numbers, so it makes no reference cycle.
     """
 
     m: float
@@ -178,6 +180,13 @@ class WecPlant:
         if z is None:
             z = self._memo[key] = self.z_wind(n) + self.coupling**2 / self.z_mech(n)
         return z
+
+    def v_thevenin(self) -> complex:
+        """Source voltage of the Thevenin reduction, V_th = K_t G F_e / Z_m(w)."""
+        v = self._memo.get("v_th")
+        if v is None:
+            v = self._memo["v_th"] = self.coupling * self.f_e / self.z_mech()
+        return v
 
     @property
     def haskind_consistent(self) -> bool:
@@ -265,12 +274,11 @@ def thevenin_from_plant(plant: WecPlant) -> TheveninSource:
     voltage carries the excitation phase minus the mechanical impedance
     phase.  The returned source knows how to evaluate Z_th at integer
     harmonics of the wave frequency, which the saturation analysis needs;
-    it evaluates them through ``plant.z_thevenin``, so Z_m and every Z_th
-    come from the plant's memo.
+    it evaluates them through ``plant.z_thevenin``, so V_th, Z_m and every
+    Z_th come from the plant's memo.
     """
-    v_th = plant.coupling * plant.f_e / plant.z_mech()
     return TheveninSource(
-        v_th=v_th, z_th=plant.z_thevenin(), harmonic_impedance=plant.z_thevenin
+        v_th=plant.v_thevenin(), z_th=plant.z_thevenin(), harmonic_impedance=plant.z_thevenin
     )
 
 
@@ -386,11 +394,17 @@ def constraint_amplitudes(plant: WecPlant, z: complex) -> OperatingAmplitudes:
     the phase voltage adds the d-axis inductive drop in quadrature,
     V_s^2 = |V|^2 + (L p |Omega| |I|)^2, and the instantaneous electrical
     power swings between s_min and s_max = mean power -/+ apparent power
-    0.5 |V| |I|.
+    0.5 |V| |I|.  An infinite z, or one whose load Z_L overflows, is the
+    open circuit: no current flows and the load sees V_th.  A NaN z raises
+    :class:`DomainError`.
     """
-    src = thevenin_from_plant(plant)
-    z_l = complex(z) * src.z_th.conjugate()
+    if cmath.isnan(z):
+        raise DomainError(f"load must not be NaN, got z = {z}")
+    v_th, z_th = plant.v_thevenin(), plant.z_thevenin()
+    z_l = complex(z) * z_th.conjugate()
     s = 1j * plant.omega
+    if not cmath.isfinite(z_l):  # z has no NaN, so it is infinite or Z_L overflows
+        return OperatingAmplitudes((plant.f_e / s) / plant.z_mech(), abs(v_th), 0.0, 0.0)
     c = plant.coupling
 
     loop = plant.z_wind() + z_l
@@ -398,12 +412,12 @@ def constraint_amplitudes(plant: WecPlant, z: complex) -> OperatingAmplitudes:
         raise SingularityError(
             f"singular load: winding plus load impedance vanishes at z = {z}"
         )
-    total = src.z_th + z_l
+    total = z_th + z_l
     if total == 0.0:
         raise SingularityError(f"singular load: series loop resonates at z = {z}")
 
     x_amp = (plant.f_e / s) / (plant.z_mech() + c**2 / loop)
-    i_l = src.v_th / total
+    i_l = v_th / total
     v_l = z_l * i_l
     omega_gen = c / plant.k_t * s * x_amp  # G * s * X
     d_axis = plant.l_w * plant.p_poles * abs(omega_gen) * abs(i_l)

@@ -12,8 +12,10 @@ to the periodic orbit replaced, the concatenating doubling the in-place
 power stack replaced, the free-orbit start of the shooting that the
 describing function's start replaced, the windowed period scan that one
 scan per branch run replaced, and exact rational and plain float forms of
-the dimensionless-group formulas, and the matrix exponential of a branch
-generator in high-precision decimal arithmetic.
+the dimensionless-group formulas, the matrix exponential of a branch
+generator in high-precision decimal arithmetic, and the design evaluation
+that re-derived |V_th|, the matched current and the Thevenin source on each
+call.
 """
 
 import cmath
@@ -30,14 +32,28 @@ from wec_satlin.descfcn import (
     SaturationFactors,
     SaturationSolution,
     _bracketed_root,
+    _fundamental,
     saturation_factor,
+    saturation_factors,
 )
-from wec_satlin.mismatch import TheveninSource, optimal_angle
-from wec_satlin.errors import ConvergenceError, DomainError, InfeasibleError, SimulationError
+from wec_satlin.mismatch import (
+    OperatingPoint,
+    TheveninSource,
+    _current_contour_point,
+    matched_baseline,
+    optimal_angle,
+)
+from wec_satlin.errors import (
+    ConvergenceError,
+    DomainError,
+    InfeasibleError,
+    SimulationError,
+    SingularityError,
+)
 from wec_satlin.simulate import WAVEFORM_FIELDS, SimConfig, SimResult, _Period, _phasors
 from wec_satlin.simulate import _Loop as ExactLoop
 from wec_satlin.svg import _COLORS, _document, _text
-from wec_satlin.wec import NondimGroups, WecPlant
+from wec_satlin.wec import NondimGroups, OperatingAmplitudes, WecPlant, thevenin_from_plant
 
 
 def circuit_solution(v_th: complex, z_th: complex, z_load: complex):
@@ -1048,3 +1064,175 @@ def groups_exact(groups: NondimGroups) -> tuple[Fraction, Fraction]:
                                          groups.l_cal))
     x = r * (1 + a * a)
     return (l * x - d * a) / (x + d), d / (1 + x / d)
+
+
+# The three calls of a design evaluation as they stood while each one
+# re-derived |V_th| on every residual evaluation, the matched current from a
+# new MatchedBaseline and the plant's Thevenin source: verbatim but for
+# their names.
+
+
+def solve_operating_point_rederived(
+    src: TheveninSource,
+    i_max: float,
+    z_c: complex | None = None,
+    n_harmonics: int = 9,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> SaturationSolution:
+    """Solve the clipped-current loop for its quasi-linear operating point.
+
+    Closes the pair
+
+        i_temp = v_th / (f z_th + z_c),   f = f_sat,1(i_max / |i_temp|)
+
+    for the fundamental gain f in (0, 1].  The residual f - f_sat,1(f) is
+    continuous, negative as f -> 0+ and positive at f = 1 when the limit
+    binds.  Unless it is already below ``tol`` at f = 1, [1e-15, 1] brackets
+    a root, or [0, 1e-15] where the residual at 1e-15 is not negative: a
+    clip that deep needs a gain below 1e-15.  One Illinois regula falsi
+    solve finds the root to |residual| < ``tol``; ``iterations`` counts its
+    evaluations inside the bracket.
+
+    The default controller is the conjugate-matched one, z_c = z_th*: for a
+    hard current limit, clipping the unconstrained-optimal command is the
+    optimal steady-state policy.
+
+    Harmonic phasors (cosine convention) follow the odd-waveform expansion:
+    harmonic n of the clipped command has amplitude f_sat,n |i_temp| and
+    phase n psi + (n - 1) pi/2.  The source drives only the fundamental;
+    every higher harmonic sees the short-circuited source impedance at its
+    own frequency and therefore dissipates (negative power).
+
+    With a short-circuit controller, z_c = 0, the residual is positive on
+    all of (0, 1] when i_max <= pi |v_th| / (4 |z_th|), because
+    f_sat,1(I) <= 4 I / pi; there is no operating point, and
+    :class:`DomainError` says so after two evaluations.
+
+    Raises :class:`ConvergenceError` (with residual trace) if the loop does
+    not close within ``max_iter`` evaluations.
+    """
+    if not i_max > 0.0:
+        raise DomainError(f"current limit must be positive, got {i_max}")
+    if n_harmonics < 1 or n_harmonics % 2 == 0:
+        raise DomainError(f"n_harmonics must be odd and positive, got {n_harmonics}")
+    if z_c is None:
+        z_c = src.z_th.conjugate()
+    z_c = complex(z_c)
+    if not cmath.isfinite(z_c):
+        raise DomainError(f"controller impedance must be finite, got {z_c}")
+
+    def residual(f):  # unchecked depth: i_max and |v_th| are positive
+        i_temp_mag = abs(src.v_th) / abs(f * src.z_th + z_c)
+        return f - _fundamental(i_max / i_temp_mag)
+
+    lo, hi = 1e-15, 1.0
+    f = hi
+    r_hi = residual(hi)  # zero when the limit does not bind
+    residuals: list[float] = []
+    if r_hi > 0.0 and r_hi >= tol:
+        r_lo = residual(lo)
+        if not r_lo < 0.0:
+            if z_c == 0.0:  # f_sat,1(I) <= 4 I / pi keeps the residual positive
+                bound = math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+                raise DomainError(
+                    f"no operating point: with z_c = 0 the residual f - f_sat,1 is "
+                    f"positive on (0, 1], because the current limit {i_max:.6g} is at "
+                    f"most pi |v_th| / (4 |z_th|) = {bound:.6g}"
+                )
+            # a clip so deep that the root is below lo
+            lo, hi, r_lo, r_hi = 0.0, lo, residual(0.0), r_lo
+        f, residuals = _bracketed_root(residual, lo, hi, r_lo, r_hi, tol, max_iter)
+
+    i_temp = src.v_th / (f * src.z_th + z_c)
+    psi = cmath.phase(i_temp)
+    i_temp_mag = abs(i_temp)
+    factors = saturation_factors(i_max / i_temp_mag, n_harmonics)
+
+    harmonics: list[HarmonicComponent] = []
+    p_total = 0.0
+    for n, f_n in factors.factors.items():
+        current = f_n * i_temp_mag * cmath.exp(1j * (n * psi + (n - 1) * math.pi / 2.0))
+        if n == 1:
+            v_load = src.v_th - src.z_th * current
+        else:
+            v_load = -src.z_th_at(n) * current
+        power = 0.5 * (v_load * current.conjugate()).real
+        p_total += power
+        harmonics.append(HarmonicComponent(n=n, current=current, v_load=v_load, power=power))
+
+    return SaturationSolution(
+        i_max=i_max,
+        i_temp=i_temp,
+        psi=psi,
+        factors=factors,
+        harmonics=harmonics,
+        p_total=p_total,
+        converged=True,
+        iterations=len(residuals),
+        residual=residuals[-1] if residuals else r_hi,
+    )
+
+
+def linear_saturation_equivalent_rederived(src: TheveninSource, i_max: float) -> OperatingPoint:
+    """Best purely linear controller meeting the same current limit.
+
+    A linear controller keeps the current sinusoidal, so its peak equals its
+    fundamental and the limit caps the current ratio at i_max/|I_m|.  The
+    returned point sits on the minimum-current optimal contour at exactly
+    that ratio, i.e. the highest-power linear design obeying the limit.
+    Clipped (nonlinear) control beats this baseline whenever the limit binds
+    hard, thanks to the up-to-4/pi fundamental boost.  The power ratio and z
+    stay exact to rounding up to the open circuit, where gamma rounds to
+    one: both are built from 1 - |gamma| without forming 1 - |gamma|^2.
+    """
+    baseline = matched_baseline(src)
+    if i_max > baseline.i_peak_matched:
+        raise DomainError(
+            "current limit exceeds the matched current; no reduction is needed"
+        )
+    return _current_contour_point(i_max / baseline.i_peak_matched, src.alpha)
+
+
+def constraint_amplitudes_rederived(plant: WecPlant, z: complex) -> OperatingAmplitudes:
+    """Position, phase-voltage and apparent-power amplitudes at load z Z_th*.
+
+    The position phasor follows from eliminating the electrical side of the
+    chain against the full series loop:
+
+        X = (F_e / s) / (Z_m + (K_t G)^2 / (Z_w + z Z_th*)),  s = i w
+
+    the phase voltage adds the d-axis inductive drop in quadrature,
+    V_s^2 = |V|^2 + (L p |Omega| |I|)^2, and the instantaneous electrical
+    power swings between s_min and s_max = mean power -/+ apparent power
+    0.5 |V| |I|.
+    """
+    src = thevenin_from_plant(plant)
+    z_l = complex(z) * src.z_th.conjugate()
+    s = 1j * plant.omega
+    c = plant.coupling
+
+    loop = plant.z_wind() + z_l
+    if loop == 0.0:
+        raise SingularityError(
+            f"singular load: winding plus load impedance vanishes at z = {z}"
+        )
+    total = src.z_th + z_l
+    if total == 0.0:
+        raise SingularityError(f"singular load: series loop resonates at z = {z}")
+
+    x_amp = (plant.f_e / s) / (plant.z_mech() + c**2 / loop)
+    i_l = src.v_th / total
+    v_l = z_l * i_l
+    omega_gen = c / plant.k_t * s * x_amp  # G * s * X
+    d_axis = plant.l_w * plant.p_poles * abs(omega_gen) * abs(i_l)
+    v_s = math.hypot(abs(v_l), d_axis)
+
+    p_mean = 0.5 * (v_l * i_l.conjugate()).real
+    s_apparent = 0.5 * abs(v_l) * abs(i_l)
+    return OperatingAmplitudes(
+        x_amp=x_amp,
+        v_s_amp=v_s,
+        s_max=p_mean + s_apparent,
+        s_min=p_mean - s_apparent,
+    )

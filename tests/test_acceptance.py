@@ -301,6 +301,7 @@ def test_criterion_10_determinism_and_golden_files(tmp_path):
                    "smith_alpha_2.csv", "smith_alpha_5.csv")),
         ("pareto", ("pareto.csv",)),
         ("fsat", ("fsat.csv",)),
+        ("saturate", ("saturate.csv",)),
     )
     for command, names in checks:
         out1 = tmp_path / f"{command}_1"
@@ -319,6 +320,6 @@ def test_criterion_10_determinism_and_golden_files(tmp_path):
     report(
         10,
         ok,
-        f"smith/pareto/fsat byte-identical across runs and equal to checked-in "
+        f"smith/pareto/fsat/saturate byte-identical across runs and equal to checked-in "
         f"goldens, {elapsed:.1f}s",
     )

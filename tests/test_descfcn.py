@@ -14,22 +14,28 @@ from conftest import random_plant
 from oracles import (
     clipped_cap_fourier,
     clipped_sine_fourier,
+    constraint_amplitudes_rederived,
+    linear_saturation_equivalent_rederived,
     saturation_factor_decimal,
     saturation_factor_percall,
     saturation_factors_percall,
     solve_gain_three_stage,
     solve_operating_point_percall,
+    solve_operating_point_rederived,
     thevenin_fresh,
 )
+from test_df_validity import draw_design
 from wec_satlin import (
     ConvergenceError,
     DomainError,
     TheveninSource,
     WecSatlinError,
     classic_sidf_power,
+    constraint_amplitudes,
     descfcn,
     equivalent_z,
     gamma_from_z,
+    haskind_plant,
     linear_saturation_equivalent,
     matched_baseline,
     power_ratio,
@@ -468,6 +474,53 @@ class TestBracketedSolve:
         sol = solve_operating_point(src, i_max)
         p_linear = linear_saturation_equivalent(src, i_max).power_ratio * base.p_matched
         assert sol.p_total / p_linear <= SQ * (1.0 + 1e-6)
+
+
+class TestDesignEvaluatedOnce:
+    """A design evaluation that takes V_th, |V_th|, Z_th and the matched
+    current once returns every field that re-deriving them on each call did."""
+
+    FRACTIONS = (0.2, 0.4, 0.6, 0.8)
+
+    def test_seeded_designs(self):
+        rng = np.random.default_rng(2900)
+        for _ in range(30):
+            plant = haskind_plant(**draw_design(rng))
+            cold = dataclasses.replace(plant)  # an empty memo for the re-deriving calls
+            src = thevenin_from_plant(plant)
+            i_matched = matched_baseline(src).i_peak_matched
+            for frac in self.FRACTIONS:
+                i_max = frac * i_matched
+                sol = solve_operating_point(src, i_max)
+                assert_same(sol, solve_operating_point_rederived(src, i_max))
+                assert_same(linear_saturation_equivalent(src, i_max),
+                            linear_saturation_equivalent_rederived(src, i_max))
+                z_eff = equivalent_z(1, src.z_th.conjugate(), sol.factors.factors[1], src.z_th)
+                for z in (z_eff, 1.0, 0.6 - 0.3j):
+                    assert_same(constraint_amplitudes(plant, z),
+                                constraint_amplitudes_rederived(cold, z))
+
+    def test_hand_built_source(self):
+        for alpha in (-3.0, 0.0, 0.7, 2.5):
+            src = TheveninSource(v_th=complex(40.0, -25.0), z_th=complex(0.8, 0.8 * alpha))
+            assert src.harmonic_impedance is None
+            i_matched = matched_baseline(src).i_peak_matched
+            for frac in self.FRACTIONS:
+                i_max = frac * i_matched
+                for z_c in (None, complex(0.4, -1.1)):
+                    assert_same(solve_operating_point(src, i_max, z_c),
+                                solve_operating_point_rederived(src, i_max, z_c))
+                assert_same(linear_saturation_equivalent(src, i_max),
+                            linear_saturation_equivalent_rederived(src, i_max))
+
+    def test_short_circuit_controller_just_above_its_bound(self):
+        for alpha in (0.0, 0.5, 3.0):
+            src = make_source(alpha=alpha)
+            bound = math.pi * abs(src.v_th) / (4.0 * abs(src.z_th))
+            for i_max in (math.nextafter(bound, math.inf), bound * (1.0 + 1e-9), 1.01 * bound):
+                got = outcome(solve_operating_point, src, i_max, 0.0)
+                assert_same(got, outcome(solve_operating_point_rederived, src, i_max, 0.0))
+            assert got.converged
 
 
 class TestClassicSidfPower:

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts in tools/."""
 
 import importlib.util
+import math
 import os
 
 HERE = os.path.dirname(__file__)
@@ -26,3 +27,22 @@ def test_ab_inprocess_runs_one_tree_against_itself(capsys):
     median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
     assert q1 <= median <= q3 and median > 0.0
     assert lines[2] == "outputs byte-identical: yes"
+
+
+def test_ab_inprocess_scans_one_tree_against_itself(capsys):
+    src = os.path.join(ROOT, "src")
+    code = _tool("ab_inprocess").main([src, src, "--scan", "3", "--seed", "1", "-n", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "pairs 2  scan 3 designs  seed 1"
+    median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
+    assert q1 <= median <= q3 and median > 0.0
+    assert lines[2] == "outputs byte-identical: yes"
+
+
+def test_ab_inprocess_bits_tell_every_float_apart():
+    bits = _tool("ab_inprocess").bits
+    assert bits([1.0, {1: 0.5 + 0j}]) == bits([1.0, {1: 0.5 + 0j}])
+    assert bits(0.0) != bits(-0.0)
+    assert bits(complex(1.0, 0.0)) != bits(complex(1.0, -0.0))
+    assert bits(1.0) != bits(math.nextafter(1.0, 2.0))

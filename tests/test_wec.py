@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import os
 import pickle
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from wec_satlin import (
     WecPlant,
     alpha_from_nondim,
     constraint_amplitudes,
+    equivalent_z,
     haskind_force_amplitude,
     haskind_plant,
     low_pass_merit,
@@ -33,6 +35,9 @@ from wec_satlin import (
     solve_operating_point,
     thevenin_from_plant,
 )
+from wec_satlin.config import load_config
+
+GOLDEN_INI = os.path.join(os.path.dirname(__file__), "data", "golden.ini")
 
 
 def basic_plant(**overrides):
@@ -514,6 +519,31 @@ class TestConstraintAmplitudes:
         assert thevenin_from_plant(plant).z_th.imag == 0.0
         with pytest.raises(SingularityError, match="series loop resonates"):
             constraint_amplitudes(plant, -1.0)
+
+    def test_open_circuit_marker_is_the_open_circuit_limit(self):
+        # equivalent_z's marker for a harmonic that carries no current, and
+        # any other infinite load, give what z = 1e300 gives: no current, so
+        # no power, and the source voltage across the load
+        plant = load_config(GOLDEN_INI).plant
+        src = thevenin_from_plant(plant)
+        far = constraint_amplitudes(plant, 1e300)
+        assert far.x_amp == pytest.approx(-3.9606j, abs=1e-4)
+        assert far.v_s_amp == pytest.approx(396.06, abs=1e-2)
+        assert far.s_min == 0.0 and far.s_max == pytest.approx(0.0, abs=1e-290)
+        marker = equivalent_z(3, src.z_th.conjugate(), 0.0, src.z_th)
+        assert marker == complex(math.inf, 0.0)
+        for z in (marker, complex(0.0, -math.inf), complex(math.inf, math.inf), -math.inf):
+            amps = constraint_amplitudes(plant, z)
+            assert amps.x_amp == far.x_amp
+            assert amps.v_s_amp == far.v_s_amp == abs(src.v_th)
+            assert amps.s_max == amps.s_min == 0.0
+
+    def test_nan_load_raises(self):
+        plant = basic_plant(l_w=0.01)
+        for z in (math.nan, complex(math.nan, 0.0), complex(0.5, math.nan),
+                  complex(math.inf, math.nan), np.complex128(complex(math.nan, 1.0))):
+            with pytest.raises(DomainError, match="load must not be NaN"):
+                constraint_amplitudes(plant, z)
 
 
 class TestSignConventionLock:
