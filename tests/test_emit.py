@@ -127,6 +127,28 @@ def test_kernel_matches_percent_on_edges():
     assert [kernel_text([x])[0] for x in values] == percent_text(values)
 
 
+def trailing_zero_floats() -> list[float]:
+    """12-digit significands ending in k = 0 to 11 zeros at every exponent
+    of fixed notation, both signs, each with its two float neighbours and
+    the decimal half-units either side, where rounding adds or strips zeros."""
+    values = []
+    for digits in (123456789123, 987654321987):  # no zero digit before the trailing zeros
+        for k in range(12):
+            sig = digits // 10**k * 10**k
+            for e in range(-4, 12):
+                x = float(f"{sig}e{e - 11}")
+                values += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf),
+                           float(f"{sig}.5e{e - 11}"), float(f"{sig - 1}.5e{e - 11}")]
+    return values + [-x for x in values]
+
+
+def test_kernel_matches_percent_on_trailing_zeros():
+    # uniform digits give a low group of 0000 about once in 1e4 draws and a
+    # zero middle group too once in 1e8: the cells whose count carries upward
+    values = trailing_zero_floats()
+    assert kernel_text(values) == percent_text(values)
+
+
 def test_fast_path_formats_most_of_the_default_smith_grid():
     cfg = RunConfig()
     fast = []

@@ -26,7 +26,23 @@ def test_ab_inprocess_runs_one_tree_against_itself(capsys):
     assert lines[0].startswith("pairs 2  command verify fsat")
     median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
     assert q1 <= median <= q3 and median > 0.0
-    assert lines[2] == "outputs byte-identical: yes"
+    lower, pairs = lines[2].removeprefix("pairs lower: ").split("/")
+    assert 0 <= int(lower) <= int(pairs) == 2
+    words = lines[3].removeprefix("by command, median new/old: ").split()
+    assert words[0::2] == ["verify", "fsat"] and all(float(word) > 0.0 for word in words[1::2])
+    assert lines[4] == "outputs byte-identical: yes"
+
+
+def test_ab_inprocess_prints_no_command_medians_for_one_command(capsys):
+    ini = os.path.join(HERE, "data", "golden.ini")
+    src = os.path.join(ROOT, "src")
+    code = _tool("ab_inprocess").main([src, src, "--config", ini, "--command", "saturate",
+                                        "-n", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1].startswith("time ratio new/old: ")
+    assert lines[2] in ("pairs lower: 0/1", "pairs lower: 1/1")
+    assert lines[3:] == ["outputs byte-identical: yes"]
 
 
 def test_ab_inprocess_scans_one_tree_against_itself(capsys):
@@ -37,7 +53,8 @@ def test_ab_inprocess_scans_one_tree_against_itself(capsys):
     assert lines[0] == "pairs 2  scan 3 designs  seed 1"
     median, q1, q3 = (float(word) for word in lines[1].split()[-4:] if word != "quartiles")
     assert q1 <= median <= q3 and median > 0.0
-    assert lines[2] == "outputs byte-identical: yes"
+    assert lines[2] in ("pairs lower: 0/2", "pairs lower: 1/2", "pairs lower: 2/2")
+    assert lines[3] == "outputs byte-identical: yes"
 
 
 def test_ab_inprocess_bits_tell_every_float_apart():

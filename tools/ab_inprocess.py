@@ -6,9 +6,10 @@ then OLD for odd k, so drift in the machine's speed falls on both alike.
 Each operation runs every ``--command`` in turn, as
 ``cli.main([command, "--config", ini, "--out", dir])`` plus ``--svg`` when
 given, with its console lines captured.  The script prints the median of the
-per-pair time ratios NEW / OLD, their quartiles, and whether every output
-file and console line of the two trees is byte-identical.  Run from the
-repository root, for example against an unpacked copy of an older commit:
+per-pair time ratios NEW / OLD, their quartiles, how many pairs read lower,
+with several commands each command's own median ratio, and whether every
+output file and console line of the two trees is byte-identical.  Run from
+the repository root, for example against an unpacked copy of an older commit:
 
     python tools/ab_inprocess.py OLD_SRC src --config tests/data/golden.ini \\
         --command verify -n 200
@@ -65,13 +66,15 @@ def load_package(src: str, alias: str):
     return load_module(alias, init, [str(init.parent)])
 
 
-def operation(cli, argvs: list[list[str]], out: Path) -> tuple[float, list[int], str]:
-    """Seconds the CLI calls took, their exit statuses and their console text."""
+def operation(cli, argvs: list[list[str]], out: Path) -> tuple[list[float], list[int], str]:
+    """Seconds each CLI call took, their exit statuses and their console text."""
     console = io.StringIO()
+    seconds, codes = [], []
     with contextlib.redirect_stdout(console), contextlib.redirect_stderr(console):
-        start = time.perf_counter()
-        codes = [cli.main(argv + ["--out", str(out)]) for argv in argvs]
-        seconds = time.perf_counter() - start
+        for argv in argvs:
+            start = time.perf_counter()
+            codes.append(cli.main(argv + ["--out", str(out)]))
+            seconds.append(time.perf_counter() - start)
     return seconds, codes, console.getvalue()
 
 
@@ -158,11 +161,13 @@ def run_scan(args, packages) -> tuple[list[float], bool]:
     return ratios, identical
 
 
-def run_commands(args, packages) -> tuple[list[float], bool]:
+def run_commands(args, packages) -> tuple[list[float], bool, list[list[float]]]:
+    """Per-pair time ratios of the whole operation, whether the outputs are
+    byte-identical, and per-pair time ratios of each command."""
     clis = [importlib.import_module(f"{package.__name__}.cli") for package in packages]
     cli_argvs = [[command, "--config", args.config] + ["--svg"] * args.svg
                  for command in args.command]
-    ratios = []
+    ratios, by_command = [], []
     with tempfile.TemporaryDirectory() as work:
         dirs = [Path(work, "old"), Path(work, "new")]
         # one untimed operation each warms both trees and gives the outputs compared
@@ -171,11 +176,12 @@ def run_commands(args, packages) -> tuple[list[float], bool]:
                      and outputs(dirs[0]) == outputs(dirs[1]))
         for k in range(args.n):
             order = (0, 1) if k % 2 == 0 else (1, 0)
-            seconds = [0.0, 0.0]
+            seconds = [[], []]
             for side in order:
                 seconds[side] = operation(clis[side], cli_argvs, dirs[side])[0]
-            ratios.append(seconds[1] / seconds[0])
-    return ratios, identical
+            ratios.append(sum(seconds[1]) / sum(seconds[0]))
+            by_command.append([new / old for old, new in zip(*seconds)])
+    return ratios, identical, by_command
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,8 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scan takes a positive count and no --config, --command or --svg")
     packages = (load_package(args.old_src, "wec_satlin_old"),
                 load_package(args.new_src, "wec_satlin_new"))
+    by_command = []
     if args.scan is None:
-        ratios, identical = run_commands(args, packages)
+        ratios, identical, by_command = run_commands(args, packages)
         print(f"pairs {len(ratios)}  command {' '.join(args.command)}  config {args.config}")
     else:
         ratios, identical = run_scan(args, packages)
@@ -208,6 +215,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"time ratio new/old: median {median:.4f}  quartiles {q1:.4f} {q3:.4f}")
     elif ratios:
         print(f"time ratio new/old: {ratios[0]:.4f}")
+    if ratios:
+        print(f"pairs lower: {sum(ratio < 1.0 for ratio in ratios)}/{len(ratios)}")
+    if by_command and len(args.command) > 1:
+        medians = (statistics.median(pair[i] for pair in by_command)
+                   for i in range(len(args.command)))
+        print("by command, median new/old: " + "  ".join(
+            f"{command} {median:.4f}" for command, median in zip(args.command, medians)))
     print(f"outputs byte-identical: {'yes' if identical else 'no'}")
     return 0 if identical else 1
 
