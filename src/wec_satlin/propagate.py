@@ -3,16 +3,23 @@
 Each branch y' = a y of a piecewise-affine system advances exactly by its
 matrix exponential (Van Loan, IEEE TAC 1978).  Every step h, the one-step
 flow of the sample grid included, takes the Taylor sum of expm(a h) where
-its 20th term is below rounding, and else the Pade-13 scaling-and-squaring
-exponential (Higham, SIAM J. Matrix Anal. Appl. 2005) of the generator
-balanced by an exact power-of-two diagonal similarity (Parlett & Reinsch,
-Numer. Math. 1969; Ward, SIAM J. Numer. Anal. 1977, balances before
-scaling and squaring; Moler & Van Loan, SIAM Review 2003, survey both), so
-that a badly scaled row, such as a small winding inductance's current
-row, does not set the squaring count.  Samples on the grid are one
-matrix-vector product against a stack of powers of the one-step flow; a
-switch between samples is located on its guard function (Shampine &
-Thompson, Appl. Numer. Math. 2000) along the sub-step flow, by the same rule.
+its 20th term is below rounding.  Elsewhere, as on a small winding
+inductance's current row, it takes a Taylor scaling and squaring in
+extended precision, ``np.longdouble`` (Moler & Van Loan, SIAM Review 2003,
+survey the method), of the generator balanced by an exact power-of-two
+diagonal similarity (Parlett & Reinsch, Numer. Math. 1969; Ward, SIAM J.
+Numer. Anal. 1977, balances before scaling and squaring), so that a badly
+scaled row does not set the squaring count.  An exponential computed in
+float64 errs by about rounding times ||a h||, its condition number
+(Higham, Functions of Matrices, 2008, ch. 10): 2.6e-12 of max |E| on the
+stiffest test branch.  x87 extended precision carries 11 bits more, which
+takes that error to 1.5e-14; the flow is rounded to float64 once, at the
+end.  Where ``np.longdouble`` is plain double (MSVC, macOS on arm64), the
+float64 error returns, and a test names that cause.  Samples on the grid
+are one matrix-vector product against a stack of powers of the one-step
+flow; a switch between samples is located on its guard function (Shampine
+& Thompson, Appl. Numer. Math. 2000) along the sub-step flow, by the same
+rule.
 """
 
 from __future__ import annotations
@@ -25,40 +32,30 @@ import numpy as np
 
 __all__ = ["Branch", "balance", "expm", "flow"]
 
-# Pade-13 coefficients b_0..b_13 (Higham 2005), divided by b_0 so that a zero
-# matrix gives the identity exactly, and the 1-norm up to which degree 13
-# needs no scaling (Table 2.3 there)
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-))
-_THETA13 = 5.371920351148152
 _ORDERS = np.arange(21)  # Taylor terms of a sub-step flow
+_SERIES = 23  # Taylor terms of expm, at a 1-norm of at most 1/2
 _MAX_SCALE = 2.0**256  # largest factor one balance update applies
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005),
-    with the squaring count taken from ||a||_1 as given: a badly scaled
-    ``a`` is overscaled, so :func:`flow` balances it first."""
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
-    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**squarings
-    b = _PADE13
-    ident = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    """Matrix exponential by Taylor scaling and squaring in ``np.longdouble``,
+    returned as float64: ``a`` over 2^s, for the least s that takes its
+    1-norm to 1/2 or below, its series summed to 23 terms by Horner's rule,
+    then squared s times.  The series' remainder, about 2^-23 / 23!, is far
+    under extended rounding.  A zero row of ``a`` stays an exact identity row
+    through the series and the squarings, so a held state stays exactly
+    held.  The squaring count is taken from ||a||_1 as given: a badly
+    scaled ``a`` is overscaled, so :func:`flow` balances it first."""
+    a = np.asarray(a, dtype=np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    a = np.ldexp(a, -squarings)
+    ident = r = np.eye(len(a), dtype=np.longdouble)
+    for k in range(_SERIES - 1, 0, -1):
+        r = ident + a @ r / k
     for _ in range(squarings):
         r = r @ r
-    return r
+    return r.astype(float)
 
 
 def balance(a) -> np.ndarray:
@@ -100,13 +97,10 @@ def balance(a) -> np.ndarray:
 
 def flow(a: np.ndarray, h: float, scale: np.ndarray | None = None) -> np.ndarray:
     """expm(a h) by :func:`expm` of the balanced d^-1 a h d, with d the
-    generator's :func:`balance` (``scale``, where the caller holds it), and
-    an exact identity row for every state ``a`` holds."""
+    generator's :func:`balance` (``scale``, where the caller holds it).  A
+    state ``a`` holds keeps an exact identity row."""
     d = balance(a) if scale is None else scale
-    e = expm(a * h * (d / d[:, None])) * (d[:, None] / d)
-    held = ~a.any(axis=1)
-    e[held] = np.eye(len(a))[held]
-    return e
+    return expm(a * h * (d / d[:, None])) * (d[:, None] / d)
 
 
 @dataclass(frozen=True)
@@ -135,8 +129,10 @@ class Branch:
         powers of its one-step flow E = :meth:`transition` (dt), filled in
         place by doubling.  E is the Taylor sum where its last term is below
         rounding, as on both branches of the test plants with a 5 mH
-        winding at 2000 steps per period, and else the balanced matrix
-        exponential."""
+        winding at 2000 steps per period, and else :func:`flow`, whose
+        extended precision keeps a stiff branch's E within about 1e-14 of
+        max |E| (1.5e-14 on the low-pass test plant's free branch at 5 nH,
+        the stiffest the tests run)."""
         n = len(a)
         taylor = np.empty((len(_ORDERS), n, n))
         taylor[0] = np.eye(n)
@@ -157,13 +153,17 @@ class Branch:
     @functools.cached_property
     def scale(self) -> np.ndarray:
         """The generator's :func:`balance`, formed once, on the first step
-        that takes the matrix exponential, and shared by every later one."""
+        that takes :func:`flow`, and shared by every later one: h does not
+        change it."""
         return balance(self.a)
 
     def transition(self, h: float) -> np.ndarray:
         """expm(a h) as a matrix: the Taylor sum, one product of the powers
         of h with the stacked terms, where its last term is below rounding,
-        else the balanced matrix exponential (stiff)."""
+        else (stiff) :func:`flow`, the balanced exponential in extended
+        precision.  Every step of the referee takes this one rule: the
+        one-step flow of the sample grid, the part steps of the switch-time
+        solve and each point of a sub-step's switch search."""
         scale = h ** _ORDERS
         if self.tail * scale[-1] <= 1e-16:
             return (scale @ self.taylor.reshape(len(_ORDERS), -1)).reshape(self.a.shape)

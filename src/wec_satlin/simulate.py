@@ -16,7 +16,7 @@ all the steady state sees.
 
 Between clip switches each realization is linear in a state augmented with
 a wave oscillator, so each branch advances exactly by its matrix exponential
-(Van Loan 1978; Higham 2005), and each switch is located on its guard
+(Van Loan 1978), and each switch is located on its guard
 function (Shampine & Thompson 2000), also when the clip is entered and
 released within one step.  The clip is odd and the wave forcing one
 sinusoid, so with y(t) the loop also has the solution -y(t + T/2), and its
@@ -690,17 +690,17 @@ def simulate(
     the starts of its segments after the first, to the solve again; so
     does a first map that misses from the free branch's orbit.
 
-    A map that does not lower the best map's residual ends the solves:
-    plain iteration of G takes over from the best map's end for the rest
-    of the run.  The second solve and the fallback are both needed.  Plain
-    iteration after one solve took 26 to 38 maps on three of the 180
-    seeded validity rows, which the solve from the missed map's end settles
-    in two.  Solving again after every miss, with no fallback, left four
-    rows of the low-pass test plant (l_w = 5e-7 H at fraction 0.8, 5 nH at
-    0.4, 0.6 and 0.8) at the 40-map cap, at residuals of 1.4e-10 to
-    5.3e-9; on each, the map after the second solve misses by more than the
-    first map, and the fallback from the first map's end settles them in 3
-    to 19 maps.
+    That is the one path.  A solve that cannot lower the residual returns
+    its start, whose map is then one of plain iteration of G, so a run
+    whose solves all fail is plain iteration.  The 180 seeded validity
+    rows take 183 maps: three settle in two, through the solve from the
+    first map's end, where plain iteration after one solve took 26 to 38.
+    The 60 rows of the stiff grid (windings of 5 mH down to 5 nH and none,
+    on two test plants) take one map each.  With the stiff flows in
+    float64, the solve stalled near a residual of 1e-11 on nine of them,
+    which took 3 to 19 maps through a fallback to plain iteration of G or
+    ran to the 40-map cap; the extended-precision flow (see
+    :mod:`.propagate`) settles them.
 
     At most ``cfg.n_periods`` maps are run, and the run is converged when
     the final residual is at most ``cfg.convergence_tol``.  Extraction uses
@@ -738,7 +738,7 @@ def simulate(
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
     y, rail, plan = loop.start(i_max, solution)
-    period_powers, best, segments, newton_steps, iterating = [], None, 0, 0, False
+    period_powers, segments, newton_steps = [], 0, 0
     for p in range(cfg.n_periods):
         if plan is not None:
             y, rail, segments, iterations = loop.shoot(y, rail, plan, i_max, target)
@@ -758,13 +758,8 @@ def simulate(
         settled = residual <= target and (not segments or len(run.segments) == segments)
         if settled or p == cfg.n_periods - 1:
             break
-        if iterating:
-            y, rail = end, run.rail
-        elif best is None or residual < best[0]:  # solve again from the map's end
-            best = (residual, end, run.rail)
-            y, rail, plan = end, run.rail, [start / dt for _, start, _ in run.segments[1:]]
-        else:  # the solve no longer lowers the residual: iterate G from the best map
-            (_, y, rail), iterating, plan, segments = best, True, None, 0
+        # solve again from the map's end, at the map's own switch times
+        y, rail, plan = end, run.rail, [start / dt for _, start, _ in run.segments[1:]]
 
     # the stored period: the final half and its negation, as rows i, x, v, v_load
     first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))

@@ -24,7 +24,7 @@ from oracles import (
     solve_operating_point_rederived,
     thevenin_fresh,
 )
-from test_df_validity import draw_design
+from row_sets import draw_design
 from wec_satlin import (
     ConvergenceError,
     DomainError,

@@ -2,18 +2,17 @@
 domain of plant designs.
 
 Sixty heave plants with winding inductance are drawn from seed 1 and each
-is validated at clip fractions 0.2, 0.5 and 0.8.  ``draw_design`` is a copy
-of the benchmark's design generator, so these draws stay fixed whatever the
-benchmark does.  The test pins today's failures among the rows the method
+is validated at clip fractions 0.2, 0.5 and 0.8: the ``seeded`` rows of
+``row_sets``.  The test pins today's failures among the rows the method
 claims (low-pass merit >= 3), so that a fix, or a new failure, shows.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
+from row_sets import GOLDEN_INI, N_DESIGNS, SEEDED_FRACTIONS as FRACTIONS, draw_design
 from wec_satlin import (
     gamma_for_amplitude_target,
     haskind_plant,
@@ -29,38 +28,10 @@ from wec_satlin import (
 from wec_satlin.config import load_config
 from wec_satlin.simulate import _shared_loops
 
-GOLDEN_INI = os.path.join(os.path.dirname(__file__), "data", "golden.ini")
-
-N_DESIGNS = 60
-FRACTIONS = (0.2, 0.5, 0.8)
 # (design index, fraction) of the merit >= 3 rows that fail validate_df
 KNOWN_FAILURES = {
     (8, 0.2), (32, 0.2), (32, 0.5), (38, 0.2), (38, 0.5), (41, 0.2), (45, 0.2), (45, 0.5),
 }
-
-
-def draw_design(rng) -> dict:
-    """Keyword arguments of a well-posed heave plant with winding inductance."""
-    m = rng.uniform(2e4, 2e5)
-    w = rng.uniform(0.5, 1.4)
-    k_total = m * (w * rng.uniform(0.75, 1.3)) ** 2
-    r_w = rng.uniform(0.005, 0.05)
-    return {
-        "m": 0.7 * m,
-        "a_added": 0.3 * m,
-        "b_h": rng.uniform(0.15, 0.8) * m * w,
-        "k_h": 0.9 * k_total,
-        "k_d": 0.1 * k_total,
-        "g_ratio": rng.uniform(0.5, 2.0),
-        "b_d": rng.uniform(0.0, 0.05) * m * w,
-        "k_t": rng.uniform(50.0, 200.0),
-        "r_w": r_w,
-        "l_w": rng.uniform(0.5, 2.0) * r_w / w,
-        "omega": w,
-        "j_density": rng.uniform(2e3, 3e4),
-        "k_wavenumber": w * w / 9.81,
-        "g0": int(rng.integers(1, 3)),
-    }
 
 
 @pytest.fixture(scope="module")

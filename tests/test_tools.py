@@ -1,6 +1,7 @@
 """Smoke tests for the scripts in tools/."""
 
 import importlib.util
+import json
 import math
 import os
 
@@ -63,3 +64,25 @@ def test_ab_inprocess_bits_tell_every_float_apart():
     assert bits(0.0) != bits(-0.0)
     assert bits(complex(1.0, 0.0)) != bits(complex(1.0, -0.0))
     assert bits(1.0) != bits(math.nextafter(1.0, 2.0))
+
+
+def test_referee_census_runs_one_set_against_its_own_tree(capsys):
+    src = os.path.join(ROOT, "src")
+    code = _tool("referee_census").main(["--set", "reactive", "--against", src])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "src: set  rows  maps  newton  max residual  at cap  above 1e-12"
+    words = lines[1].split()
+    assert words[:3] == ["reactive", "4", "4"] and words[-2:] == ["0", "0"]
+    assert float(words[4]) <= 1e-12
+    assert lines[2].startswith(src) and lines[3] == lines[1]
+    assert lines[4:] == ["reactive: 0 of 4 rows differ"]
+
+
+def test_referee_census_prints_json(capsys):
+    code = _tool("referee_census").main(["--set", "golden", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["differ"] == {}
+    counts = out["counts"]["src"]["golden"]
+    assert (counts["rows"], counts["maps"], counts["at_cap"]) == (3, 3, 0)
+    assert counts["newton_steps"] > 0 and counts["max_residual"] <= 1e-12
