@@ -78,10 +78,11 @@ class SimConfig:
     1, caps the half-period maps the shooting may run; shooting needs no
     transient skip, so there is no such field, and the config reader checks
     the ``[sim] transient_periods`` key of older configs as an integer and
-    ignores it.  ``convergence_tol`` bounds the periodicity residual of a
-    converged run; shooting itself goes on to 1e-12 where it can.
-    ``algebraic_loop_tol`` is the clip switch-time tolerance relative to the
-    step.  Both tolerances must be positive.
+    ignores it.  Both counts must be integers, ``np.integer`` included.
+    ``convergence_tol`` bounds the periodicity residual of a converged run;
+    shooting itself goes on to 1e-12 where it can.  ``algebraic_loop_tol``
+    is the clip switch-time tolerance relative to the step.  Both
+    tolerances must be positive.
     """
 
     steps_per_period: int = 2000
@@ -90,6 +91,10 @@ class SimConfig:
     algebraic_loop_tol: float = 1e-12
 
     def __post_init__(self):
+        for key in ("steps_per_period", "n_periods"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{key} must be an integer, got {value!r}")
         if self.steps_per_period < 100:
             raise DomainError("need at least 100 steps per period")
         if self.steps_per_period % 2:
@@ -197,19 +202,17 @@ class _Period(NamedTuple):
 class _Guard(NamedTuple):
     """One branch's data, fixed once the loop's plant and controller are
     known: the guard row whose value the branch's switch is located on, its
-    slope row ``row @ a`` along the branch, ``|row|`` and ``|a|`` for the
-    rounding bound of its rate, and the guard's peak bound per step (see
-    :func:`_bend`); the mask of the states a map started on the branch
-    depends on, their indices and their columns of the identity, which
-    seed the derivatives :meth:`_Loop.newton` carries; and the reset R
-    applied on leaving the branch, which zeroes the held current on
+    slope row ``row @ a`` along the branch, and ``|row|`` and ``|a|`` for
+    the rounding bound of its rate; the mask of the states a map started on
+    the branch depends on, their indices and their columns of the identity,
+    which seed the derivatives :meth:`_Loop.newton` carries; and the reset
+    R applied on leaving the branch, which zeroes the held current on
     entering the rail."""
 
     row: np.ndarray
     slope: np.ndarray
     abs_row: np.ndarray
     abs_a: np.ndarray
-    peak: float
     unknowns: np.ndarray
     index: np.ndarray
     columns: np.ndarray
@@ -225,19 +228,6 @@ def _residual(gap: np.ndarray, y_u: np.ndarray) -> float:
 def _rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
-
-
-def _bend(a: np.ndarray, row: np.ndarray, dt: float) -> float:
-    """How far g = row @ expm(a tau) y_0 may rise within one step ``dt``
-    above the larger of its end samples, per unit ||y_0||_inf: M dt^2 / 8
-    for |g''| <= M = ||row a^2||_1 exp(max(mu, 0) dt) ||y_0||_inf, with mu
-    the inf-norm logarithmic norm of ``a`` (Dahlquist 1958; Lozinskii
-    1958).  Infinite where that exponential overflows."""
-    off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-    growth = max(float(np.max(np.diag(a) + off)), 0.0) * dt
-    if growth > 700.0:
-        return math.inf
-    return float(np.abs(row @ a @ a).sum()) * math.exp(growth) * dt * dt / 8.0
 
 
 class _Loop:
@@ -332,7 +322,7 @@ class _Loop:
         enter[self.sigma, self.sigma] = 0.0
         # the free branch's current and the rail's release guard
         self.guards = tuple(
-            _Guard(row, row @ br.a, np.abs(row), np.abs(br.a), _bend(br.a, row, dt),
+            _Guard(row, row @ br.a, np.abs(row), np.abs(br.a),
                    unknowns, np.flatnonzero(unknowns), np.eye(n)[:, unknowns], reset)
             for br, row, unknowns, reset in ((self.free, self.free.i_row, plant_states, enter),
                                              (self.rail, release, held, np.eye(n))))
@@ -395,18 +385,13 @@ class _Loop:
     def first_candidate(self, rail: bool, ys, cur, i_max: float) -> int:
         """First step between samples ``ys`` (currents ``cur``) of one branch
         that may hold a switch under the limit ``i_max``: it ends outside the
-        branch, or its guard's slope changes sign and the guard may peak
-        past its level.  The number of steps if none does.
+        branch, or its guard's slope changes sign, so that the guard may peak
+        past its level within it.  The number of steps if none does.
 
-        The height ``g`` that leaves the branch above ``level`` is |i| over
-        i_max on the free branch, and on the rail -sign(sigma) times the
-        release guard over 0, with sigma the run's held rail value.  Within
-        step j it peaks at most ``peak * ||ys[j]||_inf`` above the larger of
-        its end samples (see :func:`_bend`).  A slope change whose bound
-        stays below the level is a whole step; one whose bound is infinite
-        or reaches the level stays a candidate, as does every step that ends
-        outside the branch.  The free branch of a loop with winding
-        inductance has a fast pole that makes its bound useless.
+        The height that leaves the branch above its level is |i| over i_max
+        on the free branch, and on the rail -sign(sigma) times the release
+        guard over 0, with sigma the run's held rail value.  Every candidate
+        goes to :meth:`cross`, which locates the peak of a slope change.
         """
         if not math.isfinite(i_max):
             return len(ys) - 1
@@ -417,10 +402,8 @@ class _Loop:
             g, level = np.abs(cur), i_max
         out = g[1:] > level
         slope = np.sign(ys @ guard.slope)
-        for j in np.flatnonzero(out | (slope[1:] != slope[:-1])):
-            if out[j] or not max(g[j], g[j + 1]) + guard.peak * np.max(np.abs(ys[j])) < level:
-                return int(j)
-        return len(ys) - 1
+        hits = np.flatnonzero(out | (slope[1:] != slope[:-1]))
+        return int(hits[0]) if len(hits) else len(ys) - 1
 
     def switch(self, rail: bool, y, h: float, i_max: float, tol: float):
         """End state of a sub-step ``h`` from ``y``, and its first switch
@@ -712,9 +695,9 @@ def simulate(
 
     The loop does not depend on the limit: inside a :func:`_shared_loops`
     block, calls with the same plant, controller and step count share one;
-    outside one, each call builds its own.  ``n_harmonics`` past the
-    Nyquist bin of one period raises :class:`DomainError` before any period
-    is run.
+    outside one, each call builds its own.  ``n_harmonics`` that is not a
+    positive integer, or is past the Nyquist bin of one period, raises
+    :class:`DomainError` before any period is run.
     """
     if not (i_max > 0.0):
         raise DomainError(f"current limit must be positive, got {i_max}")
@@ -807,8 +790,9 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
     convention).  The DC term is reported separately and should be near zero
     for the odd-symmetric waveforms produced here.  The stored window must
     span an integer number of periods, otherwise the projection would leak,
-    and ``n_max`` times that number must not exceed half the samples, else
-    the harmonics would alias: both raise :class:`DomainError`.
+    and ``n_max`` must be a positive integer whose product with that number
+    is at most half the samples, else the harmonics would alias: each raises
+    :class:`DomainError`.
     """
     return _phasors(result.waveforms["t"], result.waveforms["i"], result.omega, n_max)
 
@@ -840,8 +824,11 @@ def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
 
 
 def _check_nyquist(n_max: int, n: int, cycles: int) -> None:
-    """Raise :class:`DomainError` when harmonic ``n_max`` of ``n`` samples over
-    ``cycles`` periods, bin ``n_max cycles``, is past the Nyquist bin ``n / 2``."""
+    """Raise :class:`DomainError` unless the harmonic count ``n_max`` is a
+    positive integer whose last harmonic of ``n`` samples over ``cycles``
+    periods, bin ``n_max cycles``, is at most the Nyquist bin ``n / 2``."""
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise DomainError(f"harmonic count must be a positive integer, got {n_max!r}")
     if 2 * n_max * cycles > n:
         raise DomainError(
             f"harmonic {n_max} of {n} samples over {cycles} periods is past the Nyquist bin"

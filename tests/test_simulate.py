@@ -81,6 +81,13 @@ class TestSimConfig:
             for value in (0.0, -1.0, math.nan):
                 with pytest.raises(DomainError, match=f"{key} must be positive"):
                     SimConfig(**{key: value})
+        # a count that is not an integer would fail in simulate, not here
+        for key, value in (("steps_per_period", 2000.0), ("n_periods", 2.5),
+                           ("n_periods", 3.0), ("steps_per_period", math.nan)):
+            with pytest.raises(DomainError, match=f"{key} must be an integer"):
+                SimConfig(**{key: value})
+        cfg = SimConfig(steps_per_period=np.int64(400), n_periods=np.int64(3))
+        assert (cfg.steps_per_period, cfg.n_periods) == (400, 3)
 
     @pytest.mark.parametrize("steps", [101, 401, 2001])
     def test_odd_step_count_is_rejected(self, steps):
@@ -337,6 +344,12 @@ class TestHarmonicDecompose:
             harmonic_decompose(res, 51)
         with pytest.raises(DomainError, match="Nyquist"):
             simulate(lowpass_plant, z_c, cfg=cfg, n_harmonics=51)
+        for count in (0, -1, -2, 3.0):  # no harmonic to return, or not a count
+            with pytest.raises(DomainError, match="harmonic count must be a positive integer"):
+                harmonic_decompose(res, count)
+            with pytest.raises(DomainError, match="harmonic count must be a positive integer"):
+                simulate(lowpass_plant, z_c, cfg=cfg, n_harmonics=count)
+        assert len(harmonic_decompose(res, np.int64(3))[1]) == 3
         t = np.arange(100) * (3 * 2.0 * math.pi / 100)  # three periods at omega 1
         with pytest.raises(DomainError, match="Nyquist"):
             simulate_mod._phasors(t, np.cos(t), 1.0, 17)
@@ -348,6 +361,9 @@ class TestHarmonicDecompose:
         cfg = SimConfig(steps_per_period=100)
         with pytest.raises(DomainError, match="harmonic 61 of 100 samples over 1 periods"):
             simulate(lowpass_plant, z_c, i_max=1.0, cfg=cfg, n_harmonics=61)
+        for count in (0, 3.0):
+            with pytest.raises(DomainError, match="harmonic count"):
+                simulate(lowpass_plant, z_c, i_max=1.0, cfg=cfg, n_harmonics=count)
         assert periods == []
 
     def test_window_validation(self, lowpass_plant, fast_sim):
@@ -724,75 +740,6 @@ class TestClipEvents:
         assert np.isfinite(y_end).all()
 
 
-class TestPeakBound:
-    """Steps whose guard changes slope but provably stays inside its branch
-    are whole steps, not candidates for :meth:`_Loop.cross`."""
-
-    def test_skipped_steps_hold_no_switch(self, lowpass_plant, monkeypatch):
-        # the reference makes the bound infinite, so that every slope change
-        # is crossed as before the bound; the seeded designs are joined by
-        # rows whose clip is entered and released inside one step, and by
-        # grazing rows
-        rng = np.random.default_rng(1)
-        cfg = SimConfig()
-        cases = []
-        for _ in range(25):
-            plant = haskind_plant(**draw_design(rng))
-            src = thevenin_from_plant(plant)
-            r = src.z_th.real
-            for z_c in (src.z_th.conjugate(), complex(r, 0.5 * r), complex(r, -0.5 * r)):
-                peak = abs(src.v_th / (src.z_th + z_c))  # the unclipped current
-                cases += [(plant, z_c, frac * peak, cfg) for frac in (0.2, 0.5, 0.8)]
-        for l_w in (0.0, 0.004):
-            cases.append(_enter_and_release_row(lowpass_plant, l_w)[:4])
-        for l_w in (0.0, 0.005):
-            cases.append((*_grazing_row(l_w), cfg))
-        period, cross = _Loop.period, _Loop.cross
-        segments, crossed = [], []
-
-        def recorded_period(self, *args):
-            run = period(self, *args)
-            segments[-1].append(run.segments)
-            return run
-
-        def counted_cross(self, *args):
-            crossed[-1] += 1
-            return cross(self, *args)
-
-        monkeypatch.setattr(_Loop, "period", recorded_period)
-        monkeypatch.setattr(_Loop, "cross", counted_cross)
-
-        def run_all():
-            crossed.append(0)
-            out = []
-            with _shared_loops():  # loops made under one bound stay in its run
-                for plant, z_c, i_max, sim_cfg in cases:
-                    segments.append([])
-                    out.append((simulate(plant, z_c, i_max=i_max, cfg=sim_cfg), segments[-1]))
-            return out
-
-        skipped = run_all()
-        monkeypatch.setattr(simulate_mod, "_bend", lambda *args: math.inf)
-        reference = run_all()
-        assert crossed[0] < crossed[1]
-        for (res, segs), (ref, ref_segs) in zip(skipped, reference):
-            # a whole step rounds otherwise than a crossed one, and a switch
-            # moves by that rounding over the guard's slope: up to 20 times
-            # the switch tolerance 1e-12 dt, so switch times are held to the
-            # outputs' 1e-12 relative, of the period
-            tol = 1e-12 * 2.0 * math.pi / ref.omega
-            assert res.periods_run == ref.periods_run
-            for ours, theirs in zip(segs, ref_segs):
-                assert [rail for rail, _, _ in ours] == [rail for rail, _, _ in theirs]
-                for (_, start, _), (_, ref_start, _) in zip(ours, theirs):
-                    assert abs(start - ref_start) <= tol
-            for name in ("p_avg", "x_amp", "peak_current", "clip_fraction"):
-                assert getattr(res, name) == pytest.approx(getattr(ref, name), rel=1e-12)
-            i1 = abs(ref.harmonic_currents[0])
-            for new, old in zip(res.harmonic_currents, ref.harmonic_currents):
-                assert abs(new - old) <= 1e-12 * i1
-
-
 def _run_samples(loop, rail, heights, slopes, sign=1.0, knob=0.0, i_max=2.0):
     """Samples of one run of ``loop`` on branch ``rail``, and their currents.
 
@@ -820,8 +767,7 @@ def _run_samples(loop, rail, heights, slopes, sign=1.0, knob=0.0, i_max=2.0):
 class TestFirstCandidate:
     """The branch-exit screen of one run, on hand-built samples of the
     verify_reactive loop: the first step that ends outside the branch or
-    whose guard changes slope and may peak past the level, else the number
-    of steps."""
+    whose guard changes slope, else the number of steps."""
 
     @pytest.fixture(scope="class")
     def loop(self):
@@ -847,31 +793,22 @@ class TestFirstCandidate:
         assert loop.first_candidate(True, ys, cur, 2.0) == 3
 
     @pytest.mark.parametrize("rail, sign", [(False, 1.0), (True, 1.0), (True, -1.0)])
-    def test_slope_change_is_a_candidate_once_its_bound_reaches_the_level(self, loop, rail,
-                                                                          sign):
-        # the guard turns between samples 2 and 3; the free branch's bound
-        # (about 2e27 per unit state) leaves room below the limit 1 only for
-        # states near 1e-30.  The knob q sets ||ys[2]||_inf and so the bound
+    def test_slope_change_is_a_candidate_at_any_state_scale(self, loop, rail, sign):
+        # the guard turns between samples 2 and 3 and stays inside its
+        # branch; the knob q sets ||ys||_inf from 0 to 1e300, so the turn is
+        # a candidate also where the guard's curvature could not carry it to
+        # the level within one step (below about 1e-28 on the free branch's
+        # 1e-30 heights, 100 on the rail)
         if rail:
-            heights, level, i_max = [-3.0, -2.0, -1.5, -2.0, -3.0, -4.0], 0.0, 2.0
+            heights, i_max = [-3.0, -2.0, -1.5, -2.0, -3.0, -4.0], 2.0
         else:
-            heights, level = [1e-30 * h for h in (0.2, 0.5, 0.7, 0.5, 0.2, 0.1)], 1.0
-            i_max = level
-        slopes = np.multiply([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], abs(heights[0]))
-        ys, cur = _run_samples(loop, rail, heights, slopes, sign, i_max=i_max)
-        assert loop.first_candidate(rail, ys, cur, i_max) == 5
-        peak = loop.guards[rail].peak
-        top = max(heights[2:4]) if not rail else max(
-            -np.sign(ys[0, loop.sigma]) * (ys[2:4] @ loop.guards[True].row))
-        knob = (level - top) / peak  # the least knob whose bound reaches the level
-        while top + peak * knob < level:
-            knob = np.nextafter(knob, math.inf)
-        while not top + peak * np.nextafter(knob, 0.0) < level:
-            knob = np.nextafter(knob, 0.0)
-        assert knob > np.max(np.abs(ys[2]))
-        for q, expected in ((knob, 2), (np.nextafter(knob, 0.0), 5)):
-            ys, cur = _run_samples(loop, rail, heights, slopes, sign, q, i_max)
-            assert loop.first_candidate(rail, ys, cur, i_max) == expected
+            heights, i_max = [1e-30 * h for h in (0.2, 0.5, 0.7, 0.5, 0.2, 0.1)], 1.0
+        turning = np.multiply([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], abs(heights[0]))
+        for knob in (0.0, 1e-30, 1.0, 100.0, 1e300):
+            ys, cur = _run_samples(loop, rail, heights, turning, sign, knob, i_max)
+            assert loop.first_candidate(rail, ys, cur, i_max) == 2
+            ys, cur = _run_samples(loop, rail, heights, np.abs(turning), sign, knob, i_max)
+            assert loop.first_candidate(rail, ys, cur, i_max) == 5
 
     @pytest.mark.parametrize("rail", [False, True])
     def test_no_limit_no_candidate(self, loop, rail):
@@ -1074,12 +1011,13 @@ class TestWindowedScan:
                 for frac in (0.4, 0.6, 0.8, 1.0)]
         assert [res.periods_run for res in runs] == [1, 1, 1, 1]  # half periods
         assert len(counts) == 4
-        # the peak bound leaves 7 steps to cross, of 10 without it: 2 per
-        # clipped row.  The unclipped row's sampled peak sits 7e-11 A below
-        # its limit, the matched peak, so its bound reaches the limit in one
-        # step; with the overscaled matrix exponential of the one-step flow
-        # its orbit was 4e-10 off and the peak 3.7e-7 A below
-        assert sum(candidates for _, candidates in counts) == 7
+        # every step whose guard turns is crossed: 3 per clipped row, its
+        # two switches and one turn of the release guard on the rail, and 1
+        # on the unclipped row, whose sampled peak sits 7e-11 A below its
+        # limit, the matched peak; with the overscaled matrix exponential of
+        # the one-step flow its orbit was 4e-10 off and the peak 3.7e-7 A
+        # below
+        assert sum(candidates for _, candidates in counts) == 10
         for calls, candidates in counts:
             assert 1 <= calls <= candidates + 1
 
