@@ -105,7 +105,8 @@ class TheveninSource:
     v_th : complex
         Source voltage phasor, volts, peak amplitude.
     z_th : complex
-        Source impedance, ohms.  Must have positive real part.
+        Source impedance, ohms.  Must have positive real part.  Both it and
+        ``v_th`` must be finite.
     harmonic_impedance : callable, optional
         Maps a harmonic index ``n`` (1 = source frequency) to the source
         impedance evaluated at ``n`` times the source frequency.  Used when
@@ -121,6 +122,8 @@ class TheveninSource:
     )
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.v_th) and cmath.isfinite(self.z_th)):
+            raise DomainError(f"source must be finite: v_th = {self.v_th}, z_th = {self.z_th}")
         if not (self.z_th.real > 0.0):
             raise DomainError(
                 f"source impedance must be dissipative: Re(z_th) = {self.z_th.real}"

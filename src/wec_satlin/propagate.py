@@ -169,11 +169,11 @@ class Branch:
             return (scale @ self.taylor.reshape(len(_ORDERS), -1)).reshape(self.a.shape)
         return flow(self.a, h, self.scale)
 
-    def locate(self, at, y0, y_hi, h, guard, level, tol):
+    def locate(self, y0, y_hi, h, guard, level, tol):
         """Time in (0, h] where ``guard @ y - level`` turns positive, and the
-        state there, along ``at``: tau -> expm(a tau) y0, such as
-        ``transition(tau) @ y0``; the guard is not positive at ``y0`` and
-        positive at ``y_hi``.  The caller passes ``at``, so it can wrap it.
+        state there, along the branch's path ``transition(tau) @ y0``; the
+        guard is not positive at ``y0`` and positive at ``y_hi``, the path's
+        state at h.
 
         Newton's method from the secant guess, kept inside the bracket,
         until the bracket is ``tol`` wide; its positive end is returned.
@@ -192,13 +192,13 @@ class Branch:
             hi = 0.5 * h
             while hi > tol:
                 hi *= 0.5
-            return hi, at(hi)
+            return hi, self.transition(hi) @ y0
         tau = h * g_lo / (g_lo - g_hi) if g_lo < g_hi else 0.5 * h
         last, slow = math.inf, 0  # the last Newton step, and the slow steps in a row
         for _ in range(100):
             if not lo < tau < hi:
                 tau = 0.5 * (lo + hi)
-            y = at(tau)
+            y = self.transition(tau) @ y0
             g = guard @ y - level
             if g > 0.0:
                 hi, y_hi = tau, y

@@ -199,23 +199,20 @@ class _Period(NamedTuple):
     segments: list
 
 
-class _Guard(NamedTuple):
-    """One branch's data, fixed once the loop's plant and controller are
-    known: the guard row whose value the branch's switch is located on, its
-    slope row ``row @ a`` along the branch, and ``|row|`` and ``|a|`` for
-    the rounding bound of its rate; the mask of the states a map started on
-    the branch depends on, their indices and their columns of the identity,
-    which seed the derivatives :meth:`_Loop.newton` carries; and the reset
-    R applied on leaving the branch, which zeroes the held current on
-    entering the rail."""
+class _Branch(NamedTuple):
+    """One branch of the loop, fixed once its plant and controller are
+    known: its flow; the guard row whose value its switch is located on,
+    and the guard's slope row ``guard @ a`` along the flow; the indices of
+    the states a map started on the branch depends on, the unknowns of
+    :meth:`_Loop.newton`; and the reset R applied on leaving the branch,
+    which zeroes the held current on entering the rail.  Which way the
+    guard leaves the branch, and past which level, is
+    :meth:`_Loop.exit`."""
 
-    row: np.ndarray
+    flow: Branch
+    guard: np.ndarray
     slope: np.ndarray
-    abs_row: np.ndarray
-    abs_a: np.ndarray
     unknowns: np.ndarray
-    index: np.ndarray
-    columns: np.ndarray
     reset: np.ndarray
 
 
@@ -241,11 +238,13 @@ class _Loop:
     the rail when the command current falls back inside.
 
     ``steps`` steps of ``dt`` make half a period, the span of the
-    anti-period map :meth:`period`, and each branch stacks that many powers
-    of its one-step flow.  Neither branch depends on the limit, which the
-    methods take as ``i_max``, so one loop serves every limit of its plant,
-    controller and step.  Both branches, and their guards, are built with
-    the loop.
+    anti-period map :meth:`period`, and each branch's flow stacks that many
+    powers of its one-step flow.  Neither branch depends on the limit,
+    which the methods take as ``i_max``, so one loop serves every limit of
+    its plant, controller and step.  ``branches[rail]`` is the record of
+    each, its flow, guard, unknowns and reset together (see
+    :class:`_Branch`), built with the loop; :meth:`exit` is the one rule
+    for leaving either.
     """
 
     def __init__(self, plant: WecPlant, z_c: complex, dt: float, steps: int):
@@ -313,32 +312,26 @@ class _Loop:
         self.osc = [idx["p"], idx["q"]]
         phase = math.atan2(plant.f_e.imag, plant.f_e.real)
         self.y0 = row(p=math.cos(phase), q=math.sin(phase))
-        self.free = Branch.build(*generator(*free), dt, steps)
-        self.rail = Branch.build(*generator(*rail), dt, steps)
-        plant_states = np.array([name not in ("p", "q", "sigma") for name in names])
-        held = plant_states.copy()  # the rail holds the current at +-i_max
-        held[self.sigma] = False
+        free, rail = (Branch.build(*generator(*rows), dt, steps) for rows in (free, rail))
+        plant_states = np.flatnonzero([name not in ("p", "q", "sigma") for name in names])
         enter = np.eye(n)  # entering the rail zeroes the held current
         enter[self.sigma, self.sigma] = 0.0
-        # the free branch's current and the rail's release guard
-        self.guards = tuple(
-            _Guard(row, row @ br.a, np.abs(row), np.abs(br.a),
-                   unknowns, np.flatnonzero(unknowns), np.eye(n)[:, unknowns], reset)
-            for br, row, unknowns, reset in ((self.free, self.free.i_row, plant_states, enter),
-                                             (self.rail, release, held, np.eye(n))))
-
-    def branch(self, rail: bool) -> Branch:
-        return self.rail if rail else self.free
+        # the free branch's current and the rail's release guard; the rail
+        # holds the current at +-i_max
+        self.branches = tuple(
+            _Branch(flow, guard, guard @ flow.a, unknowns, reset)
+            for flow, guard, unknowns, reset in (
+                (free, free.i_row, plant_states, enter),
+                (rail, release, plant_states[plant_states != self.sigma], np.eye(n))))
 
     def free_orbit(self) -> np.ndarray:
         """Start state of the free branch's periodic orbit, the fixed point
         y = -E^steps y of its anti-period map, with the oscillator at its
         phase; at rest where that solve has no finite answer.  It is the
         orbit itself, so a row that never clips converges in one map."""
-        u = self.guards[False].unknowns
-        e = self.free.powers[-1]
-        y = self.y0.copy()
-        y[u] = np.linalg.solve(np.eye(u.sum()) + e[np.ix_(u, u)], -(e[np.ix_(u, ~u)] @ y[~u]))
+        u, e = self.branches[False].unknowns, self.branches[False].flow.powers[-1]
+        y = self.y0.copy()  # zero at the unknowns
+        y[u] = np.linalg.solve(np.eye(len(u)) + e[np.ix_(u, u)], -(e[u] @ y))
         return y if np.isfinite(y).all() else self.y0.copy()
 
     def start(self, i_max: float, sol) -> tuple[np.ndarray, bool, list | None]:
@@ -382,36 +375,44 @@ class _Loop:
         second = first + (math.pi - 2.0 * clip if rail else 2.0 * clip)
         return y, rail, [t * self.steps / math.pi for t in (first, second) if t < math.pi]
 
-    def first_candidate(self, rail: bool, ys, cur, i_max: float) -> int:
-        """First step between samples ``ys`` (currents ``cur``) of one branch
-        that may hold a switch under the limit ``i_max``: it ends outside the
-        branch, or its guard's slope changes sign, so that the guard may peak
-        past its level within it.  The number of steps if none does.
+    def exit(self, rail: bool, y, i_max: float) -> tuple[tuple, float]:
+        """The rule for leaving branch ``rail`` from the state ``y`` under the
+        limit ``i_max``, as ``(signs, level)``: the branch is left where
+        ``sign * guard @ y`` rises past ``level`` for a sign of ``signs``.
+        On the free branch that is the current past +-i_max; on the rail,
+        -sign(sigma) times the release guard past 0, with sigma the held
+        rail value, once the command current is back inside."""
+        if rail:
+            return (-np.sign(y[self.sigma]),), 0.0
+        return (1.0, -1.0), i_max
 
-        The height that leaves the branch above its level is |i| over i_max
-        on the free branch, and on the rail -sign(sigma) times the release
-        guard over 0, with sigma the run's held rail value.  Every candidate
-        goes to :meth:`cross`, which locates the peak of a slope change.
+    def first_candidate(self, rail: bool, ys, i_max: float) -> int:
+        """First step between samples ``ys`` of one run on branch ``rail``
+        that may hold a switch under the limit ``i_max``: it ends outside the
+        branch by :meth:`exit`, or its guard's slope changes sign, so that
+        the guard may peak past its level within it.  The number of steps if
+        none does.  Every candidate goes to :meth:`cross`, which locates the
+        peak of a slope change.
         """
         if not math.isfinite(i_max):
             return len(ys) - 1
-        guard = self.guards[rail]
-        if rail:
-            g, level = -np.sign(ys[0, self.sigma]) * (ys @ guard.row), 0.0
-        else:
-            g, level = np.abs(cur), i_max
-        out = g[1:] > level
-        slope = np.sign(ys @ guard.slope)
+        branch = self.branches[rail]
+        signs, level = self.exit(rail, ys[0], i_max)
+        g = ys @ branch.guard  # past the level with either sign: |g|
+        out = (np.abs(g) if len(signs) > 1 else signs[0] * g)[1:] > level
+        slope = np.sign(ys @ branch.slope)
         hits = np.flatnonzero(out | (slope[1:] != slope[:-1]))
         return int(hits[0]) if len(hits) else len(ys) - 1
 
     def switch(self, rail: bool, y, h: float, i_max: float, tol: float):
-        """End state of a sub-step ``h`` from ``y``, and its first switch
-        ``(tau, y_tau, sign)`` under the limit ``i_max``, or None.  The end
-        state and every search point are ``Branch.transition(tau) @ y``.
+        """End state of a sub-step ``h`` from ``y`` on branch ``rail``, and its
+        first switch ``(tau, y_tau, sign)`` under the limit ``i_max`` by
+        :meth:`exit`, or None.  The end state and every search point of
+        :meth:`Branch.locate` are ``transition(tau) @ y`` of the branch's
+        flow.
 
-        A guard positive at the end brackets a switch; one whose slope turns
-        from rising to falling is checked at its located peak.  A located
+        A guard past its level at the end brackets a switch; one whose slope
+        turns from rising to falling is checked at its located peak.  A located
         point whose guard rate is zero to within its rounding bound is a
         touch, not a switch: as a switch time of a Newton step (see
         :meth:`newton`) it would have that rate as its pivot.  After a
@@ -419,29 +420,26 @@ class _Loop:
         zero slope, and a stiff sub-step's matrix exponential reads it one
         ulp above the limit.
         """
-        br, guard = self.branch(rail), self.guards[rail]
-        at = lambda tau: br.transition(tau) @ y
-        y_end = at(h)
-        if rail:  # positive once the command current is back inside
-            signs, level = (-np.sign(y[self.sigma]),), 0.0
-        else:
-            signs, level = (1.0, -1.0), i_max
-        # the guards +-row share the row's value at the end and its slope
-        g_end = guard.row @ y_end
-        rate, rate_end = guard.slope @ y, guard.slope @ y_end
+        branch = self.branches[rail]
+        flow, guard, slope = branch.flow, branch.guard, branch.slope
+        y_end = flow.transition(h) @ y
+        signs, level = self.exit(rail, y, i_max)
+        # the guards +-guard share the row's value at the end and its slope
+        g_end = guard @ y_end
+        rate, rate_end = slope @ y, slope @ y_end
         first = None
         for sign in signs:
             hi, y_hi = h, y_end
             if not sign * g_end - level > 0.0:
                 if not sign * rate > 0.0 > sign * rate_end:
                     continue
-                hi, y_hi = br.locate(at, y, y_end, h, -sign * guard.slope, 0.0, tol)
-                if not sign * (guard.row @ y_hi) - level > 0.0:
+                hi, y_hi = flow.locate(y, y_end, h, -sign * slope, 0.0, tol)
+                if not sign * (guard @ y_hi) - level > 0.0:
                     continue
-            tau, y_tau = br.locate(at, y, y_hi, hi, sign * guard.row, level, tol)
+            tau, y_tau = flow.locate(y, y_hi, hi, sign * guard, level, tol)
             # the guard's rate is the pivot of the switch time in :meth:`newton`
-            bound = 2.0 * self.n * _EPS * (guard.abs_row @ (guard.abs_a @ np.abs(y_tau)))
-            if not abs(guard.row @ (br.a @ y_tau)) > bound:
+            bound = 2.0 * self.n * _EPS * (np.abs(guard) @ (np.abs(flow.a) @ np.abs(y_tau)))
+            if not abs(guard @ (flow.a @ y_tau)) > bound:
                 continue
             if first is None or tau < first[0]:
                 first = (tau, y_tau, sign)
@@ -471,7 +469,7 @@ class _Loop:
         period as a scanned map carries a state: by :meth:`Branch.transition`
         over the rest of t0's step, the power of the whole steps between,
         then the transition over the start of t1's step."""
-        br, dt = self.branch(rail), self.dt
+        br, dt = self.branches[rail].flow, self.dt
         first, last = math.ceil(t0 / dt), math.floor(t1 / dt)  # the whole steps' ends
         if first > last:  # t0 and t1 in one step
             return br.transition(t1 - t0) @ m
@@ -494,16 +492,16 @@ class _Loop:
         guards, t = np.empty((len(taus), m.shape[1])), 0.0
         for k, tau in enumerate(taus):
             m = self.advance(rail, t, tau, m)
-            br, guard, t = self.branch(rail), self.guards[rail], tau
-            m[:, k - len(taus)] = br.a @ m[:, 0]  # the state before the switch moves with it
+            branch, t = self.branches[rail], tau
+            m[:, k - len(taus)] = branch.flow.a @ m[:, 0]  # the state before the switch moves
             # the guard over its level: the current over +-i_max, the release guard over 0
-            level = 0.0 if rail else math.copysign(i_max, guard.row @ m[:, 0])
-            guards[k] = guard.row @ m
+            level = 0.0 if rail else math.copysign(i_max, branch.guard @ m[:, 0])
+            guards[k] = branch.guard @ m
             guards[k, 0] -= level
-            m = guard.reset @ m
+            m = branch.reset @ m
             m[self.sigma, 0] += level  # entering the rail, it holds the limit
             rail = not rail
-            m[:, k - len(taus)] -= self.branch(rail).a @ m[:, 0]
+            m[:, k - len(taus)] -= self.branches[rail].flow.a @ m[:, 0]
         return -self.advance(rail, t, self.steps * self.dt, m), guards
 
     def newton(self, y, rail: bool, taus: list, i_max: float):
@@ -516,19 +514,18 @@ class _Loop:
         Trick 1972, with the switching instants as unknowns as in di
         Bernardo et al., Piecewise-smooth Dynamical Systems, 2008), with the
         Jacobian :meth:`switched` carries through the s + 1 segments as one
-        n x (1 + n_u + s) matrix, with n_u the unknown plant states; the
-        system is filled in place from the guard's index arrays and identity
-        columns, built with the loop.
+        n x (1 + n_u + s) matrix, with n_u the unknown plant states, the
+        indices of the branch's record (see :class:`_Branch`).
 
         Returns the system, as rows [residual | d/dy[u] | d/dtau], the
         residual rows first, and the step: for y[u], then the s switch times.
         """
-        guard = self.guards[rail]
-        u, n_u, s = guard.index, len(guard.index), len(taus)
+        u = self.branches[rail].unknowns
+        n_u, s = len(u), len(taus)
         # y, d/dy[u] and d/dtau: the n x (1 + n_u + s) matrix switched carries
         e = np.zeros((self.n, 1 + n_u + s))
         e[:, 0] = y
-        e[:, 1 : 1 + n_u] = guard.columns
+        e[u, 1 : 1 + n_u] = np.eye(n_u)
         m, guards = self.switched(e, rail, taus, i_max)
         rows = np.empty((n_u + s, 1 + n_u + s))  # G(y)[u] - y[u], then the s guards
         np.subtract(m[u], e[u], out=rows[:n_u])
@@ -562,13 +559,13 @@ class _Loop:
                 taus = (taus[1:] + [taus[0] + half] if taus[0] <= 0.0
                         else [taus[-1] - half] + taus[:-1])
                 rail = not rail  # entering the rail, the start holds the limit
-                y[self.sigma] = math.copysign(i_max, self.free.i_row @ y)
+                y[self.sigma] = math.copysign(i_max, self.branches[False].guard @ y)
             if done:
                 return y, rail, s + 1, iterations
             if (iterations == _SWITCH_ITERATIONS or s % 2
                     or not all(a < b for a, b in zip([0.0] + taus, taus + [half]))):
                 return best[1], best[2], 0, iterations
-            u = self.guards[rail].index
+            u = self.branches[rail].unknowns
             rows, step = self.newton(y, rail, taus, i_max)
             residual = _residual(rows[: len(u), 0], y[u])
             done = residual <= target
@@ -596,8 +593,8 @@ class _Loop:
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
         ys[0] = y
         ys[0, self.osc] = self.y0[self.osc]
-        cur[0] = ys[0] @ self.branch(rail).i_row
-        vl[0] = ys[0] @ self.branch(rail).v_row
+        cur[0] = ys[0] @ self.branches[rail].flow.i_row
+        vl[0] = ys[0] @ self.branches[rail].flow.v_row
         segments = []
 
         def add(on_rail, start, duration):
@@ -608,19 +605,18 @@ class _Loop:
 
         k = 0
         while k < steps:
-            br = self.branch(rail)
+            br = self.branches[rail].flow
             np.matmul(br.powers[: steps - k].reshape(-1, n), ys[k], out=ys[k + 1 :].reshape(-1))
-            # the sample before the run keeps the product a matrix-vector one
-            cur[k + 1 :] = (ys[k:] @ br.i_row)[1:]
-            m = self.first_candidate(rail, ys[k:], cur[k:], i_max)
+            m = self.first_candidate(rail, ys[k:], i_max)
+            cur[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.i_row
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             if m:
                 add(rail, k * dt, m * dt)
             k += m
             if k < steps:
                 ys[k + 1], rail, pieces = self.cross(ys[k], rail, i_max, tol)
-                cur[k + 1] = ys[k + 1] @ self.branch(rail).i_row
-                vl[k + 1] = ys[k + 1] @ self.branch(rail).v_row
+                cur[k + 1] = ys[k + 1] @ self.branches[rail].flow.i_row
+                vl[k + 1] = ys[k + 1] @ self.branches[rail].flow.v_row
                 start = k * dt
                 for on_rail, duration in pieces:
                     add(on_rail, start, duration)
@@ -734,7 +730,7 @@ def simulate(
             raise SimulationError(f"state diverged at step {j} (t = {(j + 1) * dt:.6g} s)",
                                   step=j, trace=tuple(run.ys[1 + bad]))
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
-        u = loop.guards[rail].unknowns
+        u = loop.branches[rail].unknowns
         end = run.ys[half]
         residual = _residual(end[u] - y[u], y[u])
         # the map from a solved start must also keep the solve's segment count
@@ -792,7 +788,7 @@ def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[compl
     span an integer number of periods, otherwise the projection would leak,
     and ``n_max`` must be a positive integer whose product with that number
     is at most half the samples, else the harmonics would alias: each raises
-    :class:`DomainError`.
+    :class:`DomainError`, as does a window of fewer than two samples.
     """
     return _phasors(result.waveforms["t"], result.waveforms["i"], result.omega, n_max)
 
@@ -806,10 +802,13 @@ def _phasors(t: np.ndarray, y: np.ndarray, omega: float, n_max: int):
     Y_n = (2/N) sum y exp(-i n w t), the cosine-convention phasor, is bin
     n c of the real FFT of ``y``, turned back by the window's start phase
     n w t_0.  A window that is not a whole number of periods would leak, and
-    a harmonic past the Nyquist bin, n_max c > N / 2, would alias: both raise
-    :class:`DomainError`.
+    a harmonic past the Nyquist bin, n_max c > N / 2, would alias: both
+    raise :class:`DomainError`, as do fewer than two samples, which span
+    no period.
     """
     n = y.shape[-1]
+    if n < 2:
+        raise DomainError(f"window of {n} samples; need at least 2 samples")
     span = (t[-1] - t[0]) * n / (n - 1) * omega / (2.0 * math.pi)
     cycles = round(span)
     if abs(span - cycles) > 1e-9 or cycles < 1:

@@ -876,25 +876,25 @@ def simulate_horizon(
 
     ys, cur, vl = np.empty((steps + 1, loop.n)), np.empty(steps + 1), np.empty(steps + 1)
     ys[steps] = loop.y0
-    cur[steps] = ys[steps] @ loop.free.i_row
-    vl[steps] = ys[steps] @ loop.free.v_row
+    cur[steps] = ys[steps] @ loop.branches[False].flow.i_row
+    vl[steps] = ys[steps] @ loop.branches[False].flow.v_row
     rail = False
     period_powers = []
     for p in range(cfg.n_periods):
         ys[0], cur[0], vl[0] = ys[steps], cur[steps], vl[steps]
         k = 0
         while k < steps:
-            br = loop.branch(rail)
+            br = loop.branches[rail].flow
             flat = br.powers[: steps - k].reshape(-1, loop.n) @ ys[k]
             ys[k + 1 :] = flat.reshape(-1, loop.n)
             cur[k + 1 :] = ys[k + 1 :] @ br.i_row
-            m = loop.first_candidate(rail, ys[k:], cur[k:], i_max)
+            m = loop.first_candidate(rail, ys[k:], i_max)
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
             k += m
             if k < steps:
                 ys[k + 1], rail, *_ = loop.cross(ys[k], rail, i_max, tol)
-                cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
-                vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
+                cur[k + 1] = ys[k + 1] @ loop.branches[rail].flow.i_row
+                vl[k + 1] = ys[k + 1] @ loop.branches[rail].flow.v_row
                 k += 1
         bad = np.flatnonzero(~np.isfinite(ys[1:]).all(axis=1))
         if bad.size:
@@ -951,8 +951,8 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
     ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
     ys[0] = y
     ys[0, loop.osc] = loop.y0[loop.osc]
-    cur[0] = ys[0] @ loop.branch(rail).i_row
-    vl[0] = ys[0] @ loop.branch(rail).v_row
+    cur[0] = ys[0] @ loop.branches[rail].flow.i_row
+    vl[0] = ys[0] @ loop.branches[rail].flow.v_row
     segments = []
 
     def add(on_rail, start, duration):
@@ -963,7 +963,7 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
 
     k = 0
     while k < steps:
-        br = loop.branch(rail)
+        br = loop.branches[rail].flow
         rest = steps - k
         m = 0  # whole steps from ys[k] before the first candidate
         while m < rest:
@@ -972,7 +972,7 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
             ys[k + 1 + lo : k + 1 + m] = flat.reshape(-1, n)
             seen = slice(k + lo, k + 1 + m)  # the window and the sample before it
             cur[k + 1 + lo : k + 1 + m] = (ys[seen] @ br.i_row)[1:]
-            hit = lo + loop.first_candidate(rail, ys[seen], cur[seen], i_max)
+            hit = lo + loop.first_candidate(rail, ys[seen], i_max)
             if hit < m:
                 m = hit
                 break
@@ -982,8 +982,8 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
         k += m
         if k < steps:
             ys[k + 1], rail, pieces = loop.cross(ys[k], rail, i_max, tol)
-            cur[k + 1] = ys[k + 1] @ loop.branch(rail).i_row
-            vl[k + 1] = ys[k + 1] @ loop.branch(rail).v_row
+            cur[k + 1] = ys[k + 1] @ loop.branches[rail].flow.i_row
+            vl[k + 1] = ys[k + 1] @ loop.branches[rail].flow.v_row
             start = k * dt
             for on_rail, duration in pieces:
                 add(on_rail, start, duration)
@@ -1049,7 +1049,7 @@ def free_orbit_start(loop: ExactLoop, i_max: float, sol=None) -> tuple[np.ndarra
     switch-time solve does not run; the describing function's solution
     ``sol`` is not read."""
     y = loop.free_orbit()
-    current = y @ loop.free.i_row
+    current = y @ loop.branches[False].flow.i_row
     if not abs(current) > i_max:
         return y, False, None
     y[loop.sigma] = math.copysign(i_max, current)

@@ -51,6 +51,15 @@ class TestTheveninSource:
         with pytest.raises(DomainError):
             TheveninSource(v_th=0j, z_th=1.0 + 0j)
 
+    @pytest.mark.parametrize("v_th, z_th", [
+        (1.0 + 0j, complex(1.0, math.nan)),  # alpha and v_peak_matched were nan
+        (complex(math.inf, 0.0), 1.0 + 0j),  # p_matched was inf
+        (1.0 + 0j, complex(math.inf, 1.0)),
+    ])
+    def test_rejects_non_finite_source(self, v_th, z_th):
+        with pytest.raises(DomainError, match="finite"):
+            TheveninSource(v_th=v_th, z_th=z_th)
+
     def test_alpha(self):
         assert TheveninSource(2 + 0j, 1 + 2j).alpha == 2.0
 

@@ -372,6 +372,9 @@ class TestHarmonicDecompose:
         truncated = dataclasses.replace(res, waveforms=res.waveforms[: len(res.waveforms) // 2])
         with pytest.raises(DomainError, match="integer"):
             harmonic_decompose(truncated, 3)
+        for window in (res.waveforms[:1], res.waveforms[:0]):  # no span to read periods from
+            with pytest.raises(DomainError, match="need at least 2 samples"):
+                harmonic_decompose(dataclasses.replace(res, waveforms=window), 3)
 
     @pytest.mark.parametrize("periods", [0.5, 1.5, 2.999])
     def test_phasors_need_whole_periods(self, periods):
@@ -590,16 +593,13 @@ class TestLocate:
         (1.0, 0.7, 1e-12, 0.0),
         (2e-3, 7e-4, 2e-15, 1.0),
     ])
-    def test_flat_guard_is_bisected(self, h, t0, tol, level):
+    def test_flat_guard_is_bisected(self, monkeypatch, h, t0, tol, level):
         br = Branch.build(np.diag([1.0, 1.0, 1.0], 1), np.eye(4)[0], np.eye(4)[0], h, 1)
         y0 = np.array([level - t0**3 / 6.0, t0 * t0 / 2.0, -t0, 1.0])
-        taus = []
-
-        def at(t):
-            return br.transition(t) @ y0
-
-        tau, y = br.locate(lambda t: taus.append(t) or at(t), y0, at(h), h, np.eye(4)[0],
-                           level, tol)
+        y_hi, transition, taus = br.transition(h) @ y0, Branch.transition, []
+        monkeypatch.setattr(Branch, "transition",
+                            lambda self, t: taus.append(t) or transition(self, t))
+        tau, y = br.locate(y0, y_hi, h, np.eye(4)[0], level, tol)
         assert len(taus) <= math.log2(h / tol) + 5
         # positive, and inside the span where the cubic is below 8 ulp of
         # the largest state
@@ -612,18 +612,18 @@ class TestSubStepFlow:
         loop = _Loop(lowpass_plant, 0.21 - 0.1j, 2 * math.pi / 600, 600)
         y0 = loop.y0 + np.arange(loop.n)
         h = 2 * math.pi / 600
+        br = loop.branches[False].flow
         for tau in (0.0, 0.3 * h, h):
-            exact = flow(loop.free.a, tau) @ y0
-            np.testing.assert_allclose(loop.free.transition(tau) @ y0, exact, rtol=1e-13,
-                                       atol=1e-13)
+            exact = flow(br.a, tau) @ y0
+            np.testing.assert_allclose(br.transition(tau) @ y0, exact, rtol=1e-13, atol=1e-13)
 
     def test_stiff_sub_step_falls_back_to_matrix_exponential(self, lowpass_plant):
         plant = dataclasses.replace(lowpass_plant, l_w=1e-6)
         h = 2 * math.pi / 2000
         loop = _Loop(plant, plant.z_thevenin().conjugate(), h, 2000)
         y0 = loop.y0 + np.arange(loop.n)
-        tau = 0.6 * h
-        assert np.array_equal(loop.free.transition(tau) @ y0, flow(loop.free.a, tau) @ y0)
+        tau, br = 0.6 * h, loop.branches[False].flow
+        assert np.array_equal(br.transition(tau) @ y0, flow(br.a, tau) @ y0)
 
     @pytest.mark.parametrize("fraction", [0.4, 0.6, 0.8])
     def test_path_keeps_the_taylor_sum_per_state(self, lowpass_plant, fraction):
@@ -736,20 +736,20 @@ class TestClipEvents:
                       0.9991661343425408, 0.040829351978509995])
         y_end, rail, pieces = loop.cross(y, True, i_max, 1e-12 * dt)
         assert [on_rail for on_rail, _ in pieces] == [True, False]
-        assert not rail and abs(y_end @ loop.free.i_row) < i_max
+        assert not rail and abs(y_end @ loop.branches[False].flow.i_row) < i_max
         assert np.isfinite(y_end).all()
 
 
 def _run_samples(loop, rail, heights, slopes, sign=1.0, knob=0.0, i_max=2.0):
-    """Samples of one run of ``loop`` on branch ``rail``, and their currents.
+    """Samples of one run of ``loop`` on branch ``rail``.
 
     The exit height, |i| on the free branch and -sign(sigma) times the
     release guard on the rail, reads ``heights``, and the guard's slope row
     reads ``slopes``; the rail holds sigma = ``sign * i_max``, and the
     oscillator state q, which neither row reads, is ``knob`` throughout.
     """
-    guard = loop.guards[rail]
-    rows = np.stack([guard.row, guard.slope])
+    branch = loop.branches[rail]
+    rows = np.stack([branch.guard, branch.slope])
     q = loop.osc[1]
     ys = np.zeros((len(heights), loop.n))
     ys[:, q] = knob
@@ -761,7 +761,7 @@ def _run_samples(loop, rail, heights, slopes, sign=1.0, knob=0.0, i_max=2.0):
     ys[:, solve] = np.linalg.lstsq(rows[:, solve], targets - rows @ ys.T, rcond=None)[0].T
     if not rail:
         ys[:, loop.current] = heights  # the current itself, exactly
-    return ys, ys @ loop.branch(rail).i_row
+    return ys
 
 
 class TestFirstCandidate:
@@ -777,20 +777,20 @@ class TestFirstCandidate:
 
     def test_free_branch_is_left_past_the_limit_not_at_it(self, loop):
         rising = [1.0] * 6
-        ys, cur = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.0, 1.9], rising)
-        assert loop.first_candidate(False, ys, cur, 2.0) == 5  # steps 2, 3 end at the level
-        ys, cur = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.3, 2.6], rising)
-        assert loop.first_candidate(False, ys, cur, 2.0) == 3
-        ys, cur = _run_samples(loop, False, [-1.0, -1.4, -1.7, -2.0, -2.3, -2.6], rising)
-        assert loop.first_candidate(False, ys, cur, 2.0) == 3  # |i| is what leaves
+        ys = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.0, 1.9], rising)
+        assert loop.first_candidate(False, ys, 2.0) == 5  # steps 2, 3 end at the level
+        ys = _run_samples(loop, False, [1.0, 1.4, 1.7, 2.0, 2.3, 2.6], rising)
+        assert loop.first_candidate(False, ys, 2.0) == 3
+        ys = _run_samples(loop, False, [-1.0, -1.4, -1.7, -2.0, -2.3, -2.6], rising)
+        assert loop.first_candidate(False, ys, 2.0) == 3  # |i| is what leaves
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rail_is_left_where_the_release_guard_turns_positive(self, loop, sign):
         rising = [1.0] * 6
-        ys, cur = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, -0.05, -0.01], rising, sign)
-        assert loop.first_candidate(True, ys, cur, 2.0) == 5
-        ys, cur = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, 0.3, 0.6], rising, sign)
-        assert loop.first_candidate(True, ys, cur, 2.0) == 3
+        ys = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, -0.05, -0.01], rising, sign)
+        assert loop.first_candidate(True, ys, 2.0) == 5
+        ys = _run_samples(loop, True, [-0.8, -0.5, -0.2, -0.1, 0.3, 0.6], rising, sign)
+        assert loop.first_candidate(True, ys, 2.0) == 3
 
     @pytest.mark.parametrize("rail, sign", [(False, 1.0), (True, 1.0), (True, -1.0)])
     def test_slope_change_is_a_candidate_at_any_state_scale(self, loop, rail, sign):
@@ -805,16 +805,16 @@ class TestFirstCandidate:
             heights, i_max = [1e-30 * h for h in (0.2, 0.5, 0.7, 0.5, 0.2, 0.1)], 1.0
         turning = np.multiply([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], abs(heights[0]))
         for knob in (0.0, 1e-30, 1.0, 100.0, 1e300):
-            ys, cur = _run_samples(loop, rail, heights, turning, sign, knob, i_max)
-            assert loop.first_candidate(rail, ys, cur, i_max) == 2
-            ys, cur = _run_samples(loop, rail, heights, np.abs(turning), sign, knob, i_max)
-            assert loop.first_candidate(rail, ys, cur, i_max) == 5
+            ys = _run_samples(loop, rail, heights, turning, sign, knob, i_max)
+            assert loop.first_candidate(rail, ys, i_max) == 2
+            ys = _run_samples(loop, rail, heights, np.abs(turning), sign, knob, i_max)
+            assert loop.first_candidate(rail, ys, i_max) == 5
 
     @pytest.mark.parametrize("rail", [False, True])
     def test_no_limit_no_candidate(self, loop, rail):
-        ys, cur = _run_samples(loop, rail, [1.0, 3.0, 2.0, 5.0, 1.0, 9.0],
-                               [1.0, -1.0, 1.0, -1.0, 1.0, -1.0], knob=1e300)
-        assert loop.first_candidate(rail, ys, cur, math.inf) == 5
+        ys = _run_samples(loop, rail, [1.0, 3.0, 2.0, 5.0, 1.0, 9.0],
+                          [1.0, -1.0, 1.0, -1.0, 1.0, -1.0], knob=1e300)
+        assert loop.first_candidate(rail, ys, math.inf) == 5
 
 
 class TestPowerStack:
@@ -827,7 +827,7 @@ class TestPowerStack:
         z_th = plant.z_thevenin()
         dt = 2.0 * math.pi / plant.omega / steps
         loop = _Loop(plant, complex(z_th.real, reactance * z_th.real), dt, steps)
-        for br in (loop.free, loop.rail):
+        for br in (branch.flow for branch in loop.branches):
             assert br.powers.shape == (steps, loop.n, loop.n)
             assert np.array_equal(br.powers, powers_by_concatenation(br, dt, steps))
 
@@ -845,7 +845,7 @@ class TestBranchFlows:
         dt = 2.0 * math.pi / plant.omega / 2000
         loop = _Loop(plant, plant.z_thevenin().conjugate(), dt, 1000)
         out = []
-        for br in (loop.free, loop.rail):
+        for br in (branch.flow for branch in loop.branches):
             ref = expm_decimal(br.a, dt)
             scale = np.max(np.abs(ref))
             out.append((np.max(np.abs(br.powers[0] - ref)) / scale,
@@ -1122,7 +1122,7 @@ class TestShooting:
         run = loop.period(y, rail, i_max, tol)
         y, taus = run.ys[0], [start for _, start, _ in run.segments[1:]]
         assert bool(taus) == math.isfinite(i_max)
-        u, n_u = loop.guards[rail].index, len(loop.guards[rail].index)
+        u, n_u = loop.branches[rail].unknowns, len(loop.branches[rail].unknowns)
         rows = loop.newton(y, rail, taus, i_max)[0]
         # units: each state's amplitude over the map, the current's for a
         # guard, and 1 / omega for a switch time
@@ -1254,7 +1254,7 @@ class TestHalfWaveSymmetry:
             steps = 2 * loop.steps
             whole = _Loop(plant, z_c, loop.dt, steps)
             end = -period(whole, y, rail, i_max, tol).ys[steps]  # Phi(y)
-            u = loop.guards[rail].unknowns
+            u = loop.branches[rail].unknowns
             out.append((res, np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u])))
         return out
 
@@ -1413,7 +1413,7 @@ class TestDescribingFunctionStart:
             first = []
             for start in (free_orbit_start, _Loop.start):
                 y, rail, _ = start(loop, i_max, _describing_function(loop, i_max))
-                u = loop.guards[rail].unknowns
+                u = loop.branches[rail].unknowns
                 end = loop.period(y, rail, i_max, 1e-12 * dt).ys[-1]
                 first.append(np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u]))
             assert first[1] < 5e-3 < first[0]
@@ -1535,7 +1535,7 @@ class TestPlannedMaps:
 
         def recorded(y, rail, taus, i_max):
             rows, step = newton(y, rail, taus, i_max)
-            u = loop.guards[rail].index
+            u = loop.branches[rail].unknowns
             gap = rows[: len(u), 0]
             iterates.append((math.sqrt(gap @ gap) / math.sqrt(y[u] @ y[u]), y.copy(), rail))
             return rows, step
@@ -1645,7 +1645,7 @@ class TestPlannedMaps:
         rows = [(plant, src.z_th.conjugate(), 0.6 * matched_baseline(src).i_peak_matched)]
         dt = 2.0 * math.pi / plant.omega / 2000
         loop = _Loop(plant, rows[0][1], dt, 1000)
-        assert max(loop.free.tail, loop.rail.tail) * dt**20 > 1e-16
+        assert max(branch.flow.tail for branch in loop.branches) * dt**20 > 1e-16
         solved = _final_maps(monkeypatch, rows)
         _solve_off(monkeypatch)
         scanned = _final_maps(monkeypatch, rows)
@@ -1656,19 +1656,22 @@ class TestPlannedMaps:
         # with the solve off, the row at fraction 0.6 starts on the rail
         # with its release guard already positive; the search returns the
         # end of the halving onto 0 without evaluating the path 40 times
-        locate, evaluations = Branch.locate, []
+        locate, transition, searching, evaluations = Branch.locate, Branch.transition, [], []
 
-        def counted(self, at, *args):
-            evaluations.append(0)
+        def counted(self, *args):
+            searching.append(0)
+            out = locate(self, *args)
+            evaluations.append(searching.pop())
+            return out
 
-            def counted_at(tau):
-                evaluations[-1] += 1
-                return at(tau)
-
-            return locate(self, counted_at, *args)
+        def counted_transition(self, h):
+            if searching:  # a path evaluation of the search
+                searching[-1] += 1
+            return transition(self, h)
 
         _solve_off(monkeypatch)
         monkeypatch.setattr(Branch, "locate", counted)
+        monkeypatch.setattr(Branch, "transition", counted_transition)
         for plant, z_c, i_max in reactive_rows():
             simulate(plant, z_c, i_max=i_max)
         assert evaluations and max(evaluations) <= 10

@@ -72,18 +72,19 @@ def test_referee_census_runs_one_set_against_its_own_tree(capsys):
     code = _tool("referee_census").main(["--set", "reactive", "--against", src])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines[0] == ("src: set  rows  maps  newton  searches  max residual  at cap"
-                        "  above 1e-12")
+    assert lines[0] == ("src: set  rows  maps  newton  searches  gave up  max residual"
+                        "  at cap  above 1e-12")
     words = lines[1].split()
     # one map a row; every row crosses its switches and guard turns, 3 a
-    # clipped row and 1 the unclipped one
-    assert words[:3] == ["reactive", "4", "4"] and words[4] == "10"
+    # clipped row and 1 the unclipped one; no switch-time solve gives up
+    assert words[:3] == ["reactive", "4", "4"] and words[4:6] == ["10", "0"]
     assert words[-2:] == ["0", "0"]
-    assert float(words[5]) <= 1e-12
+    assert float(words[6]) <= 1e-12
     assert lines[2].startswith(src) and lines[3] == lines[1]
     assert lines[4:] == ["reactive: 0 of 4 rows differ"]
-    for alias in ("wec_satlin_census", "wec_satlin_against"):  # the counter is unwrapped
-        assert sys.modules[alias + ".simulate"]._Loop.cross.__name__ == "cross"
+    for alias in ("wec_satlin_census", "wec_satlin_against"):  # the counters are unwrapped
+        loop = sys.modules[alias + ".simulate"]._Loop
+        assert (loop.cross.__name__, loop.shoot.__name__) == ("cross", "shoot")
 
 
 def test_referee_census_prints_json(capsys):
@@ -93,4 +94,5 @@ def test_referee_census_prints_json(capsys):
     counts = out["counts"]["src"]["golden"]
     assert (counts["rows"], counts["maps"], counts["at_cap"]) == (3, 3, 0)
     assert counts["searches"] == 9  # two switches and a guard turn a row
+    assert counts["gave_up"] == 0
     assert counts["newton_steps"] > 0 and counts["max_residual"] <= 1e-12

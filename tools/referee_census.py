@@ -5,9 +5,11 @@ rows, the 60-row stiff grid, the ``verify_reactive`` rows and the clipped
 ``golden.ini`` verify rows.  For each set the script prints one line: rows,
 half-period maps, Newton steps of the switch-time solves, switch searches
 (the steps the maps hand to ``_Loop.cross``, counted by wrapping it while
-the set runs), the largest periodicity residual, rows that ran to the map
-cap and rows above the shooting target of 1e-12.  Run from the repository
-root:
+the set runs), rows whose switch-time solve gave up (a ``_Loop.shoot``
+call that returned its best iterate, with 0 segments, counted by wrapping
+it the same way), the largest periodicity residual, rows that ran to the
+map cap and rows above the shooting target of 1e-12.  Run from the
+repository root:
 
     python tools/referee_census.py [--against OLD_SRC] [--set NAME] [--json]
 
@@ -42,17 +44,23 @@ TARGET = 1e-12  # the shooting target of simulate
 
 def run_set(package, name: str) -> list[dict]:
     """Each row of set ``name`` run on ``package``: its label, map cap,
-    switch searches and result, and the result's bits.  The rows of one
-    plant share one loop, as in ``verify``."""
+    switch searches, whether a switch-time solve gave up, result, and the
+    result's bits.  The rows of one plant share one loop, as in
+    ``verify``."""
     simulate = importlib.import_module(package.__name__ + ".simulate")
-    cross, searches = simulate._Loop.cross, [0]
+    cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [False]
 
     def counted_cross(self, *args):
         searches[0] += 1
         return cross(self, *args)
 
+    def counted_shoot(self, *args):
+        start = shoot(self, *args)
+        gave_up[0] |= start[2] == 0  # the best iterate, with 0 segments
+        return start
+
     out = []
-    simulate._Loop.cross = counted_cross
+    simulate._Loop.cross, simulate._Loop.shoot = counted_cross, counted_shoot
     try:
         with installed(package):
             rows = ROW_SETS[name]()
@@ -62,19 +70,20 @@ def run_set(package, name: str) -> list[dict]:
                 with simulate._shared_loops():
                     for _, z_c, i_max, *cfg in group:
                         cfg = cfg[0] if cfg else package.SimConfig()
-                        searches[0] = 0
+                        searches[0], gave_up[0] = 0, False
                         res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
                         out.append({
                             "label": f"{name}[{len(out)}] l_w {plant.l_w:.3g} "
                                      f"fraction {i_max / peak:.3g}",
-                            "cap": cfg.n_periods, "searches": searches[0], "res": res,
+                            "cap": cfg.n_periods, "searches": searches[0],
+                            "gave_up": gave_up[0], "res": res,
                             "bits": (res.waveforms.tobytes(), bits([
                                 res.p_avg, res.harmonic_currents, res.period_powers,
                                 res.periods_run, res.newton_steps,
                                 res.periodicity_residual, res.clip_fraction])),
                         })
     finally:
-        simulate._Loop.cross = cross
+        simulate._Loop.cross, simulate._Loop.shoot = cross, shoot
     return out
 
 
@@ -86,6 +95,7 @@ def summary(rows: list[dict]) -> dict:
         "maps": sum(res.periods_run for res in results),
         "newton_steps": sum(res.newton_steps for res in results),
         "searches": sum(row["searches"] for row in rows),
+        "gave_up": sum(row["gave_up"] for row in rows),
         "max_residual": max(res.periodicity_residual for res in results),
         "at_cap": sum(row["res"].periods_run == row["cap"] for row in rows),
         "above_target": sum(res.periodicity_residual > TARGET for res in results),
@@ -102,12 +112,12 @@ def differences(old: list[dict], new: list[dict]) -> list[dict]:
 
 
 def print_counts(tree: str, counts: dict) -> None:
-    print(f"{tree}: set  rows  maps  newton  searches  max residual  at cap"
+    print(f"{tree}: set  rows  maps  newton  searches  gave up  max residual  at cap"
           f"  above {TARGET:g}")
     for name, c in counts.items():
         print(f"  {name:8s} {c['rows']:4d} {c['maps']:5d} {c['newton_steps']:7d}"
-              f" {c['searches']:9d} {c['max_residual']:13.2e} {c['at_cap']:7d}"
-              f" {c['above_target']:7d}")
+              f" {c['searches']:9d} {c['gave_up']:8d} {c['max_residual']:13.2e}"
+              f" {c['at_cap']:7d} {c['above_target']:7d}")
 
 
 def main(argv: list[str] | None = None) -> int:
