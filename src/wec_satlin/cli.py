@@ -30,7 +30,7 @@ from .descfcn import (
 from .emit import _row_text, fmt, tag, write_csv
 from .errors import ConfigError, WecSatlinError
 from .mismatch import matched_baseline, pareto_front, smith_grid
-from .simulate import _shared_loops, dump_waveforms, validate_df
+from .simulate import dump_waveforms, validate_df
 from .wec import (
     alpha_from_nondim,
     matched_power,
@@ -213,23 +213,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     base = matched_baseline(src)
     rows = []
     all_ok = True
-    with _shared_loops():  # every row's referee shares one loop
-        for frac in cfg.i_max_fractions:
-            i_max = frac * base.i_peak_matched
-            rep = validate_df(plant, i_max, cfg=cfg.sim, n_harmonics=cfg.n_harmonics)
-            rows.append((frac, *(getattr(rep, name) for name in VERIFY_FIELDS)))
-            status = "PASS" if rep.passed else "FAIL"
-            if not rep.enforced:
-                status = "FLAGGED (low-pass assumption not met)"
-            elif not rep.passed:
-                all_ok = False
-            print(
-                f"fraction {fmt(frac)}: power err {rep.rel_err_power:.3%}, "
-                f"fundamental err {rep.rel_err_fundamental:.3%}, "
-                f"merit {rep.low_pass_merit:.2f} -> {status}"
-            )
-            if cfg.dump_waveforms:
-                dump_waveforms(rep.sim, _out_path(cfg, f"waveforms_{tag(frac)}.csv"))
+    for frac in cfg.i_max_fractions:
+        i_max = frac * base.i_peak_matched
+        rep = validate_df(plant, i_max, cfg=cfg.sim, n_harmonics=cfg.n_harmonics)
+        rows.append((frac, *(getattr(rep, name) for name in VERIFY_FIELDS)))
+        status = "PASS" if rep.passed else "FAIL"
+        if not rep.enforced:
+            status = "FLAGGED (low-pass assumption not met)"
+        elif not rep.passed:
+            all_ok = False
+        print(
+            f"fraction {fmt(frac)}: power err {rep.rel_err_power:.3%}, "
+            f"fundamental err {rep.rel_err_fundamental:.3%}, "
+            f"merit {rep.low_pass_merit:.2f} -> {status}"
+        )
+        if cfg.dump_waveforms:
+            dump_waveforms(rep.sim, _out_path(cfg, f"waveforms_{tag(frac)}.csv"))
     header = ["i_max_fraction", *VERIFY_FIELDS]
     write_csv(_out_path(cfg, "verify.csv"), header, list(zip(*rows)))
     return 0 if all_ok else 3

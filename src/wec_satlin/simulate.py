@@ -40,8 +40,6 @@ same solve.  Identical inputs give bit-identical runs.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -181,8 +179,6 @@ _SHOOTING_TOL = 1e-12  # periodicity residual at which shooting stops
 _SWITCH_ITERATIONS = 8  # Newton steps the switch-time solve may take
 _TINY = float(np.finfo(float).tiny)  # residual scale floor: a zero orbit converges
 _EPS = np.finfo(float).eps
-# (plant, z_c, steps) -> _Loop while a _shared_loops block is open, else None
-_LOOPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_LOOPS", default=None)
 
 
 class _Period(NamedTuple):
@@ -303,7 +299,10 @@ class _Loop:
             free = (i_free, emf - r * i_free)
             rail = (row(sigma=1.0), emf - row(sigma=r))
             release = i_free - row(sigma=1.0)
-        self.plant, self.z_c = plant, z_c
+        # what :meth:`start` reads of the plant; the loop holds no reference
+        # to it, so a plant that keeps its loop in its memo makes no cycle
+        self.omega, self.coupling = w, c
+        self.z_wind = {k: plant.z_wind(k) for k in range(1, 10)}
         self.n = n
         self.dt = dt
         self.steps = steps
@@ -353,13 +352,12 @@ class _Loop:
         branch the start is on.  Elsewhere the free branch's orbit, with no
         plan.
         """
-        plant = self.plant
         if sol is None or not sol.factors.i_script < 1.0:
             return self.free_orbit(), False, None
         y = self.y0.copy()
         for h in sol.harmonics[:5]:
-            s = 1j * h.n * plant.omega
-            velocity = (h.v_load + plant.z_wind(h.n) * h.current) / plant.coupling
+            s = 1j * h.n * self.omega
+            velocity = (h.v_load + self.z_wind[h.n] * h.current) / self.coupling
             y[0] += (velocity / s).real
             y[1] += velocity.real
             if self.xi is not None:
@@ -673,13 +671,9 @@ def simulate(
     its start, whose map is then one of plain iteration of G, so a run
     whose solves all fail is plain iteration.  The 180 seeded validity
     rows take 183 maps: three settle in two, through the solve from the
-    first map's end, where plain iteration after one solve took 26 to 38.
-    The 60 rows of the stiff grid (windings of 5 mH down to 5 nH and none,
-    on two test plants) take one map each.  With the stiff flows in
-    float64, the solve stalled near a residual of 1e-11 on nine of them,
-    which took 3 to 19 maps through a fallback to plain iteration of G or
-    ran to the 40-map cap; the extended-precision flow (see
-    :mod:`.propagate`) settles them.
+    first map's end.  The 60 rows of the stiff grid (windings of 5 mH down
+    to 5 nH and none, on two test plants) take one map each, on the
+    extended-precision flow of :mod:`.propagate`.
 
     At most ``cfg.n_periods`` maps are run, and the run is converged when
     the final residual is at most ``cfg.convergence_tol``.  Extraction uses
@@ -689,11 +683,13 @@ def simulate(
     :class:`SimulationError` carrying the step index, counted over the half
     periods run.
 
-    The loop does not depend on the limit: inside a :func:`_shared_loops`
-    block, calls with the same plant, controller and step count share one;
-    outside one, each call builds its own.  ``n_harmonics`` that is not a
-    positive integer, or is past the Nyquist bin of one period, raises
-    :class:`DomainError` before any period is run.
+    The loop does not depend on the limit, and the plant keeps its latest
+    loop in its memo (see :class:`~.wec.WecPlant`): calls with the same
+    plant, controller and step count, such as the rows of one ``verify``,
+    share one, and a call with another controller or step count replaces
+    it.  ``n_harmonics`` that is not a positive integer, or is past the
+    Nyquist bin of one period, raises :class:`DomainError` before any
+    period is run.
     """
     if not (i_max > 0.0):
         raise DomainError(f"current limit must be positive, got {i_max}")
@@ -706,13 +702,11 @@ def simulate(
     dt = period / steps
     tol = cfg.algebraic_loop_tol * dt
     target = min(cfg.convergence_tol, _SHOOTING_TOL)
-    loops = _LOOPS.get()
-    if loops is None:  # outside a _shared_loops block the loop is this call's own
-        loops = {}
-    key = (plant, complex(z_c), half)
-    if key not in loops:
-        loops[key] = _Loop(plant, z_c, dt, half)
-    loop = loops[key]
+    key = (complex(z_c), half)
+    held, loop = plant._memo.get("loop", (None, None))
+    if held != key:  # the plant keeps its latest loop only
+        loop = _Loop(plant, z_c, dt, half)
+        plant._memo["loop"] = (key, loop)
 
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
@@ -764,18 +758,6 @@ def simulate(
         newton_steps=newton_steps,
         clip_fraction=2.0 * sum(d for on_rail, _, d in run.segments if on_rail) / period,
     )
-
-
-@contextlib.contextmanager
-def _shared_loops():
-    """Within the block, :func:`simulate` builds one loop per plant,
-    controller and step count and reuses it for every limit; the loops are
-    dropped when the block ends, also on an exception."""
-    token = _LOOPS.set({})
-    try:
-        yield
-    finally:
-        _LOOPS.reset(token)
 
 
 def harmonic_decompose(result: SimResult, n_max: int) -> tuple[float, list[complex]]:

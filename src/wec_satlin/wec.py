@@ -94,10 +94,12 @@ class WecPlant:
 
     The impedances and the Thevenin voltage are pure functions of these
     frozen fields, so each plant memoizes Z_m(n w) and Z_th(n w) per
-    harmonic, and V_th, on first use.  The memo is not a field: ``==``,
+    harmonic, and V_th, on first use; :func:`~.simulate.simulate` keeps its
+    latest referee loop there too.  The memo is not a field: ``==``,
     ``hash``, ``repr`` and ``dataclasses.replace`` ignore it, pickling and
-    copying drop it, and every plant starts with its own.  It holds only
-    complex numbers, so it makes no reference cycle.
+    copying drop it, and every plant starts with its own.  The loop holds
+    no reference back to the plant, so the memo makes no reference cycle,
+    and dropping a plant frees it.
     """
 
     m: float

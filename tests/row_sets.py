@@ -12,6 +12,9 @@ of the matched peak.  The sets:
   5 mH winding at fractions 0.4, 0.6, 0.8 and 1.0.
 - ``golden``: the clipped rows of ``golden.ini``'s verify, with its
   ``[sim]`` settings.
+- ``invariants``: 300 heave plants drawn from seed 5 by ``draw_design``,
+  each at three fractions drawn uniformly in 0.1 to 1.0 after it (900
+  rows), the rows on which ``p_avg`` was seen above ``p_matched``.
 
 The package is looked up when a set is built, not when this module is
 imported, so that a tool can install another tree as ``wec_satlin``.
@@ -102,6 +105,15 @@ def seeded_rows() -> list:
                                       SEEDED_FRACTIONS)]
 
 
+def invariant_rows() -> list:
+    """The 900 invariant rows: each of 300 designs of seed 5, then its
+    three fractions, drawn from the same generator."""
+    rng = np.random.default_rng(5)
+    return [row for _ in range(300)
+            for row in conjugate_rows(_pkg().haskind_plant(**draw_design(rng)),
+                                      rng.uniform(0.1, 1.0, 3))]
+
+
 def grid_rows() -> list:
     """The 60 stiff-grid rows, by plant, then winding, then fraction."""
     return [row for name in GRID_PLANTS for l_w in STIFF_WINDINGS
@@ -116,4 +128,4 @@ def golden_rows() -> list:
 
 
 ROW_SETS = {"seeded": seeded_rows, "stiff": grid_rows, "reactive": reactive_rows,
-            "golden": golden_rows}
+            "golden": golden_rows, "invariants": invariant_rows}

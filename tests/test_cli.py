@@ -1,10 +1,13 @@
 """Tests for configuration parsing, command dispatch, and emitted artifacts."""
 
+import copy
 import dataclasses
+import gc
 import importlib
 import itertools
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -887,10 +890,33 @@ class TestEmissionContract:
 
 
 class TestSharedLoops:
-    """One ``verify`` call shares one referee loop between its rows."""
+    """One ``verify`` call shares one referee loop between its rows, kept
+    in its plant's memo, and the loop is freed with the plant, by reference
+    counting, when the call returns."""
 
     FOUR_ROWS = (MINIMAL_PLANT + "\n[sweep]\ni_max_fractions = 0.4, 0.6, 0.8, 1.0\n"
                  + "\n[sim]\nsteps_per_period = 400\n")
+
+    @staticmethod
+    def _loops_built(monkeypatch) -> list:
+        """Weak references to the loops built from now on."""
+        init, refs = simulate_mod._Loop.__init__, []
+
+        def recorded(self, *args):
+            init(self, *args)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(simulate_mod._Loop, "__init__", recorded)
+        return refs
+
+    def _verify_without_gc(self, tmp_path) -> int:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.FOUR_ROWS)
+        gc.disable()
+        try:
+            return main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+        finally:
+            gc.enable()
 
     def test_four_rows_build_one_branch_pair_per_call(self, tmp_path, monkeypatch):
         build = Branch.build.__func__
@@ -901,30 +927,25 @@ class TestSharedLoops:
             return build(cls, *args)
 
         monkeypatch.setattr(Branch, "build", classmethod(counted))
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(self.FOUR_ROWS)
+        refs = self._loops_built(monkeypatch)
         for _ in range(2):  # nothing carries over from one call to the next
             calls.clear()
-            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            refs.clear()
+            assert self._verify_without_gc(tmp_path) == 0
             assert len(calls) == 2  # the free and the rail branch
-            assert simulate_mod._LOOPS.get() is None
+            assert len(refs) == 1 and refs[0]() is None
 
     def test_loops_are_dropped_after_a_simulation_error(self, tmp_path, monkeypatch, capsys):
-        held = []
-
         def diverging(self, *args):
-            held.append(len(simulate_mod._LOOPS.get()))
             raise SimulationError("state diverged at step 3 (t = 0.01 s)", step=3)
 
         monkeypatch.setattr(simulate_mod._Loop, "period", diverging)
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(self.FOUR_ROWS)
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        refs = self._loops_built(monkeypatch)
+        assert self._verify_without_gc(tmp_path) == 2
         assert "diverged at step 3" in capsys.readouterr().err
-        assert held == [1]
-        assert simulate_mod._LOOPS.get() is None
+        assert len(refs) == 1 and refs[0]() is None
 
-    def test_rows_match_validate_df_outside_the_scope(self, tmp_path, monkeypatch):
+    def test_rows_match_validate_df_on_a_fresh_plant(self, tmp_path, monkeypatch):
         calls = []
         real = cli.validate_df
 
@@ -939,15 +960,14 @@ class TestSharedLoops:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert len(calls) == 4
         for (plant, i_max, sim_cfg, n_harmonics), shared in calls:
-            alone = validate_df(plant, i_max, cfg=sim_cfg, n_harmonics=n_harmonics)
+            # a copy starts with an empty memo, so this run builds its own loop
+            alone = validate_df(copy.copy(plant), i_max, cfg=sim_cfg, n_harmonics=n_harmonics)
             for field in dataclasses.fields(alone):
                 if field.name != "sim":
                     assert getattr(shared, field.name) == getattr(alone, field.name), field.name
             assert shared.sim.waveforms.tobytes() == alone.sim.waveforms.tobytes()
             assert shared.sim.harmonic_currents == alone.sim.harmonic_currents
-            # maps run without samples read NaN: compare the powers' bytes
-            assert (np.array(shared.sim.period_powers).tobytes()
-                    == np.array(alone.sim.period_powers).tobytes())
+            assert shared.sim.period_powers == alone.sim.period_powers
             assert shared.sim.periodicity_residual == alone.sim.periodicity_residual
             assert shared.sim.clip_fraction == alone.sim.clip_fraction
 

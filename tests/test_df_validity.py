@@ -26,7 +26,6 @@ from wec_satlin import (
     z_from_gamma,
 )
 from wec_satlin.config import load_config
-from wec_satlin.simulate import _shared_loops
 
 # (design index, fraction) of the merit >= 3 rows that fail validate_df
 KNOWN_FAILURES = {
@@ -40,13 +39,12 @@ def rows():
     the rows of one design share one referee loop, as in ``verify``."""
     rng = np.random.default_rng(1)
     out = {}
-    with _shared_loops():
-        for k in range(N_DESIGNS):
-            plant = haskind_plant(**draw_design(rng))
-            src = thevenin_from_plant(plant)
-            i_peak = matched_baseline(src).i_peak_matched
-            for fraction in FRACTIONS:
-                out[k, fraction] = (src.alpha, validate_df(plant, fraction * i_peak))
+    for k in range(N_DESIGNS):
+        plant = haskind_plant(**draw_design(rng))
+        src = thevenin_from_plant(plant)
+        i_peak = matched_baseline(src).i_peak_matched
+        for fraction in FRACTIONS:
+            out[k, fraction] = (src.alpha, validate_df(plant, fraction * i_peak))
     return out
 
 
@@ -104,11 +102,10 @@ def test_limit_claim_along_alpha_m():
     assert max(size, key=size.get) in (a_star, -a_star)
     assert size[a_star] == pytest.approx(size[-a_star], rel=1e-12)
     reports = {}
-    with _shared_loops():
-        for am, plant in plants.items():
-            baseline = matched_baseline(sources[am])
-            for f in (0.2, 0.5):
-                reports[am, f] = validate_df(plant, f * baseline.i_peak_matched)
+    for am, plant in plants.items():
+        baseline = matched_baseline(sources[am])
+        for f in (0.2, 0.5):
+            reports[am, f] = validate_df(plant, f * baseline.i_peak_matched)
     for f in (0.2, 0.5):
         p_matched = {am: matched_baseline(sources[am]).p_matched for am in mass_axis}
         df = {am: reports[am, f].p_predicted / p_matched[am] for am in mass_axis}

@@ -53,7 +53,7 @@ from wec_satlin import (
 )
 from wec_satlin.config import load_config
 from wec_satlin.propagate import Branch, balance, expm, flow
-from wec_satlin.simulate import _Loop, _shared_loops
+from wec_satlin.simulate import _Loop
 from wec_satlin.wec import WecPlant
 
 simulate_mod = importlib.import_module("wec_satlin.simulate")
@@ -707,12 +707,11 @@ class TestClipEvents:
         z_c = thevenin_from_plant(plant).z_th.conjugate()
         peak = simulate(plant, z_c).peak_current
         clip = []
-        with _shared_loops():
-            for k in range(2, 15):
-                res = simulate(plant, z_c, i_max=(1.0 - 10.0**-k) * peak)
-                assert res.converged and res.periods_run <= 3
-                assert res.periodicity_residual <= 1e-12
-                clip.append(res.clip_fraction)
+        for k in range(2, 15):
+            res = simulate(plant, z_c, i_max=(1.0 - 10.0**-k) * peak)
+            assert res.converged and res.periods_run <= 3
+            assert res.periodicity_residual <= 1e-12
+            clip.append(res.clip_fraction)
         assert all(a > b for a, b in zip(clip, clip[1:]))
         assert clip[-1] > 0.0
 
@@ -898,12 +897,11 @@ class TestStiffGrid:
     @pytest.mark.parametrize("l_w", STIFF_WINDINGS)
     @pytest.mark.parametrize("name", GRID_PLANTS)
     def test_rows_settle(self, name, l_w):
-        with _shared_loops():
-            for plant, z_c, i_max in conjugate_rows(grid_plant(name, l_w), GRID_FRACTIONS):
-                res = simulate(plant, z_c, i_max=i_max)
-                assert res.converged
-                assert res.periods_run == 1
-                assert res.periodicity_residual <= 1e-12
+        for plant, z_c, i_max in conjugate_rows(grid_plant(name, l_w), GRID_FRACTIONS):
+            res = simulate(plant, z_c, i_max=i_max)
+            assert res.converged
+            assert res.periods_run == 1
+            assert res.periodicity_residual <= 1e-12
 
 
 def _result_bits(res):
@@ -913,12 +911,13 @@ def _result_bits(res):
             res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
 
 
-def _describing_function(loop, i_max):
-    """The describing function's solution :func:`simulate` hands the
-    loop's start at the limit ``i_max``; None with no limit."""
+def _df_solution(plant, z_c, i_max):
+    """The describing function's solution :func:`simulate` hands the start
+    of the loop of ``plant`` and ``z_c`` at the limit ``i_max``; None with
+    no limit."""
     if not math.isfinite(i_max):
         return None
-    return solve_operating_point(thevenin_from_plant(loop.plant), i_max, z_c=loop.z_c)
+    return solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
 
 
 def _period_bits(run):
@@ -1115,7 +1114,7 @@ class TestShooting:
         dt = 2.0 * math.pi / plant.omega / steps
         tol = 1e-12 * dt
         loop = _Loop(plant, z_c, dt, steps // 2)  # the anti-period map
-        y, rail, _ = loop.start(i_max, _describing_function(loop, i_max))
+        y, rail, _ = loop.start(i_max, _df_solution(plant, z_c, i_max))
         for _ in range(3):
             run = loop.period(y, rail, i_max, tol)
             y, rail = run.ys[-1], run.rail
@@ -1284,10 +1283,9 @@ class TestHalfWaveSymmetry:
             assert full <= 1e-11
 
     def test_full_period_map_keeps_the_seeded_orbits(self, monkeypatch):
-        with _shared_loops():
-            for res, full in self._shoot(monkeypatch, seeded_rows()):
-                assert res.periodicity_residual <= 1e-12
-                assert full <= 1e-11
+        for res, full in self._shoot(monkeypatch, seeded_rows()):
+            assert res.periodicity_residual <= 1e-12
+            assert full <= 1e-11
 
     def test_reruns_are_bit_identical(self):
         for plant, z_c, i_max in reactive_rows():
@@ -1320,9 +1318,10 @@ class TestRefereeInvariants:
     in i_max fail at fractions near 1: ``p_avg`` is a rectangle sum over
     the samples, first order at a rail switch with winding inductance, and
     at fraction 0.98 to 0.995 it reads up to 1.4e-4 above ``p_matched``
-    (13 of 900 runs on seeded designs).  ``clip_fraction`` nonincreasing in
-    i_max fails at limits one ulp apart on a grazing clip, where the clip's
-    2e-7 of a period moves by rounding."""
+    (13 of the 900 ``invariants`` rows of ``tools/referee_census.py``).
+    ``clip_fraction`` nonincreasing in i_max fails at limits one ulp apart
+    on a grazing clip, where the clip's 2e-7 of a period moves by
+    rounding."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data(),
@@ -1332,9 +1331,8 @@ class TestRefereeInvariants:
         src = thevenin_from_plant(plant)
         baseline = matched_baseline(src)
         limits = sorted(f * baseline.i_peak_matched for f in fractions)
-        with _shared_loops():
-            runs = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
-            again = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
+        runs = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
+        again = [simulate(plant, src.z_th.conjugate(), i_max=i_max) for i_max in limits]
         for res, rerun, i_max in zip(runs, again, limits):
             assert res.converged and res.periodicity_residual <= 1e-12
             assert _result_bits(rerun) == _result_bits(res)
@@ -1412,7 +1410,7 @@ class TestDescribingFunctionStart:
             loop = _Loop(plant, z_c, dt, 1000)
             first = []
             for start in (free_orbit_start, _Loop.start):
-                y, rail, _ = start(loop, i_max, _describing_function(loop, i_max))
+                y, rail, _ = start(loop, i_max, _df_solution(plant, z_c, i_max))
                 u = loop.branches[rail].unknowns
                 end = loop.period(y, rail, i_max, 1e-12 * dt).ys[-1]
                 first.append(np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u]))
@@ -1442,7 +1440,7 @@ def _final_maps(monkeypatch, rows):
         last.append(run.segments)
         return run
 
-    with monkeypatch.context() as patch, _shared_loops():
+    with monkeypatch.context() as patch:
         patch.setattr(_Loop, "period", recorded)
         for plant, z_c, i_max, *cfg in rows:
             out.append((simulate(plant, z_c, i_max=i_max, cfg=(cfg or [None])[0]), last[-1]))
@@ -1530,7 +1528,7 @@ class TestPlannedMaps:
         plant, z_c, i_max = reactive_rows()[0]
         dt = 2.0 * math.pi / plant.omega / 2000
         loop = _Loop(plant, z_c, dt, 1000)
-        y, rail, plan = loop.start(i_max, _describing_function(loop, i_max))
+        y, rail, plan = loop.start(i_max, _df_solution(plant, z_c, i_max))
         newton, iterates = loop.newton, []
 
         def recorded(y, rail, taus, i_max):

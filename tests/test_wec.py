@@ -2,10 +2,12 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import os
 import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from oracles import groups_exact, thevenin_fresh, z_mech_fresh, z_thevenin_fresh
 from wec_satlin import (
     DomainError,
     NondimGroups,
+    SimConfig,
     SingularityError,
     TheveninSource,
     WecPlant,
@@ -172,8 +175,17 @@ class TestThevenin:
             assert a_groups == pytest.approx(a_direct, rel=1e-12, abs=1e-12)
 
 
+def _run_referee(plant):
+    """One clipped :func:`simulate` run of ``plant`` under conjugate
+    control, which leaves its loop in the plant's memo."""
+    src = thevenin_from_plant(plant)
+    simulate(plant, src.z_th.conjugate(), i_max=0.5 * matched_baseline(src).i_peak_matched)
+    assert "loop" in plant._memo
+
+
 class TestImpedanceMemo:
-    """Each plant memoizes its impedances and source; the memo is invisible."""
+    """Each plant memoizes its impedances, its source and its latest
+    referee loop; the memo is invisible."""
 
     def test_memo_keeps_every_bit(self):
         rng = np.random.default_rng(77)
@@ -196,6 +208,7 @@ class TestImpedanceMemo:
         before = repr(used)
         src = thevenin_from_plant(used)
         used.z_thevenin(3)
+        _run_referee(used)
         assert used == unused and hash(used) == hash(unused)
         assert repr(used) == before == repr(unused)
         assert "_memo" not in repr(used) and "_memo" not in repr(src)
@@ -216,6 +229,7 @@ class TestImpedanceMemo:
         plant = basic_plant(l_w=0.01)
         src = thevenin_from_plant(plant)
         plant.z_thevenin(3)
+        _run_referee(plant)
         twins = [
             basic_plant(l_w=0.01),
             copy.copy(plant),
@@ -228,6 +242,35 @@ class TestImpedanceMemo:
             assert twin._memo == {} and twin._memo is not plant._memo
             twin_src = thevenin_from_plant(twin)
             assert twin_src == src and twin_src.z_th_at(3) == src.z_th_at(3)
+
+    def test_loop_is_freed_with_its_plant(self):
+        # the loop holds no reference back to its plant, so plant, memo and
+        # loop make no cycle, and reference counting frees the loop
+        plant = basic_plant(l_w=0.01)
+        _run_referee(plant)
+        loop = weakref.ref(plant._memo["loop"][1])
+        gc.disable()
+        try:
+            del plant
+            assert loop() is None
+        finally:
+            gc.enable()
+
+    def test_plant_keeps_only_its_latest_loop(self):
+        # another limit shares the loop; another controller or step count
+        # replaces it, and the loop replaced is freed
+        plant = basic_plant(l_w=0.01)
+        src = thevenin_from_plant(plant)
+        z_c, i_max = src.z_th.conjugate(), 0.5 * matched_baseline(src).i_peak_matched
+        simulate(plant, z_c)
+        loop = plant._memo["loop"][1]
+        simulate(plant, z_c, i_max=i_max)
+        assert plant._memo["loop"] == ((z_c, 1000), loop)
+        for key in ((2.0 * z_c, 1000), (2.0 * z_c, 200)):
+            replaced = weakref.ref(loop)
+            simulate(plant, key[0], i_max=i_max, cfg=SimConfig(steps_per_period=2 * key[1]))
+            held, loop = plant._memo["loop"]
+            assert held == key and replaced() is None
 
     def test_hand_built_source_calls_its_callable(self):
         calls = []

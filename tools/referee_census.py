@@ -1,15 +1,19 @@
 """Run the time-domain referee over the test row sets and count what it took.
 
 The row sets are those of ``tests/row_sets.py``: the 180 seeded validity
-rows, the 60-row stiff grid, the ``verify_reactive`` rows and the clipped
-``golden.ini`` verify rows.  For each set the script prints one line: rows,
-half-period maps, Newton steps of the switch-time solves, switch searches
-(the steps the maps hand to ``_Loop.cross``, counted by wrapping it while
-the set runs), rows whose switch-time solve gave up (a ``_Loop.shoot``
-call that returned its best iterate, with 0 segments, counted by wrapping
-it the same way), the largest periodicity residual, rows that ran to the
-map cap and rows above the shooting target of 1e-12.  Run from the
-repository root:
+rows, the 60-row stiff grid, the ``verify_reactive`` rows, the clipped
+``golden.ini`` verify rows and the 900 invariant rows.  For each set the
+script prints one line: rows, half-period maps, Newton steps of the
+switch-time solves, switch searches (the steps the maps hand to
+``_Loop.cross``, counted by wrapping it while the set runs), rows whose
+switch-time solve gave up (a ``_Loop.shoot`` call that returned its best
+iterate, with 0 segments, counted by wrapping it the same way), the
+largest periodicity residual, rows that ran to the map cap, rows above the
+shooting target of 1e-12, rows whose ``p_avg`` exceeds their plant's
+``p_matched``, which no load can draw, and the largest relative excess
+``p_avg / p_matched - 1`` of the set (negative where no row exceeds it).
+Each plant keeps its latest referee loop, so the rows of one plant share
+one, as in ``verify``.  Run from the repository root:
 
     python tools/referee_census.py [--against OLD_SRC] [--set NAME] [--json]
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -44,9 +47,8 @@ TARGET = 1e-12  # the shooting target of simulate
 
 def run_set(package, name: str) -> list[dict]:
     """Each row of set ``name`` run on ``package``: its label, map cap,
-    switch searches, whether a switch-time solve gave up, result, and the
-    result's bits.  The rows of one plant share one loop, as in
-    ``verify``."""
+    switch searches, whether a switch-time solve gave up, its plant's
+    matched power, result, and the result's bits."""
     simulate = importlib.import_module(package.__name__ + ".simulate")
     cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [False]
 
@@ -63,25 +65,21 @@ def run_set(package, name: str) -> list[dict]:
     simulate._Loop.cross, simulate._Loop.shoot = counted_cross, counted_shoot
     try:
         with installed(package):
-            rows = ROW_SETS[name]()
-            for plant, group in itertools.groupby(rows, key=lambda row: row[0]):
-                src = package.thevenin_from_plant(plant)
-                peak = package.matched_baseline(src).i_peak_matched
-                with simulate._shared_loops():
-                    for _, z_c, i_max, *cfg in group:
-                        cfg = cfg[0] if cfg else package.SimConfig()
-                        searches[0], gave_up[0] = 0, False
-                        res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
-                        out.append({
-                            "label": f"{name}[{len(out)}] l_w {plant.l_w:.3g} "
-                                     f"fraction {i_max / peak:.3g}",
-                            "cap": cfg.n_periods, "searches": searches[0],
-                            "gave_up": gave_up[0], "res": res,
-                            "bits": (res.waveforms.tobytes(), bits([
-                                res.p_avg, res.harmonic_currents, res.period_powers,
-                                res.periods_run, res.newton_steps,
-                                res.periodicity_residual, res.clip_fraction])),
-                        })
+            for plant, z_c, i_max, *cfg in ROW_SETS[name]():
+                cfg = cfg[0] if cfg else package.SimConfig()
+                baseline = package.matched_baseline(package.thevenin_from_plant(plant))
+                searches[0], gave_up[0] = 0, False
+                res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
+                out.append({
+                    "label": f"{name}[{len(out)}] l_w {plant.l_w:.3g} "
+                             f"fraction {i_max / baseline.i_peak_matched:.3g}",
+                    "cap": cfg.n_periods, "searches": searches[0],
+                    "gave_up": gave_up[0], "p_matched": baseline.p_matched, "res": res,
+                    "bits": (res.waveforms.tobytes(), bits([
+                        res.p_avg, res.harmonic_currents, res.period_powers,
+                        res.periods_run, res.newton_steps,
+                        res.periodicity_residual, res.clip_fraction])),
+                })
     finally:
         simulate._Loop.cross, simulate._Loop.shoot = cross, shoot
     return out
@@ -90,6 +88,7 @@ def run_set(package, name: str) -> list[dict]:
 def summary(rows: list[dict]) -> dict:
     """The counts of one set's rows."""
     results = [row["res"] for row in rows]
+    excess = [row["res"].p_avg / row["p_matched"] - 1.0 for row in rows]
     return {
         "rows": len(rows),
         "maps": sum(res.periods_run for res in results),
@@ -99,6 +98,8 @@ def summary(rows: list[dict]) -> dict:
         "max_residual": max(res.periodicity_residual for res in results),
         "at_cap": sum(row["res"].periods_run == row["cap"] for row in rows),
         "above_target": sum(res.periodicity_residual > TARGET for res in results),
+        "over_matched": sum(e > 0.0 for e in excess),
+        "max_excess": max(excess),
     }
 
 
@@ -112,12 +113,13 @@ def differences(old: list[dict], new: list[dict]) -> list[dict]:
 
 
 def print_counts(tree: str, counts: dict) -> None:
-    print(f"{tree}: set  rows  maps  newton  searches  gave up  max residual  at cap"
-          f"  above {TARGET:g}")
+    print(f"{tree}: set    rows  maps  newton  searches  gave up  max residual  at cap"
+          f"  above {TARGET:g}  over matched  max excess")
     for name, c in counts.items():
-        print(f"  {name:8s} {c['rows']:4d} {c['maps']:5d} {c['newton_steps']:7d}"
+        print(f"  {name:10s} {c['rows']:4d} {c['maps']:5d} {c['newton_steps']:7d}"
               f" {c['searches']:9d} {c['gave_up']:8d} {c['max_residual']:13.2e}"
-              f" {c['at_cap']:7d} {c['above_target']:7d}")
+              f" {c['at_cap']:7d} {c['above_target']:11d} {c['over_matched']:13d}"
+              f" {c['max_excess']:11.2e}")
 
 
 def main(argv: list[str] | None = None) -> int:
