@@ -301,8 +301,7 @@ class _Loop:
             release = i_free - row(sigma=1.0)
         # what :meth:`start` reads of the plant; the loop holds no reference
         # to it, so a plant that keeps its loop in its memo makes no cycle
-        self.omega, self.coupling = w, c
-        self.z_wind = {k: plant.z_wind(k) for k in range(1, 10)}
+        self.omega, self.coupling, self.r_w, self.l_w = w, c, r, l
         self.n = n
         self.dt = dt
         self.steps = steps
@@ -357,7 +356,8 @@ class _Loop:
         y = self.y0.copy()
         for h in sol.harmonics[:5]:
             s = 1j * h.n * self.omega
-            velocity = (h.v_load + self.z_wind[h.n] * h.current) / self.coupling
+            z_wind = self.r_w + 1j * h.n * self.omega * self.l_w  # as WecPlant.z_wind, bit for bit
+            velocity = (h.v_load + z_wind * h.current) / self.coupling
             y[0] += (velocity / s).real
             y[1] += velocity.real
             if self.xi is not None:

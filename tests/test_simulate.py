@@ -1,6 +1,7 @@
 """Tests for the nonlinear time-domain reference simulation."""
 
 import cmath
+import copy
 import dataclasses
 import importlib
 import math
@@ -224,16 +225,17 @@ class TestNumericalQuality:
         assert abs(p1 - p2) / abs(p2) < 5e-4
 
     def test_bit_identical_reruns(self, lowpass_plant):
+        # a rerun on the plant reuses its loop; one on a copy builds a fresh
+        # one, so both a cached and a rebuilt loop must give the same bits
         cfg = SimConfig(steps_per_period=400, n_periods=25)
         src = thevenin_from_plant(lowpass_plant)
-        base = matched_baseline(src)
-        a = simulate(lowpass_plant, src.z_th.conjugate(),
-                     i_max=0.5 * base.i_peak_matched, cfg=cfg)
-        b = simulate(lowpass_plant, src.z_th.conjugate(),
-                     i_max=0.5 * base.i_peak_matched, cfg=cfg)
-        assert np.array_equal(a.waveforms, b.waveforms)
-        assert a.p_avg == b.p_avg
-        assert a.harmonic_currents == b.harmonic_currents
+        i_max = 0.5 * matched_baseline(src).i_peak_matched
+        a = simulate(lowpass_plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
+        for plant in (lowpass_plant, copy.copy(lowpass_plant)):
+            b = simulate(plant, src.z_th.conjugate(), i_max=i_max, cfg=cfg)
+            assert np.array_equal(a.waveforms, b.waveforms)
+            assert a.p_avg == b.p_avg
+            assert a.harmonic_currents == b.harmonic_currents
 
     def test_stiff_winding_matches_phasor_oracle(self, lowpass_plant):
         # a 1 uH winding puts the electrical pole near 2e5 rad/s, about 660
@@ -253,7 +255,10 @@ class TestNumericalQuality:
 
     def test_non_finite_state_names_its_step(self, lowpass_plant, monkeypatch):
         # poison the one-step powers from E^41 on: sample 41 of the first
-        # period, produced by step 40, is the first non-finite state
+        # period, produced by step 40, is the first non-finite state; the
+        # run is on a copy, whose memo takes the poisoned loop and dies with
+        # it, so the session's plant never holds that loop
+        plant = copy.copy(lowpass_plant)
         build = Branch.build.__func__
 
         def poisoned(cls, *args):
@@ -265,7 +270,7 @@ class TestNumericalQuality:
         monkeypatch.setattr(Branch, "build", classmethod(poisoned))
         cfg = SimConfig(steps_per_period=100, n_periods=3)
         with pytest.raises(SimulationError, match="diverged at step 40") as info:
-            simulate(lowpass_plant, lowpass_plant.z_thevenin().conjugate(), cfg=cfg)
+            simulate(plant, plant.z_thevenin().conjugate(), cfg=cfg)
         assert info.value.step == 40
         assert not all(math.isfinite(c) for c in info.value.trace)
 
@@ -1288,9 +1293,11 @@ class TestHalfWaveSymmetry:
             assert full <= 1e-11
 
     def test_reruns_are_bit_identical(self):
+        # on the plant's cached loop and on a copy's freshly built one
         for plant, z_c, i_max in reactive_rows():
-            first = simulate(plant, z_c, i_max=i_max)
-            assert _result_bits(simulate(plant, z_c, i_max=i_max)) == _result_bits(first)
+            first = _result_bits(simulate(plant, z_c, i_max=i_max))
+            assert _result_bits(simulate(plant, z_c, i_max=i_max)) == first
+            assert _result_bits(simulate(copy.copy(plant), z_c, i_max=i_max)) == first
 
 
 class _Drawn:
