@@ -41,6 +41,7 @@ from operator import getitem
 
 from .emit import fmt
 from .errors import ConfigError, DomainError
+from .mismatch import ALPHA_LIMIT
 from .simulate import SimConfig
 from .wec import NondimGroups, WecPlant, haskind_plant
 
@@ -84,6 +85,9 @@ class RunConfig:
         for frac in self.i_max_fractions:
             if frac <= 0.0:
                 raise ConfigError(f"i_max fractions must be positive, got {frac}")
+        for alpha in self.alphas:  # past the limit alpha^4 overflows
+            if abs(alpha) >= ALPHA_LIMIT:
+                raise ConfigError(f"[sweep] |alpha| must be below {ALPHA_LIMIT:.4g}, got {alpha}")
         # each value's 12-digit text names its output files and CSV rows
         for key in ("alphas", "i_max_fractions"):
             texts = [fmt(value) for value in getattr(self, key)]

@@ -128,9 +128,7 @@ def saturation_factor(n: int, i_script: float) -> float:
     n = int(n)
     if n % 2 == 0:
         return 0.0
-    if n == 1:
-        return _fundamental(i_script)
-    return _odd_factors(i_script, n, n)[n]
+    return _odd_factors(i_script, n)[n]
 
 
 def saturation_factors(i_script: float, n_max: int = 9) -> SaturationFactors:
@@ -140,7 +138,7 @@ def saturation_factors(i_script: float, n_max: int = 9) -> SaturationFactors:
     harmonics, with the formulas and bits of :func:`saturation_factor`.
     """
     _check_depth(i_script)
-    return SaturationFactors(i_script=i_script, factors=_odd_factors(i_script, 1, n_max))
+    return SaturationFactors(i_script=i_script, factors=_odd_factors(i_script, n_max))
 
 
 def _check_depth(i_script: float) -> None:
@@ -156,13 +154,14 @@ def _fundamental(i_script: float) -> float:
     return (2.0 / math.pi) * (i_script * root + math.asin(i_script))
 
 
-def _odd_factors(i_script: float, first: int, last: int) -> dict[int, float]:
-    """f_sat,n for every odd n from ``first`` (odd) to ``last``, keyed by n in
-    rising order, at a clipping depth already known to be positive.  The
-    formulas are those of :func:`saturation_factor`, in its expression order.
+def _odd_factors(i_script: float, last: int) -> dict[int, float]:
+    """f_sat,n for every odd n from 1 to ``last``, keyed by n in rising
+    order, at a clipping depth already known to be positive.  The formulas
+    are those of :func:`saturation_factor`, in its expression order; each
+    reads only n and the depth, so a factor's bits do not depend on ``last``.
     """
-    factors = {1: _fundamental(i_script)} if first == 1 <= last else {}
-    higher = range(max(first, 3), last + 1, 2)
+    factors = {1: _fundamental(i_script)} if last >= 1 else {}
+    higher = range(3, last + 1, 2)
     if i_script >= 1.0 or not higher:  # unclipped, or nothing above the fundamental
         factors.update(dict.fromkeys(higher, 0.0))
         return factors

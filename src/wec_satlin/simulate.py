@@ -185,14 +185,13 @@ class _Period(NamedTuple):
     """One evaluation of the anti-period map G: samples 0..steps of the
     state, applied current and load voltage over half a period, the last
     one negated, so that ``ys[steps]`` is G(y); the branch at the end; and
-    the half period as ``(rail, start, duration)`` segments, whose starts
-    after the first are the map's switch times."""
+    the map's switch times in seconds from its start, in rising order."""
 
     ys: np.ndarray
     cur: np.ndarray
     vl: np.ndarray
     rail: bool
-    segments: list
+    switches: list
 
 
 class _Branch(NamedTuple):
@@ -346,10 +345,10 @@ class _Loop:
         the solution holds, so a run's bits do not depend on the harmonics it
         extracts; the held or command current is the pre-clip command
         Re(i_temp), and the start is on the rail, at +-i_max, where that
-        exceeds the limit.  The plan is the clipped command's switches in the
-        half period, in steps: where w t + psi = m pi -+ acos(I), from the
-        branch the start is on.  Elsewhere the free branch's orbit, with no
-        plan.
+        exceeds the limit.  The plan is the clipped command's switch times
+        in the half period, in seconds: where w t + psi = m pi -+ acos(I),
+        from the branch the start is on.  Elsewhere the free branch's orbit,
+        with no plan.
         """
         if sol is None or not sol.factors.i_script < 1.0:
             return self.free_orbit(), False, None
@@ -371,7 +370,7 @@ class _Loop:
         clip = math.acos(sol.factors.i_script)
         first = ((clip if rail else -clip) - sol.psi) % math.pi
         second = first + (math.pi - 2.0 * clip if rail else 2.0 * clip)
-        return y, rail, [t * self.steps / math.pi for t in (first, second) if t < math.pi]
+        return y, rail, [t / self.omega for t in (first, second) if t < math.pi]
 
     def exit(self, rail: bool, y, i_max: float) -> tuple[tuple, float]:
         """The rule for leaving branch ``rail`` from the state ``y`` under the
@@ -445,20 +444,19 @@ class _Loop:
 
     def cross(self, y, rail: bool, i_max: float, tol: float):
         """State and branch one step ``dt`` on from ``y``, through every
-        switch on the way, with the step's ``(rail, duration)`` pieces."""
-        dt, t = self.dt, 0.0
-        pieces = []
+        switch on the way, with the times within the step at which it
+        switched."""
+        t, switches = 0.0, []
         for _ in range(_MAX_EVENTS + 1):
-            y_end, event = self.switch(rail, y, dt - t, i_max, tol)
+            y_end, event = self.switch(rail, y, self.dt - t, i_max, tol)
             if event is None:
-                pieces.append((rail, dt - t))
-                return y_end, rail, pieces
+                return y_end, rail, switches
             tau, y_switch, sign = event
-            pieces.append((rail, tau))
             y = y_switch.copy()
             if not rail:  # entering the rail: it holds the limit
                 y[self.sigma] = sign * i_max
             t += tau
+            switches.append(t)
             rail = not rail
         raise SimulationError(f"clip switched more than {_MAX_EVENTS} times in one step")
 
@@ -511,7 +509,7 @@ class _Loop:
         switch, the guard of the branch it leaves at its level (Aprille &
         Trick 1972, with the switching instants as unknowns as in di
         Bernardo et al., Piecewise-smooth Dynamical Systems, 2008), with the
-        Jacobian :meth:`switched` carries through the s + 1 segments as one
+        Jacobian :meth:`switched` carries through the s + 1 spans as one
         n x (1 + n_u + s) matrix, with n_u the unknown plant states, the
         indices of the branch's record (see :class:`_Branch`).
 
@@ -530,28 +528,28 @@ class _Loop:
         rows[n_u:] = guards
         return rows, np.linalg.solve(rows[:, 1:], -rows[:, 0])
 
-    def shoot(self, y, rail: bool, plan, i_max: float, target: float):
+    def shoot(self, y, rail: bool, taus: list, i_max: float, target: float):
         """Newton's method on the plant states y[u] and the half period's
         switch times tau_1..tau_s together, from the start ``y`` on branch
-        ``rail`` and the switch ``plan`` in steps (see :meth:`start`), by
-        steps of :meth:`newton`.  By half-wave symmetry, a tau at or before
-        t = 0 moves to the end of the half period, and the start to the
-        other branch, and one at or after T/2 back, in the plan as in every
-        iterate.  A start whose residual ||G(y)[u] - y[u]|| / ||y[u]|| is at
-        most ``target`` still takes its Newton step, down to rounding.
+        ``rail`` and the switch times ``taus`` in seconds (see
+        :meth:`start`), by steps of :meth:`newton`.  By half-wave symmetry,
+        a tau at or before t = 0 moves to the end of the half period, and
+        the start to the other branch, and one at or after T/2 back, in the
+        given times as in every iterate.  A start whose residual
+        ||G(y)[u] - y[u]|| / ||y[u]|| is at most ``target`` still takes its
+        Newton step, down to rounding.
 
-        Returns ``(start, branch, segments, iterations)``: that start, its
-        branch, the s + 1 segments of its half period and the Newton steps
+        Returns ``(start, branch, switches, iterations)``: that start, its
+        branch, its half period's solved switch times and the Newton steps
         taken.  On an odd or unordered set of switch times (which also ends
         a non-finite iterate), or no start at the target within
-        ``_SWITCH_ITERATIONS`` steps, the iterate of the lowest residual and
-        its branch, the start and branch given if no step was taken, with 0
-        segments.
+        ``_SWITCH_ITERATIONS`` steps, it gives up: the iterate of the lowest
+        residual and its branch, the start and branch given if no step was
+        taken, with None for the switch times.
         """
         half, iterations = self.steps * self.dt, 0
         best = (math.inf, y, rail)  # (residual, start, branch) of the best iterate
-        y, taus, s = y.copy(), [step * self.dt for step in plan], len(plan)
-        done = False
+        y, done = y.copy(), False
         while True:
             if taus and (taus[0] <= 0.0 or taus[-1] >= half):  # a switch at or past an end
                 taus = (taus[1:] + [taus[0] + half] if taus[0] <= 0.0
@@ -559,10 +557,10 @@ class _Loop:
                 rail = not rail  # entering the rail, the start holds the limit
                 y[self.sigma] = math.copysign(i_max, self.branches[False].guard @ y)
             if done:
-                return y, rail, s + 1, iterations
-            if (iterations == _SWITCH_ITERATIONS or s % 2
+                return y, rail, taus, iterations
+            if (iterations == _SWITCH_ITERATIONS or len(taus) % 2
                     or not all(a < b for a, b in zip([0.0] + taus, taus + [half]))):
-                return best[1], best[2], 0, iterations
+                return best[1], best[2], None, iterations
             u = self.branches[rail].unknowns
             rows, step = self.newton(y, rail, taus, i_max)
             residual = _residual(rows[: len(u), 0], y[u])
@@ -585,7 +583,8 @@ class _Loop:
         start ``ys[k]``: one matrix-vector product of the powers stack
         samples the rest of the half period, and one :meth:`first_candidate`
         call finds where the run ends.  The samples past that step are
-        overwritten by the runs that follow it.
+        overwritten by the runs that follow it.  Each switch :meth:`cross`
+        finds is recorded at its time from the map's start.
         """
         steps, n, dt = self.steps, self.n, self.dt
         ys, cur, vl = np.empty((steps + 1, n)), np.empty(steps + 1), np.empty(steps + 1)
@@ -593,14 +592,7 @@ class _Loop:
         ys[0, self.osc] = self.y0[self.osc]
         cur[0] = ys[0] @ self.branches[rail].flow.i_row
         vl[0] = ys[0] @ self.branches[rail].flow.v_row
-        segments = []
-
-        def add(on_rail, start, duration):
-            if segments and segments[-1][0] == on_rail:
-                segments[-1] = (on_rail, segments[-1][1], segments[-1][2] + duration)
-            else:
-                segments.append((on_rail, start, duration))
-
+        switches = []
         k = 0
         while k < steps:
             br = self.branches[rail].flow
@@ -608,20 +600,15 @@ class _Loop:
             m = self.first_candidate(rail, ys[k:], i_max)
             cur[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.i_row
             vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
-            if m:
-                add(rail, k * dt, m * dt)
             k += m
             if k < steps:
-                ys[k + 1], rail, pieces = self.cross(ys[k], rail, i_max, tol)
+                ys[k + 1], rail, times = self.cross(ys[k], rail, i_max, tol)
                 cur[k + 1] = ys[k + 1] @ self.branches[rail].flow.i_row
                 vl[k + 1] = ys[k + 1] @ self.branches[rail].flow.v_row
-                start = k * dt
-                for on_rail, duration in pieces:
-                    add(on_rail, start, duration)
-                    start += duration
+                switches += [k * dt + t for t in times]
                 k += 1
         ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-        return _Period(ys, cur, vl, rail, segments)
+        return _Period(ys, cur, vl, rail, switches)
 
 
 def simulate(
@@ -655,17 +642,20 @@ def simulate(
     Every Newton step on y - G(y) = 0 over the plant states (Aprille &
     Trick, Proc. IEEE 1972) is one of the switch-time solve
     :meth:`_Loop.shoot`, which solves for the start and the half period's
-    switch times together, propagating each segment exactly without
-    sampling it, until the periodicity residual ||G(y) - y|| / ||y|| is at
-    most ``min(cfg.convergence_tol, 1e-12)``.  Where the limit binds it
-    runs first, from the describing function's clip angles.  One map,
+    switch times together, propagating each span between switches exactly
+    without sampling it, until the periodicity residual
+    ||G(y) - y|| / ||y|| is at most ``min(cfg.convergence_tol, 1e-12)``.
+    Where the limit binds it runs first, from the describing function's
+    clip angles.  One map,
     sampled and screened, is then run from the start it returns: its own
     where it settles, else its best iterate.  The row is done where the
-    map meets the target, with the solve's segment count where it settled,
-    so the returned orbit always comes from a sampled, fully screened half
-    period.  A map that misses hands its end, and its own switch times,
-    the starts of its segments after the first, to the solve again; so
-    does a first map that misses from the free branch's orbit.
+    map meets the target, with as many switches as the solve's where it
+    settled, so the returned orbit always comes from a sampled, fully
+    screened half period.  A map that misses hands its end, and its own
+    switch times as it recorded them, to the solve again; so does a first
+    map that misses from the free branch's orbit.  ``clip_fraction`` sums
+    the final map's spans on the rail, which alternate with its spans on
+    the free branch from its start's branch on.
 
     That is the one path.  A solve that cannot lower the residual returns
     its start, whose map is then one of plain iteration of G, so a run
@@ -711,10 +701,10 @@ def simulate(
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
     y, rail, plan = loop.start(i_max, solution)
-    period_powers, segments, newton_steps = [], 0, 0
+    period_powers, solved, newton_steps = [], None, 0
     for p in range(cfg.n_periods):
         if plan is not None:
-            y, rail, segments, iterations = loop.shoot(y, rail, plan, i_max, target)
+            y, rail, solved, iterations = loop.shoot(y, rail, plan, i_max, target)
             newton_steps += iterations
         run = loop.period(y, rail, i_max, tol)
         finite = np.isfinite(run.ys[1:])
@@ -727,12 +717,12 @@ def simulate(
         u = loop.branches[rail].unknowns
         end = run.ys[half]
         residual = _residual(end[u] - y[u], y[u])
-        # the map from a solved start must also keep the solve's segment count
-        settled = residual <= target and (not segments or len(run.segments) == segments)
+        # the map from a solved start must also keep the solve's switch count
+        settled = residual <= target and (solved is None or len(run.switches) == len(solved))
         if settled or p == cfg.n_periods - 1:
             break
         # solve again from the map's end, at the map's own switch times
-        y, rail, plan = end, run.rail, [start / dt for _, start, _ in run.segments[1:]]
+        y, rail, plan = end, run.rail, run.switches
 
     # the stored period: the final half and its negation, as rows i, x, v, v_load
     first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))
@@ -742,6 +732,9 @@ def simulate(
     for name, column in zip(WAVEFORM_FIELDS, (t, x, v, cur, vl, vl * cur)):
         waveforms[name] = column
     means, phasors = _phasors(t, rows[:2], plant.omega, n_harmonics)  # i and x in one FFT
+    # the final map's spans between switches: on its start's branch, then the other, in turn
+    edges = [0.0, *run.switches, half * dt]
+    spans = [b - a for a, b in zip(edges, edges[1:])]
     return SimResult(
         waveforms=waveforms,
         p_avg=period_powers[-1],
@@ -756,7 +749,7 @@ def simulate(
         periodicity_residual=residual,
         periods_run=p + 1,
         newton_steps=newton_steps,
-        clip_fraction=2.0 * sum(d for on_rail, _, d in run.segments if on_rail) / period,
+        clip_fraction=2.0 * sum(spans[not rail :: 2]) / period,
     )
 
 

@@ -953,14 +953,7 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
     ys[0, loop.osc] = loop.y0[loop.osc]
     cur[0] = ys[0] @ loop.branches[rail].flow.i_row
     vl[0] = ys[0] @ loop.branches[rail].flow.v_row
-    segments = []
-
-    def add(on_rail, start, duration):
-        if segments and segments[-1][0] == on_rail:
-            segments[-1] = (on_rail, segments[-1][1], segments[-1][2] + duration)
-        else:
-            segments.append((on_rail, start, duration))
-
+    switches = []
     k = 0
     while k < steps:
         br = loop.branches[rail].flow
@@ -977,20 +970,15 @@ def period_windowed(loop: ExactLoop, y, rail: bool, i_max: float, tol: float,
                 m = hit
                 break
         vl[k + 1 : k + 1 + m] = ys[k + 1 : k + 1 + m] @ br.v_row
-        if m:
-            add(rail, k * dt, m * dt)
         k += m
         if k < steps:
-            ys[k + 1], rail, pieces = loop.cross(ys[k], rail, i_max, tol)
+            ys[k + 1], rail, times = loop.cross(ys[k], rail, i_max, tol)
             cur[k + 1] = ys[k + 1] @ loop.branches[rail].flow.i_row
             vl[k + 1] = ys[k + 1] @ loop.branches[rail].flow.v_row
-            start = k * dt
-            for on_rail, duration in pieces:
-                add(on_rail, start, duration)
-                start += duration
+            switches += [k * dt + t for t in times]
             k += 1
     ys[steps], cur[steps], vl[steps] = -ys[steps], -cur[steps], -vl[steps]
-    return _Period(ys, cur, vl, rail, segments)
+    return _Period(ys, cur, vl, rail, switches)
 
 
 def powers_by_concatenation(branch, dt: float, steps: int) -> np.ndarray:

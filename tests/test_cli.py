@@ -396,15 +396,18 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("alphas", ["1e78", "0, 1e200", "-1e200"])
-    @pytest.mark.parametrize("command", ["smith", "pareto"])
+    @pytest.mark.parametrize("command", ["smith", "pareto", "fsat"])
     def test_alpha_past_the_overflow_limit_is_an_error(self, tmp_path, capsys, command, alphas):
+        # a config error before any command runs, so nothing is written,
+        # not even the files of the alphas below the limit
         cfg = tmp_path / "run.ini"
         cfg.write_text(NONDIM_ONLY + f"\n[sweep]\nalphas = {alphas}\n"
                        "smith_resolution = 5\nsmith_angular = 8\npareto_points = 5\n")
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out), "--svg"]) == 2
+        assert main([command, "--config", str(cfg), "--out", str(out), "--svg"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: |alpha| must be below 1.158e+77") and err.count("\n") == 1
+        assert err.startswith("config error: [sweep] |alpha| must be below 1.158e+77")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("command", ["smith", "pareto"])
     def test_alpha_below_the_overflow_limit_runs(self, tmp_path, capsys, command):

@@ -150,6 +150,9 @@ class TestRanges:
              "[sweep] alphas repeats 1 at 12 significant digits"),
             ("i_max_fractions", (0.5, 0.4, 0.5),
              "[sweep] i_max_fractions repeats 0.5 at 12 significant digits"),
+            # past the limit alpha^4 overflows; refused whatever the command
+            ("alphas", (0.0, 1e80), "[sweep] |alpha| must be below 1.158e+77, got 1e+80"),
+            ("alphas", (-1.2e77,), "[sweep] |alpha| must be below 1.158e+77, got -1.2e+77"),
         ],
     )
     def test_run_config_checks_its_own_fields(self, field, value, message):

@@ -738,8 +738,8 @@ class TestClipEvents:
         loop = _Loop(plant, src.z_th.conjugate(), dt, 1000)
         y = np.array([1.2754632585823462, 2.2498832567616365, 179.87306806879317, i_max,
                       0.9991661343425408, 0.040829351978509995])
-        y_end, rail, pieces = loop.cross(y, True, i_max, 1e-12 * dt)
-        assert [on_rail for on_rail, _ in pieces] == [True, False]
+        y_end, rail, switches = loop.cross(y, True, i_max, 1e-12 * dt)
+        assert len(switches) == 1 and 0.0 < switches[0] < dt  # one release, off the rail
         assert not rail and abs(y_end @ loop.branches[False].flow.i_row) < i_max
         assert np.isfinite(y_end).all()
 
@@ -927,7 +927,7 @@ def _df_solution(plant, z_c, i_max):
 
 def _period_bits(run):
     """Every field of one anti-period map, in a form == compares bit for bit."""
-    return run.ys.tobytes(), run.cur.tobytes(), run.vl.tobytes(), run.rail, run.segments
+    return run.ys.tobytes(), run.cur.tobytes(), run.vl.tobytes(), run.rail, run.switches
 
 
 class TestWindowedScan:
@@ -1124,7 +1124,7 @@ class TestShooting:
             run = loop.period(y, rail, i_max, tol)
             y, rail = run.ys[-1], run.rail
         run = loop.period(y, rail, i_max, tol)
-        y, taus = run.ys[0], [start for _, start, _ in run.segments[1:]]
+        y, taus = run.ys[0], run.switches
         assert bool(taus) == math.isfinite(i_max)
         u, n_u = loop.branches[rail].unknowns, len(loop.branches[rail].unknowns)
         rows = loop.newton(y, rail, taus, i_max)[0]
@@ -1438,13 +1438,13 @@ PLAIN = SimConfig(n_periods=1000, convergence_tol=1e-13)
 
 
 def _final_maps(monkeypatch, rows):
-    """Each row's result and the segments of its final map, for rows
-    ``(plant, z_c, i_max[, cfg])``."""
+    """Each row's result and its final map's start branch and switch
+    times, for rows ``(plant, z_c, i_max[, cfg])``."""
     period, last, out = _Loop.period, [], []
 
-    def recorded(self, *args):
-        run = period(self, *args)
-        last.append(run.segments)
+    def recorded(self, y, rail, *args):
+        run = period(self, y, rail, *args)
+        last.append((rail, run.switches))
         return run
 
     with monkeypatch.context() as patch:
@@ -1456,15 +1456,16 @@ def _final_maps(monkeypatch, rows):
 
 def _assert_same_orbits(solved, scanned):
     """The rows reach the same switch structure and power both ways: the
-    final maps' branch sequences agree, their switches to 1e-9 of the
-    period, and p_avg to 1e-11 relative."""
-    for (res, segments), (ref, ref_segments) in zip(solved, scanned, strict=True):
+    final maps' start branches and switch counts agree, their switch times
+    to 1e-9 of the period, and p_avg to 1e-11 relative."""
+    for (res, (rail, switches)), (ref, (ref_rail, ref_switches)) in zip(solved, scanned,
+                                                                        strict=True):
         assert res.periodicity_residual <= 1e-12
         assert res.p_avg == pytest.approx(ref.p_avg, rel=1e-11)
-        assert [rail for rail, _, _ in segments] == [rail for rail, _, _ in ref_segments]
+        assert (rail, len(switches)) == (ref_rail, len(ref_switches))
         period = 2.0 * math.pi / res.omega
-        for (_, start, _), (_, ref_start, _) in zip(segments, ref_segments):
-            assert abs(start - ref_start) <= 1e-9 * period
+        for tau, ref_tau in zip(switches, ref_switches):
+            assert abs(tau - ref_tau) <= 1e-9 * period
 
 
 class TestPlannedMaps:
@@ -1502,6 +1503,57 @@ class TestPlannedMaps:
         for res in runs:
             assert res.periods_run == 1 and res.period_powers == [res.p_avg]
 
+    def test_plan_is_switch_times_within_the_half_period(self):
+        # the describing function's clip angles over omega, in seconds, in
+        # rising order, whatever the step count
+        for plant, z_c, i_max in reactive_rows()[:3] + seeded_rows()[42:45]:
+            half = math.pi / plant.omega
+            sol = _df_solution(plant, z_c, i_max)
+            plans = [_Loop(plant, z_c, half / steps, steps).start(i_max, sol)[2]
+                     for steps in (50, 1000)]
+            assert plans[0] == plans[1] and plans[0] == sorted(plans[0])
+            assert plans[0] and all(0.0 < tau < half for tau in plans[0])
+
+    def test_solve_returns_its_switch_times_or_none(self):
+        # seeded design 14 at fraction 0.2: the solve from the describing
+        # function's plan gives up; at 0.5 and 0.8, and on the clipped
+        # verify_reactive rows, it returns its solved switch times, as many
+        # as the plan's and in rising order within the half period
+        rows = seeded_rows()[42:45] + reactive_rows()[:3]
+        for k, (plant, z_c, i_max) in enumerate(rows):
+            dt = 2.0 * math.pi / plant.omega / 2000
+            loop = _Loop(plant, z_c, dt, 1000)
+            y, rail, plan = loop.start(i_max, _df_solution(plant, z_c, i_max))
+            switches = loop.shoot(y, rail, plan, i_max, 1e-12)[2]
+            if k == 0:
+                assert switches is None
+                continue
+            assert isinstance(switches, list) and len(switches) == len(plan)
+            assert switches == sorted(switches)
+            assert 0.0 < switches[0] and switches[-1] < loop.steps * dt
+
+    def test_clip_fraction_is_the_final_maps_rail_share(self, monkeypatch):
+        # the final map's spans between its switch times alternate
+        # branches from its start's; clip_fraction is the rail's share
+        period, maps = _Loop.period, []
+
+        def recorded(self, y, rail, *args):
+            run = period(self, y, rail, *args)
+            maps.append((self, rail, run.switches))
+            return run
+
+        monkeypatch.setattr(_Loop, "period", recorded)
+        for plant, z_c, i_max in reactive_rows() + seeded_rows()[42:45]:
+            res = simulate(plant, z_c, i_max=i_max)
+            loop, on_rail, switches = maps[-1]
+            t, rail_time = 0.0, 0.0
+            for tau in switches + [loop.steps * loop.dt]:
+                if on_rail:
+                    rail_time += tau - t
+                t, on_rail = tau, not on_rail
+            assert res.clip_fraction == 2.0 * rail_time / (2.0 * math.pi / plant.omega)
+            assert (res.clip_fraction > 0.0) == bool(switches)
+
     @pytest.mark.parametrize("change", ["+40", "-40", "missing"])
     def test_a_wrong_first_plan_reaches_the_same_orbit(self, monkeypatch, change):
         # the describing function's switches moved 40 steps later or
@@ -1514,7 +1566,8 @@ class TestPlannedMaps:
         def changed(self, *args):
             y, rail, plan = start(self, *args)
             if plan is not None:
-                plan = plan[:-1] if change == "missing" else [s + int(change) for s in plan]
+                plan = (plan[:-1] if change == "missing"
+                        else [tau + int(change) * self.dt for tau in plan])
             return y, rail, plan
 
         with monkeypatch.context() as patch:
@@ -1548,14 +1601,14 @@ class TestPlannedMaps:
         loop.newton = recorded
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate_mod, "_SWITCH_ITERATIONS", 3)
-            best, best_rail, segments, iterations = loop.shoot(y, rail, plan, i_max, 1e-12)
-            assert (segments, iterations, len(iterates)) == (0, 3, 3)
+            best, best_rail, switches, iterations = loop.shoot(y, rail, plan, i_max, 1e-12)
+            assert (switches, iterations, len(iterates)) == (None, 3, 3)
             residual, start, on_rail = min(iterates, key=lambda iterate: iterate[0])
             assert residual > 1e-12 and residual < iterates[0][0]
             assert np.array_equal(best, start) and best_rail == on_rail
             patch.setattr(simulate_mod, "_SWITCH_ITERATIONS", 0)
             given = loop.shoot(y, rail, plan, i_max, 1e-12)
-        assert np.array_equal(given[0], y) and given[1:] == (rail, 0, 0)
+        assert np.array_equal(given[0], y) and given[1:] == (rail, None, 0)
         assert len(iterates) == 3
 
     def test_a_capped_solve_iterates_the_scanned_map(self, monkeypatch):
@@ -1607,23 +1660,24 @@ class TestPlannedMaps:
             assert res.periods_run < ref.periods_run
             assert res.period_powers[0] == ref.period_powers[0]
 
-    @pytest.mark.parametrize("miss", ["start", "segments"])
+    @pytest.mark.parametrize("miss", ["start", "switches"])
     def test_a_map_off_the_solve_carries_on_shooting(self, monkeypatch, miss):
         # the map from the solved start must meet the target with the
-        # solve's segment count; else the solve runs again from the map's
+        # solve's switch count; else the solve runs again from the map's
         # end, at its switch times: the first solve's start moved by 1e-9
         # relative, or its count off by two
         shoot = _Loop.shoot
         missed = []
 
         def first_missed(self, *args):
-            y, rail, segments, iterations = shoot(self, *args)
+            y, rail, switches, iterations = shoot(self, *args)
             if not missed:
                 missed.append(True)
                 if miss == "start":
                     y = y * (1.0 + 1e-9)
-                segments += 2 * (miss == "segments")
-            return y, rail, segments, iterations
+                else:
+                    switches = switches + switches[-2:]
+            return y, rail, switches, iterations
 
         rows = reactive_rows()[:3]
         solved = _final_maps(monkeypatch, rows)

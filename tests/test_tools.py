@@ -89,6 +89,16 @@ def test_referee_census_runs_one_set_against_its_own_tree(capsys):
         assert (loop.cross.__name__, loop.shoot.__name__) == ("cross", "shoot")
 
 
+def test_referee_census_exits_1_on_a_row_above_the_target(capsys):
+    census = _tool("referee_census")
+    assert census.main(["--set", "reactive"]) == 0
+    census.TARGET = 0.0  # a target no row's residual meets, for this module only
+    assert census.main(["--set", "reactive"]) == 1
+    assert census.main(["--set", "reactive", "--json"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "rows at the map cap or above 0 in the measured tree" in lines
+
+
 def test_referee_census_prints_json(capsys):
     code = _tool("referee_census").main(["--set", "golden", "--json"])
     out = json.loads(capsys.readouterr().out)

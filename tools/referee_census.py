@@ -7,13 +7,16 @@ script prints one line: rows, half-period maps, Newton steps of the
 switch-time solves, switch searches (the steps the maps hand to
 ``_Loop.cross``, counted by wrapping it while the set runs), rows whose
 switch-time solve gave up (a ``_Loop.shoot`` call that returned its best
-iterate, with 0 segments, counted by wrapping it the same way), the
-largest periodicity residual, rows that ran to the map cap, rows above the
-shooting target of 1e-12, rows whose ``p_avg`` exceeds their plant's
+iterate, with None for its switch times, counted by wrapping it the same
+way), the largest periodicity residual, rows that ran to the map cap, rows
+above the shooting target of 1e-12, rows whose ``p_avg`` exceeds their plant's
 ``p_matched``, which no load can draw, and the largest relative excess
 ``p_avg / p_matched - 1`` of the set (negative where no row exceeds it).
 Each plant keeps its latest referee loop, so the rows of one plant share
-one, as in ``verify``.  Run from the repository root:
+one, as in ``verify``; a plant, and its loop with it, is dropped once its
+last row has run, and each row keeps the numbers the counts read and a
+digest of its result's bits, not the result.  Run from the repository
+root:
 
     python tools/referee_census.py [--against OLD_SRC] [--set NAME] [--json]
 
@@ -25,12 +28,15 @@ counts and its ``p_avg`` move, relative to the old value.  Each tree is
 imported by path under its own name, as ``tools/ab_inprocess.py`` does,
 and the row sets are built with each tree's own plants.  ``--set``, which
 may be repeated, runs only the sets named; ``--json`` prints the same
-counts and rows as one JSON object instead.  The exit status is 0.
+counts and rows as one JSON object instead.  The exit status is 1 where
+a set of the measured tree has a row at the map cap or above the shooting
+target, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import sys
@@ -48,7 +54,8 @@ TARGET = 1e-12  # the shooting target of simulate
 def run_set(package, name: str) -> list[dict]:
     """Each row of set ``name`` run on ``package``: its label, map cap,
     switch searches, whether a switch-time solve gave up, its plant's
-    matched power, result, and the result's bits."""
+    matched power, the result's fields the counts read, and a SHA-256
+    digest of every bit of the result."""
     simulate = importlib.import_module(package.__name__ + ".simulate")
     cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [False]
 
@@ -58,27 +65,33 @@ def run_set(package, name: str) -> list[dict]:
 
     def counted_shoot(self, *args):
         start = shoot(self, *args)
-        gave_up[0] |= start[2] == 0  # the best iterate, with 0 segments
+        # the best iterate: None for its switch times, 0 segments in older trees
+        gave_up[0] |= start[2] is None or start[2] == 0
         return start
 
     out = []
     simulate._Loop.cross, simulate._Loop.shoot = counted_cross, counted_shoot
     try:
         with installed(package):
-            for plant, z_c, i_max, *cfg in ROW_SETS[name]():
+            rows = ROW_SETS[name]()[::-1]  # popped in order: a plant goes with its last row
+            while rows:
+                plant, z_c, i_max, *cfg = rows.pop()
                 cfg = cfg[0] if cfg else package.SimConfig()
                 baseline = package.matched_baseline(package.thevenin_from_plant(plant))
                 searches[0], gave_up[0] = 0, False
                 res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
+                digest = hashlib.sha256(res.waveforms.tobytes())
+                digest.update(repr(bits([
+                    res.p_avg, res.harmonic_currents, res.period_powers, res.periods_run,
+                    res.newton_steps, res.periodicity_residual, res.clip_fraction])).encode())
                 out.append({
                     "label": f"{name}[{len(out)}] l_w {plant.l_w:.3g} "
                              f"fraction {i_max / baseline.i_peak_matched:.3g}",
                     "cap": cfg.n_periods, "searches": searches[0],
-                    "gave_up": gave_up[0], "p_matched": baseline.p_matched, "res": res,
-                    "bits": (res.waveforms.tobytes(), bits([
-                        res.p_avg, res.harmonic_currents, res.period_powers,
-                        res.periods_run, res.newton_steps,
-                        res.periodicity_residual, res.clip_fraction])),
+                    "gave_up": gave_up[0], "p_matched": baseline.p_matched,
+                    "p_avg": res.p_avg, "maps": res.periods_run,
+                    "newton_steps": res.newton_steps, "residual": res.periodicity_residual,
+                    "digest": digest.hexdigest(),
                 })
     finally:
         simulate._Loop.cross, simulate._Loop.shoot = cross, shoot
@@ -87,17 +100,16 @@ def run_set(package, name: str) -> list[dict]:
 
 def summary(rows: list[dict]) -> dict:
     """The counts of one set's rows."""
-    results = [row["res"] for row in rows]
-    excess = [row["res"].p_avg / row["p_matched"] - 1.0 for row in rows]
+    excess = [row["p_avg"] / row["p_matched"] - 1.0 for row in rows]
     return {
         "rows": len(rows),
-        "maps": sum(res.periods_run for res in results),
-        "newton_steps": sum(res.newton_steps for res in results),
+        "maps": sum(row["maps"] for row in rows),
+        "newton_steps": sum(row["newton_steps"] for row in rows),
         "searches": sum(row["searches"] for row in rows),
         "gave_up": sum(row["gave_up"] for row in rows),
-        "max_residual": max(res.periodicity_residual for res in results),
-        "at_cap": sum(row["res"].periods_run == row["cap"] for row in rows),
-        "above_target": sum(res.periodicity_residual > TARGET for res in results),
+        "max_residual": max(row["residual"] for row in rows),
+        "at_cap": sum(row["maps"] == row["cap"] for row in rows),
+        "above_target": sum(row["residual"] > TARGET for row in rows),
         "over_matched": sum(e > 0.0 for e in excess),
         "max_excess": max(excess),
     }
@@ -106,10 +118,9 @@ def summary(rows: list[dict]) -> dict:
 def differences(old: list[dict], new: list[dict]) -> list[dict]:
     """The rows whose results differ in any bit, with both map counts and
     the p_avg move relative to the old value."""
-    return [{"row": b["label"], "maps_old": a["res"].periods_run,
-             "maps_new": b["res"].periods_run, "p_avg_old": a["res"].p_avg,
-             "p_avg_move": (b["res"].p_avg - a["res"].p_avg) / abs(a["res"].p_avg)}
-            for a, b in zip(old, new, strict=True) if a["bits"] != b["bits"]]
+    return [{"row": b["label"], "maps_old": a["maps"], "maps_new": b["maps"],
+             "p_avg_old": a["p_avg"], "p_avg_move": (b["p_avg"] - a["p_avg"]) / abs(a["p_avg"])}
+            for a, b in zip(old, new, strict=True) if a["digest"] != b["digest"]]
 
 
 def print_counts(tree: str, counts: dict) -> None:
@@ -142,9 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.against:
         differ = {name: differences(runs[args.against][name], runs["src"][name])
                   for name in names}
+    failed = any(c["at_cap"] or c["above_target"] for c in counts["src"].values())
     if args.json:
         print(json.dumps({"counts": counts, "differ": differ}, indent=1))
-        return 0
+        return int(failed)
     for tree, by_set in counts.items():
         print_counts(tree, by_set)
     for name, rows in differ.items():
@@ -152,7 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         for row in rows:
             print(f"  {row['row']}  maps {row['maps_old']} -> {row['maps_new']}"
                   f"  p_avg {row['p_avg_old']:.12g} moved {row['p_avg_move']:+.2e}")
-    return 0
+    if failed:
+        print(f"rows at the map cap or above {TARGET:g} in the measured tree")
+    return int(failed)
 
 
 if __name__ == "__main__":
