@@ -51,7 +51,7 @@ from .emit import write_csv
 from .errors import DomainError, SimulationError
 from .mismatch import matched_baseline
 from .propagate import Branch
-from .wec import WecPlant, constraint_amplitudes, thevenin_from_plant
+from .wec import WecPlant, _require_finite, constraint_amplitudes, thevenin_from_plant
 
 WAVEFORM_FIELDS = ("t", "x", "v", "i", "v_load", "p_inst")
 
@@ -80,7 +80,8 @@ class SimConfig:
     ``convergence_tol`` bounds the periodicity residual of a converged run;
     shooting itself goes on to 1e-12 where it can.  ``algebraic_loop_tol``
     is the clip switch-time tolerance relative to the step.  Both
-    tolerances must be positive.
+    tolerances must be positive and finite, and ``algebraic_loop_tol``
+    below 1: a tolerance as wide as the step locates no switch.
     """
 
     steps_per_period: int = 2000
@@ -100,9 +101,11 @@ class SimConfig:
         if self.n_periods < 1:
             raise DomainError(f"n_periods must be at least 1, got {self.n_periods}")
         for key in ("convergence_tol", "algebraic_loop_tol"):
-            value = getattr(self, key)
-            if not value > 0.0:
-                raise DomainError(f"{key} must be positive, got {value}")
+            if not getattr(self, key) > 0.0:
+                raise DomainError(f"{key} must be positive, got {getattr(self, key)}")
+        _require_finite(self)
+        if self.algebraic_loop_tol >= 1.0:
+            raise DomainError(f"algebraic_loop_tol must be below 1, got {self.algebraic_loop_tol}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,15 @@ class SimResult:
     ||G(y) - y|| / ||y|| of the final map over the plant states, and
     ``converged`` holds exactly when it is at most ``convergence_tol``.
     ``clip_fraction`` is the share of the final period spent on the rail.
+
+    The final map's orbit: ``start_on_rail`` is the branch it starts on,
+    and ``switch_times`` its switch times in seconds from the window's
+    start, in rising order; the window's second half repeats them T/2
+    later, each on the other branch.  ``clip_fraction`` is computed from
+    these two.  ``_orbit`` holds what the shooting needs besides: the
+    map's start state, the oscillator at its phase, in the loop's own
+    state layout (see :class:`_Loop`), and the count of switch-time
+    solves that gave up.  It is private, so that layout may change.
     """
 
     waveforms: np.ndarray
@@ -144,6 +156,9 @@ class SimResult:
     periods_run: int = 0
     newton_steps: int = 0
     clip_fraction: float = 0.0
+    start_on_rail: bool = False
+    switch_times: tuple[float, ...] = ()
+    _orbit: tuple = field(repr=False, compare=False, default=())
 
 
 @dataclass(frozen=True)
@@ -653,9 +668,13 @@ def simulate(
     settled, so the returned orbit always comes from a sampled, fully
     screened half period.  A map that misses hands its end, and its own
     switch times as it recorded them, to the solve again; so does a first
-    map that misses from the free branch's orbit.  ``clip_fraction`` sums
-    the final map's spans on the rail, which alternate with its spans on
-    the free branch from its start's branch on.
+    map that misses from the free branch's orbit.  The result keeps the
+    final map's orbit: its start branch ``start_on_rail``, its
+    ``switch_times`` and, in ``_orbit``, its start state and the count of
+    solves that gave up; the map rerun from that start and branch gives
+    the stored half period bit for bit.  ``clip_fraction`` sums the final
+    map's spans on the rail, which alternate with its spans on the free
+    branch from its start's branch on.
 
     That is the one path.  A solve that cannot lower the residual returns
     its start, whose map is then one of plain iteration of G, so a run
@@ -701,11 +720,12 @@ def simulate(
     if (solution is None or len(solution.harmonics) < 5) and math.isfinite(i_max) and plant.f_e:
         solution = solve_operating_point(thevenin_from_plant(plant), i_max, z_c=z_c)
     y, rail, plan = loop.start(i_max, solution)
-    period_powers, solved, newton_steps = [], None, 0
+    period_powers, solved, newton_steps, gave_up = [], None, 0, 0
     for p in range(cfg.n_periods):
         if plan is not None:
             y, rail, solved, iterations = loop.shoot(y, rail, plan, i_max, target)
             newton_steps += iterations
+            gave_up += solved is None
         run = loop.period(y, rail, i_max, tol)
         finite = np.isfinite(run.ys[1:])
         if not finite.all():  # the row search runs only on a diverged map
@@ -715,14 +735,13 @@ def simulate(
                                   step=j, trace=tuple(run.ys[1 + bad]))
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.branches[rail].unknowns
-        end = run.ys[half]
-        residual = _residual(end[u] - y[u], y[u])
+        residual = _residual(run.ys[half, u] - y[u], y[u])
         # the map from a solved start must also keep the solve's switch count
         settled = residual <= target and (solved is None or len(run.switches) == len(solved))
         if settled or p == cfg.n_periods - 1:
             break
         # solve again from the map's end, at the map's own switch times
-        y, rail, plan = end, run.rail, run.switches
+        y, rail, plan = run.ys[half], run.rail, run.switches
 
     # the stored period: the final half and its negation, as rows i, x, v, v_load
     first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))
@@ -750,6 +769,9 @@ def simulate(
         periods_run=p + 1,
         newton_steps=newton_steps,
         clip_fraction=2.0 * sum(spans[not rail :: 2]) / period,
+        start_on_rail=rail,
+        switch_times=tuple(run.switches),
+        _orbit=(run.ys[0].copy(), gave_up),
     )
 
 

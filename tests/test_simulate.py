@@ -82,6 +82,13 @@ class TestSimConfig:
             for value in (0.0, -1.0, math.nan):
                 with pytest.raises(DomainError, match=f"{key} must be positive"):
                     SimConfig(**{key: value})
+        # an infinite convergence_tol calls every run converged, and a
+        # switch-time tolerance of a whole step or more locates no switch
+        for key, value, text in (("convergence_tol", math.inf, "must be finite"),
+                                 ("algebraic_loop_tol", math.inf, "must be finite"),
+                                 ("algebraic_loop_tol", 1.0, "must be below 1")):
+            with pytest.raises(DomainError, match=f"{key} {text}"):
+                SimConfig(**{key: value})
         # a count that is not an integer would fail in simulate, not here
         for key, value in (("steps_per_period", 2000.0), ("n_periods", 2.5),
                            ("n_periods", 3.0), ("steps_per_period", math.nan)):
@@ -913,7 +920,8 @@ def _result_bits(res):
     """Every field of a run's result, in a form == compares bit for bit
     (the residual and powers are finite here)."""
     return (res.waveforms.tobytes(), res.p_avg, res.harmonic_currents, res.period_powers,
-            res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction)
+            res.periods_run, res.newton_steps, res.periodicity_residual, res.clip_fraction,
+            res.start_on_rail, res.switch_times, res._orbit[0].tobytes(), res._orbit[1])
 
 
 def _df_solution(plant, z_c, i_max):
@@ -1239,26 +1247,17 @@ class TestHalfWaveSymmetry:
     """Shooting on the anti-period map G(y) = -Phi_half(y) finds the
     half-wave symmetric orbit, which the full-period map keeps."""
 
-    def _shoot(self, monkeypatch, rows):
+    def _shoot(self, rows):
         """Each row's result and its full-period residual ||Phi(y) - y|| /
         ||y||, for y the start of the final map and Phi run by a loop whose
         map spans a whole period's steps."""
-        period = _Loop.period
-        starts = []
-
-        def recorded(self, *args):
-            starts.append((self, *args))
-            return period(self, *args)
-
-        monkeypatch.setattr(_Loop, "period", recorded)
         out = []
         for plant, z_c, i_max in rows:
             res = simulate(plant, z_c, i_max=i_max)
-            loop, y, rail, _, tol = starts[-1][:5]  # the final map's start
-            steps = 2 * loop.steps
-            whole = _Loop(plant, z_c, loop.dt, steps)
-            end = -period(whole, y, rail, i_max, tol).ys[steps]  # Phi(y)
-            u = loop.branches[rail].unknowns
+            y, rail, steps = res._orbit[0], res.start_on_rail, len(res.waveforms)
+            whole = _Loop(plant, z_c, res.dt, steps)
+            end = -whole.period(y, rail, i_max, 1e-12 * res.dt).ys[steps]  # Phi(y)
+            u = whole.branches[rail].unknowns
             out.append((res, np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u])))
         return out
 
@@ -1282,13 +1281,13 @@ class TestHalfWaveSymmetry:
             for n in (2, 4, 6, 8):
                 assert abs(res.harmonic_currents[n - 1]) <= 1e-13 * i1
 
-    def test_full_period_map_keeps_the_reactive_orbit(self, monkeypatch):
-        for res, full in self._shoot(monkeypatch, reactive_rows()):
+    def test_full_period_map_keeps_the_reactive_orbit(self):
+        for res, full in self._shoot(reactive_rows()):
             assert res.periodicity_residual <= 1e-12
             assert full <= 1e-11
 
-    def test_full_period_map_keeps_the_seeded_orbits(self, monkeypatch):
-        for res, full in self._shoot(monkeypatch, seeded_rows()):
+    def test_full_period_map_keeps_the_seeded_orbits(self):
+        for res, full in self._shoot(seeded_rows()):
             assert res.periodicity_residual <= 1e-12
             assert full <= 1e-11
 
@@ -1437,34 +1436,17 @@ def _solve_off(monkeypatch):
 PLAIN = SimConfig(n_periods=1000, convergence_tol=1e-13)
 
 
-def _final_maps(monkeypatch, rows):
-    """Each row's result and its final map's start branch and switch
-    times, for rows ``(plant, z_c, i_max[, cfg])``."""
-    period, last, out = _Loop.period, [], []
-
-    def recorded(self, y, rail, *args):
-        run = period(self, y, rail, *args)
-        last.append((rail, run.switches))
-        return run
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_Loop, "period", recorded)
-        for plant, z_c, i_max, *cfg in rows:
-            out.append((simulate(plant, z_c, i_max=i_max, cfg=(cfg or [None])[0]), last[-1]))
-    return out
-
-
 def _assert_same_orbits(solved, scanned):
     """The rows reach the same switch structure and power both ways: the
     final maps' start branches and switch counts agree, their switch times
     to 1e-9 of the period, and p_avg to 1e-11 relative."""
-    for (res, (rail, switches)), (ref, (ref_rail, ref_switches)) in zip(solved, scanned,
-                                                                        strict=True):
+    for res, ref in zip(solved, scanned, strict=True):
         assert res.periodicity_residual <= 1e-12
         assert res.p_avg == pytest.approx(ref.p_avg, rel=1e-11)
-        assert (rail, len(switches)) == (ref_rail, len(ref_switches))
+        assert res.start_on_rail == ref.start_on_rail
+        assert len(res.switch_times) == len(ref.switch_times)
         period = 2.0 * math.pi / res.omega
-        for tau, ref_tau in zip(switches, ref_switches):
+        for tau, ref_tau in zip(res.switch_times, ref.switch_times):
             assert abs(tau - ref_tau) <= 1e-9 * period
 
 
@@ -1476,23 +1458,23 @@ class TestPlannedMaps:
     def test_reactive_rows_match_maps_run_without_plans(self, monkeypatch):
         # the verify_reactive rows and the clipped golden.ini rows
         rows = reactive_rows() + golden_rows()
-        solved = _final_maps(monkeypatch, rows)
+        solved = [simulate(*row) for row in rows]
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, rows)
+        scanned = [simulate(*row) for row in rows]
         _assert_same_orbits(solved, scanned)
-        for (res, _), (ref, _) in zip(solved, scanned):
+        for res, ref in zip(solved, scanned):
             assert res.periods_run <= ref.periods_run
 
     def test_seeded_rows_match_maps_run_without_plans(self, monkeypatch):
-        solved = _final_maps(monkeypatch, seeded_rows())
+        solved = [simulate(*row) for row in seeded_rows()]
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, [row + (PLAIN,) for row in seeded_rows()])
+        scanned = [simulate(*row, PLAIN) for row in seeded_rows()]
         _assert_same_orbits(solved, scanned)
         # a row whose solve fails, or whose map misses, may run one map more
-        for (res, _), (ref, _) in zip(solved, scanned):
+        for res, ref in zip(solved, scanned):
             assert res.periods_run <= ref.periods_run + 1
         # 177 of the 180 rows settle in one map, and the other three in two
-        assert sum(res.periods_run == 1 for res, _ in solved) >= 170
+        assert sum(res.periods_run == 1 for res in solved) >= 170
 
     def test_clipped_rows_sample_one_map(self):
         # four switch-time iterations, the last one taken from a start
@@ -1532,27 +1514,40 @@ class TestPlannedMaps:
             assert switches == sorted(switches)
             assert 0.0 < switches[0] and switches[-1] < loop.steps * dt
 
-    def test_clip_fraction_is_the_final_maps_rail_share(self, monkeypatch):
+    def test_clip_fraction_is_the_final_maps_rail_share(self):
         # the final map's spans between its switch times alternate
         # branches from its start's; clip_fraction is the rail's share
-        period, maps = _Loop.period, []
-
-        def recorded(self, y, rail, *args):
-            run = period(self, y, rail, *args)
-            maps.append((self, rail, run.switches))
-            return run
-
-        monkeypatch.setattr(_Loop, "period", recorded)
         for plant, z_c, i_max in reactive_rows() + seeded_rows()[42:45]:
             res = simulate(plant, z_c, i_max=i_max)
-            loop, on_rail, switches = maps[-1]
-            t, rail_time = 0.0, 0.0
-            for tau in switches + [loop.steps * loop.dt]:
+            on_rail, t, rail_time = res.start_on_rail, 0.0, 0.0
+            for tau in res.switch_times + (len(res.waveforms) // 2 * res.dt,):
                 if on_rail:
                     rail_time += tau - t
                 t, on_rail = tau, not on_rail
             assert res.clip_fraction == 2.0 * rail_time / (2.0 * math.pi / plant.omega)
-            assert (res.clip_fraction > 0.0) == bool(switches)
+            assert (res.clip_fraction > 0.0) == bool(res.switch_times)
+
+    def test_final_map_reruns_from_the_result(self):
+        # the map rerun from the result's start and branch gives its stored
+        # half period and switch times bit for bit, on the verify_reactive
+        # and golden rows, seeded designs 14 and 15 and stiff-grid rows at
+        # 5 nH and without a winding; design 14 at 0.2 gives one solve up
+        rows = (reactive_rows() + golden_rows() + seeded_rows()[42:48]
+                + conjugate_rows(grid_plant("reactive", 5e-9), (0.6,))
+                + conjugate_rows(grid_plant("lowpass", 0.0), (0.4,)))
+        gave_up = []
+        for plant, z_c, i_max, *cfg in rows:
+            cfg = (cfg or [SimConfig()])[0]
+            res = simulate(plant, z_c, i_max=i_max, cfg=cfg)
+            half = len(res.waveforms) // 2
+            run = _Loop(plant, z_c, res.dt, half).period(
+                res._orbit[0], res.start_on_rail, i_max, cfg.algebraic_loop_tol * res.dt)
+            stored = [res.waveforms[name][:half].tobytes() for name in ("x", "v", "i", "v_load")]
+            assert stored == [column.tobytes() for column in (
+                run.ys[:half, 0], run.ys[:half, 1], run.cur[:half], run.vl[:half])]
+            assert res.switch_times == tuple(run.switches) == tuple(sorted(run.switches))
+            gave_up.append(res._orbit[1])
+        assert gave_up == [0] * 7 + [1] + [0] * 7
 
     @pytest.mark.parametrize("change", ["+40", "-40", "missing"])
     def test_a_wrong_first_plan_reaches_the_same_orbit(self, monkeypatch, change):
@@ -1572,14 +1567,14 @@ class TestPlannedMaps:
 
         with monkeypatch.context() as patch:
             patch.setattr(_Loop, "start", changed)
-            solved = _final_maps(monkeypatch, reactive_rows()[:3])
+            solved = [simulate(*row) for row in reactive_rows()[:3]]
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, reactive_rows()[:3])
+        scanned = [simulate(*row) for row in reactive_rows()[:3]]
         _assert_same_orbits(solved, scanned)
-        for (res, _), (ref, _) in zip(solved, scanned):
+        for res, ref in zip(solved, scanned):
             assert res.periods_run <= ref.periods_run + 1
         if change != "missing":
-            assert [res.periods_run for res, _ in solved] == [1, 1, 1]
+            assert [res.periods_run for res in solved] == [1, 1, 1]
 
     def test_a_failed_solve_returns_its_best_iterate(self):
         # three iterations cannot reach the target: the solve returns the
@@ -1619,11 +1614,11 @@ class TestPlannedMaps:
         rows = reactive_rows()[:3]
         with monkeypatch.context() as patch:
             patch.setattr(simulate_mod, "_SWITCH_ITERATIONS", 1)
-            capped = _final_maps(monkeypatch, rows)
+            capped = [simulate(*row) for row in rows]
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, rows)
+        scanned = [simulate(*row) for row in rows]
         _assert_same_orbits(capped, scanned)
-        for (res, _), (ref, _) in zip(capped, scanned):
+        for res, ref in zip(capped, scanned):
             assert res.converged and res.periods_run == ref.periods_run > 1
             assert 0 < res.newton_steps <= res.periods_run
             assert res.period_powers[:-1] == ref.period_powers[:-1]
@@ -1651,12 +1646,12 @@ class TestPlannedMaps:
             steps.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(_Loop, "newton", poisoned)
-                broken += _final_maps(monkeypatch, [row])
+                broken.append(simulate(*row))
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, [row + (PLAIN,) for row in rows])
+        scanned = [simulate(*row, PLAIN) for row in rows]
         _assert_same_orbits(broken, scanned)
-        assert [res.periods_run for res, _ in broken] == [2, 3, 2]
-        for (res, _), (ref, _) in zip(broken, scanned):
+        assert [res.periods_run for res in broken] == [2, 3, 2]
+        for res, ref in zip(broken, scanned):
             assert res.periods_run < ref.periods_run
             assert res.period_powers[0] == ref.period_powers[0]
 
@@ -1680,17 +1675,17 @@ class TestPlannedMaps:
             return y, rail, switches, iterations
 
         rows = reactive_rows()[:3]
-        solved = _final_maps(monkeypatch, rows)
+        solved = [simulate(*row) for row in rows]
         missing = []
         for row in rows:
             missed.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(_Loop, "shoot", first_missed)
-                missing += _final_maps(monkeypatch, [row])
+                missing.append(simulate(*row))
         _assert_same_orbits(missing, solved)
         _solve_off(monkeypatch)
-        _assert_same_orbits(missing, _final_maps(monkeypatch, [row + (PLAIN,) for row in rows]))
-        for (res, _), (ref, _) in zip(missing, solved):
+        _assert_same_orbits(missing, [simulate(*row, PLAIN) for row in rows])
+        for res, ref in zip(missing, solved):
             assert res.periods_run == 2  # one map off the solve, one from the second solve
             assert res.newton_steps > ref.newton_steps
 
@@ -1705,11 +1700,11 @@ class TestPlannedMaps:
         dt = 2.0 * math.pi / plant.omega / 2000
         loop = _Loop(plant, rows[0][1], dt, 1000)
         assert max(branch.flow.tail for branch in loop.branches) * dt**20 > 1e-16
-        solved = _final_maps(monkeypatch, rows)
+        solved = [simulate(*row) for row in rows]
         _solve_off(monkeypatch)
-        scanned = _final_maps(monkeypatch, rows)
+        scanned = [simulate(*row) for row in rows]
         _assert_same_orbits(solved, scanned)
-        assert solved[0][0].periods_run == 1 < scanned[0][0].periods_run
+        assert solved[0].periods_run == 1 < scanned[0].periods_run
 
     def test_no_switch_search_runs_long(self, monkeypatch):
         # with the solve off, the row at fraction 0.6 starts on the rail
@@ -1734,6 +1729,7 @@ class TestPlannedMaps:
         for plant, z_c, i_max in reactive_rows():
             simulate(plant, z_c, i_max=i_max)
         assert evaluations and max(evaluations) <= 10
+
 
 
 def test_too_many_switches_in_one_step_raise(monkeypatch):

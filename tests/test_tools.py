@@ -72,16 +72,16 @@ def test_referee_census_runs_one_set_against_its_own_tree(capsys):
     code = _tool("referee_census").main(["--set", "reactive", "--against", src])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines[0] == ("src: set    rows  maps  newton  searches  gave up  max residual"
-                        "  at cap  above 1e-12  over matched  max excess")
+    assert lines[0] == ("src: set    rows  maps  newton  searches  gave up  give-ups"
+                        "  max residual  at cap  above 1e-12  over matched  max excess")
     words = lines[1].split()
     # one map a row; every row crosses its switches and guard turns, 3 a
     # clipped row and 1 the unclipped one; no switch-time solve gives up;
     # no row draws more than the matched power, the unclipped row about it
-    assert words[:3] == ["reactive", "4", "4"] and words[4:6] == ["10", "0"]
-    assert words[7:10] == ["0", "0", "0"]
-    assert float(words[6]) <= 1e-12
-    assert -1e-12 <= float(words[10]) <= 0.0
+    assert words[:3] == ["reactive", "4", "4"] and words[4:7] == ["10", "0", "0"]
+    assert words[8:11] == ["0", "0", "0"]
+    assert float(words[7]) <= 1e-12
+    assert -1e-12 <= float(words[11]) <= 0.0
     assert lines[2].startswith(src) and lines[3] == lines[1]
     assert lines[4:] == ["reactive: 0 of 4 rows differ"]
     for alias in ("wec_satlin_census", "wec_satlin_against"):  # the counters are unwrapped
@@ -106,6 +106,16 @@ def test_referee_census_prints_json(capsys):
     counts = out["counts"]["src"]["golden"]
     assert (counts["rows"], counts["maps"], counts["at_cap"]) == (3, 3, 0)
     assert counts["searches"] == 9  # two switches and a guard turn a row
-    assert counts["gave_up"] == 0
+    assert counts["gave_up"] == counts["gave_up_solves"] == 0
     assert counts["newton_steps"] > 0 and counts["max_residual"] <= 1e-12
     assert counts["over_matched"] == 0 and counts["max_excess"] < 0.0
+
+
+def test_referee_census_counts_solves_that_gave_up(capsys):
+    # three seeded rows each give one switch-time solve up, and each settles
+    # in two maps, through the solve from its first map's end
+    code = _tool("referee_census").main(["--set", "seeded", "--json"])
+    counts = json.loads(capsys.readouterr().out)["counts"]["src"]["seeded"]
+    assert code == 0
+    assert (counts["rows"], counts["maps"]) == (180, 183)
+    assert (counts["gave_up"], counts["gave_up_solves"]) == (3, 3)

@@ -6,12 +6,15 @@ rows, the 60-row stiff grid, the ``verify_reactive`` rows, the clipped
 script prints one line: rows, half-period maps, Newton steps of the
 switch-time solves, switch searches (the steps the maps hand to
 ``_Loop.cross``, counted by wrapping it while the set runs), rows whose
-switch-time solve gave up (a ``_Loop.shoot`` call that returned its best
-iterate, with None for its switch times, counted by wrapping it the same
-way), the largest periodicity residual, rows that ran to the map cap, rows
-above the shooting target of 1e-12, rows whose ``p_avg`` exceeds their plant's
-``p_matched``, which no load can draw, and the largest relative excess
-``p_avg / p_matched - 1`` of the set (negative where no row exceeds it).
+switch-time solve gave up and the give-ups, the solves that did (each
+returned its best iterate, with None for its switch times: the count each
+result carries in ``SimResult._orbit``, or, on a tree whose results have
+no such field, the ``_Loop.shoot`` calls that did so, counted by wrapping
+it the same way), the largest periodicity residual, rows that ran to the
+map cap, rows above the shooting target of 1e-12, rows whose ``p_avg``
+exceeds their plant's ``p_matched``, which no load can draw, and the
+largest relative excess ``p_avg / p_matched - 1`` of the set (negative
+where no row exceeds it).
 Each plant keeps its latest referee loop, so the rows of one plant share
 one, as in ``verify``; a plant, and its loop with it, is dropped once its
 last row has run, and each row keeps the numbers the counts read and a
@@ -36,6 +39,7 @@ target, else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -53,11 +57,13 @@ TARGET = 1e-12  # the shooting target of simulate
 
 def run_set(package, name: str) -> list[dict]:
     """Each row of set ``name`` run on ``package``: its label, map cap,
-    switch searches, whether a switch-time solve gave up, its plant's
-    matched power, the result's fields the counts read, and a SHA-256
-    digest of every bit of the result."""
+    switch searches, switch-time solves that gave up, its plant's matched
+    power, the result's fields the counts read, and a SHA-256 digest of
+    every bit of the result."""
     simulate = importlib.import_module(package.__name__ + ".simulate")
-    cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [False]
+    cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [0]
+    # a tree whose results carry no orbit record has its give-ups counted here
+    has_orbit = "_orbit" in {f.name for f in dataclasses.fields(package.SimResult)}
 
     def counted_cross(self, *args):
         searches[0] += 1
@@ -66,11 +72,13 @@ def run_set(package, name: str) -> list[dict]:
     def counted_shoot(self, *args):
         start = shoot(self, *args)
         # the best iterate: None for its switch times, 0 segments in older trees
-        gave_up[0] |= start[2] is None or start[2] == 0
+        gave_up[0] += start[2] is None or start[2] == 0
         return start
 
     out = []
-    simulate._Loop.cross, simulate._Loop.shoot = counted_cross, counted_shoot
+    simulate._Loop.cross = counted_cross
+    if not has_orbit:
+        simulate._Loop.shoot = counted_shoot
     try:
         with installed(package):
             rows = ROW_SETS[name]()[::-1]  # popped in order: a plant goes with its last row
@@ -78,8 +86,10 @@ def run_set(package, name: str) -> list[dict]:
                 plant, z_c, i_max, *cfg = rows.pop()
                 cfg = cfg[0] if cfg else package.SimConfig()
                 baseline = package.matched_baseline(package.thevenin_from_plant(plant))
-                searches[0], gave_up[0] = 0, False
+                searches[0], gave_up[0] = 0, 0
                 res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
+                if has_orbit:
+                    gave_up[0] = res._orbit[1]
                 digest = hashlib.sha256(res.waveforms.tobytes())
                 digest.update(repr(bits([
                     res.p_avg, res.harmonic_currents, res.period_powers, res.periods_run,
@@ -106,7 +116,8 @@ def summary(rows: list[dict]) -> dict:
         "maps": sum(row["maps"] for row in rows),
         "newton_steps": sum(row["newton_steps"] for row in rows),
         "searches": sum(row["searches"] for row in rows),
-        "gave_up": sum(row["gave_up"] for row in rows),
+        "gave_up": sum(row["gave_up"] > 0 for row in rows),
+        "gave_up_solves": sum(row["gave_up"] for row in rows),
         "max_residual": max(row["residual"] for row in rows),
         "at_cap": sum(row["maps"] == row["cap"] for row in rows),
         "above_target": sum(row["residual"] > TARGET for row in rows),
@@ -124,11 +135,12 @@ def differences(old: list[dict], new: list[dict]) -> list[dict]:
 
 
 def print_counts(tree: str, counts: dict) -> None:
-    print(f"{tree}: set    rows  maps  newton  searches  gave up  max residual  at cap"
-          f"  above {TARGET:g}  over matched  max excess")
+    print(f"{tree}: set    rows  maps  newton  searches  gave up  give-ups  max residual"
+          f"  at cap  above {TARGET:g}  over matched  max excess")
     for name, c in counts.items():
         print(f"  {name:10s} {c['rows']:4d} {c['maps']:5d} {c['newton_steps']:7d}"
-              f" {c['searches']:9d} {c['gave_up']:8d} {c['max_residual']:13.2e}"
+              f" {c['searches']:9d} {c['gave_up']:8d} {c['gave_up_solves']:9d}"
+              f" {c['max_residual']:13.2e}"
               f" {c['at_cap']:7d} {c['above_target']:11d} {c['over_matched']:13d}"
               f" {c['max_excess']:11.2e}")
 
