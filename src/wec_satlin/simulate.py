@@ -101,8 +101,9 @@ class SimConfig:
         if self.n_periods < 1:
             raise DomainError(f"n_periods must be at least 1, got {self.n_periods}")
         for key in ("convergence_tol", "algebraic_loop_tol"):
-            if not getattr(self, key) > 0.0:
-                raise DomainError(f"{key} must be positive, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise DomainError(f"{key} must be positive, got {value}")
         _require_finite(self)
         if self.algebraic_loop_tol >= 1.0:
             raise DomainError(f"algebraic_loop_tol must be below 1, got {self.algebraic_loop_tol}")
@@ -735,13 +736,14 @@ def simulate(
                                   step=j, trace=tuple(run.ys[1 + bad]))
         period_powers.append(float(np.mean(run.vl[:half] * run.cur[:half])))
         u = loop.branches[rail].unknowns
-        residual = _residual(run.ys[half, u] - y[u], y[u])
+        end = run.ys[half]
+        residual = _residual(end[u] - y[u], y[u])
         # the map from a solved start must also keep the solve's switch count
         settled = residual <= target and (solved is None or len(run.switches) == len(solved))
         if settled or p == cfg.n_periods - 1:
             break
         # solve again from the map's end, at the map's own switch times
-        y, rail, plan = run.ys[half], run.rail, run.switches
+        y, rail, plan = end, run.rail, run.switches
 
     # the stored period: the final half and its negation, as rows i, x, v, v_load
     first = np.stack((run.cur[:half], run.ys[:half, 0], run.ys[:half, 1], run.vl[:half]))

@@ -1255,8 +1255,8 @@ class TestHalfWaveSymmetry:
         for plant, z_c, i_max in rows:
             res = simulate(plant, z_c, i_max=i_max)
             y, rail, steps = res._orbit[0], res.start_on_rail, len(res.waveforms)
-            whole = _Loop(plant, z_c, res.dt, steps)
-            end = -whole.period(y, rail, i_max, 1e-12 * res.dt).ys[steps]  # Phi(y)
+            whole, tol = _Loop(plant, z_c, res.dt, steps), SimConfig().algebraic_loop_tol * res.dt
+            end = -whole.period(y, rail, i_max, tol).ys[steps]  # Phi(y)
             u = whole.branches[rail].unknowns
             out.append((res, np.linalg.norm(end[u] - y[u]) / np.linalg.norm(y[u])))
         return out
@@ -1729,7 +1729,6 @@ class TestPlannedMaps:
         for plant, z_c, i_max in reactive_rows():
             simulate(plant, z_c, i_max=i_max)
         assert evaluations and max(evaluations) <= 10
-
 
 
 def test_too_many_switches_in_one_step_raise(monkeypatch):

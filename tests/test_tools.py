@@ -89,6 +89,14 @@ def test_referee_census_runs_one_set_against_its_own_tree(capsys):
         assert (loop.cross.__name__, loop.shoot.__name__) == ("cross", "shoot")
 
 
+def test_referee_census_compares_orbits_only_where_both_trees_keep_them():
+    differences = _tool("referee_census").differences
+    row = {"label": "r", "maps": 1, "p_avg": 1.0, "digest": "d"}
+    kept, other, none = ({**row, "orbit": orbit} for orbit in ("a", "b", None))
+    assert differences([kept], [kept]) == [] and differences([none], [kept]) == []
+    assert [d["row"] for d in differences([kept], [other])] == ["r"]
+
+
 def test_referee_census_exits_1_on_a_row_above_the_target(capsys):
     census = _tool("referee_census")
     assert census.main(["--set", "reactive"]) == 0

@@ -6,19 +6,17 @@ rows, the 60-row stiff grid, the ``verify_reactive`` rows, the clipped
 script prints one line: rows, half-period maps, Newton steps of the
 switch-time solves, switch searches (the steps the maps hand to
 ``_Loop.cross``, counted by wrapping it while the set runs), rows whose
-switch-time solve gave up and the give-ups, the solves that did (each
-returned its best iterate, with None for its switch times: the count each
-result carries in ``SimResult._orbit``, or, on a tree whose results have
-no such field, the ``_Loop.shoot`` calls that did so, counted by wrapping
-it the same way), the largest periodicity residual, rows that ran to the
-map cap, rows above the shooting target of 1e-12, rows whose ``p_avg``
-exceeds their plant's ``p_matched``, which no load can draw, and the
-largest relative excess ``p_avg / p_matched - 1`` of the set (negative
-where no row exceeds it).
+switch-time solve gave up and the give-ups, the solves that did (the
+``_Loop.shoot`` calls that returned their best iterate, with None for its
+switch times, counted by wrapping it the same way), the largest
+periodicity residual, rows that ran to the map cap, rows above the
+shooting target of 1e-12, rows whose ``p_avg`` exceeds their plant's
+``p_matched``, which no load can draw, and the largest relative excess
+``p_avg / p_matched - 1`` of the set (negative where no row exceeds it).
 Each plant keeps its latest referee loop, so the rows of one plant share
 one, as in ``verify``; a plant, and its loop with it, is dropped once its
-last row has run, and each row keeps the numbers the counts read and a
-digest of its result's bits, not the result.  Run from the repository
+last row has run, and each row keeps the numbers the counts read and
+digests of its result's bits, not the result.  Run from the repository
 root:
 
     python tools/referee_census.py [--against OLD_SRC] [--set NAME] [--json]
@@ -26,8 +24,10 @@ root:
 The tree measured is the ``src`` beside this script's ``tools``.  With
 ``--against``, the sets also run on OLD_SRC, a directory that holds the
 ``wec_satlin`` package (a checkout's ``src``), and the script prints that
-tree's lines too, then every row whose result differs in any bit: its map
-counts and its ``p_avg`` move, relative to the old value.  Each tree is
+tree's lines too, then every row whose result differs in any bit the
+digests cover: its map counts and its ``p_avg`` move, relative to the old
+value.  The final map's ``start_on_rail`` and ``switch_times`` are
+compared only where both trees' results have them.  Each tree is
 imported by path under its own name, as ``tools/ab_inprocess.py`` does,
 and the row sets are built with each tree's own plants.  ``--set``, which
 may be repeated, runs only the sets named; ``--json`` prints the same
@@ -39,7 +39,6 @@ target, else 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -58,12 +57,13 @@ TARGET = 1e-12  # the shooting target of simulate
 def run_set(package, name: str) -> list[dict]:
     """Each row of set ``name`` run on ``package``: its label, map cap,
     switch searches, switch-time solves that gave up, its plant's matched
-    power, the result's fields the counts read, and a SHA-256 digest of
-    every bit of the result."""
+    power, the result's fields the counts read, a SHA-256 digest of the
+    bits of its waveforms, ``p_avg``, harmonic currents, period powers,
+    map and Newton counts, periodicity residual and ``clip_fraction``, and
+    one of its ``start_on_rail`` and ``switch_times``, None in a tree
+    whose results have no such fields."""
     simulate = importlib.import_module(package.__name__ + ".simulate")
     cross, shoot, searches, gave_up = simulate._Loop.cross, simulate._Loop.shoot, [0], [0]
-    # a tree whose results carry no orbit record has its give-ups counted here
-    has_orbit = "_orbit" in {f.name for f in dataclasses.fields(package.SimResult)}
 
     def counted_cross(self, *args):
         searches[0] += 1
@@ -76,9 +76,7 @@ def run_set(package, name: str) -> list[dict]:
         return start
 
     out = []
-    simulate._Loop.cross = counted_cross
-    if not has_orbit:
-        simulate._Loop.shoot = counted_shoot
+    simulate._Loop.cross, simulate._Loop.shoot = counted_cross, counted_shoot
     try:
         with installed(package):
             rows = ROW_SETS[name]()[::-1]  # popped in order: a plant goes with its last row
@@ -88,12 +86,14 @@ def run_set(package, name: str) -> list[dict]:
                 baseline = package.matched_baseline(package.thevenin_from_plant(plant))
                 searches[0], gave_up[0] = 0, 0
                 res = package.simulate(plant, z_c, i_max=i_max, cfg=cfg)
-                if has_orbit:
-                    gave_up[0] = res._orbit[1]
                 digest = hashlib.sha256(res.waveforms.tobytes())
                 digest.update(repr(bits([
                     res.p_avg, res.harmonic_currents, res.period_powers, res.periods_run,
                     res.newton_steps, res.periodicity_residual, res.clip_fraction])).encode())
+                orbit = getattr(res, "switch_times", None)  # older trees keep no orbit
+                if orbit is not None:
+                    orbit = bits([res.start_on_rail, orbit])
+                    orbit = hashlib.sha256(repr(orbit).encode()).hexdigest()
                 out.append({
                     "label": f"{name}[{len(out)}] l_w {plant.l_w:.3g} "
                              f"fraction {i_max / baseline.i_peak_matched:.3g}",
@@ -102,6 +102,7 @@ def run_set(package, name: str) -> list[dict]:
                     "p_avg": res.p_avg, "maps": res.periods_run,
                     "newton_steps": res.newton_steps, "residual": res.periodicity_residual,
                     "digest": digest.hexdigest(),
+                    "orbit": orbit,
                 })
     finally:
         simulate._Loop.cross, simulate._Loop.shoot = cross, shoot
@@ -127,11 +128,14 @@ def summary(rows: list[dict]) -> dict:
 
 
 def differences(old: list[dict], new: list[dict]) -> list[dict]:
-    """The rows whose results differ in any bit, with both map counts and
-    the p_avg move relative to the old value."""
+    """The rows whose results differ in any bit the digests of both trees
+    cover, with both map counts and the p_avg move relative to the old
+    value."""
     return [{"row": b["label"], "maps_old": a["maps"], "maps_new": b["maps"],
              "p_avg_old": a["p_avg"], "p_avg_move": (b["p_avg"] - a["p_avg"]) / abs(a["p_avg"])}
-            for a, b in zip(old, new, strict=True) if a["digest"] != b["digest"]]
+            for a, b in zip(old, new, strict=True)
+            if a["digest"] != b["digest"]
+            or None not in (a["orbit"], b["orbit"]) and a["orbit"] != b["orbit"]]
 
 
 def print_counts(tree: str, counts: dict) -> None:
